@@ -2,7 +2,6 @@
 coordinate algebras, their exterior fiber algebras and the Dolbeault
 Laplacian spectrum on quantum quadrics."""
 
-from .backend import BACKEND_NAME
 from .field import FieldElem, eval_at, qint
 from .ncpoly import NCPoly, deglex_compare, nc_mul
 
@@ -17,3 +16,7 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+# Name of the kernel implementation, recorded by benchmark results; the
+# pure-Python Laurent kernels in ``laurent`` are the only one.
+BACKEND_NAME = "py"

@@ -9,7 +9,6 @@ z-coordinates.
 
 from __future__ import annotations
 
-import time
 from fractions import Fraction
 
 from .cartan import CartanData
@@ -465,7 +464,6 @@ class ActionEngine:
 def verify_covariance(N: int) -> dict:
     """Check the quadratic relation span is stable under every left and
     right E_i, F_i, K_i action: normal forms of acted relations vanish."""
-    t0 = time.perf_counter()
     data = FRTData(N)
     rels = generate_relations(data)
     rw = build_rewriter(rels)
@@ -492,7 +490,6 @@ def verify_covariance(N: int) -> dict:
         "checks": checked,
         "failures": failures,
         "status": "verified" if not failures else "failed",
-        "millis": int((time.perf_counter() - t0) * 1000),
         "sign_fixes": rep.sign_fixes,
     }
 
@@ -546,7 +543,6 @@ def verify_spherical(N: int) -> dict:
     the z and y differential relations:
     u^1_N u^1_k' u^1_N u^1_1 = q^-2 u^1_N u^1_1 u^1_N u^1_k' and
     w_l' w_N = q^-2 w_N w_l' with w_a = u^1_a u^2_N - q u^2_a u^1_N."""
-    t0 = time.perf_counter()
     data = FRTData(N)
     rels = generate_relations(data)
     rw = build_rewriter(rels)
@@ -590,7 +586,6 @@ def verify_spherical(N: int) -> dict:
             "status": "verified" if z else "failed"})
     out["status"] = "verified" if all(
         c["status"] == "verified" for c in out["checks"]) else "failed"
-    out["millis"] = int((time.perf_counter() - t0) * 1000)
     return out
 
 
@@ -752,7 +747,6 @@ def orbit_scan(N: int) -> dict:
     to y on the right, classify each nonzero result in z-coordinates,
     and check the terminal element (one up-down block followed by F_1
     twice) lands in family (iv') with mu < 0 at q = 11/10."""
-    t0 = time.perf_counter()
     data = FRTData(N)
     rels = generate_relations(data)
     rw = build_rewriter(rels)
@@ -814,7 +808,6 @@ def orbit_scan(N: int) -> dict:
         "terminal": terminal,
         "failures": failures,
         "status": status,
-        "millis": int((time.perf_counter() - t0) * 1000),
     }
 
 

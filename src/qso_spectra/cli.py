@@ -3,18 +3,16 @@
 Subcommands expose the verification suites and table generators with
 machine-readable output (JSON by default, CSV for the tabular
 commands).  Exit codes: 0 every check verified, 1 at least one
-inconclusive/probable result, 2 a definite failure or invalid input.
-All rationals are exact "p/q" strings; output is deterministic for a
-fixed configuration and seed.
+inconclusive result, 2 a definite failure or invalid input.  All
+rationals are exact "p/q" strings; output is deterministic for a fixed
+configuration.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from . import actions, fiber, frt, reports, spectrum
@@ -37,11 +35,8 @@ def _build_parser() -> argparse.ArgumentParser:
                     "zero-form Laplacian spectrum.")
     parser.add_argument("--out", help="write the report to this path instead of stdout")
     parser.add_argument("--format", choices=("json", "csv"), default="json")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed for any randomized specialization")
-    parser.add_argument("--jobs", type=int,
-                        default=int(os.environ.get("QSO_SPECTRA_JOBS", "1")),
-                        help="worker cap for parallel sample evaluation")
+    parser.add_argument("--jobs", type=int, default=1,
+                        help="accepted for compatibility; has no effect")
     parser.add_argument("--config", help="JSON config file; flags take precedence")
     parser.add_argument("--q2", choices=("q", "q2", "qhalf"), default="qhalf",
                         help="adjoint normalization convention")
@@ -178,14 +173,7 @@ def _cmd_fiber(args):
     if args.suite == "lefschetz":
         samples = args.q or [Fraction(1), Fraction(11, 10), Fraction(101, 100)]
         table = fiber._LefschetzTable(params)
-        if args.jobs > 1:
-            with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-                futs = [pool.submit(fiber.verify_lefschetz_iso, params, q0, table)
-                        for q0 in samples]
-                runs = [f.result() for f in futs]
-        else:
-            runs = [fiber.verify_lefschetz_iso(params, q0, table)
-                    for q0 in samples]
+        runs = [fiber.verify_lefschetz_iso(params, q0, table) for q0 in samples]
         status = reports.aggregate_status(r["status"] for r in runs)
         return {"command": "fiber lefschetz", "M": M, "runs": runs,
                 "status": status}, status
@@ -241,9 +229,9 @@ def _cmd_all(args):
     overall = "verified"
     for name, fn in plan:
         status = run(name, fn)
-        if status == "probable" and overall == "verified":
-            overall = "probable"
-        if status not in ("verified", "probable"):
+        if status == "inconclusive":
+            overall = "inconclusive"
+        elif status != "verified":
             overall = "failed"
             break
     return {"command": "all", "N": n, "stages": stages,

@@ -37,8 +37,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations
-from math import comb, factorial, isqrt
-from time import perf_counter
+from math import factorial, isqrt
 
 from .errors import DecompositionSingular, IndexOutOfRange
 from .field import ONE, ZERO, FieldElem
@@ -551,7 +550,6 @@ def _apply_num(num_map, vec):
 
 def verify_lefschetz_iso(params: ExtAlgParams, q0, table: _LefschetzTable | None = None) -> dict:
     """Certify bijectivity of L^{M-k}: degree k -> degree 2M-k by exact rank."""
-    t0 = perf_counter()
     M = params.M
     if table is None:
         table = _LefschetzTable(params)
@@ -584,7 +582,6 @@ def verify_lefschetz_iso(params: ExtAlgParams, q0, table: _LefschetzTable | None
         "degrees": results,
         "failures": failures,
         "status": "verified" if not failures else "failed",
-        "millis": int(1000 * (perf_counter() - t0)),
     }
 
 
@@ -799,7 +796,6 @@ def verify_f_properties(params: ExtAlgParams) -> dict:
     value is (-1)^{l(l-1)/2} l!, cross-checked against an independent
     classical anticommuting computation.
     """
-    t0 = perf_counter()
     M = params.M
     checks = 0
     failures = []
@@ -846,7 +842,6 @@ def verify_f_properties(params: ExtAlgParams) -> dict:
         "records": records,
         "failures": failures,
         "status": "verified" if not failures else "failed",
-        "millis": int(1000 * (perf_counter() - t0)),
         "expansions": expansions,
     }
 
@@ -876,7 +871,6 @@ def verify_nonprimitive(params: ExtAlgParams, extra_samples=(Fraction(101, 100),
     """kappa^{M-1} ^ e+_M ^ e-_M is a nonzero multiple of the top form
     (nonzero at q = 1 and at the extra sample points), plus the mirrored
     minus-first computation through the g coefficients."""
-    t0 = perf_counter()
     M = params.M
     failures = []
     details = {}
@@ -928,7 +922,6 @@ def verify_nonprimitive(params: ExtAlgParams, extra_samples=(Fraction(101, 100),
         "details": details,
         "failures": failures,
         "status": "verified" if not failures else "failed",
-        "millis": int(1000 * (perf_counter() - t0)),
     }
 
 
@@ -952,7 +945,6 @@ def verify_hodge_shape(params: ExtAlgParams, q0=Fraction(11, 10),
                        seed: int = 0, trials: int = 4) -> dict:
     """Bidegree law (a, b) -> (M-b, M-a) on random forms, and the exact
     identity *(1) = kappa^M / M!."""
-    t0 = perf_counter()
     M = params.M
     rng = random.Random(seed)
     failures = []
@@ -988,5 +980,4 @@ def verify_hodge_shape(params: ExtAlgParams, q0=Fraction(11, 10),
         "checks": checks,
         "failures": failures,
         "status": "verified" if not failures else "failed",
-        "millis": int(1000 * (perf_counter() - t0)),
     }

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .backend import (
+from .laurent import (
     lp_add,
     lp_eval,
     lp_mul,

@@ -2,24 +2,16 @@
 rewriting to normal form, degree-bounded ideal membership and the
 machine verification of the nine commutation-relation families.
 
-Internally a linear combination of words is a dict {word: coeff}.  The
-coefficient ring is FieldElem for symbolic work and Fraction for
-specialized (probabilistic) membership checks.
+Internally a linear combination of words is a dict {word: FieldElem}.
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field as dc_field
-from fractions import Fraction
+from dataclasses import dataclass
 
 from .errors import DegreeOverflow, IndexOutOfRange
 from .field import ONE, ZERO, FieldElem
 from .ncpoly import NCPoly, word_key
-
-
-def _inv(c):
-    return c.inverse() if isinstance(c, FieldElem) else 1 / c
 
 
 # ---------------------------------------------------------------------------
@@ -172,9 +164,9 @@ class Rewriter:
     strictly deglex-smaller than the lead.
     """
 
-    __slots__ = ("N", "rules", "by_first", "lengths", "rank", "provenance")
+    __slots__ = ("N", "rules", "by_first", "lengths", "rank")
 
-    def __init__(self, N: int, rules: dict, provenance=None):
+    def __init__(self, N: int, rules: dict):
         self.N = N
         self.rules = rules
         self.by_first = {}
@@ -184,12 +176,6 @@ class Rewriter:
             lengths.add(len(lead))
         self.lengths = sorted(lengths)
         self.rank = len(rules)
-        self.provenance = provenance
-
-    def extended(self, new_rules: dict) -> "Rewriter":
-        merged = dict(self.rules)
-        merged.update(new_rules)
-        return Rewriter(self.N, merged, self.provenance)
 
 
 def _rows_to_rref(rows) -> dict:
@@ -220,7 +206,7 @@ def _rows_to_rref(rows) -> dict:
             continue
         lead = max(row, key=word_key)
         lc = row.pop(lead)
-        inv = _inv(lc)
+        inv = lc.inverse()
         pivots[lead] = {w: c * inv for w, c in row.items()}
     # interreduce tails, ascending in the lead order so that every rule
     # used for reduction is itself already fully reduced
@@ -252,7 +238,7 @@ def build_rewriter(rels: RelationSet) -> Rewriter:
     """RREF the degree-2 span; one rule per pivot."""
     pivots = _rows_to_rref(r.terms for r in rels.elems)
     rules = {lead: {w: -c for w, c in row.items()} for lead, row in pivots.items()}
-    return Rewriter(rels.N, rules, provenance=rels)
+    return Rewriter(rels.N, rules)
 
 
 def _nf_terms(terms: dict, rw: Rewriter) -> dict:
@@ -352,7 +338,7 @@ def complete_rewriter(rw: Rewriter, max_degree: int, max_rules: int = 20000):
             continue
         lead = max(diff, key=word_key)
         lc = diff.pop(lead)
-        ilc = _inv(lc)
+        ilc = lc.inverse()
         tail = {w: -c * ilc for w, c in diff.items()}
         work.rules[lead] = tail
         work.by_first.setdefault(lead[0], {})[lead] = tail
@@ -379,88 +365,39 @@ def complete_rewriter(rw: Rewriter, max_degree: int, max_rules: int = 20000):
 
 @dataclass
 class MembershipReport:
-    status: str  # verified | probable | inconclusive
+    status: str  # verified | inconclusive
     certificate_size: int = 0
-    millis: int = 0
-    samples: list = dc_field(default_factory=list)
     detail: str = ""
-
-
-_SPECIALIZE_SAMPLES = (Fraction(2), Fraction(3), Fraction(7, 5))
-
-
-def _specialize_relations(rels: RelationSet, v0: Fraction):
-    return [
-        {w: c.eval_v(v0) for w, c in r.terms.items()} for r in rels.elems
-    ]
-
-
-def _specialized_rewriter(rels: RelationSet, v0: Fraction) -> Rewriter:
-    pivots = _rows_to_rref(_specialize_relations(rels, v0))
-    rules = {lead: {w: -c for w, c in row.items()} for lead, row in pivots.items()}
-    return Rewriter(rels.N, rules)
 
 
 def saturate_and_check(
     target: NCPoly,
     seed: RelationSet,
-    actions=None,
     max_degree: int = 4,
     rewriter: Rewriter | None = None,
-    symbolic_completion: bool | None = None,
 ) -> MembershipReport:
-    """Semi-decide membership of a homogeneous target in the two-sided
-    ideal of the relation span.
+    """Decide membership of a homogeneous target in the two-sided ideal
+    of the relation span, or report that the degree bound leaves it open.
 
-    Strategy: normal form against the degree-2 rules; then against the
-    critical-pair completion bounded at max_degree (this has the same
-    reducing power as row-reducing the span of all degree-bounded
-    products word * relation * word); finally exact specialized checks
-    at three rational points, reported as probable."""
-    t0 = time.perf_counter()
+    A zero normal form against the degree-2 rules is verified with the
+    rule count as certificate.  Otherwise the normal form is reduced
+    against the exact critical-pair completion bounded at max_degree
+    (the same reducing power as row-reducing the span of all
+    degree-bounded products word * relation * word); zero there is
+    verified with the completed rule count.  Anything else is
+    inconclusive."""
     if target.degree() > max_degree:
         raise DegreeOverflow(
             f"target degree {target.degree()} exceeds bound {max_degree}"
         )
     rw = rewriter if rewriter is not None else build_rewriter(seed)
-    if actions is not None:
-        extra = []
-        for r in seed.elems:
-            extra.extend(actions(r))
-        if extra:
-            enriched = RelationSet(seed.N, seed.elems + list(extra), seed.scanned)
-            rw = build_rewriter(enriched)
-    nf = _nf_terms(dict(target.terms), rw)
-    if not nf:
-        ms = int((time.perf_counter() - t0) * 1000)
-        return MembershipReport("verified", rw.rank, ms, detail="normal form")
-    if symbolic_completion is None:
-        symbolic_completion = seed.N <= 5
-    if symbolic_completion:
-        crw, _ = complete_rewriter(rw, max_degree)
-        nf2 = _nf_terms(nf, crw)
-        if not nf2:
-            ms = int((time.perf_counter() - t0) * 1000)
-            return MembershipReport(
-                "verified", crw.rank, ms, detail="completed normal form"
-            )
-    samples = []
-    all_zero = True
-    for v0 in _SPECIALIZE_SAMPLES:
-        srw = _specialized_rewriter(seed, v0)
-        scrw, _ = complete_rewriter(srw, max_degree)
-        st = {w: c.eval_v(v0) for w, c in target.terms.items()}
-        snf = _nf_terms({w: c for w, c in st.items() if c}, scrw)
-        samples.append(str(v0))
-        if snf:
-            all_zero = False
-            break
-    ms = int((time.perf_counter() - t0) * 1000)
-    if all_zero:
-        return MembershipReport(
-            "probable", 0, ms, samples, "specialized membership at 3 points"
-        )
-    return MembershipReport("inconclusive", 0, ms, samples)
+    nf = normal_form(target, rw)
+    if nf.is_zero():
+        return MembershipReport("verified", rw.rank, "normal form")
+    crw, _ = complete_rewriter(rw, max_degree)
+    if normal_form(nf, crw).is_zero():
+        return MembershipReport("verified", crw.rank, "completed normal form")
+    return MembershipReport("inconclusive")
 
 
 # ---------------------------------------------------------------------------
@@ -631,69 +568,21 @@ def excluded_boundary_instances(N: int):
 
 
 def verify_lemma_rels(N: int, max_degree: int = 4) -> list:
-    """Verify every admissible instance of the nine relation families.
-
-    Degree-2 instances must reduce to zero by normal form; degree-4
-    instances go through saturate_and_check.  Returns a list of report
-    dicts."""
-    data = FRTData(N)
-    rels = generate_relations(data)
+    """Verify every admissible instance of the nine relation families,
+    each by saturate_and_check against the degree-2 rewriter.  Returns
+    a list of report dicts."""
+    rels = generate_relations(FRTData(N))
     rw = build_rewriter(rels)
-    crw = None
     report = []
     for family, indices, target in lemma_rel_instances(N):
-        t0 = time.perf_counter()
         if target is None:
-            report.append({
-                "family": family, "indices": list(indices),
-                "status": "vacuous", "certificate_size": 0, "millis": 0,
-            })
-            continue
-        if target.degree() <= 2:
-            nf = normal_form(target, rw)
-            status = "verified" if nf.is_zero() else "inconclusive"
-            cert = rw.rank if nf.is_zero() else 0
-            ms = int((time.perf_counter() - t0) * 1000)
-            report.append({
-                "family": family, "indices": list(indices),
-                "status": status, "certificate_size": cert, "millis": ms,
-            })
+            status, cert = "vacuous", 0
         else:
-            nf = normal_form(target, rw)
-            if nf.is_zero():
-                ms = int((time.perf_counter() - t0) * 1000)
-                report.append({
-                    "family": family, "indices": list(indices),
-                    "status": "verified", "certificate_size": rw.rank,
-                    "millis": ms,
-                })
-                continue
-            if N <= 5:
-                if crw is None:
-                    crw, _ = complete_rewriter(rw, max_degree)
-                nf2 = normal_form(nf, crw)
-                if nf2.is_zero():
-                    ms = int((time.perf_counter() - t0) * 1000)
-                    report.append({
-                        "family": family, "indices": list(indices),
-                        "status": "verified", "certificate_size": crw.rank,
-                        "millis": ms,
-                    })
-                    continue
-            mem = saturate_and_check(
-                nf if N > 5 else NCPoly(N, nf.terms), rels,
-                max_degree=max_degree, rewriter=rw,
-                symbolic_completion=False,
-            )
-            mem.millis = int((time.perf_counter() - t0) * 1000)
-            report.append({
-                "family": family, "indices": list(indices),
-                "status": mem.status, "certificate_size": mem.certificate_size,
-                "millis": mem.millis,
-            })
+            mem = saturate_and_check(target, rels, max_degree, rw)
+            status, cert = mem.status, mem.certificate_size
+        report.append({"family": family, "indices": list(indices),
+                       "status": status, "certificate_size": cert})
     for family, indices in excluded_boundary_instances(N):
-        report.append({
-            "family": family, "indices": list(indices),
-            "status": "excluded", "certificate_size": 0, "millis": 0,
-        })
+        report.append({"family": family, "indices": list(indices),
+                       "status": "excluded", "certificate_size": 0})
     return report

@@ -1,16 +1,11 @@
-"""Pure Python kernels for Laurent polynomial arithmetic over Q.
+"""Kernels for Laurent polynomial arithmetic over Q.
 
 A Laurent polynomial in the variable v is a dict {exponent: Fraction}
 with no zero values.  A dense polynomial is a list of Fractions indexed
 by exponent (trailing zeros stripped, [] is the zero polynomial).
-
-The compiled module ``_kernels`` provides the same API; ``backend``
-selects one of the two at import time.
 """
 
 from fractions import Fraction
-
-BACKEND_NAME = "py"
 
 _ZERO = Fraction(0)
 

@@ -1,8 +1,8 @@
 """Deterministic machine-readable report serialization.
 
 All rationals cross the boundary as exact "p/q" strings and symbolic
-coefficients as their canonical text form; no floats anywhere.  Timing
-fields are stripped so that identical configurations produce
+coefficients as their canonical text form; no floats anywhere.  Reports
+carry no timing fields, so identical configurations produce
 byte-identical output.
 """
 
@@ -19,7 +19,7 @@ from .field import FieldElem
 def jsonable(obj):
     """Recursively convert report payloads to JSON-safe values."""
     if isinstance(obj, dict):
-        return {_key(k): jsonable(v) for k, v in obj.items() if _key(k) != "millis"}
+        return {_key(k): jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple, set, frozenset)):
         items = sorted(obj, key=repr) if isinstance(obj, (set, frozenset)) else obj
         return [jsonable(v) for v in items]
@@ -59,20 +59,18 @@ def to_csv(rows, fieldnames) -> str:
 
 
 def aggregate_status(statuses) -> str:
-    """Fold per-check statuses into verified / probable / failed."""
+    """Fold per-check statuses into verified / inconclusive / failed."""
     worst = "verified"
     ok = {"verified", "vacuous", "excluded", "pass", "bijective", "ok"}
-    soft = {"probable", "inconclusive"}
     for s in statuses:
         if s in ok:
             continue
-        if s in soft:
-            if worst == "verified":
-                worst = "probable"
+        if s == "inconclusive":
+            worst = "inconclusive"
         else:
             return "failed"
     return worst
 
 
 def exit_code(status: str) -> int:
-    return {"verified": 0, "probable": 1}.get(status, 2)
+    return {"verified": 0, "inconclusive": 1}.get(status, 2)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import warnings
 from fractions import Fraction
+from math import lcm
 
 from .cartan import CartanData
 from .errors import BoundNotCleared, ParamsNotValidated
@@ -35,31 +36,55 @@ def _qint(m: int, t: Fraction) -> Fraction:
 
 
 class _QintTable:
-    """Incremental (m)_t values for m = -1..mmax at t = q^2 and q^-2."""
+    """lam(k, l) for k, l <= mmax through integer numerators.
+
+    With q^2 = a/b in lowest terms, (m)_{q^2} = S(m)/b^(m-1) and
+    (m)_{q^-2} = S(m)/a^(m-1), where S(m) = sum_i a^i b^(m-1-i).  So on
+    the shell k + l = n, scale(n) * lam(k, l) is an integer, where
+    scale(n) = a^n b^n L and L is the common denominator of the six
+    constants."""
 
     def __init__(self, p: SpectralParams, mmax: int):
         q2 = p.q * p.q
-        iq2 = 1 / q2
-        self.pos = [Fraction(0)] * (mmax + 2)
-        self.neg = [Fraction(0)] * (mmax + 2)
+        a, b = q2.numerator, q2.denominator
+        consts = (p.theta, p.mu_y, p.theta1, p.theta2, p.mu_z, p.theta3)
+        L = self.L = lcm(*(c.denominator for c in consts))
+        (self.theta, self.mu_y, self.theta1, self.theta2, self.mu_z,
+         self.theta3) = (c.numerator * (L // c.denominator) for c in consts)
+        self.apow = [1] * (2 * mmax + 3)
+        self.bpow = [1] * (2 * mmax + 3)
+        for i in range(1, 2 * mmax + 3):
+            self.apow[i] = self.apow[i - 1] * a
+            self.bpow[i] = self.bpow[i - 1] * b
+        self.s = [0] * (mmax + 2)
         for m in range(1, mmax + 2):
-            self.pos[m] = self.pos[m - 1] * q2 + 1
-            self.neg[m] = self.neg[m - 1] * iq2 + 1
-        self.p = p
+            self.s[m] = self.s[m - 1] * a + self.bpow[m - 1]
+
+    def scale(self, n: int) -> int:
+        return self.apow[n] * self.bpow[n] * self.L
+
+    def scaled(self, k: int, l: int) -> int:
+        """scale(k + l) * lam(k, l)."""
+        A, B, S = self.apow, self.bpow, self.s
+        n = k + l
+        sk, sl = S[k], S[l]
+        total = 0
+        if k:
+            total += self.mu_y * sk * A[n] * B[l + 1]
+            if k > 1:
+                total += self.theta * sk * S[k - 1] * A[l + 2] * B[l + 1]
+        if l:
+            total += self.mu_z * sl * A[k + 1] * B[n]
+            if l > 1:
+                total += self.theta3 * sl * S[l - 1] * A[k + 1] * B[k + 2]
+            if k:
+                total += (self.theta1 * A[n - 2]
+                          + self.theta2 * B[n - 2]) * sl * sk * A[2] * B[2]
+        return total
 
     def value(self, k: int, l: int) -> Fraction:
         """lam(k, l) from the precomputed tables."""
-        p = self.p
-        kp, kn = self.pos[k], self.neg[k]
-        lp, ln = self.pos[l], self.neg[l]
-        return (
-            p.theta * kp * self.neg[k - 1 if k else 0]
-            + kp * p.mu_y
-            + lp * kp * p.theta1
-            + ln * kn * p.theta2
-            + ln * p.mu_z
-            + ln * self.pos[l - 1 if l else 0] * p.theta3
-        )
+        return Fraction(self.scaled(k, l), self.scale(k + l))
 
 
 class SpectralParams:
@@ -192,9 +217,11 @@ def check_divergence(p: SpectralParams, cartan: CartanData,
     minima = []
     lane_l0 = []
     for m in range(shell_max + 1):
-        vals = [table.value(m - l, l) for l in range(m + 1)]
-        minima.append(min(vals))
-        lane_l0.append(vals[0])
+        # one shell shares scale(m), so compare the integer numerators
+        vals = [table.scaled(m - l, l) for l in range(m + 1)]
+        d = table.scale(m)
+        minima.append(Fraction(min(vals), d))
+        lane_l0.append(Fraction(vals[0], d))
     m0 = None
     for m in range(shell_max, -1, -1):
         if minima[m] <= bound:

@@ -9,7 +9,7 @@ import pytest
 from qso_spectra import actions, fiber, frt, spectrum
 from qso_spectra.cartan import CartanData
 
-OK = {"verified", "vacuous", "excluded", "probable"}
+OK = {"verified", "vacuous", "excluded"}
 
 _cache = {}
 

@@ -3,10 +3,15 @@
 import csv
 import io
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
-from qso_spectra.cli import main
+from qso_spectra import reports
+from qso_spectra.cli import _build_parser, main
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run(capsys, *argv):
@@ -125,3 +130,20 @@ def test_all_pipeline(capsys):
     assert names == ["rep", "rels", "covariance", "spherical", "orbit",
                      "fiber", "spectrum"]
     assert report["status"] == "verified"
+
+
+def test_inconclusive_status_exits_one():
+    status = reports.aggregate_status(["verified", "inconclusive"])
+    assert status == "inconclusive"
+    assert reports.exit_code(status) == 1
+
+
+def test_readme_command_lines_parse():
+    text = README.read_text(encoding="utf-8")
+    block = text.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = [ln for ln in block.splitlines() if ln.startswith("qso-spectra ")]
+    assert len(lines) >= 10
+    parser = _build_parser()
+    for line in lines:
+        argv = shlex.split(line, comments=True)[1:]
+        parser.parse_args(argv)  # argparse exits 2 on a bad command line

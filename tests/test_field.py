@@ -17,6 +17,7 @@ from qso_spectra.field import (
     sym_qbinom,
     sym_qint,
 )
+from qso_spectra.laurent import plist_divmod, plist_gcd
 
 rationals = st.fractions(
     min_value=Fraction(-5), max_value=Fraction(5), max_denominator=6)
@@ -134,3 +135,37 @@ def test_to_text_examples():
     assert ZERO.to_text() == "0"
     assert (FieldElem.v_pow(2) + ONE).to_text() == "v^2 + 1"
     assert (-ONE / FieldElem.v_pow(6)).to_text() == "(-1)/(v^6)"
+
+
+coeffs = st.fractions(min_value=Fraction(-9), max_value=Fraction(9),
+                      max_denominator=7)
+dense = st.lists(coeffs, max_size=5).map(
+    lambda p: p[:len(p) - next((i for i, x in enumerate(reversed(p)) if x),
+                               len(p))])
+
+
+@settings(max_examples=60, deadline=None)
+@given(dense, dense.filter(bool))
+def test_plist_divmod_identity(a, b):
+    # a = q*b + r with deg r < deg b
+    q, r = plist_divmod(a, b)
+    total = [Fraction(0)] * max(len(a), len(q) + len(b) - 1, len(r))
+    for i, x in enumerate(q):
+        for j, y in enumerate(b):
+            total[i + j] += x * y
+    for i, x in enumerate(r):
+        total[i] += x
+    assert total == a + [Fraction(0)] * (len(total) - len(a))
+    assert len(r) < len(b)
+
+
+@settings(max_examples=40, deadline=None)
+@given(dense, dense)
+def test_plist_gcd_divides_and_is_monic(a, b):
+    g = plist_gcd(a, b)
+    if g:
+        for p in (a, b):
+            if p:
+                _, r = plist_divmod(p, g)
+                assert not r
+        assert g[-1] == 1

@@ -89,7 +89,7 @@ def test_saturate_detects_nonmember():
 def test_verify_lemma_rels_all_clear(N):
     report = verify_lemma_rels(N)
     statuses = {r["status"] for r in report}
-    assert statuses <= {"verified", "vacuous", "excluded", "probable"}
+    assert statuses <= {"verified", "vacuous", "excluded"}
     assert not any(r["status"] == "inconclusive" for r in report)
     families = {r["family"] for r in report}
     assert len(families) >= 9
