@@ -9,12 +9,14 @@ z-coordinates.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from .cartan import CartanData
 from .errors import IndexOutOfRange, NotInZSpan
 from .field import ONE, ZERO, FieldElem, make_extension
-from .frt import FRTData, build_rewriter, generate_relations, normal_form
+from .frt import FRTData, Rewriter, generate_relations, normal_form, rewriter
 from .ncpoly import NCPoly
 
 E, F, K, KINV = "E", "F", "K", "Kinv"
@@ -464,11 +466,11 @@ class ActionEngine:
 def verify_covariance(N: int) -> dict:
     """Check the quadratic relation span is stable under every left and
     right E_i, F_i, K_i action: normal forms of acted relations vanish."""
-    data = FRTData(N)
-    rels = generate_relations(data)
-    rw = build_rewriter(rels)
-    rep = vector_rep(N)
-    eng = ActionEngine(rep)
+    # context first: a cold build frees its own relation set before
+    # this one is made, which keeps peak memory at one set
+    alg = algebra(N)
+    rels = generate_relations(FRTData(N))
+    rw, rep, eng = alg.rw, alg.rep, alg.eng
     n = rep.cartan.n
     letters = [(E, i) for i in range(1, n + 1)] + \
               [(F, i) for i in range(1, n + 1)] + \
@@ -490,7 +492,7 @@ def verify_covariance(N: int) -> dict:
         "checks": checked,
         "failures": failures,
         "status": "verified" if not failures else "failed",
-        "sign_fixes": rep.sign_fixes,
+        "sign_fixes": list(rep.sign_fixes),
     }
 
 
@@ -543,12 +545,9 @@ def verify_spherical(N: int) -> dict:
     the z and y differential relations:
     u^1_N u^1_k' u^1_N u^1_1 = q^-2 u^1_N u^1_1 u^1_N u^1_k' and
     w_l' w_N = q^-2 w_N w_l' with w_a = u^1_a u^2_N - q u^2_a u^1_N."""
-    data = FRTData(N)
-    rels = generate_relations(data)
-    rw = build_rewriter(rels)
-    rep = vector_rep(N)
-    eng = ActionEngine(rep)
-    cartan = rep.cartan
+    alg = algebra(N)
+    rw, eng = alg.rw, alg.eng
+    cartan = alg.rep.cartan
     two_fw1 = tuple(2 * x for x in cartan.fundamental_weights[0])
     lam_y = tuple(2 * x - a for x, a in
                   zip(cartan.fundamental_weights[0], cartan.simple_roots[0]))
@@ -674,6 +673,33 @@ class ZSolver:
 
 
 # ---------------------------------------------------------------------------
+# The per-N algebra context
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Algebra:
+    """What the covariance, spherical and orbit suites reduce and act
+    with: the degree-2 rewriter, the vector representation, its action
+    engine and the z-coordinate solver."""
+
+    rw: Rewriter
+    rep: RepMatrices
+    eng: ActionEngine
+    solver: ZSolver
+
+
+@cache
+def algebra(N: int) -> Algebra:
+    """The algebra context of N, built once per process on the shared
+    frt.rewriter(N).  The returned objects are shared by every caller
+    and are read-only: copy anything a report hands out."""
+    rw = rewriter(N)
+    rep = vector_rep(N)
+    return Algebra(rw, rep, ActionEngine(rep), ZSolver(N, rw))
+
+
+# ---------------------------------------------------------------------------
 # Orbit scan (right F-action on y through the z-coordinates)
 # ---------------------------------------------------------------------------
 
@@ -747,12 +773,8 @@ def orbit_scan(N: int) -> dict:
     to y on the right, classify each nonzero result in z-coordinates,
     and check the terminal element (one up-down block followed by F_1
     twice) lands in family (iv') with mu < 0 at q = 11/10."""
-    data = FRTData(N)
-    rels = generate_relations(data)
-    rw = build_rewriter(rels)
-    rep = vector_rep(N)
-    eng = ActionEngine(rep)
-    solver = ZSolver(N, rw)
+    alg = algebra(N)
+    rw, eng, solver = alg.rw, alg.eng, alg.solver
     seq = orbit_sequence(N)
     y = y_poly(N)
 
@@ -809,74 +831,3 @@ def orbit_scan(N: int) -> dict:
         "failures": failures,
         "status": status,
     }
-
-
-# ---------------------------------------------------------------------------
-# Paired legs: act on a two-leg form and project to the fiber
-# ---------------------------------------------------------------------------
-
-
-def pair_act_project(N: int, legs, word, rw=None, eng=None, solver=None):
-    """Act with a word of F letters on a two-leg differential pair via
-    the coproduct (each F_i splits as F_i (x) 1 + K_i^-1 (x) F_i), then
-    project each leg to the fiber: a d-leg keeps only its z_(a,N)
-    components (a = 2..N-1) as e+_(a-1); a dbar-leg keeps only z_(N,b)
-    components (b = 2..N-1) as q^rho_b e-_(b-1).
-
-    legs is a pair ((tag, NCPoly), (tag, NCPoly)) with tags 'd'/'dbar'.
-    Returns (tag_order, {(i, j): coeff}) for the wedge first_i ^ second_j.
-    """
-    (tag_a, pa), (tag_b, pb) = legs
-    if rw is None:
-        rw = build_rewriter(generate_relations(FRTData(N)))
-    if eng is None:
-        eng = ActionEngine(vector_rep(N))
-    if solver is None:
-        solver = ZSolver(N, rw)
-    states = [(pa, pb)]
-    for kind, l in word:
-        if kind != F:
-            raise ValueError("only F letters supported in pair actions")
-        nxt = []
-        for a, b in states:
-            a1 = eng.act_right(a, [(F, l)])
-            if a1.terms:
-                nxt.append((a1, b))
-            b1 = eng.act_right(b, [(F, l)])
-            if b1.terms:
-                nxt.append((eng.act_right(a, [(KINV, l)]), b1))
-        states = nxt
-
-    data = FRTData(N)
-
-    def project(p: NCPoly, tag: str) -> dict:
-        try:
-            coeffs = solver.express(p)
-        except NotInZSpan:
-            raise
-        out = {}
-        for (a, b), c in coeffs.items():
-            if tag == "d":
-                if b == N and 2 <= a <= N - 1:
-                    out[a - 1] = out.get(a - 1, ZERO) + c
-            else:
-                if a == N and 2 <= b <= N - 1:
-                    scale = FieldElem.v_pow(data.rho2[b])
-                    out[b - 1] = out.get(b - 1, ZERO) + c * scale
-        return {k: c for k, c in out.items() if c}
-
-    result = {}
-    for a, b in states:
-        va = project(a, "d" if tag_a == "d" else "dbar")
-        if not va:
-            continue
-        vb = project(b, "d" if tag_b == "d" else "dbar")
-        for i, ca in va.items():
-            for j, cb in vb.items():
-                key = (i, j)
-                s = result.get(key, ZERO) + ca * cb
-                if s:
-                    result[key] = s
-                else:
-                    result.pop(key, None)
-    return (tag_a, tag_b), result

@@ -11,20 +11,6 @@ from qso_spectra.cartan import CartanData
 
 OK = {"verified", "vacuous", "excluded"}
 
-_cache = {}
-
-
-def engine(N):
-    """Shared rewriter/action engine per N (built once)."""
-    if N not in _cache:
-        from qso_spectra.frt import FRTData, build_rewriter, generate_relations
-
-        rels = generate_relations(FRTData(N))
-        rw = build_rewriter(rels)
-        eng = actions.ActionEngine(actions.vector_rep(N))
-        _cache[N] = (rels, rw, eng)
-    return _cache[N]
-
 
 def test_criterion_01_commutation_relation_families():
     for N in (5, 6, 7, 8):
@@ -55,7 +41,8 @@ def test_criterion_04_spherical_highest_weights():
     from qso_spectra.actions import hw_check, y_poly, z_poly
 
     for N in (5, 6, 7, 8):
-        _, rw, eng = engine(N)
+        alg = actions.algebra(N)
+        rw, eng = alg.rw, alg.eng
         cartan = eng.rep.cartan
         two_fw1 = tuple(2 * x for x in cartan.fundamental_weights[0])
         lam_y = tuple(2 * x - a for x, a in

@@ -3,13 +3,14 @@ generators and the orbit scan."""
 
 import pytest
 
+from qso_spectra import frt
 from qso_spectra.actions import (
     E,
     F,
     K,
     KINV,
     ActionEngine,
-    ZSolver,
+    algebra,
     classify_z_combination,
     mat_is_zero,
     mat_mul,
@@ -24,7 +25,8 @@ from qso_spectra.actions import (
     z_coord_poly,
     z_poly,
 )
-from qso_spectra.frt import FRTData, build_rewriter, generate_relations, normal_form
+from qso_spectra.frt import FRTData, generate_relations, normal_form, saturate_and_check
+from qso_spectra.ncpoly import NCPoly
 
 
 @pytest.mark.parametrize("N", [5, 6])
@@ -62,6 +64,37 @@ def test_covariance():
     assert out["checks"] == out["relations"] * 2 * 3 * n
 
 
+def test_covariance_report_does_not_alias_the_shared_rep():
+    first = verify_covariance(6)
+    expected = list(first["sign_fixes"])
+    assert expected
+    first["sign_fixes"].append("edited by the caller")
+    assert verify_covariance(6)["sign_fixes"] == expected
+
+
+def _snapshot(rw):
+    """Copies of the rewriter's tables down to the coefficient objects."""
+    return ({lead: dict(tail) for lead, tail in rw.rules.items()},
+            {a: {lead: dict(tail) for lead, tail in d.items()}
+             for a, d in rw.by_first.items()},
+            list(rw.lengths), rw.rank)
+
+
+def test_requests_leave_the_shared_context_unchanged():
+    before = {N: _snapshot(frt.rewriter(N)) for N in (5, 6)}
+    for N in (5, 6):
+        frt.verify_lemma_rels(N)
+        verify_covariance(N)
+        verify_spherical(N)
+        orbit_scan(N)
+    # a nonzero normal form sends saturate_and_check into complete_rewriter,
+    # which at degree 3 adds 70 rules to its copy of the N = 5 rules
+    rels = generate_relations(FRTData(5))
+    saturate_and_check(NCPoly.unit(5), rels, 3, frt.rewriter(5))
+    assert {N: _snapshot(frt.rewriter(N)) for N in (5, 6)} == before
+    assert frt.rewriter(5) is frt.rewriter(5)
+
+
 def test_module_algebra_leibniz():
     # E acts through Delta(E) = E (x) K + 1 (x) E: acting on a product
     # equals acting on the expanded product directly
@@ -90,8 +123,8 @@ def test_spherical_highest_weight():
 
 def test_zsolver_roundtrip():
     N = 5
-    rw = build_rewriter(generate_relations(FRTData(N)))
-    solver = ZSolver(N, rw)
+    alg = algebra(N)
+    rw, solver = alg.rw, alg.solver
     # z is a single coordinate up to the quadratic relations
     coeffs = solver.express(z_poly(N))
     assert set(coeffs) == {(1, N)}

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from qso_spectra import reports
+from qso_spectra import actions, frt, reports
 from qso_spectra.cli import _build_parser, main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -130,6 +130,18 @@ def test_all_pipeline(capsys):
     assert names == ["rep", "rels", "covariance", "spherical", "orbit",
                      "fiber", "spectrum"]
     assert report["status"] == "verified"
+
+
+def test_one_rewriter_build_per_n(tmp_path):
+    frt.rewriter.cache_clear()
+    actions.algebra.cache_clear()
+    out = str(tmp_path / "report.json")
+    for n in ("5", "6"):
+        for suite in ("rels", "covariance", "spherical", "orbit"):
+            assert main(["--out", out, "verify", suite, "--n", n]) == 0
+    assert frt.rewriter.cache_info().misses == 2
+    assert actions.algebra.cache_info().misses == 2
+    assert actions.algebra(5).rw is frt.rewriter(5)
 
 
 def test_inconclusive_status_exits_one():
