@@ -27,6 +27,13 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not an exact rational: {text!r}") from exc
 
 
+def _positive_fraction(text: str) -> Fraction:
+    value = _fraction(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"q must be a positive rational: {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qso-spectra",
@@ -60,9 +67,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p = fsub.add_parser("kappa-powers", help="coefficients of kappa^l")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--l", type=int, required=True)
-    p = fsub.add_parser("lefschetz", help="Lefschetz bijectivity by exact rank")
+    p = fsub.add_parser("lefschetz", help="Lefschetz bijectivity by rank mod p, "
+                                          "exact elimination as fallback")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--q", type=_fraction, action="append",
+    p.add_argument("--q", type=_positive_fraction, action="append",
                    help="sample point(s); default 1, 11/10, 101/100")
     p = fsub.add_parser("nonprimitive", help="top-form non-primitivity witnesses")
     p.add_argument("--n", type=int, required=True)
@@ -71,21 +79,21 @@ def _build_parser() -> argparse.ArgumentParser:
     ssub = spec.add_subparsers(dest="suite", required=True)
     p = ssub.add_parser("table", help="sorted eigenvalue table")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--q", type=_fraction, default=Fraction(11, 10))
+    p.add_argument("--q", type=_positive_fraction, default=Fraction(11, 10))
     p.add_argument("--params", default="default",
                    help='"default" or a JSON file with the six constants')
     p.add_argument("--kmax", type=int, default=5)
     p.add_argument("--lmax", type=int, default=5)
     p = ssub.add_parser("diverge", help="shell divergence certification")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--q", type=_fraction, default=Fraction(11, 10))
+    p.add_argument("--q", type=_positive_fraction, default=Fraction(11, 10))
     p.add_argument("--params", default="default")
     p.add_argument("--shell-max", type=int, default=200)
     p.add_argument("--bound", type=_fraction, default=Fraction(100))
 
     p = sub.add_parser("all", help="full pipeline in dependency order")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--q", type=_fraction, default=Fraction(11, 10))
+    p.add_argument("--q", type=_positive_fraction, default=Fraction(11, 10))
 
     return parser
 

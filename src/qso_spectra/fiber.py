@@ -420,6 +420,92 @@ def make_evaluator(q0):
 
 
 # ---------------------------------------------------------------------------
+# Reduction mod p (the rank certificate)
+# ---------------------------------------------------------------------------
+
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_PRIME_WALK = 64
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin on the first twelve prime bases; exact
+    for n < 3.18e23 (Sorenson and Webster 2015), far above 2^61."""
+    if n < 2:
+        return False
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, r = n - 1, 0
+    while not d % 2:
+        d //= 2
+        r += 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _modular_point(q0):
+    """(p, s) with p prime, p = 3 mod 4, q0 a unit mod p and s^2 = q0.
+
+    Walks down from 2^61 - 1 over such primes, trying at most
+    _PRIME_WALK of them; None when q0 <= 0 or the walk finds none.  At
+    p = 3 mod 4 a square root is one pow, a^((p+1)/4).  For q0 = rho^2
+    with rho rational, s is the image of the positive root rho, the
+    point the exact evaluator uses."""
+    q0 = Fraction(q0)
+    if q0 <= 0:
+        return None
+    root = _sqrt_fraction(q0)
+    p = 2 ** 61 - 1
+    tried = 0
+    while tried < _PRIME_WALK:
+        if _is_prime(p):
+            tried += 1
+            n, d = q0.numerator % p, q0.denominator % p
+            if n and d:
+                if root is not None:
+                    return p, root.numerator * pow(root.denominator, -1, p) % p
+                a = n * pow(d, -1, p) % p
+                if pow(a, (p - 1) // 2, p) == 1:
+                    return p, pow(a, (p + 1) // 4, p)
+        p -= 4
+    return None
+
+
+def _rank_mod(rows, p: int) -> int:
+    """Rank over F_p of a matrix of residues, by in-place forward
+    elimination."""
+    rank = 0
+    ncols = len(rows[0]) if rows else 0
+    for c in range(ncols):
+        piv = None
+        for r in range(rank, len(rows)):
+            if rows[r][c]:
+                piv = r
+                break
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        prow = rows[rank]
+        inv = pow(prow[c], -1, p)
+        for r in range(rank + 1, len(rows)):
+            f = rows[r][c]
+            if f:
+                f = f * inv % p
+                rows[r] = [(x - f * y) % p for x, y in zip(rows[r], prow)]
+        rank += 1
+    return rank
+
+
+# ---------------------------------------------------------------------------
 # Exact linear algebra (field-generic: Fraction, QuadExt or FieldElem)
 # ---------------------------------------------------------------------------
 
@@ -536,8 +622,18 @@ class _LefschetzTable:
         return {key: {t: ev(c) for t, c in img.items()}
                 for key, img in self.map.items()}
 
+    def modular(self, s: int, p: int):
+        """The table's image in F_p under v |-> s, or None when some
+        entry has no image there."""
+        mod = self.numeric(lambda c: c.eval_mod(s, p))
+        if any(x is None for img in mod.values() for x in img.values()):
+            return None
+        return mod
 
-def _apply_num(num_map, vec):
+
+def _apply_num(num_map, vec, p=None):
+    """One Lefschetz step on a {key: scalar} vector; residues mod p when
+    p is given."""
     out = {}
     for key, c in vec.items():
         if not c:
@@ -545,33 +641,57 @@ def _apply_num(num_map, vec):
         for tgt, m in num_map[key].items():
             acc = out.get(tgt)
             out[tgt] = c * m if acc is None else acc + c * m
+    if p is not None:
+        out = {k: c % p for k, c in out.items()}
     return {k: c for k, c in out.items() if c}
 
 
+def _power_columns(num_map, M: int, k: int, p=None):
+    """Dense columns of L^{M-k}: degree k -> degree 2M-k, over the
+    degree-(2M-k) basis; residues mod p when p is given."""
+    tgt = _basis(M, 2 * M - k)
+    index = {key: r for r, key in enumerate(tgt)}
+    cols = []
+    for key in _basis(M, k):
+        vec = {key: 1}
+        for _ in range(M - k):
+            vec = _apply_num(num_map, vec, p)
+        col = [0] * len(tgt)
+        for t, c in vec.items():
+            col[index[t]] = c
+        cols.append(col)
+    return cols
+
+
 def verify_lefschetz_iso(params: ExtAlgParams, q0, table: _LefschetzTable | None = None) -> dict:
-    """Certify bijectivity of L^{M-k}: degree k -> degree 2M-k by exact rank."""
+    """Certify bijectivity of L^{M-k}: degree k -> degree 2M-k by rank mod
+    p, with exact elimination as the fallback.
+
+    Fix a prime p and s with s^2 = q0 mod p (_modular_point).  v |-> s is
+    a ring map to F_p from the local ring of Q(sqrt(q0)) at (p, v - s),
+    which holds every table entry that has an image mod p.  So full rank
+    mod p proves full rank at v = sqrt(q0).  A degree whose rank mod p
+    is deficient takes the exact rank over Fraction or QuadExt, and so
+    does every degree when there is no usable point or some entry has no
+    image mod p.  Either way the reported rank is exact.
+    """
     M = params.M
     if table is None:
         table = _LefschetzTable(params)
-    num = table.numeric(make_evaluator(q0))
+    p, s = _modular_point(q0) or (None, None)
+    mod = table.modular(s, p) if p is not None else None
+    num = None
     results = []
     failures = []
     for k in range(M):
-        src = _basis(M, k)
-        tgt = _basis(M, 2 * M - k)
-        index = {key: r for r, key in enumerate(tgt)}
-        cols = []
-        for key in src:
-            vec = {key: Fraction(1)}
-            for _ in range(M - k):
-                vec = _apply_num(num, vec)
-            col = [0] * len(tgt)
-            for t, c in vec.items():
-                col[index[t]] = c
-            cols.append(col)
-        dim = len(src)
-        rank = _rank(cols, len(tgt))
-        ok = rank == dim == len(tgt)
+        dim = len(_basis(M, k))
+        if mod is not None and _rank_mod(_power_columns(mod, M, k, p), p) == dim:
+            rank = dim
+        else:
+            if num is None:
+                num = table.numeric(make_evaluator(q0))
+            rank = _rank(_power_columns(num, M, k), dim)
+        ok = rank == dim
         results.append({"k": k, "dim": dim, "rank": rank,
                         "status": "bijective" if ok else "NotBijective"})
         if not ok:
@@ -585,19 +705,22 @@ def verify_lefschetz_iso(params: ExtAlgParams, q0, table: _LefschetzTable | None
     }
 
 
-def primitive_decompose(params: ExtAlgParams, form: FiberForm, q0=None):
+def primitive_decompose(params: ExtAlgParams, form: FiberForm, q0=None,
+                        table: _LefschetzTable | None = None):
     """Lefschetz decomposition form = sum_j L^j(w_j), each w_j primitive.
 
     Symbolic over the coefficient field when q0 is None (intended for
     M <= 4); exact rational/quadratic arithmetic at v = sqrt(q0)
     otherwise.  Returns a list of (j, FiberForm).  Raises
     DecompositionSingular when the sample point degenerates the system.
+    table is the _LefschetzTable of params, built here when None.
     """
     M = params.M
     k = form.degree()
     if not form:
         return []
-    table = _LefschetzTable(params)
+    if table is None:
+        table = _LefschetzTable(params)
     if q0 is None:
         ev = lambda x: x
         zero, one = ZERO, ONE
@@ -741,7 +864,8 @@ class _NumWrap:
         return f"_NumWrap({self.v!r})"
 
 
-def hodge(params: ExtAlgParams, form: FiberForm, q0=None) -> FiberForm:
+def hodge(params: ExtAlgParams, form: FiberForm, q0=None,
+          table: _LefschetzTable | None = None) -> FiberForm:
     """Hodge map via the Weil formula on the Lefschetz decomposition:
 
         *(L^j w) = (-1)^{k(k+1)/2} i^{a-b} j!/(M-j-k)! L^{M-j-k}(w)
@@ -752,7 +876,7 @@ def hodge(params: ExtAlgParams, form: FiberForm, q0=None) -> FiberForm:
     out = FiberForm(M)
     if not form:
         return out
-    for j, wj in primitive_decompose(params, form, q0):
+    for j, wj in primitive_decompose(params, form, q0, table):
         k = wj.degree()
         scale = Fraction((-1) ** (k * (k + 1) // 2) * factorial(j),
                          factorial(M - j - k))
@@ -949,8 +1073,9 @@ def verify_hodge_shape(params: ExtAlgParams, q0=Fraction(11, 10),
     rng = random.Random(seed)
     failures = []
     checks = 0
+    table = _LefschetzTable(params)
 
-    star_one = hodge(params, FiberForm.one(M))
+    star_one = hodge(params, FiberForm.one(M), table=table)
     want = kappa_power(params, M).to_form().scaled(
         FieldElem.from_rational(Fraction(1, factorial(M))))
     checks += 1
@@ -965,7 +1090,7 @@ def verify_hodge_shape(params: ExtAlgParams, q0=Fraction(11, 10),
                     continue
                 checks += 1
                 try:
-                    image = hodge(params, form, q0)
+                    image = hodge(params, form, q0, table)
                 except DecompositionSingular as exc:
                     failures.append({"a": a, "b": b, "reason": str(exc)})
                     continue

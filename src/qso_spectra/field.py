@@ -385,6 +385,31 @@ class FieldElem:
             value += c0 * lp_eval(self.extp[0], v0) / eden
         return value
 
+    def eval_mod(self, s: int, p: int) -> int | None:
+        """Image in F_p under v |-> s, for a prime p and a unit s mod p.
+
+        None when a coefficient denominator or the value's denominator
+        vanishes mod p, or when the element carries the adjoint part:
+        the element then has no image, and the caller must use an exact
+        evaluation instead."""
+        if self.extp is not None:
+            return None
+        num, den = self.base
+
+        def ev(poly):
+            acc = 0
+            for e, c in poly.items():
+                d = c.denominator % p
+                if not d:
+                    return None
+                acc += c.numerator * pow(d, -1, p) * pow(s, e, p)
+            return acc % p
+
+        n, d = ev(num), ev(den)
+        if n is None or not d:
+            return None
+        return n * pow(d, -1, p) % p
+
     def _rf_eval_sqrtq(self, rf, q0: Fraction) -> QuadExt:
         out = QuadExt(0, 0, q0)
         num, den = rf

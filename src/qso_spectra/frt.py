@@ -391,12 +391,12 @@ class MembershipReport:
 
 def saturate_and_check(
     target: NCPoly,
-    seed: RelationSet,
+    rw: Rewriter,
     max_degree: int = 4,
-    rewriter: Rewriter | None = None,
 ) -> MembershipReport:
     """Decide membership of a homogeneous target in the two-sided ideal
-    of the relation span, or report that the degree bound leaves it open.
+    of the relation span reduced by rw (see build_rewriter), or report
+    that the degree bound leaves it open.
 
     A zero normal form against the degree-2 rules is verified with the
     rule count as certificate.  Otherwise the normal form is reduced
@@ -409,7 +409,6 @@ def saturate_and_check(
         raise DegreeOverflow(
             f"target degree {target.degree()} exceeds bound {max_degree}"
         )
-    rw = rewriter if rewriter is not None else build_rewriter(seed)
     nf = normal_form(target, rw)
     if nf.is_zero():
         return MembershipReport("verified", rw.rank, "normal form")
@@ -590,16 +589,13 @@ def verify_lemma_rels(N: int, max_degree: int = 4) -> list:
     """Verify every admissible instance of the nine relation families,
     each by saturate_and_check against the shared degree-2 rewriter
     of N.  Returns a list of report dicts."""
-    # rewriter first: a cold build frees its own relation set before
-    # this one is made, which keeps peak memory at one set
     rw = rewriter(N)
-    rels = generate_relations(FRTData(N))
     report = []
     for family, indices, target in lemma_rel_instances(N):
         if target is None:
             status, cert = "vacuous", 0
         else:
-            mem = saturate_and_check(target, rels, max_degree, rw)
+            mem = saturate_and_check(target, rw, max_degree)
             status, cert = mem.status, mem.certificate_size
         report.append({"family": family, "indices": list(indices),
                        "status": status, "certificate_size": cert})

@@ -25,7 +25,7 @@ from qso_spectra.actions import (
     z_coord_poly,
     z_poly,
 )
-from qso_spectra.frt import FRTData, generate_relations, normal_form, saturate_and_check
+from qso_spectra.frt import normal_form, saturate_and_check
 from qso_spectra.ncpoly import NCPoly
 
 
@@ -89,8 +89,7 @@ def test_requests_leave_the_shared_context_unchanged():
         orbit_scan(N)
     # a nonzero normal form sends saturate_and_check into complete_rewriter,
     # which at degree 3 adds 70 rules to its copy of the N = 5 rules
-    rels = generate_relations(FRTData(5))
-    saturate_and_check(NCPoly.unit(5), rels, 3, frt.rewriter(5))
+    saturate_and_check(NCPoly.unit(5), frt.rewriter(5), 3)
     assert {N: _snapshot(frt.rewriter(N)) for N in (5, 6)} == before
     assert frt.rewriter(5) is frt.rewriter(5)
 

@@ -71,6 +71,19 @@ def test_usage_error_exit_two(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("fiber", "lefschetz", "--n", "5", "--q", "-1"),
+    ("fiber", "lefschetz", "--n", "5", "--q", "1", "--q", "0"),
+    ("spectrum", "table", "--n", "7", "--q", "0"),
+    ("spectrum", "diverge", "--n", "7", "--q=-3/2"),
+    ("all", "--n", "5", "--q", "-1"),
+])
+def test_nonpositive_q_exits_two(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and not out
+    assert "positive rational" in err and "Traceback" not in err
+
+
 def test_bad_fiber_size(capsys):
     code, _, err = run(capsys, "fiber", "kappa-powers", "--n", "2", "--l", "1")
     assert code == 2 and "error" in err

@@ -2,12 +2,13 @@
 Lefschetz theory and the Hodge map."""
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, isqrt
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qso_spectra import fiber
 from qso_spectra.errors import IndexOutOfRange
 from qso_spectra.fiber import (
     ExtAlgParams,
@@ -172,6 +173,86 @@ def test_lefschetz_iso(q0):
     # middle-to-complement ranks are binomial-square dimensions
     dims = {d["k"]: d["dim"] for d in out["degrees"]}
     assert dims[0] == 1 and dims[2] == 15
+
+
+CATALOGUE_Q = [Fraction(1), Fraction(121, 100), Fraction(9, 4),
+               Fraction(11, 10), Fraction(101, 100), Fraction(5, 4)]
+
+
+def _rank_mod_p(table, M, k, p, s):
+    return fiber._rank_mod(fiber._power_columns(table.modular(s, p), M, k, p), p)
+
+
+@pytest.mark.parametrize("M", [3, 4])
+def test_modular_ranks_equal_exact_ranks(M):
+    params = ExtAlgParams(M)
+    table = fiber._LefschetzTable(params)
+    for q0 in CATALOGUE_Q:
+        p, s = fiber._modular_point(q0)
+        assert p % 4 == 3 and fiber._is_prime(p)
+        assert (s * s - q0.numerator * pow(q0.denominator, -1, p)) % p == 0
+        num = table.numeric(make_evaluator(q0))
+        for k in range(M):
+            exact = fiber._rank(fiber._power_columns(num, M, k), len(fiber._basis(M, k)))
+            assert _rank_mod_p(table, M, k, p, s) == exact, (M, q0, k)
+
+
+def test_modular_point_choice():
+    # a rational square maps to the image of its positive root
+    p, s = fiber._modular_point(Fraction(9, 4))
+    assert s == 3 * pow(2, -1, p) % p
+    # 11/10 is a non-residue mod the first seven primes p = 3 mod 4 below
+    # 2^61, so the walk goes on to the eighth
+    p, _ = fiber._modular_point(Fraction(11, 10))
+    below = [n for n in range(p + 4, 2 ** 61, 4) if fiber._is_prime(n)]
+    assert len(below) == 7
+    assert fiber._modular_point(Fraction(-1)) is None
+    assert fiber._modular_point(Fraction(0)) is None
+
+
+def test_deficient_rank_mod_p_falls_back_to_exact(monkeypatch):
+    params = ExtAlgParams(3)
+    table = fiber._LefschetzTable(params)
+    want = verify_lefschetz_iso(params, Fraction(1), table)
+    # at p = 3, s = 1: L^3(1) = kappa^3 has coefficient -3! = 0 mod 3
+    deficient = [k for k in range(3)
+                 if _rank_mod_p(table, 3, k, 3, 1) < len(fiber._basis(3, k))]
+    assert deficient == [0]
+    sizes = []
+    echelon = fiber._echelon
+
+    def counting(rows):
+        sizes.append(len(rows))
+        return echelon(rows)
+
+    monkeypatch.setattr(fiber, "_echelon", counting)
+    monkeypatch.setattr(fiber, "_modular_point", lambda q0: (3, 1))
+    assert verify_lefschetz_iso(params, Fraction(1), table) == want
+    assert sizes == [len(fiber._basis(3, k)) for k in deficient]
+    # no usable point: every degree takes the exact path
+    sizes.clear()
+    monkeypatch.setattr(fiber, "_modular_point", lambda q0: None)
+    assert verify_lefschetz_iso(params, Fraction(1), table) == want
+    assert sizes == [1, 6, 15]
+
+
+def test_nonpositive_q_keeps_the_exact_path_error():
+    with pytest.raises(ValueError):
+        verify_lefschetz_iso(ExtAlgParams(3), Fraction(-1))
+
+
+def test_is_prime_matches_sieve():
+    n = 10 ** 4
+    sieve = [True] * n
+    sieve[0] = sieve[1] = False
+    for i in range(2, isqrt(n) + 1):
+        if sieve[i]:
+            sieve[i * i::i] = [False] * len(range(i * i, n, i))
+    assert [m for m in range(n) if fiber._is_prime(m)] == \
+        [m for m in range(n) if sieve[m]]
+    assert fiber._is_prime(2 ** 61 - 1)
+    assert not fiber._is_prime(3215031751)  # strong pseudoprime to 2, 3, 5, 7
+    assert not fiber._is_prime((2 ** 31 - 1) * (2 ** 61 - 1))
 
 
 def test_make_evaluator_square_vs_quadratic():

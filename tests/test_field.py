@@ -69,6 +69,31 @@ def test_eval_is_ring_homomorphism(a, b, v0):
     assert eval_at(a * b, v0) == eval_at(a, v0) * eval_at(b, v0)
 
 
+@settings(max_examples=40, deadline=None)
+@given(field_elems(), st.sampled_from([Fraction(1), Fraction(3, 2), Fraction(-7, 5)]))
+def test_eval_mod_agrees_with_exact_value(a, v0):
+    # v |-> v0 mod p is the reduction of the exact value at v = v0
+    p = 1_000_003
+    s = v0.numerator * pow(v0.denominator, -1, p) % p
+    got = a.eval_mod(s, p)
+    try:
+        exact = a.eval_v(v0)
+    except DenominatorVanishes:
+        assert got is None
+        return
+    assert got == exact.numerator * pow(exact.denominator, -1, p) % p
+
+
+def test_eval_mod_without_image():
+    x = FieldElem.monomial(Fraction(1, 7), 1)
+    assert x.eval_mod(2, 7) is None          # coefficient denominator 7
+    assert x.eval_mod(2, 11) == 2 * pow(7, -1, 11) % 11
+    y = ONE / (FieldElem.v_pow(2) - 4)
+    assert y.eval_mod(2, 11) is None         # pole at v = 2
+    c = FieldElem.adjoint(make_extension("qhalf"))
+    assert (ONE + c).eval_mod(2, 11) is None  # adjoint part
+
+
 def test_eval_pole_raises():
     x = ONE / (FieldElem.v_pow(1) - 1)
     with pytest.raises(DenominatorVanishes):

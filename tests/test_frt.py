@@ -13,6 +13,7 @@ from qso_spectra.frt import (
     lemma_rel_instances,
     normal_form,
     r_entry,
+    rewriter,
     saturate_and_check,
     verify_lemma_rels,
 )
@@ -71,17 +72,15 @@ def test_normal_form_idempotent_and_linear():
 
 
 def test_saturate_rejects_overdegree():
-    rels = generate_relations(FRTData(5))
     word = tuple(((1, 1),) * 5)
     target = NCPoly.monomial(5, word, FieldElem.one())
     with pytest.raises(DegreeOverflow):
-        saturate_and_check(target, rels, max_degree=4)
+        saturate_and_check(target, rewriter(5), max_degree=4)
 
 
 def test_saturate_detects_nonmember():
-    rels = generate_relations(FRTData(5))
     target = NCPoly.unit(5)  # the unit is never in the homogeneous ideal
-    rep = saturate_and_check(target, rels, max_degree=2)
+    rep = saturate_and_check(target, rewriter(5), max_degree=2)
     assert rep.status == "inconclusive"
 
 
