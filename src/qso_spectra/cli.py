@@ -118,8 +118,16 @@ def _spectral_params(spec: str, q: Fraction) -> spectrum.SpectralParams:
         return spectrum.SpectralParams(q=q)
     with open(spec, encoding="utf-8") as fh:
         raw = json.load(fh)
-    kwargs = {k: Fraction(raw[k]) for k in
-              ("theta", "theta1", "theta2", "theta3", "mu_y", "mu_z") if k in raw}
+    if not isinstance(raw, dict):
+        raise QsoError(f"--params {spec}: expected a JSON object of constants")
+    kwargs = {}
+    for k in ("theta", "theta1", "theta2", "theta3", "mu_y", "mu_z"):
+        if k in raw:
+            try:
+                kwargs[k] = Fraction(raw[k])
+            except (TypeError, ValueError, ZeroDivisionError):
+                raise QsoError(f"--params {spec}: {k} is not an exact "
+                               f"rational: {raw[k]!r}") from None
     return spectrum.SpectralParams(q=q, **kwargs)
 
 
@@ -311,6 +319,8 @@ def main(argv=None) -> int:
         return 2 if exc.code else 0
     try:
         _load_config(args)
+        if args.command != "fiber" and args.n < 5:
+            raise QsoError(f"need --n >= 5, got {args.n}")
         if args.command == "verify":
             report, status = _cmd_verify(args)
         elif args.command == "fiber":

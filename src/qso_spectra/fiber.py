@@ -23,13 +23,22 @@ M <= 6 with generic lambda); the opposite direction fails confluence
 for M >= 5.
 
 Mixed e+/e- commutation relations are never used: all computations on
-two-block forms route through centrality of the Kaehler form, inserting
-e+_i ^ e-_i between the plus block and the minus block.
+two-block forms route through centrality of the Kaehler form.  One
+kernel, _insert, inserts a pair against a basis term, in one of three
+modes:
+
+  "between"  e+_I ^ (e+_i ^ e-_i) ^ e-_J, the Lefschetz map L and the
+             kappa powers;
+  "outside"  e+_i ^ (e+_I ^ e-_J) ^ e-_i, the centrality cross-check;
+  "mirror"   e-_I ^ (e-_i ^ e+_i) ^ e+_J on minus-first forms, the
+             g-expansion.
 
 The imaginary unit is never adjoined to the coefficient field: a
 general form stores a pair (re, im) of real coefficients per basis key
 (I, J), representing (re + i*im) e+_I ^ e-_J; the power-of-kappa
-expansions keep a single global i^l as an integer exponent.
+expansions keep a single global i^l as an integer exponent.  The
+coefficients are exact scalars of one kind: FieldElem (symbolic in v),
+or Fraction / QuadExt (evaluated at v = sqrt(q0)).
 """
 
 from __future__ import annotations
@@ -44,10 +53,6 @@ from .field import ONE, ZERO, FieldElem
 
 _NU = FieldElem.v_pow(2) - FieldElem.v_pow(-2)      # q - q^{-1}
 _NU_HALF = FieldElem.v_pow(1) - FieldElem.v_pow(-1)  # q^{1/2} - q^{-1/2}
-
-
-def _q_pow(k: int) -> FieldElem:
-    return FieldElem.v_pow(2 * k)
 
 
 class ExtAlgParams:
@@ -189,11 +194,14 @@ class FiberForm:
         self.terms = {}  # (I, J) -> [re, im]
 
     def add(self, I, J, re, im) -> None:
+        """Add (re + i*im) e+_I ^ e-_J.  A new key keeps the scalars it is
+        given, so a form holds the scalar type of its coefficients."""
         key = (tuple(I), tuple(J))
         cur = self.terms.get(key)
         if cur is None:
-            cur = [ZERO, ZERO]
-            self.terms[key] = cur
+            if re or im:
+                self.terms[key] = [re, im]
+            return
         cur[0] = cur[0] + re
         cur[1] = cur[1] + im
         if not cur[0] and not cur[1]:
@@ -206,7 +214,7 @@ class FiberForm:
         if not isinstance(other, FiberForm) or self.M != other.M:
             return NotImplemented
         keys = set(self.terms) | set(other.terms)
-        zero = [ZERO, ZERO]
+        zero = [0, 0]
         for k in keys:
             a = self.terms.get(k, zero)
             b = other.terms.get(k, zero)
@@ -214,8 +222,8 @@ class FiberForm:
                 return False
         return True
 
-    def scaled(self, re, im=ZERO) -> "FiberForm":
-        """Multiply by the complex scalar re + i*im (real FieldElems)."""
+    def scaled(self, re, im=0) -> "FiberForm":
+        """Multiply by the complex scalar re + i*im (re, im real)."""
         out = FiberForm(self.M)
         for (I, J), (a, b) in self.terms.items():
             out.add(I, J, a * re - b * im, a * im + b * re)
@@ -288,34 +296,69 @@ class KappaExpansion:
         return f.times_i_pow(self.l)
 
 
-def _insert_pair(params: ExtAlgParams, coeffs, i: int, mode: str):
-    """One e+_i ^ e-_i insertion against each basis term of `coeffs`.
+# ---------------------------------------------------------------------------
+# The insertion kernel
+# ---------------------------------------------------------------------------
 
-    mode "between": e+_I ^ (e+_i ^ e-_i) ^ e-_J -- the central-insertion
+def _insert(params: ExtAlgParams, key, mode: str = "between", indices=None):
+    """Image of the basis key (I, J) under the pair insertions summed over
+    i in indices (default 1..M), as {(I', J'): coeff}.
+
+    mode "between": e+_I ^ (e+_i ^ e-_i) ^ e-_J, the central-insertion
     slot.  mode "outside": e+_i ^ (e+_I ^ e-_J) ^ e-_i, valid against a
     central element (kappa power); agreement of the two is the
-    computational content of centrality and a regression test.
-    Yields ((I', J'), coeff) contributions.
+    computational content of centrality and a regression test.  mode
+    "mirror": e-_I ^ (e-_i ^ e+_i) ^ e+_J on a minus-first key (I, J).
+    The factor i of each kappa term is left to the caller.
     """
-    for (I, J), c in coeffs.items():
-        if mode == "between":
-            plus = _straighten(params, I + (i,), "+")
-            minus = _straighten(params, (i,) + J, "-")
-        else:
-            plus = _straighten(params, (i,) + I, "+")
-            minus = _straighten(params, J + (i,), "-")
-        for ip, cp in plus.items():
-            for jm, cm in minus.items():
-                yield (ip, jm), c * cp * cm
-
-
-def _kappa_step(params: ExtAlgParams, coeffs, mode: str = "between"):
+    I, J = key
+    left, right = ("-", "+") if mode == "mirror" else ("+", "-")
     out = {}
-    for i in range(1, params.M + 1):
-        for key, c in _insert_pair(params, coeffs, i, mode):
-            acc = out.get(key)
-            out[key] = c if acc is None else acc + c
+    for i in indices or range(1, params.M + 1):
+        if mode == "outside":
+            lword, rword = (i,) + I, J + (i,)
+        else:
+            lword, rword = I + (i,), (i,) + J
+        lpart = _straighten(params, lword, left)
+        if not lpart:
+            continue
+        rpart = _straighten(params, rword, right)
+        for lk, lc in lpart.items():
+            for rk, rc in rpart.items():
+                c = lc * rc
+                acc = out.get((lk, rk))
+                out[(lk, rk)] = c if acc is None else acc + c
+    return {t: c for t, c in out.items() if c}
+
+
+def _apply_num(num_map, vec, p=None):
+    """One insertion step on a {key: scalar} vector through num_map
+    ({key: image}); residues mod p when p is given."""
+    out = {}
+    for key, c in vec.items():
+        if not c:
+            continue
+        for tgt, m in num_map[key].items():
+            acc = out.get(tgt)
+            out[tgt] = c * m if acc is None else acc + c * m
+    if p is not None:
+        out = {k: c % p for k, c in out.items()}
     return {k: c for k, c in out.items() if c}
+
+
+def _insert_step(params: ExtAlgParams, vec, mode: str = "between", indices=None):
+    """One insertion step on a symbolic {key: FieldElem} vector."""
+    return _apply_num({key: _insert(params, key, mode, indices) for key in vec}, vec)
+
+
+def _apply_form(num_map, form: FiberForm) -> FiberForm:
+    """kappa ^ form through an insertion map: each inserted kappa term
+    carries a factor i, which turns (re, im) into (-im, re)."""
+    out = FiberForm(form.M)
+    for key, (a, b) in form.terms.items():
+        for (ip, jm), m in num_map[key].items():
+            out.add(ip, jm, -b * m, a * m)
+    return out
 
 
 def kappa_power(params: ExtAlgParams, l: int, mode: str = "between") -> KappaExpansion:
@@ -324,23 +367,13 @@ def kappa_power(params: ExtAlgParams, l: int, mode: str = "between") -> KappaExp
         raise ValueError("need 0 <= l <= 2M")
     coeffs = {((), ()): ONE}
     for _ in range(l):
-        coeffs = _kappa_step(params, coeffs, mode)
+        coeffs = _insert_step(params, coeffs, mode)
     return KappaExpansion(params.M, l, coeffs)
 
 
 def lefschetz(params: ExtAlgParams, form: FiberForm) -> FiberForm:
     """kappa ^ form, raising bidegree by (1, 1)."""
-    out = FiberForm(params.M)
-    for i in range(1, params.M + 1):
-        for (I, J), (a, b) in form.terms.items():
-            plus = _straighten(params, I + (i,), "+")
-            minus = _straighten(params, (i,) + J, "-")
-            for ip, cp in plus.items():
-                for jm, cm in minus.items():
-                    c = cp * cm
-                    # the inserted kappa term carries a factor i
-                    out.add(ip, jm, -b * c, a * c)
-    return out
+    return _apply_form({key: _insert(params, key) for key in form.terms}, form)
 
 
 # ---------------------------------------------------------------------------
@@ -516,7 +549,10 @@ def _rank(columns, nrows: int) -> int:
 
 
 def _echelon(rows):
-    """In-place fraction-free-ish elimination; returns (rank, pivot cols)."""
+    """In-place Gauss-Jordan elimination; returns (rank, pivot cols).
+
+    Entries may mix plain ints with one exact scalar type; the pivot
+    row is scaled by Fraction(1) / pivot, so integer rows stay exact."""
     rank = 0
     pivots = []
     ncols = len(rows[0]) if rows else 0
@@ -529,8 +565,8 @@ def _echelon(rows):
         if piv is None:
             continue
         rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = rows[rank][c]
-        rows[rank] = [x / inv for x in rows[rank]]
+        inv = Fraction(1) / rows[rank][c]
+        rows[rank] = [x * inv for x in rows[rank]]
         for r in range(len(rows)):
             if r != rank and rows[r][c]:
                 f = rows[r][c]
@@ -598,25 +634,10 @@ class _LefschetzTable:
 
     def __init__(self, params: ExtAlgParams):
         self.params = params
-        self.map = {}
         M = params.M
-        for k in range(0, 2 * M + 1):
-            for key in _basis(M, k):
-                self.map[key] = self._image(key)
-
-    def _image(self, key):
-        I, J = key
-        out = {}
-        for i in range(1, self.params.M + 1):
-            plus = _straighten(self.params, I + (i,), "+")
-            minus = _straighten(self.params, (i,) + J, "-")
-            for ip, cp in plus.items():
-                for jm, cm in minus.items():
-                    c = cp * cm
-                    tgt = (ip, jm)
-                    acc = out.get(tgt)
-                    out[tgt] = c if acc is None else acc + c
-        return {t: c for t, c in out.items() if c}
+        self.map = {key: _insert(params, key)
+                    for k in range(0, 2 * M + 1) for key in _basis(M, k)}
+        self._at = {None: (lambda x: x, self.map)}
 
     def numeric(self, ev):
         return {key: {t: ev(c) for t, c in img.items()}
@@ -630,31 +651,29 @@ class _LefschetzTable:
             return None
         return mod
 
-
-def _apply_num(num_map, vec, p=None):
-    """One Lefschetz step on a {key: scalar} vector; residues mod p when
-    p is given."""
-    out = {}
-    for key, c in vec.items():
-        if not c:
-            continue
-        for tgt, m in num_map[key].items():
-            acc = out.get(tgt)
-            out[tgt] = c * m if acc is None else acc + c * m
-    if p is not None:
-        out = {k: c % p for k, c in out.items()}
-    return {k: c for k, c in out.items() if c}
+    def at(self, q0):
+        """(ev, map): the evaluator at v = sqrt(q0) and the map evaluated
+        by it, built once per q0; the identity and the symbolic map when
+        q0 is None."""
+        got = self._at.get(q0)
+        if got is None:
+            ev = make_evaluator(q0)
+            got = self._at[q0] = (ev, self.numeric(ev))
+        return got
 
 
-def _power_columns(num_map, M: int, k: int, p=None):
-    """Dense columns of L^{M-k}: degree k -> degree 2M-k, over the
-    degree-(2M-k) basis; residues mod p when p is given."""
-    tgt = _basis(M, 2 * M - k)
+def _power_columns(num_map, M: int, k: int, p=None, power=None):
+    """Dense columns of L^power (default M - k): degree k -> degree
+    k + 2 power, over the target degree's basis; residues mod p when p
+    is given."""
+    if power is None:
+        power = M - k
+    tgt = _basis(M, k + 2 * power)
     index = {key: r for r, key in enumerate(tgt)}
     cols = []
     for key in _basis(M, k):
         vec = {key: 1}
-        for _ in range(M - k):
+        for _ in range(power):
             vec = _apply_num(num_map, vec, p)
         col = [0] * len(tgt)
         for t, c in vec.items():
@@ -680,7 +699,6 @@ def verify_lefschetz_iso(params: ExtAlgParams, q0, table: _LefschetzTable | None
         table = _LefschetzTable(params)
     p, s = _modular_point(q0) or (None, None)
     mod = table.modular(s, p) if p is not None else None
-    num = None
     results = []
     failures = []
     for k in range(M):
@@ -688,9 +706,7 @@ def verify_lefschetz_iso(params: ExtAlgParams, q0, table: _LefschetzTable | None
         if mod is not None and _rank_mod(_power_columns(mod, M, k, p), p) == dim:
             rank = dim
         else:
-            if num is None:
-                num = table.numeric(make_evaluator(q0))
-            rank = _rank(_power_columns(num, M, k), dim)
+            rank = _rank(_power_columns(table.at(q0)[1], M, k), dim)
         ok = rank == dim
         results.append({"k": k, "dim": dim, "rank": rank,
                         "status": "bijective" if ok else "NotBijective"})
@@ -711,9 +727,10 @@ def primitive_decompose(params: ExtAlgParams, form: FiberForm, q0=None,
 
     Symbolic over the coefficient field when q0 is None (intended for
     M <= 4); exact rational/quadratic arithmetic at v = sqrt(q0)
-    otherwise.  Returns a list of (j, FiberForm).  Raises
-    DecompositionSingular when the sample point degenerates the system.
-    table is the _LefschetzTable of params, built here when None.
+    otherwise, on a form with FieldElem coefficients.  Returns a list of
+    (j, FiberForm).  Raises DecompositionSingular when the sample point
+    degenerates the system.  table is the _LefschetzTable of params,
+    built here when None.
     """
     M = params.M
     k = form.degree()
@@ -721,14 +738,7 @@ def primitive_decompose(params: ExtAlgParams, form: FiberForm, q0=None,
         return []
     if table is None:
         table = _LefschetzTable(params)
-    if q0 is None:
-        ev = lambda x: x
-        zero, one = ZERO, ONE
-    else:
-        ev = make_evaluator(q0)
-        zero, one = Fraction(0), Fraction(1)
-    num = table.numeric(ev) if q0 is not None else {
-        key: dict(img) for key, img in table.map.items()}
+    ev, num = table.at(q0)
 
     tgt = _basis(M, k)
     index = {key: r for r, key in enumerate(tgt)}
@@ -737,43 +747,25 @@ def primitive_decompose(params: ExtAlgParams, form: FiberForm, q0=None,
     col_info = []  # (j, primitive basis vector as {key: scalar})
     for j in js:
         d = k - 2 * j
-        src = _basis(M, d)
         # primitive subspace: kernel of L^{M-d+1} on degree d
-        pcols = []
-        ptgt = _basis(M, 2 * M - d + 2)
-        pindex = {key: r for r, key in enumerate(ptgt)}
-        for key in src:
-            vec = {key: one}
-            for _ in range(M - d + 1):
-                vec = _apply_num(num, vec)
-            col = [zero] * len(ptgt)
-            for t, c in vec.items():
-                col[pindex[t]] = c
-            pcols.append(col)
-        null = _nullspace(pcols, len(ptgt))
-        for coords in null:
-            prim = {}
-            for c, key in zip(coords, src):
-                if c:
-                    prim[key] = prim.get(key, zero) + c
-            vec = dict(prim)
+        pcols = _power_columns(num, M, d, power=M - d + 1)
+        for coords in _nullspace(pcols, len(pcols[0])):
+            prim = {key: c for c, key in zip(coords, _basis(M, d)) if c}
+            vec = prim
             for _ in range(j):
                 vec = _apply_num(num, vec)
-            col = [zero] * len(tgt)
+            col = [0] * len(tgt)
             for t, c in vec.items():
                 col[index[t]] = c
             columns.append(col)
             col_info.append((j, prim))
 
     def solve_component(part):
-        rhs = [zero] * len(tgt)
-        todo = False
-        for (I, J), pair in form.terms.items():
-            val = ev(pair[part]) if q0 is not None else pair[part]
-            if val:
-                rhs[index[(I, J)]] = val
-                todo = True
-        if not todo:
+        rhs = [0] * len(tgt)
+        for key, pair in form.terms.items():
+            if pair[part]:
+                rhs[index[key]] = ev(pair[part])
+        if not any(rhs):
             return None
         sol = _solve(columns, rhs, len(tgt))
         if sol is None:
@@ -785,83 +777,16 @@ def primitive_decompose(params: ExtAlgParams, form: FiberForm, q0=None,
     sol_im = solve_component(1)
     parts = {}
     for idx, (j, prim) in enumerate(col_info):
-        xr = sol_re[idx] if sol_re is not None else zero
-        xi = sol_im[idx] if sol_im is not None else zero
+        xr = sol_re[idx] if sol_re is not None else 0
+        xi = sol_im[idx] if sol_im is not None else 0
         if not xr and not xi:
             continue
-        f = parts.get(j)
-        if f is None:
-            f = FiberForm(M)
-            parts[j] = f
-        for key, c in prim.items():
-            re = xr * c if xr else (ZERO if q0 is None else zero)
-            im = xi * c if xi else (ZERO if q0 is None else zero)
-            if q0 is None:
-                f.add(key[0], key[1], re, im)
-            else:
-                # numeric scalars: wrap back into the generic FiberForm slots
-                f.add(key[0], key[1], _NumWrap(re), _NumWrap(im))
+        f = parts.setdefault(j, FiberForm(M))
+        for (I, J), c in prim.items():
+            f.add(I, J, xr * c, xi * c)
     # the solve used the i-less insertion table, i.e. L~ = L / i, so the
     # raw j-component is i^j w_j; undo the rotation to return the true w_j
     return sorted((j, f.times_i_pow(-j % 4)) for j, f in parts.items())
-
-
-class _NumWrap:
-    """Adapter letting FiberForm hold exact numeric scalars.
-
-    Provides just the arithmetic FiberForm and the Hodge map use, over
-    Fraction or QuadExt payloads.
-    """
-
-    __slots__ = ("v",)
-
-    def __init__(self, v):
-        self.v = v.v if isinstance(v, _NumWrap) else v
-
-    def _val(self, other):
-        if isinstance(other, _NumWrap):
-            return other.v
-        if isinstance(other, FieldElem):
-            if not other:
-                return 0
-            if other.is_rational():
-                return other.as_fraction()
-            raise TypeError("cannot mix symbolic and numeric coefficients")
-        return other
-
-    def __add__(self, other):
-        return _NumWrap(self.v + self._val(other))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return _NumWrap(self.v - self._val(other))
-
-    def __rsub__(self, other):
-        return _NumWrap(self._val(other) - self.v)
-
-    def __mul__(self, other):
-        return _NumWrap(self.v * self._val(other))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return _NumWrap(self.v / self._val(other))
-
-    def __neg__(self):
-        return _NumWrap(-self.v)
-
-    def __bool__(self):
-        return bool(self.v)
-
-    def __eq__(self, other):
-        try:
-            return self.v == self._val(other)
-        except TypeError:
-            return NotImplemented
-
-    def __repr__(self):
-        return f"_NumWrap({self.v!r})"
 
 
 def hodge(params: ExtAlgParams, form: FiberForm, q0=None,
@@ -871,11 +796,15 @@ def hodge(params: ExtAlgParams, form: FiberForm, q0=None,
         *(L^j w) = (-1)^{k(k+1)/2} i^{a-b} j!/(M-j-k)! L^{M-j-k}(w)
 
     for w primitive of bidegree (a, b), total degree k = a + b.
+    Symbolic when q0 is None, else evaluated at v = sqrt(q0).
     """
     M = params.M
     out = FiberForm(M)
     if not form:
         return out
+    if table is None:
+        table = _LefschetzTable(params)
+    num = table.at(q0)[1]
     for j, wj in primitive_decompose(params, form, q0, table):
         k = wj.degree()
         scale = Fraction((-1) ** (k * (k + 1) // 2) * factorial(j),
@@ -884,27 +813,10 @@ def hodge(params: ExtAlgParams, form: FiberForm, q0=None,
         for (I, J), (re, im) in wj.terms.items():
             grouped.setdefault((len(I), len(J)), FiberForm(M)).add(I, J, re, im)
         for (a, b), g in grouped.items():
-            piece = g.times_i_pow((a - b) % 4).scaled(
-                FieldElem.from_rational(scale) if q0 is None else _NumWrap(scale))
+            piece = g.times_i_pow((a - b) % 4).scaled(scale)
             for _ in range(M - j - k):
-                piece = _lefschetz_generic(params, piece, q0)
+                piece = _apply_form(num, piece)
             out = out.plus(piece)
-    return out
-
-
-def _lefschetz_generic(params: ExtAlgParams, form: FiberForm, q0):
-    if q0 is None:
-        return lefschetz(params, form)
-    ev = make_evaluator(q0)
-    out = FiberForm(params.M)
-    for i in range(1, params.M + 1):
-        for (I, J), (a, b) in form.terms.items():
-            plus = _straighten(params, I + (i,), "+")
-            minus = _straighten(params, (i,) + J, "-")
-            for ip, cp in plus.items():
-                for jm, cm in minus.items():
-                    c = _NumWrap(ev(cp * cm))
-                    out.add(ip, jm, -b * c, a * c)
     return out
 
 
@@ -928,7 +840,7 @@ def verify_f_properties(params: ExtAlgParams) -> dict:
     records = []
     for l in range(M + 1):
         if l:
-            coeffs = _kappa_step(params, coeffs)
+            coeffs = _insert_step(params, coeffs)
         oracle = classical_kappa_coeffs(M, l)
         want_sign = (-1) ** (l * (l - 1) // 2)
         want_val = want_sign * factorial(l)
@@ -976,18 +888,7 @@ def g_expansion(params: ExtAlgParams, l: int):
     e-_i ^ e+_i between the minus block and the plus block."""
     coeffs = {((), ()): ONE}
     for _ in range(l):
-        out = {}
-        for i in range(1, params.M + 1):
-            for (I, J), c in coeffs.items():
-                minus = _straighten(params, I + (i,), "-")
-                plus = _straighten(params, (i,) + J, "+")
-                for jm, cm in minus.items():
-                    for ip, cp in plus.items():
-                        key = (jm, ip)
-                        cc = c * cm * cp
-                        acc = out.get(key)
-                        out[key] = cc if acc is None else acc + cc
-        coeffs = {k: c for k, c in out.items() if c}
+        coeffs = _insert_step(params, coeffs, "mirror")
     return coeffs
 
 
@@ -998,32 +899,13 @@ def verify_nonprimitive(params: ExtAlgParams, extra_samples=(Fraction(101, 100),
     M = params.M
     failures = []
     details = {}
-
-    def top_wedge(coeffs, first_side):
-        """coeffs is an (M-1)-power expansion; wedge with the (M, M) pair
-        in the given block convention and collect basis terms."""
-        out = {}
-        for (I, J), c in coeffs.items():
-            if first_side == "+":
-                left = _straighten(params, I + (M,), "+")
-                right = _straighten(params, (M,) + J, "-")
-            else:
-                left = _straighten(params, I + (M,), "-")
-                right = _straighten(params, (M,) + J, "+")
-            for lk, lc in left.items():
-                for rk, rc in right.items():
-                    key = (lk, rk)
-                    cc = c * lc * rc
-                    acc = out.get(key)
-                    out[key] = cc if acc is None else acc + cc
-        return {k: c for k, c in out.items() if c}
-
     full = tuple(range(1, M + 1))
-    for label, coeffs, first_side in (
-        ("f", kappa_power(params, M - 1).coeffs, "+"),
-        ("g", g_expansion(params, M - 1), "-"),
+    for label, coeffs, mode in (
+        ("f", kappa_power(params, M - 1).coeffs, "between"),
+        ("g", g_expansion(params, M - 1), "mirror"),
     ):
-        res = top_wedge(coeffs, first_side)
+        # wedge the (M-1)-power with the (M, M) pair in its block convention
+        res = _insert_step(params, coeffs, mode, (M,))
         keys = list(res)
         if keys != [(full, full)]:
             failures.append({"law": label,
@@ -1076,8 +958,7 @@ def verify_hodge_shape(params: ExtAlgParams, q0=Fraction(11, 10),
     table = _LefschetzTable(params)
 
     star_one = hodge(params, FiberForm.one(M), table=table)
-    want = kappa_power(params, M).to_form().scaled(
-        FieldElem.from_rational(Fraction(1, factorial(M))))
+    want = kappa_power(params, M).to_form().scaled(Fraction(1, factorial(M)))
     checks += 1
     if star_one != want:
         failures.append({"reason": "*(1) != kappa^M / M!"})

@@ -89,6 +89,37 @@ def test_bad_fiber_size(capsys):
     assert code == 2 and "error" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify", "rels", "--n", "4"),
+    ("verify", "orbit", "--n", "3"),
+    ("spectrum", "table", "--n", "4"),
+    ("spectrum", "diverge", "--n", "2"),
+    ("all", "--n", "4"),
+])
+def test_bad_ambient_size(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and not out
+    assert err.startswith("error: ") and "--n >= 5" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("content, reason", [
+    ('{"theta": "abc"}', "not an exact rational"),
+    ('{"theta": [1]}', "not an exact rational"),
+    ('{"mu_y": "1/0"}', "not an exact rational"),
+    ("[1, 2]", "JSON object"),
+])
+def test_malformed_params_file_exits_two(tmp_path, capsys, content, reason):
+    pf = tmp_path / "params.json"
+    pf.write_text(content)
+    for suite in ("table", "diverge"):
+        code, out, err = run(capsys, "spectrum", suite, "--n", "5",
+                             "--params", str(pf))
+        assert code == 2 and not out
+        assert err.startswith("error: ") and reason in err
+        assert "Traceback" not in err
+
+
 def test_divergence_failure_exit_two(capsys):
     # boundary theta with a bound above the finite l = 0 lane limit
     # can still clear on full shells only if the lane clears; a huge

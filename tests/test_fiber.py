@@ -317,6 +317,54 @@ def test_hodge_shape():
     assert out["failures"] == []
 
 
+def _evaluated(form, ev):
+    out = FiberForm(form.M)
+    for (I, J), (re, im) in form.terms.items():
+        out.add(I, J, ev(FieldElem._coerce(re)), ev(FieldElem._coerce(im)))
+    return out
+
+
+@pytest.mark.parametrize("q0", [Fraction(9, 4), Fraction(11, 10)])
+def test_numeric_hodge_is_evaluated_symbolic_hodge(q0):
+    import random
+
+    p = ExtAlgParams(3)
+    table = fiber._LefschetzTable(p)
+    ev = make_evaluator(q0)
+    rng = random.Random(11)
+    for a, b in [(0, 1), (1, 1), (2, 1), (1, 2), (2, 2), (3, 1)]:
+        form = random_form(p, a, b, rng)
+        numeric = hodge(p, form, q0, table)
+        assert numeric, (a, b)
+        assert numeric == _evaluated(hodge(p, form, table=table), ev), (q0, a, b)
+        assert numeric.bidegrees() == {(3 - b, 3 - a)}
+        assert not any(isinstance(x, (float, FieldElem))
+                       for pair in numeric.terms.values() for x in pair)
+
+
+def test_hodge_shape_evaluates_each_table_entry_once(monkeypatch):
+    # every evaluated element is kept alive, so ids stay distinct
+    seen = []
+    for name in ("eval_v", "eval_sqrtq"):
+        orig = getattr(FieldElem, name)
+
+        def counting(self, *args, _orig=orig):
+            seen.append(self)
+            return _orig(self, *args)
+
+        monkeypatch.setattr(FieldElem, name, counting)
+    params = ExtAlgParams(3)
+    out = verify_hodge_shape(params, Fraction(121, 100))
+    assert out["status"] == "verified"
+    per_element = {}
+    for x in seen:
+        per_element[id(x)] = per_element.get(id(x), 0) + 1
+    assert max(per_element.values()) == 1
+    # the table once, plus the real and imaginary parts of each random form
+    entries = sum(len(img) for img in fiber._LefschetzTable(params).map.values())
+    assert len(seen) <= entries + 2 * 3 * (out["checks"] - 1)
+
+
 def test_form_algebra_helpers():
     f = FiberForm(3)
     f.add((1,), (2,), ONE, V(2))

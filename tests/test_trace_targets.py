@@ -1,0 +1,65 @@
+"""The benchmark's tracer still finds every name it wraps.
+
+perfbench/tracing.py rebinds program functions by name; renaming one of
+them breaks only the traced benchmark run, with a KeyError.  This test
+installs and uninstalls the tracer on the imported package, so such a
+rename fails here first.
+"""
+
+import sys
+from pathlib import Path
+
+import qso_spectra
+from qso_spectra import actions, cartan, cli, fiber, field, frt  # noqa: F401
+from qso_spectra import ncpoly, quadext, reports, spectrum  # noqa: F401
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _owner(mod, attr):
+    owner = sys.modules[f"qso_spectra.{mod}"]
+    *path, leaf = attr.split(".")
+    for part in path:
+        owner = getattr(owner, part)
+    return owner, leaf
+
+
+def _bindings():
+    """Every name bound in a package module or in a class it defines."""
+    out = {}
+    for name, mod in list(sys.modules.items()):
+        if not name.startswith("qso_spectra.") or mod is None:
+            continue
+        holders = [mod] + [v for v in vars(mod).values()
+                           if isinstance(v, type) and v.__module__ == name]
+        for holder in holders:
+            for key, val in list(vars(holder).items()):
+                out[(id(holder), key)] = val
+    return out
+
+
+def test_every_target_resolves_and_is_restored(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracing
+
+    before = _bindings()
+    originals = {}
+    for mod, attr, _, _ in tracing.TARGETS:
+        owner, leaf = _owner(mod, attr)
+        assert leaf in vars(owner), f"{mod}.{attr} is not defined"
+        originals[(mod, attr)] = vars(owner)[leaf]
+
+    tracer = tracing.Tracer(qso_spectra.__name__)
+    tracer.install()
+    try:
+        for (mod, attr), orig in originals.items():
+            owner, leaf = _owner(mod, attr)
+            assert getattr(vars(owner)[leaf], "__wrapped__", None) is orig, \
+                f"{mod}.{attr} is not wrapped"
+    finally:
+        tracer.uninstall()
+
+    after = _bindings()
+    assert after.keys() == before.keys()
+    changed = [key for key, val in before.items() if after[key] is not val]
+    assert not changed
