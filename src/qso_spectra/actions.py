@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import cache
 
 from .cartan import CartanData
-from .errors import IndexOutOfRange, NotInZSpan
+from .errors import IndexOutOfRange, NotInZSpan, RepresentationInconsistent
 from .field import ONE, ZERO, FieldElem, make_extension
 from .frt import FRTData, Rewriter, generate_relations, normal_form, rewriter
 from .ncpoly import NCPoly
@@ -98,44 +98,26 @@ class RepMatrices:
     )
 
 
-def _left_tables(N, c, q2, sf_even):
-    """Left E/F column maps: col -> (target, coeff)."""
+def _ef_tables(N, c, up, down, sign):
+    """E/F column maps of the left action: col -> (target, coeff), with
+    up = -(q2 c) and down = -(c / q2) at the short root of odd N.  The
+    right action's row maps are these tables with up and down exchanged
+    (q2 -> 1/q2) and E and F swapped; covariance of the quadratic
+    relation span fixes that mirror placement, which the E-F commutator
+    alone cannot tell apart."""
     n = N // 2
-    odd = N % 2 == 1
     Es = {}
     Fs = {}
     for j in range(1, n):
         conj = lambda x: N + 1 - x
         Es[j] = {j: (j + 1, ONE), conj(j + 1): (conj(j), -ONE)}
-        Fs[j] = {j + 1: (j, ONE), conj(j): (conj(j + 1), sf_even)}
-    if odd:
-        Es[n] = {n: (n + 1, c), n + 1: (n + 2, -(q2 * c))}
-        Fs[n] = {n + 1: (n, c), n + 2: (n + 1, -(c / q2))}
+        Fs[j] = {j + 1: (j, ONE), conj(j): (conj(j + 1), sign)}
+    if N % 2:
+        Es[n] = {n: (n + 1, c), n + 1: (n + 2, up)}
+        Fs[n] = {n + 1: (n, c), n + 2: (n + 1, down)}
     else:
         Es[n] = {n: (n + 2, -ONE), n - 1: (n + 1, ONE)}
         Fs[n] = {n + 2: (n, -ONE), n + 1: (n - 1, ONE)}
-    return Es, Fs
-
-
-def _right_tables(N, c, q2, se_even):
-    """Right tables: source row -> (target row, coeff)."""
-    n = N // 2
-    odd = N % 2 == 1
-    Es = {}
-    Fs = {}
-    for l in range(1, n):
-        conj = lambda x: N + 1 - x
-        Fs[l] = {l: (l + 1, ONE), conj(l + 1): (conj(l), -ONE)}
-        Es[l] = {l + 1: (l, ONE), conj(l): (conj(l + 1), se_even)}
-    if odd:
-        # the q2-factor placement is the mirror of the left tables;
-        # fixed by covariance of the quadratic relation span (the E-F
-        # commutator alone cannot tell the two placements apart)
-        Fs[n] = {n: (n + 1, c), n + 1: (n + 2, -(c / q2))}
-        Es[n] = {n + 1: (n, c), n + 2: (n + 1, -(q2 * c))}
-    else:
-        Fs[n] = {n: (n + 2, -ONE), n - 1: (n + 1, ONE)}
-        Es[n] = {n + 2: (n, -ONE), n + 1: (n - 1, ONE)}
     return Es, Fs
 
 
@@ -187,7 +169,8 @@ def vector_rep(N: int, q2_convention: str = "qhalf") -> RepMatrices:
     For even N the tabulated sign of the second F_j column (left) and
     the second E_i row (right) fails the E-F commutator; both are
     arbitrated automatically against that commutator and the applied
-    flips are recorded in sign_fixes.
+    flips are recorded in sign_fixes.  Raises RepresentationInconsistent
+    when no sign satisfies it.
     """
     cartan = CartanData(N)
     n = cartan.n
@@ -196,6 +179,7 @@ def vector_rep(N: int, q2_convention: str = "qhalf") -> RepMatrices:
     from .field import _Q2_VEXP
 
     q2 = FieldElem.v_pow(_Q2_VEXP[q2_convention])
+    up, down = (-(q2 * c), -(c / q2)) if N % 2 else (None, None)
     rep = RepMatrices()
     rep.N = N
     rep.cartan = cartan
@@ -203,66 +187,47 @@ def vector_rep(N: int, q2_convention: str = "qhalf") -> RepMatrices:
     rep.q2_convention = q2_convention
     rep.sign_fixes = []
 
-    def build_left(sf):
-        Es, Fs = _left_tables(N, c, q2, sf)
-        weights = _propagate_weights(N, cartan, Es)
-        kexp = {}
-        Kl, Kil = {}, {}
-        for i in range(1, n + 1):
-            alpha = cartan.simple_roots[i - 1]
-            kexp[i] = [0] + [cartan.pair2(alpha, weights[j]) for j in range(1, N + 1)]
-            Kl[i] = _zeros(N)
-            Kil[i] = _zeros(N)
-            for j in range(1, N + 1):
-                Kl[i][j - 1][j - 1] = FieldElem.v_pow(kexp[i][j])
-                Kil[i][j - 1][j - 1] = FieldElem.v_pow(-kexp[i][j])
-        El = {i: _cols_to_matrix(N, Es[i]) for i in Es}
-        Fl = {i: _cols_to_matrix(N, Fs[i]) for i in Fs}
-        return Es, Fs, weights, kexp, El, Fl, Kl, Kil
+    # the weights follow the E-action graph, which no sign changes
+    weights = _propagate_weights(N, cartan, _ef_tables(N, c, up, down, ONE)[0])
+    kexp = {}
+    Km, Kim = {}, {}
+    for i in range(1, n + 1):
+        alpha = cartan.simple_roots[i - 1]
+        kexp[i] = [0] + [cartan.pair2(alpha, weights[j]) for j in range(1, N + 1)]
+        Km[i] = _zeros(N)
+        Kim[i] = _zeros(N)
+        for j in range(1, N + 1):
+            Km[i][j - 1][j - 1] = FieldElem.v_pow(kexp[i][j])
+            Kim[i][j - 1][j - 1] = FieldElem.v_pow(-kexp[i][j])
 
-    # odd N: the conjugate-column sign is -1 in the tables; even N: the
+    # odd N: the conjugate sign is -1 in the tables; even N: the
     # tabulated +1 fails the E-F commutator, so try both and arbitrate
     signs = [-ONE] if N % 2 else [ONE, -ONE]
-    chosen = None
-    for sf in signs:
-        Es, Fs, weights, kexp, El, Fl, Kl, Kil = build_left(sf)
-        if all(_ef_diag_ok(El[i], Fl[i], Kl[i], Kil[i], int(2 * cartan.d[i - 1]))
-               for i in range(1, n + 1)):
-            chosen = sf
-            break
-    if chosen is None:
-        raise ValueError("no sign choice satisfies the E-F commutator (left)")
-    if N % 2 == 0 and chosen == -ONE:
-        rep.sign_fixes.append("left F_j on column j' arbitrated to -1")
+
+    def arbitrate(side, tables, transpose, fix):
+        for sign in signs:
+            Em, Fm = ({i: _cols_to_matrix(N, cols[i], transpose) for i in cols}
+                      for cols in tables(sign))
+            if all(_ef_diag_ok(Em[i], Fm[i], Km[i], Kim[i],
+                               int(2 * cartan.d[i - 1]))
+                   for i in range(1, n + 1)):
+                if N % 2 == 0 and sign == -ONE:
+                    rep.sign_fixes.append(fix)
+                return Em, Fm
+        raise RepresentationInconsistent(
+            f"N = {N}, q2 convention {q2_convention!r}: no sign choice "
+            f"satisfies the E-F commutator ({side})")
+
+    rep.El, rep.Fl = arbitrate(
+        "left", lambda sign: _ef_tables(N, c, up, down, sign), False,
+        "left F_j on column j' arbitrated to -1")
+    rep.Er, rep.Fr = arbitrate(
+        "right", lambda sign: _ef_tables(N, c, down, up, sign)[::-1], True,
+        "right E_i on row i' arbitrated to -1")
     rep.weights = weights
     rep.kexp = kexp
-    rep.El, rep.Fl, rep.Kl, rep.Kil = El, Fl, Kl, Kil
-
-    def build_right(se):
-        Es, Fs = _right_tables(N, c, q2, se)
-        Er = {i: _cols_to_matrix(N, Es[i], transpose=True) for i in Es}
-        Fr = {i: _cols_to_matrix(N, Fs[i], transpose=True) for i in Fs}
-        Kr, Kir = {}, {}
-        for i in range(1, n + 1):
-            Kr[i] = _zeros(N)
-            Kir[i] = _zeros(N)
-            for j in range(1, N + 1):
-                Kr[i][j - 1][j - 1] = FieldElem.v_pow(kexp[i][j])
-                Kir[i][j - 1][j - 1] = FieldElem.v_pow(-kexp[i][j])
-        return Er, Fr, Kr, Kir
-
-    chosen_r = None
-    for se in signs:
-        Er, Fr, Kr, Kir = build_right(se)
-        if all(_ef_diag_ok(Er[i], Fr[i], Kr[i], Kir[i], int(2 * cartan.d[i - 1]))
-               for i in range(1, n + 1)):
-            chosen_r = se
-            break
-    if chosen_r is None:
-        raise ValueError("no sign choice satisfies the E-F commutator (right)")
-    if N % 2 == 0 and chosen_r == -ONE:
-        rep.sign_fixes.append("right E_i on row i' arbitrated to -1")
-    rep.Er, rep.Fr, rep.Kr, rep.Kir = Er, Fr, Kr, Kir
+    rep.Kl = rep.Kr = Km
+    rep.Kil = rep.Kir = Kim
     return rep
 
 

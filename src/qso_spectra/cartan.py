@@ -9,11 +9,17 @@ squared 2 and the short B_n root alpha_n = eps_n has length squared 1
 the R-matrix entries q^(delta_ij - delta_ij') arise from the vector
 representation, and pairings (x, y) against root-lattice elements give
 v-monomials q^(x, y) = v^(2(x, y)).
+
+Roots have integer coordinates and 2*lam is integral for every weight
+lam, so the Weyl dimension formula runs over integers on 2*lam and
+2*rho (Humphreys, Introduction to Lie Algebras and Representation
+Theory, 24.3).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import prod
 
 from .errors import NonDominantWeight
 
@@ -23,8 +29,9 @@ class CartanData:
     roots and the Weyl dimension formula for so_N."""
 
     __slots__ = (
-        "N", "series", "n", "eps_norm", "simple_roots", "fundamental_weights",
-        "cartan_matrix", "d", "positive_roots", "rho_w",
+        "N", "series", "n", "simple_roots", "fundamental_weights",
+        "cartan_matrix", "d", "positive_roots", "simple_int", "positive_int",
+        "rho2", "weyl_den",
     )
 
     def __init__(self, N: int):
@@ -37,7 +44,6 @@ class CartanData:
         else:
             self.series = "D"
             self.n = N // 2
-        self.eps_norm = Fraction(1)
         n = self.n
 
         def eps(i, c=1):
@@ -85,12 +91,17 @@ class CartanData:
             for i in range(1, n + 1):
                 pos.append(eps(i))
         self.positive_roots = pos
-        self.rho_w = tuple(sum(c) for c in zip(*fw))
+
+        # integer copies for weyl_dim, which works with 2*lam and 2*rho
+        self.simple_int = [tuple(int(c) for c in a) for a in roots]
+        self.positive_int = [tuple(int(c) for c in a) for a in pos]
+        self.rho2 = tuple(int(2 * sum(c)) for c in zip(*fw))
+        self.weyl_den = prod(self.pair(self.rho2, a) for a in self.positive_int)
 
     # -- bilinear form -------------------------------------------------
     def pair(self, x, y) -> Fraction:
         """Invariant form (x, y)."""
-        return self.eps_norm * sum(a * b for a, b in zip(x, y))
+        return sum(a * b for a, b in zip(x, y))
 
     def pair2(self, x, y) -> int:
         """2(x, y) as an exact integer (v-exponent of q^(x,y))."""
@@ -113,18 +124,21 @@ class CartanData:
                 out[k] += c * w[k]
         return tuple(out)
 
-    def is_dominant(self, lam) -> bool:
-        return all(self.coroot_pair(i, lam) >= 0 for i in range(1, self.n + 1))
-
     def weyl_dim(self, lam) -> int:
-        """Dimension of the irreducible module of highest weight lam."""
-        if not self.is_dominant(lam):
+        """Dimension of the irreducible module of highest weight lam:
+        prod over positive roots a of (2 lam + 2 rho, a) / (2 rho, a),
+        all in integers."""
+        lam2 = []
+        for x in lam:
+            num, den = 2 * x.numerator, x.denominator
+            if num % den:
+                raise ValueError(f"{lam} is not a weight: 2*lam is not integral")
+            lam2.append(num // den)
+        if any(self.pair(a, lam2) < 0 for a in self.simple_int):
             raise NonDominantWeight(f"{lam} is not dominant")
-        num = Fraction(1)
-        rho = self.rho_w
-        lam_rho = tuple(a + b for a, b in zip(lam, rho))
-        for a in self.positive_roots:
-            num *= self.pair(lam_rho, a) / self.pair(rho, a)
-        if num.denominator != 1:
+        shifted = [a + b for a, b in zip(lam2, self.rho2)]
+        num = prod(self.pair(shifted, a) for a in self.positive_int)
+        dim, rem = divmod(num, self.weyl_den)
+        if rem:
             raise ValueError("Weyl dimension is not an integer")
-        return int(num)
+        return dim

@@ -98,19 +98,34 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_CONFIG_CHOICES = {"q2_convention": ("q", "q2", "qhalf"),
+                   "format": ("json", "csv")}
+
+
 def _load_config(args) -> None:
     if not args.config:
         return
     with open(args.config, encoding="utf-8") as fh:
         cfg = json.load(fh)
+    where = f"--config {args.config}"
+    if not isinstance(cfg, dict):
+        raise QsoError(f"{where}: expected a JSON object")
+    for key, value in cfg.items():
+        if key == "out":
+            if not isinstance(value, str):
+                raise QsoError(f"{where}: out must be a path string, got {value!r}")
+        elif key not in _CONFIG_CHOICES:
+            raise QsoError(f"{where}: unknown key {key!r}; expected "
+                           f"q2_convention, format or out")
+        elif value not in _CONFIG_CHOICES[key]:
+            raise QsoError(f"{where}: {key} must be one of "
+                           f"{', '.join(_CONFIG_CHOICES[key])}, got {value!r}")
     if "q2_convention" in cfg and args.q2 == "qhalf":
         args.q2 = cfg["q2_convention"]
     if "format" in cfg and args.format == "json":
         args.format = cfg["format"]
     if "out" in cfg and not args.out:
         args.out = cfg["out"]
-    if "n" in cfg and getattr(args, "n", None) is None:
-        args.n = int(cfg["n"])
 
 
 def _spectral_params(spec: str, q: Fraction) -> spectrum.SpectralParams:

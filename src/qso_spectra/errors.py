@@ -33,6 +33,11 @@ class DecompositionSingular(QsoError):
     """Lefschetz decomposition linear system is singular at the sample."""
 
 
+class RepresentationInconsistent(QsoError):
+    """No sign choice makes the tabulated vector representation satisfy
+    the E-F commutator."""
+
+
 class NonDominantWeight(QsoError):
     """Weight is not dominant; Weyl dimension undefined."""
 

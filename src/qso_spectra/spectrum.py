@@ -13,6 +13,10 @@ admissible region is mu_y > 0, mu_z > 0, theta1 > 0, theta3 > 0 and
 theta >= -(1 - q^-2) mu_y (boundary allowed), theta2 unconstrained.
 The eigenspace multiplicity is the Weyl dimension of the highest
 weight 2l*w_1 + k*lam_y with lam_y = 2*w_1 - alpha_1.
+
+Each formula has one evaluator: lam(k, l) is computed only by
+_QintTable, as an integer over the common denominator of its shell
+k + l, and the multiplicity only by CartanData.weyl_dim.
 """
 
 from __future__ import annotations
@@ -25,18 +29,9 @@ from .cartan import CartanData
 from .errors import BoundNotCleared, ParamsNotValidated
 
 
-def _qint(m: int, t: Fraction) -> Fraction:
-    """(m)_t = 1 + t + ... + t^{m-1}; zero for m <= 0."""
-    total = Fraction(0)
-    power = Fraction(1)
-    for _ in range(m):
-        total += power
-        power *= t
-    return total
-
-
 class _QintTable:
-    """lam(k, l) for k, l <= mmax through integer numerators.
+    """lam(k, l) for k, l <= mmax through integer numerators; the only
+    evaluator of the formula.
 
     With q^2 = a/b in lowest terms, (m)_{q^2} = S(m)/b^(m-1) and
     (m)_{q^-2} = S(m)/a^(m-1), where S(m) = sum_i a^i b^(m-1-i).  So on
@@ -114,6 +109,17 @@ class SpectralParams:
         }
 
 
+def boundary_theta(p: SpectralParams) -> Fraction:
+    """The least admissible theta, -(1 - q^-2) mu_y."""
+    return -(1 - 1 / (p.q * p.q)) * p.mu_y
+
+
+def _warn_unvalidated(p: SpectralParams) -> None:
+    if p.validated is None:
+        warnings.warn("spectral params used without validate_params",
+                      ParamsNotValidated, stacklevel=3)
+
+
 def validate_params(p: SpectralParams) -> dict:
     """Check the admissible-parameter region; caches the verdict on p.
 
@@ -122,13 +128,13 @@ def validate_params(p: SpectralParams) -> dict:
     diverging, which is admissible but changes the divergence
     profile.  theta2 is unconstrained (its terms stay bounded).
     """
-    q2 = p.q * p.q
+    floor = boundary_theta(p)
     checks = [
         ("mu_y > 0", p.mu_y > 0),
         ("mu_z > 0", p.mu_z > 0),
         ("theta1 > 0", p.theta1 > 0),
         ("theta3 > 0", p.theta3 > 0),
-        ("theta >= -(1 - q^-2) mu_y", p.theta >= -(1 - 1 / q2) * p.mu_y),
+        ("theta >= -(1 - q^-2) mu_y", p.theta >= floor),
         ("q > 1", p.q > 1),
     ]
     failures = [name for name, ok in checks if not ok]
@@ -138,7 +144,7 @@ def validate_params(p: SpectralParams) -> dict:
         "checks": [{"constraint": name, "status": "pass" if ok else "fail"}
                    for name, ok in checks],
         "failures": failures,
-        "boundary_theta": p.theta == -(1 - 1 / q2) * p.mu_y,
+        "boundary_theta": p.theta == floor,
         "status": "verified" if not failures else "failed",
     }
 
@@ -147,19 +153,8 @@ def eigenvalue(k: int, l: int, p: SpectralParams) -> Fraction:
     """Exact eigenvalue lam(k, l); warns when p was never validated."""
     if k < 0 or l < 0:
         raise ValueError("k, l must be nonnegative")
-    if p.validated is None:
-        warnings.warn("spectral params used without validate_params",
-                      ParamsNotValidated, stacklevel=2)
-    q2 = p.q * p.q
-    iq2 = 1 / q2
-    return (
-        p.theta * _qint(k, q2) * _qint(k - 1, iq2)
-        + _qint(k, q2) * p.mu_y
-        + _qint(l, q2) * _qint(k, q2) * p.theta1
-        + _qint(l, iq2) * _qint(k, iq2) * p.theta2
-        + _qint(l, iq2) * p.mu_z
-        + _qint(l, iq2) * _qint(l - 1, q2) * p.theta3
-    )
+    _warn_unvalidated(p)
+    return _QintTable(p, max(k, l)).value(k, l)
 
 
 def y_weight(cartan: CartanData) -> tuple:
@@ -184,14 +179,15 @@ def multiplicity(k: int, l: int, cartan: CartanData) -> int:
 def spectrum_table(p: SpectralParams, cartan: CartanData,
                    kmax: int, lmax: int) -> list:
     """All records with k <= kmax, l <= lmax, sorted by (value, k+l, k)."""
+    _warn_unvalidated(p)
+    table = _QintTable(p, max(kmax, lmax))
     records = []
     for k in range(kmax + 1):
         for l in range(lmax + 1):
-            value = eigenvalue(k, l, p)
             records.append({
                 "k": k,
                 "l": l,
-                "value": value,
+                "value": table.value(k, l),
                 "multiplicity": multiplicity(k, l, cartan),
                 "weight": eigen_weight(k, l, cartan),
             })
@@ -234,8 +230,10 @@ def check_divergence(p: SpectralParams, cartan: CartanData,
     below_mult = 0
     below_count = 0
     for m in range(m0):
+        # lam <= bound  <=>  scaled * den <= num * scale(m)
+        cut = bound.numerator * table.scale(m)
         for l in range(m + 1):
-            if table.value(m - l, l) <= bound:
+            if table.scaled(m - l, l) * bound.denominator <= cut:
                 below_mult += multiplicity(m - l, l, cartan)
                 below_count += 1
     lane_cleared = None
@@ -252,6 +250,6 @@ def check_divergence(p: SpectralParams, cartan: CartanData,
         "eigenvalues_below_bound": below_count,
         "multiplicity_below_bound": below_mult,
         "l0_lane_cleared_at": lane_cleared,
-        "l0_lane_limit_exists": p.theta == -(1 - 1 / (p.q * p.q)) * p.mu_y,
+        "l0_lane_limit_exists": p.theta == boundary_theta(p),
         "status": "verified",
     }

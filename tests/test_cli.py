@@ -203,3 +203,30 @@ def test_readme_command_lines_parse():
     for line in lines:
         argv = shlex.split(line, comments=True)[1:]
         parser.parse_args(argv)  # argparse exits 2 on a bad command line
+
+
+@pytest.mark.parametrize("content, reason", [
+    ('{"q2_convention": "bogus"}', "q2_convention must be one of q, q2, qhalf"),
+    ("[1, 2]", "expected a JSON object"),
+    ('{"format": "xml"}', "format must be one of json, csv"),
+    ('{"n": 5}', "unknown key 'n'"),
+    ('{"out": 3}', "out must be a path string"),
+])
+def test_malformed_config_file_exits_two(tmp_path, capsys, content, reason):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(content)
+    code, out, err = run(capsys, "--config", str(cfg), "verify", "rels", "--n", "5")
+    assert code == 2 and not out
+    assert err.startswith("error: --config ") and reason in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("n", ["5", "7"])
+@pytest.mark.parametrize("q2", ["q", "q2"])
+def test_rep_without_consistent_sign_exits_two(capsys, q2, n):
+    # odd N has no sign choice satisfying the E-F commutator under the
+    # q and q2 adjoint conventions
+    code, out, err = run(capsys, "--q2", q2, "verify", "rep", "--n", n)
+    assert code == 2 and not out
+    assert err.startswith("error: ") and "E-F commutator" in err
+    assert "Traceback" not in err

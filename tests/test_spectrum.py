@@ -3,6 +3,8 @@ multiplicities and divergence certification."""
 
 import warnings
 from fractions import Fraction
+from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from qso_spectra.cartan import CartanData
 from qso_spectra.errors import BoundNotCleared, ParamsNotValidated
 from qso_spectra.spectrum import (
     SpectralParams,
+    _QintTable,
     check_divergence,
     eigen_weight,
     eigenvalue,
@@ -20,6 +23,9 @@ from qso_spectra.spectrum import (
     validate_params,
     y_weight,
 )
+
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def params(**kw):
@@ -169,13 +175,53 @@ def test_divergence_boundary_lane():
     assert out["l0_lane_cleared_at"] is not None
 
 
-def test_qint_table_matches_direct():
-    p = params(theta=Fraction(2, 5), theta1=Fraction(3), theta2=Fraction(-7, 3),
-               theta3=Fraction(1, 2), mu_y=2, mu_z=Fraction(9, 4),
-               q=Fraction(7, 5))
-    from qso_spectra.spectrum import _QintTable
+QINT_PARAMS = [
+    # interior: theta above -(1 - q^-2) mu_y, negative theta2
+    (dict(theta=Fraction(2, 5), theta1=Fraction(3), theta2=Fraction(-7, 3),
+          theta3=Fraction(1, 2), mu_y=2, mu_z=Fraction(9, 4), q=Fraction(7, 5)),
+     False),
+    # boundary theta = -(1 - q^-2) mu_y
+    (dict(theta=-(1 - 1 / Fraction(121, 100)) * Fraction(3, 2),
+          theta2=Fraction(5, 8), mu_y=Fraction(3, 2), mu_z=Fraction(1, 3),
+          q=Fraction(11, 10)),
+     True),
+]
 
-    table = _QintTable(p, 12)
-    for k in range(10):
-        for l in range(10):
-            assert table.value(k, l) == eigenvalue(k, l, p)
+
+def test_qint_table_matches_direct(monkeypatch):
+    # the reference is the closed form (t^m - 1)/(t - 1) of the
+    # benchmark's oracle, which does not import the program
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import checks
+
+    for kw, on_boundary in QINT_PARAMS:
+        p = SpectralParams(**kw)
+        assert validate_params(p)["boundary_theta"] is on_boundary
+        const = {"theta": p.theta, "theta1": p.theta1, "theta2": p.theta2,
+                 "theta3": p.theta3, "mu_y": p.mu_y, "mu_z": p.mu_z, "q": p.q}
+        table = _QintTable(p, 12)
+        for k in range(10):
+            for l in range(10):
+                want = checks.eigenvalue(k, l, const)
+                assert table.value(k, l) == want
+                assert eigenvalue(k, l, p) == want
+
+
+def test_multiplicity_counts_harmonic_polynomials():
+    # k = 0 lane: the (0, l) eigenspace has highest weight 2l*w_1, the
+    # harmonic polynomials of degree 2l on R^N
+    for N in range(5, 21):
+        c = CartanData(N)
+        for l in range(11):
+            harmonic = comb(2 * l + N - 1, N - 1) - comb(2 * l + N - 3, N - 1)
+            assert multiplicity(0, l, c) == harmonic, (N, l)
+
+
+def test_spectrum_table_warns_without_validation():
+    p = SpectralParams()
+    with pytest.warns(ParamsNotValidated):
+        spectrum_table(p, CartanData(5), 1, 1)
+    validate_params(p)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        spectrum_table(p, CartanData(5), 1, 1)
