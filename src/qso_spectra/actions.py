@@ -16,8 +16,9 @@ from functools import cache
 from .cartan import CartanData
 from .errors import IndexOutOfRange, NotInZSpan, RepresentationInconsistent
 from .field import ONE, ZERO, FieldElem, make_extension
-from .frt import FRTData, Rewriter, generate_relations, normal_form, rewriter
-from .ncpoly import NCPoly
+from .frt import (FRTData, Rewriter, generate_relations, normal_form,
+                  reduce_lead, rewriter)
+from .ncpoly import NCPoly, accumulate
 
 E, F, K, KINV = "E", "F", "K", "Kinv"
 
@@ -88,13 +89,15 @@ class RepMatrices:
     E_i v_s contains c * v_t.  Right tables are stored row-major as
     [source][target]: u^i acted from the right lands on row t with the
     stored coefficient (this layout makes the right tables an honest
-    matrix representation under ordinary multiplication).
+    matrix representation under ordinary multiplication).  maps holds
+    the arbitrated tables the matrices were built from, keyed by
+    (letter, side): {i: {source: (target, coeff)}}.
     """
 
     __slots__ = (
         "N", "cartan", "ext", "q2_convention", "weights",
         "El", "Fl", "Kl", "Kil", "Er", "Fr", "Kr", "Kir",
-        "kexp", "sign_fixes",
+        "kexp", "sign_fixes", "maps",
     )
 
 
@@ -204,15 +207,19 @@ def vector_rep(N: int, q2_convention: str = "qhalf") -> RepMatrices:
     # tabulated +1 fails the E-F commutator, so try both and arbitrate
     signs = [-ONE] if N % 2 else [ONE, -ONE]
 
+    rep.maps = {}
+
     def arbitrate(side, tables, transpose, fix):
         for sign in signs:
+            Es, Fs = tables(sign)
             Em, Fm = ({i: _cols_to_matrix(N, cols[i], transpose) for i in cols}
-                      for cols in tables(sign))
+                      for cols in (Es, Fs))
             if all(_ef_diag_ok(Em[i], Fm[i], Km[i], Kim[i],
                                int(2 * cartan.d[i - 1]))
                    for i in range(1, n + 1)):
                 if N % 2 == 0 and sign == -ONE:
                     rep.sign_fixes.append(fix)
+                rep.maps[E, side], rep.maps[F, side] = Es, Fs
                 return Em, Fm
         raise RepresentationInconsistent(
             f"N = {N}, q2 convention {q2_convention!r}: no sign choice "
@@ -306,38 +313,16 @@ def verify_qea_relations(N: int, q2_convention: str = "qhalf") -> list:
 class ActionEngine:
     """Left and right U_q(so_N) actions on NCPoly words via the
     coproducts Delta(E) = E (x) K + 1 (x) E and
-    Delta(F) = F (x) 1 + K^-1 (x) F."""
+    Delta(F) = F (x) 1 + K^-1 (x) F.  The E and F letters move indices
+    through the representation's arbitrated maps."""
 
-    __slots__ = ("N", "rep", "emap_l", "fmap_l", "emap_r", "fmap_r", "kexp")
+    __slots__ = ("N", "rep", "maps", "kexp")
 
     def __init__(self, rep: RepMatrices):
         self.N = rep.N
         self.rep = rep
+        self.maps = rep.maps
         self.kexp = rep.kexp
-        N = rep.N
-
-        def cols_of(mat):
-            out = {}
-            for s in range(1, N + 1):
-                lst = [(t, mat[t - 1][s - 1]) for t in range(1, N + 1)
-                       if mat[t - 1][s - 1]]
-                if lst:
-                    out[s] = lst
-            return out
-
-        def rows_of(mat):
-            out = {}
-            for s in range(1, N + 1):
-                lst = [(t, mat[s - 1][t - 1]) for t in range(1, N + 1)
-                       if mat[s - 1][t - 1]]
-                if lst:
-                    out[s] = lst
-            return out
-
-        self.emap_l = {i: cols_of(rep.El[i]) for i in rep.El}
-        self.fmap_l = {i: cols_of(rep.Fl[i]) for i in rep.Fl}
-        self.emap_r = {i: rows_of(rep.Er[i]) for i in rep.Er}
-        self.fmap_r = {i: rows_of(rep.Fr[i]) for i in rep.Fr}
 
     # index extractors: left action moves column (second) indices,
     # right action moves row (first) indices
@@ -355,25 +340,14 @@ class ActionEngine:
         kexp = self.kexp[l]
         idx = self._col if side == "left" else self._row
         out = {}
-
-        def put(w, c):
-            s = out.get(w)
-            s = c if s is None else s + c
-            if s:
-                out[w] = s
-            else:
-                out.pop(w, None)
-
         if kind in (K, KINV):
             sgn = 1 if kind == K else -1
             for w, c in p.terms.items():
                 e = sgn * sum(kexp[idx(x)] for x in w)
-                put(w, c * FieldElem.v_pow(e))
+                accumulate(out, w, c * FieldElem.v_pow(e))
             return NCPoly(self.N, out)
 
-        gmap = (self.emap_l if side == "left" else self.emap_r) if kind == E \
-            else (self.fmap_l if side == "left" else self.fmap_r)
-        gmap = gmap.get(l, {})
+        gmap = self.maps[kind, side].get(l, {})
         for w, c in p.terms.items():
             L = len(w)
             exps = [kexp[idx(x)] for x in w]
@@ -383,25 +357,23 @@ class ActionEngine:
                 for r in range(L - 1, -1, -1):
                     tail[r] = tail[r + 1] + exps[r]
                 for pos in range(L):
-                    src = idx(w[pos])
-                    hits = gmap.get(src)
-                    if not hits:
+                    hit = gmap.get(idx(w[pos]))
+                    if not hit:
                         continue
-                    scale = FieldElem.v_pow(tail[pos + 1])
-                    for t, cc in hits:
-                        nl = (w[pos][0], t) if side == "left" else (t, w[pos][1])
-                        put(w[:pos] + (nl,) + w[pos + 1:], c * cc * scale)
+                    t, cc = hit
+                    nl = (w[pos][0], t) if side == "left" else (t, w[pos][1])
+                    accumulate(out, w[:pos] + (nl,) + w[pos + 1:],
+                               c * cc * FieldElem.v_pow(tail[pos + 1]))
             else:
                 # F at position p, K^-1 on every earlier letter
                 pre = 0
                 for pos in range(L):
-                    src = idx(w[pos])
-                    hits = gmap.get(src)
-                    if hits:
-                        scale = FieldElem.v_pow(-pre)
-                        for t, cc in hits:
-                            nl = (w[pos][0], t) if side == "left" else (t, w[pos][1])
-                            put(w[:pos] + (nl,) + w[pos + 1:], c * cc * scale)
+                    hit = gmap.get(idx(w[pos]))
+                    if hit:
+                        t, cc = hit
+                        nl = (w[pos][0], t) if side == "left" else (t, w[pos][1])
+                        accumulate(out, w[:pos] + (nl,) + w[pos + 1:],
+                                   c * cc * FieldElem.v_pow(-pre))
                     pre += exps[pos]
         return NCPoly(self.N, out)
 
@@ -567,74 +539,41 @@ def z_coord_poly(N: int, a: int, b: int) -> NCPoly:
 
 
 class ZSolver:
-    """Express degree-2 normal forms in the z_ab coordinate basis."""
+    """Express degree-2 normal forms in the z_ab coordinate basis.
 
-    __slots__ = ("N", "rw", "pivots", "rank")
+    pivots is the forward-eliminated basis of the z_ab normal forms
+    (frt.reduce_lead's layout); combs[lead] is the combination of z_ab
+    that a pivot row stands for."""
+
+    __slots__ = ("N", "rw", "pivots", "combs", "rank")
 
     def __init__(self, N: int, rw):
         self.N = N
         self.rw = rw
-        # forward-eliminated basis with combination tracking
-        from .ncpoly import word_key
-        pivots = {}
+        pivots, combs = {}, {}
         for a in range(1, N + 1):
             for b in range(1, N + 1):
                 vec = dict(normal_form(z_coord_poly(N, a, b), rw).terms)
                 comb = {(a, b): ONE}
-                while vec:
-                    lead = max(vec, key=word_key)
-                    hit = pivots.get(lead)
-                    if hit is None:
-                        break
-                    pvec, pcomb = hit
-                    c = vec.pop(lead)
-                    for w2, c2 in pvec.items():
-                        s = vec.get(w2, ZERO) - c * c2
-                        if s:
-                            vec[w2] = s
-                        else:
-                            vec.pop(w2, None)
-                    for k2, c2 in pcomb.items():
-                        s = comb.get(k2, ZERO) - c * c2
-                        if s:
-                            comb[k2] = s
-                        else:
-                            comb.pop(k2, None)
-                if not vec:
+                lead = reduce_lead(vec, pivots, comb, combs)
+                if lead is None:
                     continue
-                lead = max(vec, key=word_key)
-                lc = vec.pop(lead)
-                inv = lc.inverse()
-                pivots[lead] = ({w: c * inv for w, c in vec.items()},
-                                {k: c * inv for k, c in comb.items()})
+                inv = vec.pop(lead).inverse()
+                pivots[lead] = {w: c * inv for w, c in vec.items()}
+                combs[lead] = {k: c * inv for k, c in comb.items()}
         self.pivots = pivots
+        self.combs = combs
         self.rank = len(pivots)
 
     def express(self, p: NCPoly) -> dict:
         """Coefficients x_ab with sum x_ab z_ab = p modulo relations."""
-        from .ncpoly import word_key
         vec = dict(normal_form(p, self.rw).terms)
-        acc = {}
-        while vec:
-            lead = max(vec, key=word_key)
-            hit = self.pivots.get(lead)
-            if hit is None:
-                raise NotInZSpan(f"residual word {lead}")
-            pvec, pcomb = hit
-            c = vec.pop(lead)
-            for w2, c2 in pvec.items():
-                s = vec.get(w2, ZERO) - c * c2
-                if s:
-                    vec[w2] = s
-                else:
-                    vec.pop(w2, None)
-            for k2, c2 in pcomb.items():
-                s = acc.get(k2, ZERO) + c * c2
-                if s:
-                    acc[k2] = s
-                else:
-                    acc.pop(k2, None)
-        return acc
+        comb = {}
+        lead = reduce_lead(vec, self.pivots, comb, self.combs)
+        if lead is not None:
+            raise NotInZSpan(f"residual word {lead}")
+        # comb holds what was subtracted from p, so p is its negative
+        return {k: -c for k, c in comb.items()}
 
 
 # ---------------------------------------------------------------------------

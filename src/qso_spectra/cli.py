@@ -34,6 +34,16 @@ def _positive_fraction(text: str) -> Fraction:
     return value
 
 
+def _nonnegative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a nonnegative integer: {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qso-spectra",
@@ -82,13 +92,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=_positive_fraction, default=Fraction(11, 10))
     p.add_argument("--params", default="default",
                    help='"default" or a JSON file with the six constants')
-    p.add_argument("--kmax", type=int, default=5)
-    p.add_argument("--lmax", type=int, default=5)
+    p.add_argument("--kmax", type=_nonnegative_int, default=5)
+    p.add_argument("--lmax", type=_nonnegative_int, default=5)
     p = ssub.add_parser("diverge", help="shell divergence certification")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--q", type=_positive_fraction, default=Fraction(11, 10))
     p.add_argument("--params", default="default")
-    p.add_argument("--shell-max", type=int, default=200)
+    p.add_argument("--shell-max", type=_nonnegative_int, default=200)
     p.add_argument("--bound", type=_fraction, default=Fraction(100))
 
     p = sub.add_parser("all", help="full pipeline in dependency order")
@@ -281,7 +291,6 @@ def _stage_dict(rep):
 def _stage_fiber(n):
     params = fiber.ExtAlgParams(n - 2)
     flaw = fiber.verify_f_properties(params)
-    flaw.pop("expansions", None)
     nonprim = fiber.verify_nonprimitive(params)
     lef = fiber.verify_lefschetz_iso(params, Fraction(11, 10))
     status = reports.aggregate_status(

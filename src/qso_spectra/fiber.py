@@ -835,7 +835,6 @@ def verify_f_properties(params: ExtAlgParams) -> dict:
     M = params.M
     checks = 0
     failures = []
-    expansions = []
     coeffs = {((), ()): ONE}
     records = []
     for l in range(M + 1):
@@ -871,14 +870,12 @@ def verify_f_properties(params: ExtAlgParams) -> dict:
             checks += 1
         records.append({"l": l, "terms": len(coeffs),
                         "diag_at_1": want_val if not failures else None})
-        expansions.append(KappaExpansion(M, l, dict(coeffs)))
     return {
         "M": M,
         "checks": checks,
         "records": records,
         "failures": failures,
         "status": "verified" if not failures else "failed",
-        "expansions": expansions,
     }
 
 

@@ -217,14 +217,6 @@ class FieldElem:
         return cls.monomial(1, k)
 
     @classmethod
-    def q_pow(cls, r) -> "FieldElem":
-        """q^r for integer or half-integer r (2r must be integral)."""
-        two_r = 2 * Fraction(r)
-        if two_r.denominator != 1:
-            raise ValueError("q exponent must be a half-integer")
-        return cls.monomial(1, int(two_r))
-
-    @classmethod
     def adjoint(cls, ext: Extension) -> "FieldElem":
         """The adjoint c itself."""
         return cls(_RF_ZERO, _RF_ONE, ext)
@@ -243,15 +235,6 @@ class FieldElem:
 
     def __bool__(self):
         return not _rf_is_zero(self.base) or self.extp is not None
-
-    def is_rational(self) -> bool:
-        return self.extp is None and len(self.base[0]) <= 1 and \
-            len(self.base[1]) == 1 and (not self.base[0] or 0 in self.base[0])
-
-    def as_fraction(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError("element is not a rational constant")
-        return self.base[0].get(0, _F0)
 
     # -- arithmetic --------------------------------------------------
     def __add__(self, other):

@@ -2,7 +2,12 @@
 rewriting to normal form, degree-bounded ideal membership and the
 machine verification of the nine commutation-relation families.
 
-Internally a linear combination of words is a dict {word: FieldElem}.
+Internally a linear combination of words is a sparse row
+{word: FieldElem}, added into only through ncpoly.accumulate.  R is one
+table of rows, the relations read its columns from the transpose.
+reduce_lead is the one lead-elimination step: the forward pass of the
+rewriter's echelon form and the z-coordinate solver of actions both
+reduce through it.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ from functools import cache
 
 from .errors import DegreeOverflow, IndexOutOfRange
 from .field import ONE, ZERO, FieldElem
-from .ncpoly import NCPoly, word_key
+from .ncpoly import NCPoly, accumulate, word_key
 
 
 # ---------------------------------------------------------------------------
@@ -47,10 +52,6 @@ class FRTData:
         """Strict Heaviside step: 1 for x > 0, else 0."""
         return 1 if x > 0 else 0
 
-    def q_rho(self, i: int) -> FieldElem:
-        """q^(rho_i) as a v-monomial."""
-        return FieldElem.v_pow(self.rho2[i])
-
 
 def r_entry(data: FRTData, i: int, j: int, m: int, n: int) -> FieldElem:
     """Entry R^{ij}_{mn} of the braiding of the vector representation."""
@@ -74,33 +75,28 @@ def r_entry(data: FRTData, i: int, j: int, m: int, n: int) -> FieldElem:
 def _r_row(data: FRTData, i: int, j: int):
     """Nonzero entries R^{ij}_{kl} as a dict (k, l) -> FieldElem."""
     qq = FieldElem.v_pow(2) - FieldElem.v_pow(-2)
-    row = {}
     e = (1 if i == j else 0) - (1 if j == data.conj(i) else 0)
-    row[(i, j)] = FieldElem.v_pow(2 * e)
+    row = {(i, j): FieldElem.v_pow(2 * e)}
     if j < i:
-        row[(j, i)] = row.get((j, i), ZERO) + qq
+        row[(j, i)] = qq
     if j == data.conj(i):
         for k in range(1, i):
-            kk = (k, data.conj(k))
             corr = qq * FieldElem.v_pow(-(data.rho2[j] + data.rho2[k]))
-            row[kk] = row.get(kk, ZERO) - corr
-    return {k: c for k, c in row.items() if c}
+            accumulate(row, (k, data.conj(k)), -corr)
+    return row
 
 
-def _r_col(data: FRTData, m: int, n: int):
-    """Nonzero entries R^{ab}_{mn} as a dict (a, b) -> FieldElem."""
-    qq = FieldElem.v_pow(2) - FieldElem.v_pow(-2)
-    col = {}
-    e = (1 if m == n else 0) - (1 if n == data.conj(m) else 0)
-    col[(m, n)] = FieldElem.v_pow(2 * e)
-    if n > m:
-        col[(n, m)] = col.get((n, m), ZERO) + qq
-    if n == data.conj(m):
-        for a in range(m + 1, data.N + 1):
-            ab = (a, data.conj(a))
-            corr = qq * FieldElem.v_pow(-(data.rho2[data.conj(a)] + data.rho2[m]))
-            col[ab] = col.get(ab, ZERO) - corr
-    return {k: c for k, c in col.items() if c}
+def _r_tables(data: FRTData):
+    """R as rows {(i, j): {(k, l): R^{ij}_{kl}}} and as columns
+    {(m, n): {(a, b): R^{ab}_{mn}}}; the columns transpose the rows."""
+    N = data.N
+    pairs = [(a, b) for a in range(1, N + 1) for b in range(1, N + 1)]
+    rows = {ij: _r_row(data, *ij) for ij in pairs}
+    cols = {mn: {} for mn in pairs}
+    for ij, row in rows.items():
+        for kl, c in row.items():
+            cols[kl][ij] = c
+    return rows, cols
 
 
 @dataclass
@@ -109,47 +105,22 @@ class RelationSet:
 
     N: int
     elems: list
-    scanned: int
 
 
 def generate_relations(data: FRTData) -> RelationSet:
     """All candidates sum_{kl} R^{ij}_{kl} u^k_m u^l_n -
     sum_{kl} u^j_k u^i_l R^{lk}_{mn}; zero candidates discarded."""
     N = data.N
-    rows = {}
-    cols = {}
-    for a in range(1, N + 1):
-        for b in range(1, N + 1):
-            rows[(a, b)] = _r_row(data, a, b)
-            cols[(a, b)] = _r_col(data, a, b)
+    rows, cols = _r_tables(data)
     elems = []
-    scanned = 0
-    for i in range(1, N + 1):
-        for j in range(1, N + 1):
-            row = rows[(i, j)]
-            for m in range(1, N + 1):
-                for n in range(1, N + 1):
-                    scanned += 1
-                    terms = {}
-                    for (k, l), c in row.items():
-                        w = ((k, m), (l, n))
-                        s = terms.get(w)
-                        s = c if s is None else s + c
-                        if s:
-                            terms[w] = s
-                        else:
-                            terms.pop(w, None)
-                    for (l, k), c in cols[(m, n)].items():
-                        w = ((j, k), (i, l))
-                        s = terms.get(w)
-                        s = -c if s is None else s - c
-                        if s:
-                            terms[w] = s
-                        else:
-                            terms.pop(w, None)
-                    if terms:
-                        elems.append(NCPoly(N, terms))
-    return RelationSet(N, elems, scanned)
+    for (i, j), row in rows.items():
+        for (m, n), col in cols.items():
+            terms = {((k, m), (l, n)): c for (k, l), c in row.items()}
+            for (l, k), c in col.items():
+                accumulate(terms, ((j, k), (i, l)), -c)
+            if terms:
+                elems.append(NCPoly(N, terms))
+    return RelationSet(N, elems)
 
 
 # ---------------------------------------------------------------------------
@@ -179,6 +150,28 @@ class Rewriter:
         self.rank = len(rules)
 
 
+def reduce_lead(row: dict, pivots: dict, comb=None, combs=None):
+    """Subtract pivot rows from row, in place, until its deglex-leading
+    word has no pivot; return that word, or None when row reduces to 0.
+
+    pivots maps a lead to its tail with the leading coefficient
+    normalized out.  Given comb, the same multiples of combs[lead] are
+    subtracted from it, which tracks the combination of original rows
+    that row has become."""
+    while row:
+        lead = max(row, key=word_key)
+        prow = pivots.get(lead)
+        if prow is None:
+            return lead
+        c = -row.pop(lead)
+        for w, pc in prow.items():
+            accumulate(row, w, c * pc)
+        if comb is not None:
+            for k, pc in combs[lead].items():
+                accumulate(comb, k, c * pc)
+    return None
+
+
 def _rows_to_rref(rows) -> dict:
     """Reduced row echelon form of a sparse row collection.
 
@@ -190,24 +183,10 @@ def _rows_to_rref(rows) -> dict:
     pivots = {}
     for row in rows:
         row = dict(row)
-        while row:
-            lead = max(row, key=word_key)
-            prow = pivots.get(lead)
-            if prow is None:
-                break
-            c = row.pop(lead)
-            for w2, c2 in prow.items():
-                s = row.get(w2)
-                s = -c * c2 if s is None else s - c * c2
-                if s:
-                    row[w2] = s
-                else:
-                    row.pop(w2, None)
-        if not row:
+        lead = reduce_lead(row, pivots)
+        if lead is None:
             continue
-        lead = max(row, key=word_key)
-        lc = row.pop(lead)
-        inv = lc.inverse()
+        inv = row.pop(lead).inverse()
         pivots[lead] = {w: c * inv for w, c in row.items()}
     # interreduce tails, ascending in the lead order so that every rule
     # used for reduction is itself already fully reduced
@@ -223,13 +202,9 @@ def _rows_to_rref(rows) -> dict:
                 c = tail.pop(w, None)
                 if c is None:
                     continue
+                c = -c
                 for w2, c2 in prow.items():
-                    s = tail.get(w2)
-                    s = -c * c2 if s is None else s - c * c2
-                    if s:
-                        tail[w2] = s
-                    else:
-                        tail.pop(w2, None)
+                    accumulate(tail, w2, c * c2)
                 changed = True
                 break
     return pivots
@@ -283,23 +258,12 @@ def _nf_terms(terms: dict, rw: Rewriter) -> dict:
             if hit:
                 break
         if hit is None:
-            s = out.get(w)
-            s = c if s is None else s + c
-            if s:
-                out[w] = s
-            else:
-                out.pop(w, None)
+            accumulate(out, w, c)
         else:
             pos, ln, tail = hit
             pre, suf = w[:pos], w[pos + ln:]
             for tw, tc in tail.items():
-                nw = pre + tw + suf
-                s = agenda.get(nw)
-                s = c * tc if s is None else s + c * tc
-                if s:
-                    agenda[nw] = s
-                else:
-                    agenda.pop(nw, None)
+                accumulate(agenda, pre + tw + suf, c * tc)
     return out
 
 
@@ -342,16 +306,9 @@ def complete_rewriter(rw: Rewriter, max_degree: int, max_rules: int = 20000):
             continue
         suf = w2[o:]
         pre = w1[:len(w1) - o]
-        left = {w + suf: c for w, c in tail1.items()}
-        right = {pre + w: c for w, c in tail2.items()}
-        diff = dict(left)
-        for w, c in right.items():
-            s = diff.get(w)
-            s = -c if s is None else s - c
-            if s:
-                diff[w] = s
-            else:
-                diff.pop(w, None)
+        diff = {w + suf: c for w, c in tail1.items()}
+        for w, c in tail2.items():
+            accumulate(diff, pre + w, -c)
         diff = _nf_terms(diff, work)
         if not diff:
             continue
@@ -432,8 +389,8 @@ def _qp(k):
 
 
 def lemma_rel_instances(N: int):
-    """Yield (family, indices, target NCPoly or None-for-vacuous,
-    degree) for the nine relation families.
+    """Yield (family, indices, target NCPoly) for the nine relation
+    families; every family has instances for each N >= 5.
 
     The stated ranges of the degree-2 families exclude the boundary
     cases l = k' and i = j' (and the (1, N) column pair, covered by the
@@ -447,18 +404,13 @@ def lemma_rel_instances(N: int):
 
     def emitted():
         # family 1: u^i_1 u^i_N = q^2 u^i_N u^i_1, i != i'
-        got = False
         for i in range(1, N + 1):
             if i == conj(i):
                 continue
-            got = True
             yield ("col1N_same_row", (i,),
                    _u(N, i, 1) * _u(N, i, N) - (_u(N, i, N) * _u(N, i, 1)).scale(_qp(2)))
-        if not got:
-            yield ("col1N_same_row", (), None)
 
         # family 2: u^i_l u^i_k = q u^i_k u^i_l, l < k, i != i', l != k'
-        got = False
         for i in range(1, N + 1):
             if i == conj(i):
                 continue
@@ -466,14 +418,10 @@ def lemma_rel_instances(N: int):
                 for k in range(l + 1, N + 1):
                     if l == conj(k):
                         continue
-                    got = True
                     yield ("same_row_qcomm", (i, l, k),
                            _u(N, i, l) * _u(N, i, k) - (_u(N, i, k) * _u(N, i, l)).scale(q))
-        if not got:
-            yield ("same_row_qcomm", (), None)
 
         # family 3: u^j_l u^i_k = u^i_k u^j_l, l < k, i < j, l != k', i != j'
-        got = False
         for i in range(1, N + 1):
             for j in range(i + 1, N + 1):
                 if i == conj(j):
@@ -482,41 +430,29 @@ def lemma_rel_instances(N: int):
                     for k in range(l + 1, N + 1):
                         if l == conj(k):
                             continue
-                        got = True
                         yield ("cross_commute", (i, j, l, k),
                                _u(N, j, l) * _u(N, i, k) - _u(N, i, k) * _u(N, j, l))
-        if not got:
-            yield ("cross_commute", (), None)
 
         # family 4: u^j_1 u^i_N = q u^i_N u^j_1, i < j, i != j'
-        got = False
         for i in range(1, N + 1):
             for j in range(i + 1, N + 1):
                 if i == conj(j):
                     continue
-                got = True
                 yield ("col1N_lower_first", (i, j),
                        _u(N, j, 1) * _u(N, i, N) - (_u(N, i, N) * _u(N, j, 1)).scale(q))
-        if not got:
-            yield ("col1N_lower_first", (), None)
 
         # family 5: u^i_1 u^j_N = q u^j_N u^i_1 + (q^2-1) u^i_N u^j_1
-        got = False
         for i in range(1, N + 1):
             for j in range(i + 1, N + 1):
                 if i == conj(j):
                     continue
-                got = True
                 yield ("col1N_upper_first", (i, j),
                        _u(N, i, 1) * _u(N, j, N)
                        - (_u(N, j, N) * _u(N, i, 1)).scale(q)
                        - (_u(N, i, N) * _u(N, j, 1)).scale(_qp(2) - ONE))
-        if not got:
-            yield ("col1N_upper_first", (), None)
 
         # family 6: u^j_l u^i_k = u^i_k u^j_l - (q-q^-1) u^j_k u^i_l,
         # equivalently u^i_k u^j_l = u^j_l u^i_k + (q-q^-1) u^j_k u^i_l
-        got = False
         for i in range(1, N + 1):
             for j in range(i + 1, N + 1):
                 if i == conj(j):
@@ -525,16 +461,12 @@ def lemma_rel_instances(N: int):
                     for l in range(k + 1, N + 1):
                         if k == conj(l):
                             continue
-                        got = True
                         yield ("cross_qcomm", (i, j, k, l),
                                _u(N, i, k) * _u(N, j, l)
                                - _u(N, j, l) * _u(N, i, k)
                                - (_u(N, j, k) * _u(N, i, l)).scale(qq))
-        if not got:
-            yield ("cross_qcomm", (), None)
 
         # family 7: u^i_k u^j_k = q u^j_k u^i_k, k != k', i < j, i != j'
-        got = False
         for i in range(1, N + 1):
             for j in range(i + 1, N + 1):
                 if i == conj(j):
@@ -542,11 +474,8 @@ def lemma_rel_instances(N: int):
                 for k in range(1, N + 1):
                     if k == conj(k):
                         continue
-                    got = True
                     yield ("same_col_qcomm", (i, j, k),
                            _u(N, i, k) * _u(N, j, k) - (_u(N, j, k) * _u(N, i, k)).scale(q))
-        if not got:
-            yield ("same_col_qcomm", (), None)
 
         # families 8 and 9: degree-4 commutations of the highest-weight
         # quadratics h_a = u^1_1 u^2_a - q u^2_1 u^1_a and
@@ -592,13 +521,10 @@ def verify_lemma_rels(N: int, max_degree: int = 4) -> list:
     rw = rewriter(N)
     report = []
     for family, indices, target in lemma_rel_instances(N):
-        if target is None:
-            status, cert = "vacuous", 0
-        else:
-            mem = saturate_and_check(target, rw, max_degree)
-            status, cert = mem.status, mem.certificate_size
+        mem = saturate_and_check(target, rw, max_degree)
         report.append({"family": family, "indices": list(indices),
-                       "status": status, "certificate_size": cert})
+                       "status": mem.status,
+                       "certificate_size": mem.certificate_size})
     for family, indices in excluded_boundary_instances(N):
         report.append({"family": family, "indices": list(indices),
                        "status": "excluded", "certificate_size": 0})

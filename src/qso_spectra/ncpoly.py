@@ -4,6 +4,9 @@ A generator label is a pair (i, j) for u^i_j with 1 <= i, j <= N; a word
 is a tuple of labels.  The monomial order is degree-lexicographic:
 shorter words first, equal lengths compared letter by letter with
 (i, j) < (k, l) lexicographically.
+
+A sparse row is a dict {key: FieldElem} with no zero values; ncpoly,
+frt and actions add into one only through accumulate.
 """
 
 from __future__ import annotations
@@ -17,6 +20,16 @@ Word = tuple
 def word_key(w: Word):
     """Sort key realizing the deglex order."""
     return len(w), w
+
+
+def accumulate(row: dict, key, c) -> None:
+    """row[key] += c, dropping the key when the sum is 0."""
+    s = row.get(key)
+    s = c if s is None else s + c
+    if s:
+        row[key] = s
+    else:
+        row.pop(key, None)
 
 
 def deglex_compare(w1: Word, w2: Word) -> int:
@@ -81,9 +94,6 @@ class NCPoly:
             raise ValueError("zero polynomial has no leading word")
         return max(self.terms, key=word_key)
 
-    def leading_coeff(self) -> FieldElem:
-        return self.terms[self.leading_word()]
-
     def coeff(self, word: Word) -> FieldElem:
         from .field import ZERO
 
@@ -94,12 +104,7 @@ class NCPoly:
         self._check(other)
         out = dict(self.terms)
         for w, c in other.terms.items():
-            s = out.get(w)
-            s = c if s is None else s + c
-            if s:
-                out[w] = s
-            else:
-                out.pop(w, None)
+            accumulate(out, w, c)
         p = NCPoly(self.N)
         p.terms = out
         return p
@@ -124,28 +129,9 @@ class NCPoly:
         out = {}
         for w1, c1 in self.terms.items():
             for w2, c2 in other.terms.items():
-                w = w1 + w2
-                c = c1 * c2
-                s = out.get(w)
-                s = c if s is None else s + c
-                if s:
-                    out[w] = s
-                else:
-                    out.pop(w, None)
+                accumulate(out, w1 + w2, c1 * c2)
         p = NCPoly(self.N)
         p.terms = out
-        return p
-
-    def mul_word_left(self, word: Word) -> "NCPoly":
-        word = tuple(word)
-        p = NCPoly(self.N)
-        p.terms = {word + w: c for w, c in self.terms.items()}
-        return p
-
-    def mul_word_right(self, word: Word) -> "NCPoly":
-        word = tuple(word)
-        p = NCPoly(self.N)
-        p.terms = {w + word: c for w, c in self.terms.items()}
         return p
 
     def __eq__(self, other):

@@ -61,7 +61,7 @@ def to_csv(rows, fieldnames) -> str:
 def aggregate_status(statuses) -> str:
     """Fold per-check statuses into verified / inconclusive / failed."""
     worst = "verified"
-    ok = {"verified", "vacuous", "excluded", "pass", "bijective", "ok"}
+    ok = {"verified", "excluded", "pass", "bijective", "ok"}
     for s in statuses:
         if s in ok:
             continue

@@ -9,7 +9,7 @@ import pytest
 from qso_spectra import actions, fiber, frt, spectrum
 from qso_spectra.cartan import CartanData
 
-OK = {"verified", "vacuous", "excluded"}
+OK = {"verified", "excluded"}
 
 
 def test_criterion_01_commutation_relation_families():

@@ -84,6 +84,17 @@ def test_nonpositive_q_exits_two(capsys, argv):
     assert "positive rational" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("spectrum", "table", "--n", "7", "--kmax", "-2"),
+    ("spectrum", "table", "--n", "7", "--lmax=-1"),
+    ("spectrum", "diverge", "--n", "7", "--shell-max", "-1"),
+])
+def test_negative_size_exits_two(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and not out
+    assert "nonnegative integer" in err and "Traceback" not in err
+
+
 def test_bad_fiber_size(capsys):
     code, _, err = run(capsys, "fiber", "kappa-powers", "--n", "2", "--l", "1")
     assert code == 2 and "error" in err

@@ -1,0 +1,38 @@
+"""Every function and method in the package has a use.
+
+A name defined in src/qso_spectra/ that appears nowhere but in its own
+definition, across src/, tests/, perfbench/ and README.md, is dead code.
+Dunder methods are called by the language and are exempt.
+"""
+
+import ast
+import re
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "qso_spectra"
+
+
+def _corpus():
+    files = [ROOT / "README.md"]
+    for sub in ("src", "tests", "perfbench"):
+        files += sorted((ROOT / sub).rglob("*.py"))
+    return "\n".join(f.read_text(encoding="utf-8") for f in files)
+
+
+def _definitions():
+    defs = Counter()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if not (node.name.startswith("__") and node.name.endswith("__")):
+                    defs[node.name] += 1
+    return defs
+
+
+def test_no_function_is_defined_without_a_use():
+    text = _corpus()
+    dead = sorted(name for name, n in _definitions().items()
+                  if len(re.findall(rf"\b{re.escape(name)}\b", text)) <= n)
+    assert not dead, f"defined but never used: {dead}"
