@@ -2,16 +2,14 @@
 coordinate algebras, their exterior fiber algebras and the Dolbeault
 Laplacian spectrum on quantum quadrics."""
 
-from .field import FieldElem, eval_at, qint
-from .ncpoly import NCPoly, deglex_compare, nc_mul
+from .field import FieldElem, qint
+from .ncpoly import NCPoly, deglex_compare
 
 __all__ = [
     "BACKEND_NAME",
     "FieldElem",
     "NCPoly",
     "deglex_compare",
-    "eval_at",
-    "nc_mul",
     "qint",
 ]
 

@@ -82,8 +82,8 @@ def mat_pow(a, k):
 
 
 class RepMatrices:
-    """E_i, F_i, K_i matrices of the vector representation, the basis
-    weights, and the right-action analogues.
+    """E_i, F_i, K_i matrices of the vector representation and the
+    right-action analogues.
 
     Left matrices are [target][source]; an entry El[t][s] = c means
     E_i v_s contains c * v_t.  Right tables are stored row-major as
@@ -95,8 +95,7 @@ class RepMatrices:
     """
 
     __slots__ = (
-        "N", "cartan", "ext", "q2_convention", "weights",
-        "El", "Fl", "Kl", "Kil", "Er", "Fr", "Kr", "Kir",
+        "N", "cartan", "El", "Fl", "Kl", "Kil", "Er", "Fr", "Kr", "Kir",
         "kexp", "sign_fixes", "maps",
     )
 
@@ -177,8 +176,7 @@ def vector_rep(N: int, q2_convention: str = "qhalf") -> RepMatrices:
     """
     cartan = CartanData(N)
     n = cartan.n
-    ext = make_extension(q2_convention)
-    c = FieldElem.adjoint(ext)
+    c = FieldElem.adjoint(make_extension(q2_convention))
     from .field import _Q2_VEXP
 
     q2 = FieldElem.v_pow(_Q2_VEXP[q2_convention])
@@ -186,8 +184,6 @@ def vector_rep(N: int, q2_convention: str = "qhalf") -> RepMatrices:
     rep = RepMatrices()
     rep.N = N
     rep.cartan = cartan
-    rep.ext = ext
-    rep.q2_convention = q2_convention
     rep.sign_fixes = []
 
     # the weights follow the E-action graph, which no sign changes
@@ -231,7 +227,6 @@ def vector_rep(N: int, q2_convention: str = "qhalf") -> RepMatrices:
     rep.Er, rep.Fr = arbitrate(
         "right", lambda sign: _ef_tables(N, c, down, up, sign)[::-1], True,
         "right E_i on row i' arbitrated to -1")
-    rep.weights = weights
     rep.kexp = kexp
     rep.Kl = rep.Kr = Km
     rep.Kil = rep.Kir = Kim
@@ -690,7 +685,6 @@ def orbit_scan(N: int) -> dict:
     # (deduplicate identical polynomials up to nothing; the tree has
     # 2^len(seq) leaves but shares subresults by position)
     states = {(): y}
-    order = []
     for pos, letter in enumerate(seq):
         new_states = {}
         for prefix, poly in states.items():
@@ -698,7 +692,6 @@ def orbit_scan(N: int) -> dict:
             if not normal_form(acted, rw).is_zero():
                 new_states[prefix + (pos,)] = acted
         states.update(new_states)
-        order.append(letter)
     block_len = (len(seq) - 2) // 2
     terminal_prefix = tuple(range(block_len)) + (len(seq) - 2, len(seq) - 1)
     for prefix, poly in sorted(states.items(), key=lambda kv: (len(kv[0]), kv[0])):

@@ -213,8 +213,7 @@ def _cmd_fiber(args):
         return report, "verified"
     if args.suite == "lefschetz":
         samples = args.q or [Fraction(1), Fraction(11, 10), Fraction(101, 100)]
-        table = fiber._LefschetzTable(params)
-        runs = [fiber.verify_lefschetz_iso(params, q0, table) for q0 in samples]
+        runs = [fiber.verify_lefschetz_iso(params, q0) for q0 in samples]
         status = reports.aggregate_status(r["status"] for r in runs)
         return {"command": "fiber lefschetz", "M": M, "runs": runs,
                 "status": status}, status

@@ -7,11 +7,10 @@ the fiber conjugation i |-> M+1-i:
   Lambda^-:  e-_i ^ e-_i = 0                     (i != conj(i)),
              e-_i ^ e-_j = -q^{-1} e-_j ^ e-_i   (i < j, j != conj(i)),
              e-_c ^ e-_i + e-_i ^ e-_c
-               = (q - q^{-1}) sum_{j<i} lam_i^{-1} lam_j q^{j-i+1}
-                 e-_j ^ e-_conj(j)               (c = conj(i) > i),
+               = (q - q^{-1}) sum_{j<i} q^{j-i+1} e-_j ^ e-_conj(j)
+                                                 (c = conj(i) > i),
              e-_m ^ e-_m = (q^{1/2} - q^{-1/2}) sum_{j<m}
-                 lam_m^{-1} lam_j q^{j-m+1} e-_j ^ e-_conj(j)
-                                                 (odd M, m the middle),
+                 q^{j-m+1} e-_j ^ e-_conj(j)     (odd M, m the middle),
   Lambda^+:  the mirror with q |-> q^{-1} in the swap and correction
              exponents and a global minus on the correction sums.
 
@@ -19,8 +18,8 @@ The swap direction (descending pair (x, y) |-> -q^{+1} (y, x) on the
 minus side, -q^{-1} on the plus side) is the unique choice that makes
 the straightening rules locally confluent together with the fixed
 conjugate-pair corrections (checked exhaustively on length-3 words for
-M <= 6 with generic lambda); the opposite direction fails confluence
-for M >= 5.
+M <= 6 by the test suite); the opposite direction fails confluence for
+M >= 5.  The algebras, and so every table below, depend on M alone.
 
 Mixed e+/e- commutation relations are never used: all computations on
 two-block forms route through centrality of the Kaehler form.  One
@@ -33,6 +32,12 @@ modes:
   "mirror"   e-_I ^ (e-_i ^ e+_i) ^ e+_J on minus-first forms, the
              g-expansion.
 
+The Lefschetz map on every basis key is one table per M, built on first
+use and shared for the life of the process (lefschetz_table); the
+Lefschetz ranks, the primitive decomposition and the Hodge map read it.
+The kappa powers, the g-expansion, lefschetz() and the non-primitivity
+check insert only against the keys they touch.
+
 The imaginary unit is never adjoined to the coefficient field: a
 general form stores a pair (re, im) of real coefficients per basis key
 (I, J), representing (re + i*im) e+_I ^ e-_J; the power-of-kappa
@@ -43,6 +48,7 @@ or Fraction / QuadExt (evaluated at v = sqrt(q0)).
 
 from __future__ import annotations
 
+import functools
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -60,35 +66,17 @@ class ExtAlgParams:
 
     The conjugation is conj(i) = M + 1 - i; a self-conjugate (middle)
     index exists exactly when M is odd, matching the ambient parity
-    (M = N - 2 has the parity of N).  lam_minus / lam_plus are the two
-    independent nonzero scaling families entering the conjugate-pair
-    corrections; they default to 1.
+    (M = N - 2 has the parity of N).
     """
 
-    __slots__ = ("M", "odd", "middle", "lam_minus", "lam_plus")
+    __slots__ = ("M", "odd", "middle")
 
-    def __init__(self, M: int, lam_minus=None, lam_plus=None):
+    def __init__(self, M: int):
         if M < 1:
             raise ValueError("M >= 1 required")
         self.M = M
         self.odd = bool(M % 2)
         self.middle = (M + 1) // 2 if self.odd else None
-
-        def build(overrides):
-            lam = {i: ONE for i in range(1, M + 1)}
-            if overrides:
-                for i, val in overrides.items():
-                    if not 1 <= i <= M:
-                        raise IndexOutOfRange(f"lambda index {i} outside 1..{M}")
-                    elem = val if isinstance(val, FieldElem) else \
-                        FieldElem.from_rational(val)
-                    if not elem:
-                        raise ValueError("lambda_i must be nonzero")
-                    lam[i] = elem
-            return lam
-
-        self.lam_minus = build(lam_minus)
-        self.lam_plus = build(lam_plus)
 
     def conj(self, i: int) -> int:
         return self.M + 1 - i
@@ -103,28 +91,22 @@ def _reduce_pair(params: ExtAlgParams, side: str, x: int, y: int):
 
     Returns a dict {(a, b): coeff} replacing the two letters.
     """
-    M = params.M
-    lam = params.lam_minus if side == "-" else params.lam_plus
     sgn = 1 if side == "-" else -1  # exponent / correction-sum sign mirror
     if x == y:
         if params.odd and x == params.middle:
             m = params.middle
             out = {}
             for j in range(1, m):
-                c = _NU_HALF * lam[m].inverse() * lam[j] * \
-                    FieldElem.v_pow(2 * sgn * (j - m + 1))
+                c = _NU_HALF * FieldElem.v_pow(2 * sgn * (j - m + 1))
                 out[(j, params.conj(j))] = c if side == "-" else -c
             return out
         return {}
     if x > y:
         if y == params.conj(x):
-            i = y
             out = {(y, x): -ONE}
-            for j in range(1, i):
-                c = _NU * lam[i].inverse() * lam[j] * \
-                    FieldElem.v_pow(2 * sgn * (j - i + 1))
-                c = c if side == "-" else -c
-                out[(j, params.conj(j))] = out.get((j, params.conj(j)), ZERO) + c
+            for j in range(1, y):
+                c = _NU * FieldElem.v_pow(2 * sgn * (j - y + 1))
+                out[(j, params.conj(j))] = c if side == "-" else -c
             return out
         return {(y, x): -FieldElem.v_pow(2 * sgn)}
     return None
@@ -633,11 +615,10 @@ class _LefschetzTable:
     """
 
     def __init__(self, params: ExtAlgParams):
-        self.params = params
         M = params.M
         self.map = {key: _insert(params, key)
                     for k in range(0, 2 * M + 1) for key in _basis(M, k)}
-        self._at = {None: (lambda x: x, self.map)}
+        self._last = None  # (q0, ev, evaluated map) of the latest q0
 
     def numeric(self, ev):
         return {key: {t: ev(c) for t, c in img.items()}
@@ -653,13 +634,25 @@ class _LefschetzTable:
 
     def at(self, q0):
         """(ev, map): the evaluator at v = sqrt(q0) and the map evaluated
-        by it, built once per q0; the identity and the symbolic map when
-        q0 is None."""
-        got = self._at.get(q0)
-        if got is None:
+        by it; the identity and the symbolic map when q0 is None.  Only
+        the latest q0's evaluated map is kept, so repeated calls at one
+        q0 evaluate each entry once and a long-lived table holds at most
+        one evaluated map."""
+        if q0 is None:
+            return (lambda x: x), self.map
+        if self._last is None or self._last[0] != q0:
             ev = make_evaluator(q0)
-            got = self._at[q0] = (ev, self.numeric(ev))
-        return got
+            self._last = (q0, ev, self.numeric(ev))
+        return self._last[1:]
+
+
+@functools.cache
+def lefschetz_table(M: int) -> _LefschetzTable:
+    """The Lefschetz table of the fiber on M generators, built once per
+    process.  The returned object is shared by every caller and is
+    read-only: evaluate it through at() and modular(), never modify its
+    map."""
+    return _LefschetzTable(ExtAlgParams(M))
 
 
 def _power_columns(num_map, M: int, k: int, p=None, power=None):
@@ -682,7 +675,7 @@ def _power_columns(num_map, M: int, k: int, p=None, power=None):
     return cols
 
 
-def verify_lefschetz_iso(params: ExtAlgParams, q0, table: _LefschetzTable | None = None) -> dict:
+def verify_lefschetz_iso(params: ExtAlgParams, q0) -> dict:
     """Certify bijectivity of L^{M-k}: degree k -> degree 2M-k by rank mod
     p, with exact elimination as the fallback.
 
@@ -695,8 +688,7 @@ def verify_lefschetz_iso(params: ExtAlgParams, q0, table: _LefschetzTable | None
     image mod p.  Either way the reported rank is exact.
     """
     M = params.M
-    if table is None:
-        table = _LefschetzTable(params)
+    table = lefschetz_table(M)
     p, s = _modular_point(q0) or (None, None)
     mod = table.modular(s, p) if p is not None else None
     results = []
@@ -721,24 +713,20 @@ def verify_lefschetz_iso(params: ExtAlgParams, q0, table: _LefschetzTable | None
     }
 
 
-def primitive_decompose(params: ExtAlgParams, form: FiberForm, q0=None,
-                        table: _LefschetzTable | None = None):
+def primitive_decompose(params: ExtAlgParams, form: FiberForm, q0=None):
     """Lefschetz decomposition form = sum_j L^j(w_j), each w_j primitive.
 
     Symbolic over the coefficient field when q0 is None (intended for
     M <= 4); exact rational/quadratic arithmetic at v = sqrt(q0)
     otherwise, on a form with FieldElem coefficients.  Returns a list of
     (j, FiberForm).  Raises DecompositionSingular when the sample point
-    degenerates the system.  table is the _LefschetzTable of params,
-    built here when None.
+    degenerates the system.
     """
     M = params.M
     k = form.degree()
     if not form:
         return []
-    if table is None:
-        table = _LefschetzTable(params)
-    ev, num = table.at(q0)
+    ev, num = lefschetz_table(M).at(q0)
 
     tgt = _basis(M, k)
     index = {key: r for r, key in enumerate(tgt)}
@@ -789,8 +777,7 @@ def primitive_decompose(params: ExtAlgParams, form: FiberForm, q0=None,
     return sorted((j, f.times_i_pow(-j % 4)) for j, f in parts.items())
 
 
-def hodge(params: ExtAlgParams, form: FiberForm, q0=None,
-          table: _LefschetzTable | None = None) -> FiberForm:
+def hodge(params: ExtAlgParams, form: FiberForm, q0=None) -> FiberForm:
     """Hodge map via the Weil formula on the Lefschetz decomposition:
 
         *(L^j w) = (-1)^{k(k+1)/2} i^{a-b} j!/(M-j-k)! L^{M-j-k}(w)
@@ -802,10 +789,8 @@ def hodge(params: ExtAlgParams, form: FiberForm, q0=None,
     out = FiberForm(M)
     if not form:
         return out
-    if table is None:
-        table = _LefschetzTable(params)
-    num = table.at(q0)[1]
-    for j, wj in primitive_decompose(params, form, q0, table):
+    num = lefschetz_table(M).at(q0)[1]
+    for j, wj in primitive_decompose(params, form, q0):
         k = wj.degree()
         scale = Fraction((-1) ** (k * (k + 1) // 2) * factorial(j),
                          factorial(M - j - k))
@@ -952,9 +937,8 @@ def verify_hodge_shape(params: ExtAlgParams, q0=Fraction(11, 10),
     rng = random.Random(seed)
     failures = []
     checks = 0
-    table = _LefschetzTable(params)
 
-    star_one = hodge(params, FiberForm.one(M), table=table)
+    star_one = hodge(params, FiberForm.one(M))
     want = kappa_power(params, M).to_form().scaled(Fraction(1, factorial(M)))
     checks += 1
     if star_one != want:
@@ -968,7 +952,7 @@ def verify_hodge_shape(params: ExtAlgParams, q0=Fraction(11, 10),
                     continue
                 checks += 1
                 try:
-                    image = hodge(params, form, q0, table)
+                    image = hodge(params, form, q0)
                 except DecompositionSingular as exc:
                     failures.append({"a": a, "b": b, "reason": str(exc)})
                     continue

@@ -341,32 +341,18 @@ class FieldElem:
         return hash((b, e))
 
     # -- evaluation --------------------------------------------------
-    def eval_v(self, v0, c0=None) -> Fraction:
-        """Exact value at v = v0 (and c = c0 when the adjoint occurs)."""
+    def eval_v(self, v0) -> Fraction:
+        """Exact value at v = v0 of an element without adjoint part."""
         v0 = Fraction(v0)
         if not v0:
             raise DenominatorVanishes("v = 0 is outside the domain")
         den = lp_eval(self.base[1], v0)
         if not den:
             raise DenominatorVanishes(f"denominator vanishes at v = {v0}")
-        value = lp_eval(self.base[0], v0) / den
         if self.extp is not None:
-            if c0 is None:
-                raise ExtensionValueInconsistent(
-                    "element involves the adjoint c; supply c0"
-                )
-            c0 = Fraction(c0)
-            sq_num, sq_den = self.ext.sq
-            sq_val = lp_eval(sq_num, v0) / lp_eval(sq_den, v0)
-            if c0 * c0 != sq_val:
-                raise ExtensionValueInconsistent(
-                    f"c0^2 = {c0 * c0} but the extension requires {sq_val}"
-                )
-            eden = lp_eval(self.extp[1], v0)
-            if not eden:
-                raise DenominatorVanishes(f"denominator vanishes at v = {v0}")
-            value += c0 * lp_eval(self.extp[0], v0) / eden
-        return value
+            raise ExtensionValueInconsistent(
+                "element involves the adjoint c, which has no rational value")
+        return lp_eval(self.base[0], v0) / den
 
     def eval_mod(self, s: int, p: int) -> int | None:
         """Image in F_p under v |-> s, for a prime p and a unit s mod p.
@@ -494,11 +480,6 @@ def qint(k: int, t: FieldElem) -> FieldElem:
     for _ in range(k):
         result = result * t + ONE
     return result
-
-
-def eval_at(x: FieldElem, v0, c0=None) -> Fraction:
-    """Exact rational value of x at v = v0 (and c = c0 if needed)."""
-    return x.eval_v(v0, c0)
 
 
 def sym_qint(m: int, vexp: int) -> FieldElem:

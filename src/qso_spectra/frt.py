@@ -243,8 +243,6 @@ def _nf_terms(terms: dict, rw: Rewriter) -> dict:
     agenda = dict(terms)
     while agenda:
         w, c = agenda.popitem()
-        if not c:
-            continue
         L = len(w)
         hit = None
         for pos in range(L):

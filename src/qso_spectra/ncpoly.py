@@ -160,7 +160,3 @@ class NCPoly:
     def __repr__(self):
         return f"NCPoly({self})"
 
-
-def nc_mul(p: NCPoly, r: NCPoly) -> NCPoly:
-    """Free-algebra product."""
-    return p * r

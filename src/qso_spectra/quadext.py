@@ -25,10 +25,6 @@ class QuadExt:
         if self.d <= 0:
             raise ValueError("QuadExt requires d > 0")
 
-    @classmethod
-    def rational(cls, a, d=Fraction(2)) -> "QuadExt":
-        return cls(a, 0, d)
-
     def _coerce(self, other) -> "QuadExt":
         if isinstance(other, QuadExt):
             if other.b and self.b and other.d != self.d:
@@ -112,12 +108,6 @@ class QuadExt:
         if cmp < 0:
             return sb
         return 0
-
-    def __lt__(self, other):
-        return (self - self._coerce(other)).sign() < 0
-
-    def __gt__(self, other):
-        return (self - self._coerce(other)).sign() > 0
 
     def __repr__(self):
         return f"QuadExt({self.a}, {self.b}, sqrt={self.d})"

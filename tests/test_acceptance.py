@@ -73,9 +73,8 @@ def test_criterion_07_lefschetz_bijectivity():
     samples = (Fraction(1), Fraction(11, 10), Fraction(101, 100))
     for M in (3, 4, 5):
         params = fiber.ExtAlgParams(M)
-        table = fiber._LefschetzTable(params)
         for q0 in samples:
-            out = fiber.verify_lefschetz_iso(params, q0, table)
+            out = fiber.verify_lefschetz_iso(params, q0)
             assert out["status"] == "verified", (M, str(q0), out["failures"])
     assert time.perf_counter() - t0 < 120
 

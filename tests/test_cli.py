@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from qso_spectra import actions, frt, reports
+from qso_spectra import actions, fiber, frt, reports
 from qso_spectra.cli import _build_parser, main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -199,10 +199,35 @@ def test_one_rewriter_build_per_n(tmp_path):
     assert actions.algebra(5).rw is frt.rewriter(5)
 
 
+def test_one_lefschetz_table_per_m(tmp_path, monkeypatch):
+    fiber.lefschetz_table.cache_clear()
+    builds = []
+    init = fiber._LefschetzTable.__init__
+
+    def counting(self, params):
+        builds.append(params.M)
+        init(self, params)
+
+    monkeypatch.setattr(fiber._LefschetzTable, "__init__", counting)
+    out = str(tmp_path / "report.json")
+    for n in ("5", "5", "6"):
+        assert main(["--out", out, "fiber", "lefschetz", "--n", n]) == 0
+    for _ in range(2):
+        rep = fiber.verify_hodge_shape(fiber.ExtAlgParams(3))
+        assert rep["status"] == "verified"
+    assert builds == [3, 4]
+
+
 def test_inconclusive_status_exits_one():
     status = reports.aggregate_status(["verified", "inconclusive"])
     assert status == "inconclusive"
     assert reports.exit_code(status) == 1
+
+
+def test_aggregate_status_folds_unknown_statuses_to_failed():
+    # only verified and excluded are ok: a per-check "pass" is not a verdict
+    assert reports.aggregate_status(["verified", "excluded"]) == "verified"
+    assert reports.aggregate_status(["verified", "pass"]) == "failed"
 
 
 def test_readme_command_lines_parse():

@@ -1,7 +1,9 @@
 """Quantum exterior algebra of the fiber: straightening, kappa powers,
 Lefschetz theory and the Hodge map."""
 
+import random
 from fractions import Fraction
+from itertools import product
 from math import factorial, isqrt
 
 import pytest
@@ -109,6 +111,34 @@ def test_straighten_confluence_samples():
             assert not im
 
 
+def _straighten_after(p, side, word, pos):
+    """Straighten the word after first rewriting its pair at pos."""
+    out = {}
+    for pair, c in fiber._reduce_pair(p, side, word[pos], word[pos + 1]).items():
+        rest = word[:pos] + pair + word[pos + 2:]
+        for w, cc in fiber._straighten(p, rest, side).items():
+            acc = out.get(w)
+            out[w] = c * cc if acc is None else acc + c * cc
+    return {w: c for w, c in out.items() if c}
+
+
+@pytest.mark.parametrize("side", ["-", "+"])
+def test_straightening_is_locally_confluent(side):
+    # every length-3 word with two reducible pairs gives one normal form
+    # whichever pair is rewritten first
+    overlaps = 0
+    for M in range(1, 7):
+        p = ExtAlgParams(M)
+        for word in product(range(1, M + 1), repeat=3):
+            if fiber._reduce_pair(p, side, *word[:2]) is None or \
+                    fiber._reduce_pair(p, side, *word[1:]) is None:
+                continue
+            overlaps += 1
+            assert _straighten_after(p, side, word, 0) == \
+                _straighten_after(p, side, word, 1), (M, word)
+    assert overlaps == 126
+
+
 def test_kappa_power_endpoints():
     p = ExtAlgParams(3)
     assert kappa_power(p, 0).coeffs == {((), ()): ONE}
@@ -213,7 +243,7 @@ def test_modular_point_choice():
 def test_deficient_rank_mod_p_falls_back_to_exact(monkeypatch):
     params = ExtAlgParams(3)
     table = fiber._LefschetzTable(params)
-    want = verify_lefschetz_iso(params, Fraction(1), table)
+    want = verify_lefschetz_iso(params, Fraction(1))
     # at p = 3, s = 1: L^3(1) = kappa^3 has coefficient -3! = 0 mod 3
     deficient = [k for k in range(3)
                  if _rank_mod_p(table, 3, k, 3, 1) < len(fiber._basis(3, k))]
@@ -227,12 +257,12 @@ def test_deficient_rank_mod_p_falls_back_to_exact(monkeypatch):
 
     monkeypatch.setattr(fiber, "_echelon", counting)
     monkeypatch.setattr(fiber, "_modular_point", lambda q0: (3, 1))
-    assert verify_lefschetz_iso(params, Fraction(1), table) == want
+    assert verify_lefschetz_iso(params, Fraction(1)) == want
     assert sizes == [len(fiber._basis(3, k)) for k in deficient]
     # no usable point: every degree takes the exact path
     sizes.clear()
     monkeypatch.setattr(fiber, "_modular_point", lambda q0: None)
-    assert verify_lefschetz_iso(params, Fraction(1), table) == want
+    assert verify_lefschetz_iso(params, Fraction(1)) == want
     assert sizes == [1, 6, 15]
 
 
@@ -329,17 +359,60 @@ def test_numeric_hodge_is_evaluated_symbolic_hodge(q0):
     import random
 
     p = ExtAlgParams(3)
-    table = fiber._LefschetzTable(p)
     ev = make_evaluator(q0)
     rng = random.Random(11)
     for a, b in [(0, 1), (1, 1), (2, 1), (1, 2), (2, 2), (3, 1)]:
         form = random_form(p, a, b, rng)
-        numeric = hodge(p, form, q0, table)
+        numeric = hodge(p, form, q0)
         assert numeric, (a, b)
-        assert numeric == _evaluated(hodge(p, form, table=table), ev), (q0, a, b)
+        assert numeric == _evaluated(hodge(p, form), ev), (q0, a, b)
         assert numeric.bidegrees() == {(3 - b, 3 - a)}
         assert not any(isinstance(x, (float, FieldElem))
                        for pair in numeric.terms.values() for x in pair)
+
+
+def _snapshot(table):
+    return {key: {t: c.to_text() for t, c in img.items()}
+            for key, img in table.map.items()}
+
+
+def test_shared_table_is_left_unchanged(monkeypatch):
+    p = ExtAlgParams(3)
+    table = fiber.lefschetz_table(3)
+    before = _snapshot(table)
+    for q0 in CATALOGUE_Q:
+        assert verify_lefschetz_iso(p, q0)["status"] == "verified"
+    # without a modular point every degree reads the evaluated table
+    monkeypatch.setattr(fiber, "_modular_point", lambda q0: None)
+    for q0 in CATALOGUE_Q[:2]:
+        assert verify_lefschetz_iso(p, q0)["status"] == "verified"
+    form = random_form(p, 2, 1, random.Random(5))
+    for q0 in (None, Fraction(11, 10)):
+        assert hodge(p, form, q0)
+        assert primitive_decompose(p, form, q0)
+    assert fiber.lefschetz_table(3) is table
+    assert _snapshot(table) == before
+
+
+def test_table_keeps_one_evaluated_map(monkeypatch):
+    table = fiber._LefschetzTable(ExtAlgParams(3))
+    calls = []
+    numeric = fiber._LefschetzTable.numeric
+
+    def counting(self, ev):
+        calls.append(ev)
+        return numeric(self, ev)
+
+    monkeypatch.setattr(fiber._LefschetzTable, "numeric", counting)
+    a, b = Fraction(9, 4), Fraction(11, 10)
+    map_a = table.at(a)[1]
+    assert table.at(a)[1] is map_a and len(calls) == 1
+    table.at(b)
+    held = [x for v in vars(table).values()
+            for x in (v if isinstance(v, tuple) else (v,))]
+    assert not any(x is map_a for x in held)
+    assert table.at(None)[1] is table.map and len(calls) == 2
+    assert table.at(a)[1] is not map_a and len(calls) == 3
 
 
 def test_hodge_shape_evaluates_each_table_entry_once(monkeypatch):

@@ -11,7 +11,6 @@ from qso_spectra.field import (
     ONE,
     ZERO,
     FieldElem,
-    eval_at,
     make_extension,
     qint,
     sym_qbinom,
@@ -65,8 +64,8 @@ def test_field_inverse(a):
        st.fractions(min_value=Fraction(1), max_value=Fraction(3),
                     max_denominator=4))
 def test_eval_is_ring_homomorphism(a, b, v0):
-    assert eval_at(a + b, v0) == eval_at(a, v0) + eval_at(b, v0)
-    assert eval_at(a * b, v0) == eval_at(a, v0) * eval_at(b, v0)
+    assert (a + b).eval_v(v0) == a.eval_v(v0) + b.eval_v(v0)
+    assert (a * b).eval_v(v0) == a.eval_v(v0) * b.eval_v(v0)
 
 
 @settings(max_examples=40, deadline=None)
@@ -138,6 +137,13 @@ def test_adjoint_squares_to_modulus():
     # inverse in the quadratic extension
     x = ONE + c
     assert x * x.inverse() == ONE
+
+
+def test_eval_v_rejects_an_adjoint_part():
+    c = FieldElem.adjoint(make_extension("qhalf"))
+    with pytest.raises(ExtensionValueInconsistent):
+        (ONE + c).eval_v(2)
+    assert (c * c).eval_v(2) == Fraction(5, 2)
 
 
 def test_adjoint_mixing_raises():
