@@ -1,15 +1,18 @@
 """Vector representation, module-algebra actions, covariance, spherical
 generators and the orbit scan."""
 
+import copy
+
 import pytest
 
-from qso_spectra import frt
+from qso_spectra import actions, frt
 from qso_spectra.actions import (
     E,
     F,
     K,
     KINV,
     ActionEngine,
+    Algebra,
     algebra,
     classify_z_combination,
     mat_is_zero,
@@ -25,6 +28,7 @@ from qso_spectra.actions import (
     z_coord_poly,
     z_poly,
 )
+from qso_spectra.field import FieldElem
 from qso_spectra.frt import normal_form, saturate_and_check
 from qso_spectra.ncpoly import NCPoly
 
@@ -62,6 +66,72 @@ def test_covariance():
     assert out["failures"] == []
     n = vector_rep(5).cartan.n
     assert out["checks"] == out["relations"] * 2 * 3 * n
+
+
+def _covariance_by_relation(N, alg):
+    """Reference report: act with every letter on both sides of every
+    generated relation and reduce each image."""
+    rels = frt.generate_relations(frt.FRTData(N))
+    n = alg.rep.cartan.n
+    letters = [(X, i) for X in (E, F, K) for i in range(1, n + 1)]
+    failures = []
+    checked = 0
+    for ridx, r in enumerate(rels.elems):
+        for letter in letters:
+            for side in ("left", "right"):
+                acted = alg.eng.act_left(letter, r) if side == "left" \
+                    else alg.eng.act_right(r, letter)
+                checked += 1
+                if not normal_form(acted, alg.rw).is_zero():
+                    failures.append({"relation": ridx, "letter": letter,
+                                     "side": side})
+    return {
+        "N": N,
+        "relations": len(rels.elems),
+        "checks": checked,
+        "failures": failures,
+        "status": "verified" if not failures else "failed",
+        "sign_fixes": list(alg.rep.sign_fixes),
+    }
+
+
+def test_covariance_basis_certificate_matches_relation_loop(monkeypatch):
+    shared = algebra(5)
+    maps_before = copy.deepcopy(shared.eng.maps)
+    assert verify_covariance(5) == _covariance_by_relation(5, shared)
+
+    # a wrong E coefficient breaks covariance: the rule-row check fails
+    # and the exact loop reports the same triples as the reference
+    eng = ActionEngine(shared.rep)
+    eng.maps = copy.deepcopy(shared.eng.maps)
+    cols = eng.maps[E, "left"][1]
+    source, (target, coeff) = next(iter(cols.items()))
+    cols[source] = (target, coeff * FieldElem.v_pow(2))
+    faulty = Algebra(shared.rw, shared.rep, eng, shared.solver)
+    monkeypatch.setattr(actions, "algebra", lambda N: faulty)
+    out = verify_covariance(5)
+    want = _covariance_by_relation(5, faulty)
+    assert out["status"] == "failed"
+    assert out == want
+
+    monkeypatch.undo()
+    assert algebra(5) is shared
+    assert shared.eng.maps == maps_before
+    assert shared.rep.maps is shared.eng.maps
+
+
+def test_covariance_acts_on_the_rule_rows_only(monkeypatch):
+    alg = algebra(5)
+    calls = []
+
+    def counted(p, rw):
+        calls.append(p)
+        return normal_form(p, rw)
+
+    monkeypatch.setattr(actions, "normal_form", counted)
+    assert verify_covariance(5)["status"] == "verified"
+    letters = 3 * alg.rep.cartan.n
+    assert len(calls) == frt.rewriter(5).rank * letters * 2 == 3936
 
 
 def test_covariance_report_does_not_alias_the_shared_rep():

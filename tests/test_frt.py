@@ -89,6 +89,15 @@ def test_normal_form_idempotent_and_linear():
         assert normal_form(r, rw).is_zero()
 
 
+@pytest.mark.parametrize("N", [5, 6, 7])
+def test_every_relation_reduces_to_zero(N):
+    """relations lie in the span of the shared rewriter's rules, the
+    step that lets verify_covariance check the rule rows alone"""
+    rw = rewriter(N)
+    for r in generate_relations(FRTData(N)).elems:
+        assert normal_form(r, rw).is_zero()
+
+
 def test_saturate_rejects_overdegree():
     word = tuple(((1, 1),) * 5)
     target = NCPoly.monomial(5, word, FieldElem.one())
