@@ -35,8 +35,16 @@ modes:
 The Lefschetz map on every basis key is one table per M, built on first
 use and shared for the life of the process (lefschetz_table); the
 Lefschetz ranks, the primitive decomposition and the Hodge map read it.
-The kappa powers, the g-expansion, lefschetz() and the non-primitivity
-check insert only against the keys they touch.
+The build straightens each wedge word once and interns the table's few
+distinct coefficients, so an evaluation at a point, or mod p, costs one
+evaluation per distinct coefficient.  The table keeps the objects of
+its latest point q0 only: the evaluated map and, per degree, the
+primitive vectors and the elimination that solves the Lefschetz
+decomposition.  The F_p image, cheap after interning, is rebuilt per
+rank check and kept nowhere, so a rank check at another point does not
+drop the Hodge check's decompositions.  The kappa powers, the
+g-expansion, lefschetz() and the non-primitivity check insert only
+against the keys they touch.
 
 The imaginary unit is never adjoined to the coefficient field: a
 general form stores a pair (re, im) of real coefficients per basis key
@@ -282,7 +290,8 @@ class KappaExpansion:
 # The insertion kernel
 # ---------------------------------------------------------------------------
 
-def _insert(params: ExtAlgParams, key, mode: str = "between", indices=None):
+def _insert(params: ExtAlgParams, key, mode: str = "between", indices=None,
+            straighten=None):
     """Image of the basis key (I, J) under the pair insertions summed over
     i in indices (default 1..M), as {(I', J'): coeff}.
 
@@ -291,8 +300,12 @@ def _insert(params: ExtAlgParams, key, mode: str = "between", indices=None):
     central element (kappa power); agreement of the two is the
     computational content of centrality and a regression test.  mode
     "mirror": e-_I ^ (e-_i ^ e+_i) ^ e+_J on a minus-first key (I, J).
-    The factor i of each kappa term is left to the caller.
+    The factor i of each kappa term is left to the caller.  straighten
+    (word, side) -> normal form defaults to _straighten; the table build
+    passes a memoised one.
     """
+    if straighten is None:
+        straighten = functools.partial(_straighten, params)
     I, J = key
     left, right = ("-", "+") if mode == "mirror" else ("+", "-")
     out = {}
@@ -301,10 +314,10 @@ def _insert(params: ExtAlgParams, key, mode: str = "between", indices=None):
             lword, rword = (i,) + I, J + (i,)
         else:
             lword, rword = I + (i,), (i,) + J
-        lpart = _straighten(params, lword, left)
+        lpart = straighten(lword, left)
         if not lpart:
             continue
-        rpart = _straighten(params, rword, right)
+        rpart = straighten(rword, right)
         for lk, lc in lpart.items():
             for rk, rc in rpart.items():
                 c = lc * rc
@@ -530,11 +543,14 @@ def _rank(columns, nrows: int) -> int:
     return _echelon(rows)[0]
 
 
-def _echelon(rows):
-    """In-place Gauss-Jordan elimination; returns (rank, pivot cols).
+def _echelon(rows, reduced: bool = False):
+    """In-place elimination to row echelon form, or to the reduced form
+    (Gauss-Jordan) when reduced is set; returns (rank, pivot cols).
 
-    Entries may mix plain ints with one exact scalar type; the pivot
-    row is scaled by Fraction(1) / pivot, so integer rows stay exact."""
+    The forward pass clears each pivot column below the pivot only, which
+    is all a rank needs.  Entries may mix plain ints with one exact
+    scalar type; the pivot row is scaled by Fraction(1) / pivot, so
+    integer rows stay exact."""
     rank = 0
     pivots = []
     ncols = len(rows[0]) if rows else 0
@@ -549,7 +565,7 @@ def _echelon(rows):
         rows[rank], rows[piv] = rows[piv], rows[rank]
         inv = Fraction(1) / rows[rank][c]
         rows[rank] = [x * inv for x in rows[rank]]
-        for r in range(len(rows)):
+        for r in range(0 if reduced else rank + 1, len(rows)):
             if r != rank and rows[r][c]:
                 f = rows[r][c]
                 rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
@@ -564,7 +580,7 @@ def _nullspace(columns, nrows: int):
     rows = [[col[r] for col in columns] for r in range(nrows)]
     if not rows:
         rows = [[0] * ncols] if ncols else []
-    rank, pivots = _echelon(rows)
+    rank, pivots = _echelon(rows, reduced=True)
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for fc in free:
@@ -576,21 +592,6 @@ def _nullspace(columns, nrows: int):
             vec[pc] = -rows[r][fc]
         basis.append(vec)
     return basis
-
-
-def _solve(columns, rhs, nrows: int):
-    """Solve sum_j x_j * columns[j] = rhs, or None if no unique solution."""
-    ncols = len(columns)
-    rows = [[col[r] for col in columns] + [rhs[r]] for r in range(nrows)]
-    rank, pivots = _echelon(rows)
-    if any(p == ncols for p in pivots):
-        return None  # inconsistent
-    if rank != ncols:
-        return None  # underdetermined
-    x = [0] * ncols
-    for r, pc in enumerate(pivots):
-        x[pc] = rows[r][ncols]
-    return x
 
 
 # ---------------------------------------------------------------------------
@@ -612,46 +613,76 @@ class _LefschetzTable:
 
     L(e+_I ^ e-_J) = i * sum over targets; the uniform i per application
     never affects ranks or solvability, so it is bookkept by the caller.
+
+    Few entries are distinct (11 of 57 at M = 3, 46 of 1,728 at M = 5),
+    so the build interns them: coeffs lists each distinct coefficient
+    once and every map entry has a position in it.  An evaluation
+    evaluates coeffs and fills the map by position.
     """
 
     def __init__(self, params: ExtAlgParams):
         M = params.M
-        self.map = {key: _insert(params, key)
-                    for k in range(0, 2 * M + 1) for key in _basis(M, k)}
-        self._last = None  # (q0, ev, evaluated map) of the latest q0
+        self.M = M
+        straighten = functools.cache(
+            lambda word, side: _straighten(params, word, side))
+        position = {}
+        self._positions = {
+            key: {t: position.setdefault(c, len(position))
+                  for t, c in _insert(params, key, straighten=straighten).items()}
+            for k in range(0, 2 * M + 1) for key in _basis(M, k)}
+        self.coeffs = list(position)
+        self.map = self._fill(self.coeffs)
+        # (q0, ev, evaluated map, {degree: _Decomposition}) of the latest q0
+        self._last = None
+
+    def _fill(self, values):
+        """The map with each entry replaced by values[its position]."""
+        return {key: {t: values[i] for t, i in pos.items()}
+                for key, pos in self._positions.items()}
 
     def numeric(self, ev):
-        return {key: {t: ev(c) for t, c in img.items()}
-                for key, img in self.map.items()}
+        return self._fill([ev(c) for c in self.coeffs])
 
     def modular(self, s: int, p: int):
         """The table's image in F_p under v |-> s, or None when some
         entry has no image there."""
-        mod = self.numeric(lambda c: c.eval_mod(s, p))
-        if any(x is None for img in mod.values() for x in img.values()):
+        values = [c.eval_mod(s, p) for c in self.coeffs]
+        if None in values:
             return None
-        return mod
+        return self._fill(values)
 
     def at(self, q0):
         """(ev, map): the evaluator at v = sqrt(q0) and the map evaluated
         by it; the identity and the symbolic map when q0 is None.  Only
-        the latest q0's evaluated map is kept, so repeated calls at one
-        q0 evaluate each entry once and a long-lived table holds at most
-        one evaluated map."""
+        the latest q0's objects are kept, so repeated calls at one q0
+        evaluate each distinct coefficient once and a long-lived table
+        holds at most one evaluated map."""
         if q0 is None:
             return (lambda x: x), self.map
         if self._last is None or self._last[0] != q0:
             ev = make_evaluator(q0)
-            self._last = (q0, ev, self.numeric(ev))
-        return self._last[1:]
+            self._last = (q0, ev, self.numeric(ev), {})
+        return self._last[1:3]
+
+    def decomposition(self, q0, k: int) -> "_Decomposition":
+        """Degree k's Lefschetz decomposition at v = sqrt(q0), built once
+        per degree and kept with the latest q0's map; built afresh on
+        every call when q0 is None (symbolic)."""
+        num = self.at(q0)[1]
+        if q0 is None:
+            return _Decomposition(num, self.M, k)
+        held = self._last[3]
+        if k not in held:
+            held[k] = _Decomposition(num, self.M, k)
+        return held[k]
 
 
 @functools.cache
 def lefschetz_table(M: int) -> _LefschetzTable:
     """The Lefschetz table of the fiber on M generators, built once per
     process.  The returned object is shared by every caller and is
-    read-only: evaluate it through at() and modular(), never modify its
-    map."""
+    read-only: evaluate it through at(), modular() and decomposition(),
+    never modify its map."""
     return _LefschetzTable(ExtAlgParams(M))
 
 
@@ -713,6 +744,62 @@ def verify_lefschetz_iso(params: ExtAlgParams, q0) -> dict:
     }
 
 
+class _Decomposition:
+    """Degree k's Lefschetz decomposition over one evaluated map.
+
+    prims lists (j, w) for each primitive basis vector w of degree k - 2j
+    (a nullspace vector of L^{M-d+1} on degree d = k - 2j, as {key:
+    scalar}); the columns C are the L^j(w) over the degree-k basis.
+    Gauss-Jordan on [C | I] gives E with E C = [I; 0] when C has full
+    column rank; the solve of C x = b is then one product E b.
+    """
+
+    __slots__ = ("index", "prims", "transform")
+
+    def __init__(self, num, M: int, k: int):
+        tgt = _basis(M, k)
+        self.index = {key: r for r, key in enumerate(tgt)}
+        self.prims = []
+        columns = []
+        for j in range(max(0, k - M), k // 2 + 1):
+            d = k - 2 * j
+            if d > M:
+                continue
+            pcols = _power_columns(num, M, d, power=M - d + 1)
+            for coords in _nullspace(pcols, len(pcols[0])):
+                prim = {key: c for c, key in zip(coords, _basis(M, d)) if c}
+                vec = prim
+                for _ in range(j):
+                    vec = _apply_num(num, vec)
+                col = [0] * len(tgt)
+                for t, c in vec.items():
+                    col[self.index[t]] = c
+                columns.append(col)
+                self.prims.append((j, prim))
+        n = len(columns)
+        rows = [[col[r] for col in columns] + [int(r == i) for i in range(len(tgt))]
+                for r in range(len(tgt))]
+        pivots = _echelon(rows, reduced=True)[1]
+        # the rows of E, or None when C has rank below its column count
+        self.transform = [row[n:] for row in rows] \
+            if pivots[:n] == list(range(n)) else None
+
+    def solve(self, rhs):
+        """x with sum_j x_j C_j = rhs (a sparse {row: scalar}), or None
+        when the system has no unique solution."""
+        if self.transform is None:
+            return None
+        n = len(self.prims)
+        x = []
+        for r, row in enumerate(self.transform):
+            val = sum(row[i] * b for i, b in rhs.items() if row[i])
+            if r < n:
+                x.append(val)
+            elif val:
+                return None  # inconsistent
+        return x
+
+
 def primitive_decompose(params: ExtAlgParams, form: FiberForm, q0=None):
     """Lefschetz decomposition form = sum_j L^j(w_j), each w_j primitive.
 
@@ -726,36 +813,16 @@ def primitive_decompose(params: ExtAlgParams, form: FiberForm, q0=None):
     k = form.degree()
     if not form:
         return []
-    ev, num = lefschetz_table(M).at(q0)
-
-    tgt = _basis(M, k)
-    index = {key: r for r, key in enumerate(tgt)}
-    js = [j for j in range(max(0, k - M), k // 2 + 1) if k - 2 * j <= M]
-    columns = []
-    col_info = []  # (j, primitive basis vector as {key: scalar})
-    for j in js:
-        d = k - 2 * j
-        # primitive subspace: kernel of L^{M-d+1} on degree d
-        pcols = _power_columns(num, M, d, power=M - d + 1)
-        for coords in _nullspace(pcols, len(pcols[0])):
-            prim = {key: c for c, key in zip(coords, _basis(M, d)) if c}
-            vec = prim
-            for _ in range(j):
-                vec = _apply_num(num, vec)
-            col = [0] * len(tgt)
-            for t, c in vec.items():
-                col[index[t]] = c
-            columns.append(col)
-            col_info.append((j, prim))
+    table = lefschetz_table(M)
+    ev = table.at(q0)[0]
+    dec = table.decomposition(q0, k)
 
     def solve_component(part):
-        rhs = [0] * len(tgt)
-        for key, pair in form.terms.items():
-            if pair[part]:
-                rhs[index[key]] = ev(pair[part])
-        if not any(rhs):
+        rhs = {dec.index[key]: ev(pair[part])
+               for key, pair in form.terms.items() if pair[part]}
+        if not any(rhs.values()):
             return None
-        sol = _solve(columns, rhs, len(tgt))
+        sol = dec.solve(rhs)
         if sol is None:
             raise DecompositionSingular(
                 f"Lefschetz decomposition singular (M={M}, degree {k}, q0={q0})")
@@ -764,7 +831,7 @@ def primitive_decompose(params: ExtAlgParams, form: FiberForm, q0=None):
     sol_re = solve_component(0)
     sol_im = solve_component(1)
     parts = {}
-    for idx, (j, prim) in enumerate(col_info):
+    for idx, (j, prim) in enumerate(dec.prims):
         xr = sol_re[idx] if sol_re is not None else 0
         xi = sol_im[idx] if sol_im is not None else 0
         if not xr and not xi:

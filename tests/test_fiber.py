@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qso_spectra import fiber
-from qso_spectra.errors import IndexOutOfRange
+from qso_spectra.errors import DecompositionSingular, IndexOutOfRange
 from qso_spectra.fiber import (
     ExtAlgParams,
     FiberForm,
@@ -394,6 +394,28 @@ def test_shared_table_is_left_unchanged(monkeypatch):
     assert _snapshot(table) == before
 
 
+def _reachable(root):
+    """Ids of the containers and fiber objects reachable from root,
+    without entering functions or scalars."""
+    seen = set()
+    stack = [root]
+    while stack:
+        x = stack.pop()
+        if id(x) in seen:
+            continue
+        seen.add(id(x))
+        if isinstance(x, dict):
+            stack.extend(x.keys())
+            stack.extend(x.values())
+        elif isinstance(x, (list, tuple, set)):
+            stack.extend(x)
+        elif type(x).__module__ == fiber.__name__:
+            stack.extend(getattr(x, name) for name in getattr(type(x), "__slots__", ())
+                         if hasattr(x, name))
+            stack.extend(getattr(x, "__dict__", {}).values())
+    return seen
+
+
 def test_table_keeps_one_evaluated_map(monkeypatch):
     table = fiber._LefschetzTable(ExtAlgParams(3))
     calls = []
@@ -407,12 +429,116 @@ def test_table_keeps_one_evaluated_map(monkeypatch):
     a, b = Fraction(9, 4), Fraction(11, 10)
     map_a = table.at(a)[1]
     assert table.at(a)[1] is map_a and len(calls) == 1
+    decs_a = [table.decomposition(a, k) for k in range(7)]
+    assert [table.decomposition(a, k) for k in range(7)] == decs_a
+    assert len(calls) == 1
+    objs_a = [map_a] + decs_a + [x for d in decs_a for x in (d.prims, d.transform)]
+    assert id(map_a) in _reachable(table)
     table.at(b)
-    held = [x for v in vars(table).values()
-            for x in (v if isinstance(v, tuple) else (v,))]
-    assert not any(x is map_a for x in held)
+    held = _reachable(table)
+    assert not any(id(x) in held for x in objs_a)
     assert table.at(None)[1] is table.map and len(calls) == 2
+    assert table.decomposition(None, 2) is not table.decomposition(None, 2)
     assert table.at(a)[1] is not map_a and len(calls) == 3
+    assert table.decomposition(a, 2) is not decs_a[2]
+
+
+@pytest.mark.parametrize("M, distinct, entries", [(3, 11, 57), (4, 16, 288), (5, 46, 1728)])
+def test_evaluation_is_per_distinct_coefficient(M, distinct, entries, monkeypatch):
+    table = fiber.lefschetz_table(M)
+    assert sum(len(img) for img in table.map.values()) == entries
+    seen = []
+    num = table.numeric(lambda c: seen.append(c) or c.to_text())
+    assert len(seen) == distinct
+    assert num == {key: {t: c.to_text() for t, c in img.items()}
+                   for key, img in table.map.items()}
+    calls = []
+    eval_mod = FieldElem.eval_mod
+
+    def counting(self, s, p):
+        calls.append(self)
+        return eval_mod(self, s, p)
+
+    monkeypatch.setattr(FieldElem, "eval_mod", counting)
+    p, s = fiber._modular_point(Fraction(11, 10))
+    assert table.modular(s, p) is not None and len(calls) == distinct
+
+
+def test_echelon_and_nullspace_on_low_rank_integer_matrices():
+    rng = random.Random(3)
+    for _ in range(40):
+        base = [[rng.randint(-3, 3) for _ in range(6)] for _ in range(3)]
+        rows = [[sum(rng.randint(-2, 2) * b[c] for b in base) for c in range(6)]
+                for _ in range(5)]
+        forward = [r[:] for r in rows]
+        full = [r[:] for r in rows]
+        rank, pivots = fiber._echelon(forward)
+        assert (rank, pivots) == fiber._echelon(full, reduced=True)
+        for r, c in enumerate(pivots):
+            assert all(not forward[s][c] for s in range(r + 1, len(rows)))
+            assert all(not full[s][c] for s in range(len(rows)) if s != r)
+        columns = [[row[c] for row in rows] for c in range(6)]
+        null = fiber._nullspace(columns, len(rows))
+        assert len(null) == 6 - rank
+        for vec in null:
+            assert all(sum(x * row[c] for c, x in enumerate(vec)) == 0 for row in rows)
+
+
+@pytest.mark.parametrize("M", [3, 4])
+def test_decomposition_is_the_same_cold_and_warm(M, monkeypatch):
+    p = ExtAlgParams(M)
+    q0 = Fraction(121, 100)
+    table = fiber._LefschetzTable(p)
+    monkeypatch.setattr(fiber, "lefschetz_table", lambda m: table)
+    calls = []
+    echelon = fiber._echelon
+
+    def counting(rows, *args, **kwargs):
+        calls.append(len(rows))
+        return echelon(rows, *args, **kwargs)
+
+    monkeypatch.setattr(fiber, "_echelon", counting)
+    form = random_form(p, 2, 1, random.Random(9)).plus(
+        random_form(p, 1, 2, random.Random(10)))
+    cold = primitive_decompose(p, form, q0)
+    assert cold and calls
+    calls.clear()
+    warm = primitive_decompose(p, form, q0)
+    assert warm == cold and not calls
+    table.at(Fraction(9, 4))
+    assert primitive_decompose(p, form, q0) == cold and calls
+    if M == 3:
+        # the symbolic decomposition, evaluated, agrees with the numeric one
+        ev = make_evaluator(q0)
+        assert [(j, _evaluated(w, ev)) for j, w in primitive_decompose(p, form)] == cold
+
+
+@pytest.mark.parametrize("fault", ["drop", "repeat"])
+def test_singular_decomposition_raises(fault, monkeypatch):
+    # a lost primitive vector leaves kappa outside the column span
+    # (inconsistent); a repeated one leaves the columns dependent
+    p = ExtAlgParams(3)
+    table = fiber._LefschetzTable(p)
+    monkeypatch.setattr(fiber, "lefschetz_table", lambda m: table)
+    nullspace = fiber._nullspace
+
+    def faulty(columns, nrows):
+        basis = nullspace(columns, nrows)
+        if len(columns) == 1:  # degree 0: the constant 1
+            return [] if fault == "drop" else basis * 2
+        return basis
+
+    monkeypatch.setattr(fiber, "_nullspace", faulty)
+    with pytest.raises(DecompositionSingular):
+        primitive_decompose(p, kappa(p), Fraction(121, 100))
+    with pytest.raises(DecompositionSingular):
+        primitive_decompose(p, kappa(p))
+
+
+def test_hodge_shape_at_m4():
+    out = verify_hodge_shape(ExtAlgParams(4), Fraction(121, 100))
+    assert out["status"] == "verified"
+    assert out["checks"] == 101
 
 
 def test_hodge_shape_evaluates_each_table_entry_once(monkeypatch):
@@ -433,9 +559,11 @@ def test_hodge_shape_evaluates_each_table_entry_once(monkeypatch):
     for x in seen:
         per_element[id(x)] = per_element.get(id(x), 0) + 1
     assert max(per_element.values()) == 1
-    # the table once, plus the real and imaginary parts of each random form
-    entries = sum(len(img) for img in fiber._LefschetzTable(params).map.values())
-    assert len(seen) <= entries + 2 * 3 * (out["checks"] - 1)
+    # the table's distinct coefficients once, plus the real and imaginary
+    # parts of each random form
+    distinct = len(fiber._LefschetzTable(params).coeffs)
+    assert distinct == 11
+    assert len(seen) <= distinct + 2 * 3 * (out["checks"] - 1)
 
 
 def test_form_algebra_helpers():
