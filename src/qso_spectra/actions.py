@@ -22,7 +22,7 @@ from functools import cache
 
 from .cartan import CartanData
 from .errors import IndexOutOfRange, NotInZSpan, RepresentationInconsistent
-from .field import ONE, ZERO, FieldElem, make_extension
+from .field import ONE, ZERO, FieldElem, sym_qbinom
 from .frt import (FRTData, Rewriter, generate_relations, normal_form,
                   reduce_lead, rewriter)
 from .ncpoly import NCPoly, accumulate
@@ -109,9 +109,9 @@ class RepMatrices:
 
 def _ef_tables(N, c, up, down, sign):
     """E/F column maps of the left action: col -> (target, coeff), with
-    up = -(q2 c) and down = -(c / q2) at the short root of odd N.  The
-    right action's row maps are these tables with up and down exchanged
-    (q2 -> 1/q2) and E and F swapped; covariance of the quadratic
+    up = -v c and down = -c / v at the short root of odd N.  The right
+    action's row maps are these tables with up and down exchanged
+    (v -> 1/v) and E and F swapped; covariance of the quadratic
     relation span fixes that mirror placement, which the E-F commutator
     alone cannot tell apart."""
     n = N // 2
@@ -172,22 +172,21 @@ def _ef_diag_ok(Em, Fm, Km, Kim, vexp_i):
     return mat_is_zero(mat_sub(lhs, rhs))
 
 
-def vector_rep(N: int, q2_convention: str = "qhalf") -> RepMatrices:
-    """Assemble the vector representation from the tabulated actions.
-
-    For even N the tabulated sign of the second F_j column (left) and
-    the second E_i row (right) fails the E-F commutator; both are
-    arbitrated automatically against that commutator and the applied
-    flips are recorded in sign_fixes.  Raises RepresentationInconsistent
-    when no sign satisfies it.
-    """
+@cache
+def vector_rep(N: int) -> RepMatrices:
+    """Assemble the vector representation from the tabulated actions,
+    once per process; the result is shared and read-only, like
+    frt.rewriter(N).  For odd N the short-root entries carry the adjoint
+    c, c^2 = v + 1/v.  For even N the tabulated sign of the second F_j
+    column (left) and the second E_i row (right) fails the E-F
+    commutator; both are arbitrated automatically against that
+    commutator and the applied flips are recorded in sign_fixes.  Raises
+    RepresentationInconsistent when no sign satisfies it."""
     cartan = CartanData(N)
     n = cartan.n
-    c = FieldElem.adjoint(make_extension(q2_convention))
-    from .field import _Q2_VEXP
-
-    q2 = FieldElem.v_pow(_Q2_VEXP[q2_convention])
-    up, down = (-(q2 * c), -(c / q2)) if N % 2 else (None, None)
+    c = FieldElem.adjoint()
+    v = FieldElem.v_pow(1)
+    up, down = (-(v * c), -(c / v)) if N % 2 else (None, None)
     rep = RepMatrices()
     rep.N = N
     rep.cartan = cartan
@@ -225,8 +224,7 @@ def vector_rep(N: int, q2_convention: str = "qhalf") -> RepMatrices:
                 rep.maps[E, side], rep.maps[F, side] = Es, Fs
                 return Em, Fm
         raise RepresentationInconsistent(
-            f"N = {N}, q2 convention {q2_convention!r}: no sign choice "
-            f"satisfies the E-F commutator ({side})")
+            f"N = {N}: no sign choice satisfies the E-F commutator ({side})")
 
     rep.El, rep.Fl = arbitrate(
         "left", lambda sign: _ef_tables(N, c, up, down, sign), False,
@@ -240,15 +238,13 @@ def vector_rep(N: int, q2_convention: str = "qhalf") -> RepMatrices:
     return rep
 
 
-def verify_qea_relations(N: int, q2_convention: str = "qhalf") -> list:
+def verify_qea_relations(N: int) -> list:
     """Exact matrix checks of the defining relations (K commutation,
     K-E-K and K-F-K conjugation, E-F commutator, quantum Serre) on the
     left matrices and on the right (row-layout) matrices."""
-    rep = vector_rep(N, q2_convention)
+    rep = vector_rep(N)
     cartan = rep.cartan
     n = cartan.n
-    from .field import sym_qbinom
-
     report = []
 
     def record(name, ok, side):
@@ -616,8 +612,8 @@ class Algebra:
 @cache
 def algebra(N: int) -> Algebra:
     """The algebra context of N, built once per process on the shared
-    frt.rewriter(N).  The returned objects are shared by every caller
-    and are read-only: copy anything a report hands out."""
+    frt.rewriter(N) and vector_rep(N).  The returned objects are shared
+    by every caller and are read-only: copy anything a report hands out."""
     rw = rewriter(N)
     rep = vector_rep(N)
     return Algebra(rw, rep, ActionEngine(rep), ZSolver(N, rw))
@@ -642,10 +638,9 @@ def orbit_sequence(N: int) -> list:
 
 def _monomial_of(c: FieldElem):
     """(rational, v-exponent) if c is a pure v-monomial, else None."""
-    base, extp = c._parts()
-    if extp[0]:
+    if c.extp is not None:
         return None
-    num, den = base
+    num, den = c.base
     if len(num) != 1 or den != {0: Fraction(1)}:
         return None
     (e, r), = num.items()

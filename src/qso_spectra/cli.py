@@ -14,6 +14,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import cache
 
 from . import actions, fiber, frt, reports, spectrum
 from .cartan import CartanData
@@ -44,6 +45,7 @@ def _nonnegative_int(text: str) -> int:
     return value
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qso-spectra",
@@ -55,8 +57,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--jobs", type=int, default=1,
                         help="accepted for compatibility; has no effect")
     parser.add_argument("--config", help="JSON config file; flags take precedence")
-    parser.add_argument("--q2", choices=("q", "q2", "qhalf"), default="qhalf",
-                        help="adjoint normalization convention")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -108,10 +108,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_CONFIG_CHOICES = {"q2_convention": ("q", "q2", "qhalf"),
-                   "format": ("json", "csv")}
-
-
 def _load_config(args) -> None:
     if not args.config:
         return
@@ -124,14 +120,11 @@ def _load_config(args) -> None:
         if key == "out":
             if not isinstance(value, str):
                 raise QsoError(f"{where}: out must be a path string, got {value!r}")
-        elif key not in _CONFIG_CHOICES:
-            raise QsoError(f"{where}: unknown key {key!r}; expected "
-                           f"q2_convention, format or out")
-        elif value not in _CONFIG_CHOICES[key]:
-            raise QsoError(f"{where}: {key} must be one of "
-                           f"{', '.join(_CONFIG_CHOICES[key])}, got {value!r}")
-    if "q2_convention" in cfg and args.q2 == "qhalf":
-        args.q2 = cfg["q2_convention"]
+        elif key != "format":
+            raise QsoError(f"{where}: unknown key {key!r}; expected format or out")
+        elif value not in ("json", "csv"):
+            raise QsoError(f"{where}: format must be one of json, csv, "
+                           f"got {value!r}")
     if "format" in cfg and args.format == "json":
         args.format = cfg["format"]
     if "out" in cfg and not args.out:
@@ -174,9 +167,10 @@ def _cmd_verify(args):
         return {"command": "verify rels", "N": n, "results": results,
                 "status": status}, status
     if args.suite == "rep":
-        results = actions.verify_qea_relations(n, args.q2)
+        results = actions.verify_qea_relations(n)
         status = reports.aggregate_status(r["status"] for r in results)
-        return {"command": "verify rep", "N": n, "q2_convention": args.q2,
+        # one adjoint normalization (c^2 = v + 1/v); the key keeps the layout
+        return {"command": "verify rep", "N": n, "q2_convention": "qhalf",
                 "results": results, "status": status}, status
     if args.suite == "covariance":
         rep = actions.verify_covariance(n)
@@ -258,7 +252,7 @@ def _cmd_all(args):
 
     plan = [
         ("rep", lambda: _stage_list("verify rep",
-                                    actions.verify_qea_relations(n, args.q2))),
+                                    actions.verify_qea_relations(n))),
         ("rels", lambda: _stage_list("verify rels", frt.verify_lemma_rels(n))),
         ("covariance", lambda: _stage_dict(actions.verify_covariance(n))),
         ("spherical", lambda: _stage_dict(actions.verify_spherical(n))),

@@ -9,8 +9,8 @@ class DenominatorVanishes(QsoError):
     """Evaluation point is a pole of the rational function."""
 
 
-class ExtensionValueInconsistent(QsoError):
-    """Supplied adjoint value does not square to the extension modulus."""
+class AdjointNotRational(QsoError):
+    """An element carrying the adjoint c has no rational value."""
 
 
 class AlphabetMismatch(QsoError):

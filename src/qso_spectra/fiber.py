@@ -480,6 +480,16 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+@functools.cache
+def _walk_prime(i: int) -> int:
+    """The i-th prime p = 3 mod 4 walking down from 2^61 - 1.  The walk
+    does not depend on q0, so each prime is found once per process."""
+    p = _walk_prime(i - 1) - 4 if i else 2 ** 61 - 1
+    while not _is_prime(p):
+        p -= 4
+    return p
+
+
 def _modular_point(q0):
     """(p, s) with p prime, p = 3 mod 4, q0 a unit mod p and s^2 = q0.
 
@@ -492,19 +502,15 @@ def _modular_point(q0):
     if q0 <= 0:
         return None
     root = _sqrt_fraction(q0)
-    p = 2 ** 61 - 1
-    tried = 0
-    while tried < _PRIME_WALK:
-        if _is_prime(p):
-            tried += 1
-            n, d = q0.numerator % p, q0.denominator % p
-            if n and d:
-                if root is not None:
-                    return p, root.numerator * pow(root.denominator, -1, p) % p
-                a = n * pow(d, -1, p) % p
-                if pow(a, (p - 1) // 2, p) == 1:
-                    return p, pow(a, (p + 1) // 4, p)
-        p -= 4
+    for i in range(_PRIME_WALK):
+        p = _walk_prime(i)
+        n, d = q0.numerator % p, q0.denominator % p
+        if n and d:
+            if root is not None:
+                return p, root.numerator * pow(root.denominator, -1, p) % p
+            a = n * pow(d, -1, p) % p
+            if pow(a, (p - 1) // 2, p) == 1:
+                return p, pow(a, (p + 1) // 4, p)
     return None
 
 

@@ -1,5 +1,5 @@
 """Exact coefficient field: rational functions in v = q^(1/2) over Q,
-optionally extended by a square-root adjoint c with c^2 = q2 + q2^(-1).
+extended by the square-root adjoint c with c^2 = v + v^(-1).
 
 Representation: a pair of Laurent dicts (numerator, denominator) in
 canonical form, plus an optional second pair multiplying the adjoint.
@@ -23,8 +23,8 @@ from .laurent import (
     plist_divmod,
     plist_gcd,
 )
-from .errors import DenominatorVanishes, ExtensionValueInconsistent
-from .quadext import QuadExt
+from .errors import AdjointNotRational, DenominatorVanishes
+from .quadext import QuadExt, sign_with_adjoint
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
@@ -134,60 +134,19 @@ _RF_ZERO = ({}, _one_poly())
 _RF_ONE = ({0: _F1}, _one_poly())
 
 
-class Extension:
-    """A formal square-root adjoint c with c^2 = q2 + q2^(-1)."""
-
-    __slots__ = ("sq", "label")
-
-    def __init__(self, sq, label):
-        self.sq = sq  # canonical rational-function pair
-        self.label = label
-
-    def __eq__(self, other):
-        return isinstance(other, Extension) and self.sq == other.sq
-
-    def __hash__(self):
-        return hash(self.label)
-
-    def __repr__(self):
-        return f"Extension(c^2 per {self.label})"
-
-
-_Q2_VEXP = {"q": 2, "q2": 4, "qhalf": 1}
-
-
-def make_extension(q2_convention: str) -> Extension:
-    """Extension for [2]^{1/2}_{q2}; q2 in {q, q2, qhalf}."""
-    e = _Q2_VEXP[q2_convention]
-    sq = ({e: _F1, -e: _F1}, _one_poly())
-    return Extension(sq, f"q2={q2_convention}")
-
-
-def _join_ext(x, y):
-    if x is None:
-        return y
-    if y is None:
-        return x
-    if x != y:
-        raise ExtensionValueInconsistent("mixing distinct adjoints")
-    return x
+# c^2 = v + v^(-1), the one normalization under which the short-root E/F
+# entries of the odd-N vector representation satisfy the E-F commutator
+_C_SQ = ({1: _F1, -1: _F1}, _one_poly())
 
 
 class FieldElem:
-    """Element a + b*c of Q(v) or its quadratic extension."""
+    """Element a + b*c of Q(v) extended by the adjoint c."""
 
-    __slots__ = ("base", "extp", "ext")
+    __slots__ = ("base", "extp")
 
-    def __init__(self, base, extp=None, ext=None):
+    def __init__(self, base, extp=None):
         self.base = base
-        if extp is None or _rf_is_zero(extp):
-            self.extp = None
-            self.ext = None
-        else:
-            if ext is None:
-                raise ExtensionValueInconsistent("adjoint part without extension")
-            self.extp = extp
-            self.ext = ext
+        self.extp = None if extp is None or _rf_is_zero(extp) else extp
 
     # -- constructors ------------------------------------------------
     @classmethod
@@ -217,9 +176,9 @@ class FieldElem:
         return cls.monomial(1, k)
 
     @classmethod
-    def adjoint(cls, ext: Extension) -> "FieldElem":
+    def adjoint(cls) -> "FieldElem":
         """The adjoint c itself."""
-        return cls(_RF_ZERO, _RF_ONE, ext)
+        return cls(_RF_ZERO, _RF_ONE)
 
     # -- structure ---------------------------------------------------
     def _parts(self):
@@ -241,11 +200,11 @@ class FieldElem:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
+        if self.extp is None and o.extp is None:
+            return FieldElem(_rf_add(self.base, o.base))
         a1, b1 = self._parts()
         a2, b2 = o._parts()
-        return FieldElem(
-            _rf_add(a1, a2), _rf_add(b1, b2), _join_ext(self.ext, o.ext)
-        )
+        return FieldElem(_rf_add(a1, a2), _rf_add(b1, b2))
 
     __radd__ = __add__
 
@@ -253,18 +212,17 @@ class FieldElem:
         return FieldElem(
             _rf_neg(self.base),
             _rf_neg(self.extp) if self.extp is not None else None,
-            self.ext,
         )
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
+        if self.extp is None and o.extp is None:
+            return FieldElem(_rf_sub(self.base, o.base))
         a1, b1 = self._parts()
         a2, b2 = o._parts()
-        return FieldElem(
-            _rf_sub(a1, a2), _rf_sub(b1, b2), _join_ext(self.ext, o.ext)
-        )
+        return FieldElem(_rf_sub(a1, a2), _rf_sub(b1, b2))
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -276,14 +234,13 @@ class FieldElem:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        ext = _join_ext(self.ext, o.ext)
         if self.extp is None and o.extp is None:
             return FieldElem(_rf_mul(self.base, o.base))
         a1, b1 = self._parts()
         a2, b2 = o._parts()
-        base = _rf_add(_rf_mul(a1, a2), _rf_mul(_rf_mul(b1, b2), ext.sq))
+        base = _rf_add(_rf_mul(a1, a2), _rf_mul(_rf_mul(b1, b2), _C_SQ))
         extp = _rf_add(_rf_mul(a1, b2), _rf_mul(b1, a2))
-        return FieldElem(base, extp, ext)
+        return FieldElem(base, extp)
 
     __rmul__ = __mul__
 
@@ -291,11 +248,9 @@ class FieldElem:
         if self.extp is None:
             return FieldElem(_rf_inv(self.base))
         a, b = self._parts()
-        norm = _rf_sub(_rf_mul(a, a), _rf_mul(_rf_mul(b, b), self.ext.sq))
+        norm = _rf_sub(_rf_mul(a, a), _rf_mul(_rf_mul(b, b), _C_SQ))
         inv_norm = _rf_inv(norm)
-        return FieldElem(
-            _rf_mul(a, inv_norm), _rf_neg(_rf_mul(b, inv_norm)), self.ext
-        )
+        return FieldElem(_rf_mul(a, inv_norm), _rf_neg(_rf_mul(b, inv_norm)))
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -327,11 +282,9 @@ class FieldElem:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        if _rf_is_zero(_rf_sub(self.base, o.base)):
-            a, b = (self.extp if self.extp is not None else _RF_ZERO), \
-                (o.extp if o.extp is not None else _RF_ZERO)
-            return _rf_is_zero(_rf_sub(a, b))
-        return False
+        a1, b1 = self._parts()
+        a2, b2 = o._parts()
+        return _rf_is_zero(_rf_sub(a1, a2)) and _rf_is_zero(_rf_sub(b1, b2))
 
     def __hash__(self):
         b = tuple(sorted(self.base[0].items())), tuple(sorted(self.base[1].items()))
@@ -350,7 +303,7 @@ class FieldElem:
         if not den:
             raise DenominatorVanishes(f"denominator vanishes at v = {v0}")
         if self.extp is not None:
-            raise ExtensionValueInconsistent(
+            raise AdjointNotRational(
                 "element involves the adjoint c, which has no rational value")
         return lp_eval(self.base[0], v0) / den
 
@@ -407,13 +360,11 @@ class FieldElem:
 
     def sign_at_sqrtq(self, q0) -> int:
         """Exact sign at v = sqrt(q0) > 0 (adjoint c taken positive)."""
-        from .quadext import sign_with_adjoint
-
         q0 = Fraction(q0)
         a, b = self.eval_sqrtq(q0)
         if not b:
             return a.sign()
-        c_sq = self._rf_eval_sqrtq(self.ext.sq, q0)
+        c_sq = self._rf_eval_sqrtq(_C_SQ, q0)
         return sign_with_adjoint(a, b, c_sq)
 
     # -- formatting --------------------------------------------------

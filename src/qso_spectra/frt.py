@@ -339,7 +339,7 @@ def complete_rewriter(rw: Rewriter, max_degree: int, max_rules: int = 20000):
 
 @dataclass
 class MembershipReport:
-    status: str  # verified | inconclusive
+    status: str  # verified | failed (degree <= 2) | inconclusive
     certificate_size: int = 0
     detail: str = ""
 
@@ -354,12 +354,14 @@ def saturate_and_check(
     that the degree bound leaves it open.
 
     A zero normal form against the degree-2 rules is verified with the
-    rule count as certificate.  Otherwise the normal form is reduced
-    against the exact critical-pair completion bounded at max_degree
-    (the same reducing power as row-reducing the span of all
-    degree-bounded products word * relation * word); zero there is
-    verified with the completed rule count.  Anything else is
-    inconclusive."""
+    rule count as certificate.  In degrees <= 2 the ideal is exactly the
+    relation span and the rules are its RREF, so a nonzero normal form
+    of a target of degree <= 2 proves non-membership: failed.  Otherwise
+    the normal form is reduced against the exact critical-pair
+    completion bounded at max_degree (the same reducing power as
+    row-reducing the span of all degree-bounded products
+    word * relation * word); zero there is verified with the completed
+    rule count.  Anything else is inconclusive."""
     if target.degree() > max_degree:
         raise DegreeOverflow(
             f"target degree {target.degree()} exceeds bound {max_degree}"
@@ -367,6 +369,8 @@ def saturate_and_check(
     nf = normal_form(target, rw)
     if nf.is_zero():
         return MembershipReport("verified", rw.rank, "normal form")
+    if target.degree() <= 2:
+        return MembershipReport("failed", rw.rank, "nonzero normal form")
     crw, _ = complete_rewriter(rw, max_degree)
     if normal_form(nf, crw).is_zero():
         return MembershipReport("verified", crw.rank, "completed normal form")

@@ -10,6 +10,7 @@ import pytest
 
 from qso_spectra import actions, fiber, frt, reports
 from qso_spectra.cli import _build_parser, main
+from qso_spectra.errors import RepresentationInconsistent
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -69,6 +70,9 @@ def test_usage_error_exit_two(capsys):
     assert code == 2
     code, _, _ = run(capsys, "spectrum", "table", "--n", "7", "--q", "1/0")
     assert code == 2
+    # the adjoint normalization is fixed: there is no --q2 flag
+    code, out, err = run(capsys, "--q2", "q", "verify", "rep", "--n", "6")
+    assert code == 2 and not out and "qso-spectra: error: " in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -197,6 +201,7 @@ def test_one_rewriter_build_per_n(tmp_path):
     assert frt.rewriter.cache_info().misses == 2
     assert actions.algebra.cache_info().misses == 2
     assert actions.algebra(5).rw is frt.rewriter(5)
+    assert actions.algebra(5).rep is actions.vector_rep(5)
 
 
 def test_one_lefschetz_table_per_m(tmp_path, monkeypatch):
@@ -230,19 +235,31 @@ def test_aggregate_status_folds_unknown_statuses_to_failed():
     assert reports.aggregate_status(["verified", "pass"]) == "failed"
 
 
-def test_readme_command_lines_parse():
+def _readme_commands():
+    """argv of every qso-spectra line in the README's CLI block."""
     text = README.read_text(encoding="utf-8")
     block = text.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
-    lines = [ln for ln in block.splitlines() if ln.startswith("qso-spectra ")]
-    assert len(lines) >= 10
+    return [shlex.split(ln, comments=True)[1:] for ln in block.splitlines()
+            if ln.startswith("qso-spectra ")]
+
+
+def test_readme_command_lines_parse():
+    commands = _readme_commands()
+    assert len(commands) >= 10
     parser = _build_parser()
-    for line in lines:
-        argv = shlex.split(line, comments=True)[1:]
+    for argv in commands:
         parser.parse_args(argv)  # argparse exits 2 on a bad command line
 
 
+def test_readme_commands_run(tmp_path):
+    out = str(tmp_path / "report.out")
+    for argv in _readme_commands():
+        assert main(["--out", out] + argv) == 0, argv
+
+
 @pytest.mark.parametrize("content, reason", [
-    ('{"q2_convention": "bogus"}', "q2_convention must be one of q, q2, qhalf"),
+    pytest.param('{"q2_convention": "qhalf"}', "unknown key 'q2_convention'",
+                 id="q2_convention-unknown-key"),
     ("[1, 2]", "expected a JSON object"),
     ('{"format": "xml"}', "format must be one of json, csv"),
     ('{"n": 5}', "unknown key 'n'"),
@@ -257,12 +274,19 @@ def test_malformed_config_file_exits_two(tmp_path, capsys, content, reason):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("n", ["5", "7"])
-@pytest.mark.parametrize("q2", ["q", "q2"])
-def test_rep_without_consistent_sign_exits_two(capsys, q2, n):
-    # odd N has no sign choice satisfying the E-F commutator under the
-    # q and q2 adjoint conventions
-    code, out, err = run(capsys, "--q2", q2, "verify", "rep", "--n", n)
+def test_rep_sign_fault_raises_and_exits_two(monkeypatch, capsys):
+    # flip the conjugate sign the tables are built with: at odd N no
+    # other sign is tried, so the E-F commutator fails
+    ef_tables = actions._ef_tables
+    monkeypatch.setattr(actions, "_ef_tables", lambda N, c, up, down, sign:
+                        ef_tables(N, c, up, down, -sign))
+    actions.vector_rep.cache_clear()
+    try:
+        with pytest.raises(RepresentationInconsistent):
+            actions.vector_rep(5)
+        code, out, err = run(capsys, "verify", "rep", "--n", "5")
+    finally:
+        actions.vector_rep.cache_clear()
     assert code == 2 and not out
     assert err.startswith("error: ") and "E-F commutator" in err
     assert "Traceback" not in err
