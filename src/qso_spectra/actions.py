@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
-from .cartan import CartanData
+from .cartan import cartan_data
 from .errors import IndexOutOfRange, NotInZSpan, RepresentationInconsistent
 from .field import ONE, ZERO, FieldElem, sym_qbinom
 from .frt import (FRTData, Rewriter, generate_relations, normal_form,
@@ -182,7 +182,7 @@ def vector_rep(N: int) -> RepMatrices:
     commutator; both are arbitrated automatically against that
     commutator and the applied flips are recorded in sign_fixes.  Raises
     RepresentationInconsistent when no sign satisfies it."""
-    cartan = CartanData(N)
+    cartan = cartan_data(N)
     n = cartan.n
     c = FieldElem.adjoint()
     v = FieldElem.v_pow(1)

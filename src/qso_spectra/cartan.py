@@ -13,12 +13,19 @@ v-monomials q^(x, y) = v^(2(x, y)).
 Roots have integer coordinates and 2*lam is integral for every weight
 lam, so the Weyl dimension formula runs over integers on 2*lam and
 2*rho (Humphreys, Introduction to Lie Algebras and Representation
-Theory, 24.3).
+Theory, 24.3).  Every root is eps_i, eps_i - eps_j or eps_i + eps_j, so
+it has at most two nonzero coordinates; weyl_dim pairs against each
+root through its (index, coefficient) support only, so a pairing costs
+at most two products instead of n.
+
+CartanData is fixed by N: cartan_data(N) builds it once per process
+and returns the shared, read-only object.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import prod
 
 from .errors import NonDominantWeight
@@ -30,8 +37,8 @@ class CartanData:
 
     __slots__ = (
         "N", "series", "n", "simple_roots", "fundamental_weights",
-        "cartan_matrix", "d", "positive_roots", "simple_int", "positive_int",
-        "rho2", "weyl_den",
+        "cartan_matrix", "d", "positive_roots", "simple_support",
+        "positive_support", "rho2", "weyl_den",
     )
 
     def __init__(self, N: int):
@@ -92,11 +99,13 @@ class CartanData:
                 pos.append(eps(i))
         self.positive_roots = pos
 
-        # integer copies for weyl_dim, which works with 2*lam and 2*rho
-        self.simple_int = [tuple(int(c) for c in a) for a in roots]
-        self.positive_int = [tuple(int(c) for c in a) for a in pos]
+        # integer (index, coefficient) supports for weyl_dim, which works
+        # with 2*lam and 2*rho
+        self.simple_support = [_support(a) for a in roots]
+        self.positive_support = [_support(a) for a in pos]
         self.rho2 = tuple(int(2 * sum(c)) for c in zip(*fw))
-        self.weyl_den = prod(self.pair(self.rho2, a) for a in self.positive_int)
+        self.weyl_den = prod(_pair_support(a, self.rho2)
+                             for a in self.positive_support)
 
     # -- bilinear form -------------------------------------------------
     def pair(self, x, y) -> Fraction:
@@ -134,11 +143,32 @@ class CartanData:
             if num % den:
                 raise ValueError(f"{lam} is not a weight: 2*lam is not integral")
             lam2.append(num // den)
-        if any(self.pair(a, lam2) < 0 for a in self.simple_int):
+        if any(_pair_support(a, lam2) < 0 for a in self.simple_support):
             raise NonDominantWeight(f"{lam} is not dominant")
         shifted = [a + b for a, b in zip(lam2, self.rho2)]
-        num = prod(self.pair(shifted, a) for a in self.positive_int)
+        num = prod(_pair_support(a, shifted) for a in self.positive_support)
         dim, rem = divmod(num, self.weyl_den)
         if rem:
             raise ValueError("Weyl dimension is not an integer")
         return dim
+
+
+def _support(root) -> tuple:
+    """The (index, coefficient) pairs of a root's nonzero coordinates,
+    as integers."""
+    return tuple((i, int(c)) for i, c in enumerate(root) if c)
+
+
+def _pair_support(support, x) -> int:
+    """(root, x) for a root given by its support and an integer vector x."""
+    total = 0
+    for i, c in support:
+        total += c * x[i]
+    return total
+
+
+@cache
+def cartan_data(N: int) -> CartanData:
+    """The CartanData of so_N, built once per process.  The returned
+    object is shared by every caller and is read-only."""
+    return CartanData(N)

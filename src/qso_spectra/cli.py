@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import cache
 
 from . import actions, fiber, frt, reports, spectrum
-from .cartan import CartanData
+from .cartan import cartan_data
 from .errors import BoundNotCleared, QsoError
 
 
@@ -43,6 +43,26 @@ def _nonnegative_int(text: str) -> int:
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be a nonnegative integer: {text!r}")
     return value
+
+
+# the global flags, all of which take a value; they come before the subcommand
+_GLOBAL_FLAGS = ("--out", "--format", "--jobs", "--config")
+
+
+def _unknown_global_flag(argv):
+    """The first flag before the subcommand that is no global flag (nor
+    an abbreviation of exactly one), or None.  argparse would set such a
+    flag aside and read its value as the subcommand, so its error would
+    name the value instead of the flag."""
+    i = 0
+    while i < len(argv) and argv[i].startswith("-") and argv[i] != "--":
+        name, eq, _ = argv[i].partition("=")
+        if name in ("-h", "--help"):
+            return None
+        if sum(flag.startswith(name) for flag in _GLOBAL_FLAGS) != 1:
+            return name
+        i += 1 if eq else 2
+    return None
 
 
 @cache
@@ -217,7 +237,7 @@ def _cmd_fiber(args):
 
 
 def _cmd_spectrum(args):
-    cartan = CartanData(args.n)
+    cartan = cartan_data(args.n)
     p = _spectral_params(args.params, args.q)
     validation = spectrum.validate_params(p)
     if args.suite == "table":
@@ -293,7 +313,7 @@ def _stage_fiber(n):
 
 
 def _stage_spectrum(n, q):
-    cartan = CartanData(n)
+    cartan = cartan_data(n)
     p = spectrum.SpectralParams(q=q)
     validation = spectrum.validate_params(p)
     if validation["status"] != "verified":
@@ -330,7 +350,11 @@ def _render(args, report) -> str:
 
 def main(argv=None) -> int:
     parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
+        unknown = _unknown_global_flag(argv)
+        if unknown:
+            parser.error(f"unrecognized arguments: {unknown}")
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code else 0

@@ -42,9 +42,10 @@ its latest point q0 only: the evaluated map and, per degree, the
 primitive vectors and the elimination that solves the Lefschetz
 decomposition.  The F_p image, cheap after interning, is rebuilt per
 rank check and kept nowhere, so a rank check at another point does not
-drop the Hodge check's decompositions.  The kappa powers, the
-g-expansion, lefschetz() and the non-primitivity check insert only
-against the keys they touch.
+drop the Hodge check's decompositions.  The kappa powers and
+lefschetz() read the table's symbolic map; the g-expansion ("mirror")
+and the non-primitivity check's single top pair insert only against
+the keys they touch.
 
 The imaginary unit is never adjoined to the coefficient field: a
 general form stores a pair (re, im) of real coefficients per basis key
@@ -342,7 +343,11 @@ def _apply_num(num_map, vec, p=None):
 
 
 def _insert_step(params: ExtAlgParams, vec, mode: str = "between", indices=None):
-    """One insertion step on a symbolic {key: FieldElem} vector."""
+    """One insertion step on a symbolic {key: FieldElem} vector.  A full
+    "between" step is the Lefschetz map, so it reads the shared table's
+    map; the other modes insert against the keys of vec."""
+    if mode == "between" and indices is None:
+        return _apply_num(lefschetz_table(params.M).map, vec)
     return _apply_num({key: _insert(params, key, mode, indices) for key in vec}, vec)
 
 
@@ -368,7 +373,7 @@ def kappa_power(params: ExtAlgParams, l: int, mode: str = "between") -> KappaExp
 
 def lefschetz(params: ExtAlgParams, form: FiberForm) -> FiberForm:
     """kappa ^ form, raising bidegree by (1, 1)."""
-    return _apply_form({key: _insert(params, key) for key in form.terms}, form)
+    return _apply_form(lefschetz_table(params.M).map, form)
 
 
 # ---------------------------------------------------------------------------

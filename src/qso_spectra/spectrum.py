@@ -17,6 +17,25 @@ weight 2l*w_1 + k*lam_y with lam_y = 2*w_1 - alpha_1.
 Each formula has one evaluator: lam(k, l) is computed only by
 _QintTable, as an integer over the common denominator of its shell
 k + l, and the multiplicity only by CartanData.weyl_dim.
+
+One turn per shell.  On the shell k + l = m write t = q^2 and x = t^k,
+so t^l = t^m / x.  Every q-integer in lam is affine in x or in 1/x:
+(k)_t = (x - 1)/(t - 1) and (l)_{1/t} = (1 - x/t^m)/(1 - 1/t) in x,
+(k-1)_{1/t}, (k)_{1/t}, (l)_t and (l-1)_t in 1/x.  Each product in lam
+pairs a factor in x with a factor in 1/x, so
+
+    lam(k, l) = U t^k + W t^-k + D
+
+with U, W and D depending only on m and the constants.  Its first
+difference in k is (t - 1) t^-k (U t^(2k) - W/t); the last factor is
+monotone in k, so the differences change sign at most once along a
+shell (for t = 1, lam is a quadratic in k and its difference is
+linear).  The shell minimum is therefore s(0) or s(m) of
+s(l) = lam(m - l, l), unless s(1) < s(0) and s(m-1) < s(m); then the
+differences turn from negative to nonnegative once, and the minimum is
+s at the first l with s(l+1) >= s(l), which bisection finds.
+check_divergence uses this to read each shell minimum from O(log m)
+exact integer evaluations.
 """
 
 from __future__ import annotations
@@ -164,11 +183,14 @@ def y_weight(cartan: CartanData) -> tuple:
     return tuple(2 * w - a for w, a in zip(w1, a1))
 
 
+def _weight_of(k: int, l: int, w1, ly) -> tuple:
+    """2l*w1 + k*ly, for w1 and ly computed once per CartanData."""
+    return tuple(2 * l * w + k * y for w, y in zip(w1, ly))
+
+
 def eigen_weight(k: int, l: int, cartan: CartanData) -> tuple:
     """Highest weight 2l*w_1 + k*lam_y of the (k, l) eigenspace."""
-    w1 = cartan.fundamental_weights[0]
-    ly = y_weight(cartan)
-    return tuple(2 * l * w + k * y for w, y in zip(w1, ly))
+    return _weight_of(k, l, cartan.fundamental_weights[0], y_weight(cartan))
 
 
 def multiplicity(k: int, l: int, cartan: CartanData) -> int:
@@ -181,18 +203,50 @@ def spectrum_table(p: SpectralParams, cartan: CartanData,
     """All records with k <= kmax, l <= lmax, sorted by (value, k+l, k)."""
     _warn_unvalidated(p)
     table = _QintTable(p, max(kmax, lmax))
+    w1, ly = cartan.fundamental_weights[0], y_weight(cartan)
     records = []
     for k in range(kmax + 1):
         for l in range(lmax + 1):
+            weight = _weight_of(k, l, w1, ly)
             records.append({
                 "k": k,
                 "l": l,
                 "value": table.value(k, l),
-                "multiplicity": multiplicity(k, l, cartan),
-                "weight": eigen_weight(k, l, cartan),
+                "multiplicity": cartan.weyl_dim(weight),
+                "weight": weight,
             })
     records.sort(key=lambda r: (r["value"], r["k"] + r["l"], r["k"]))
     return records
+
+
+def _shell_minimum(table: _QintTable, m: int, s0: int) -> int:
+    """min over k + l = m of table.scaled(k, l), given s0 = scaled(m, 0).
+
+    By the one-turn lemma of the module docstring the first differences
+    of s(l) = scaled(m - l, l) change sign at most once, so the minimum
+    is s(0) or s(m) unless s(1) < s(0) and s(m-1) < s(m); then it is s
+    at the first l with s(l+1) >= s(l), found by integer bisection.
+    Every comparison is exact, and it makes O(log m) evaluations."""
+    if not m:
+        return s0
+    vals = {0: s0}
+
+    def s(l):
+        if l not in vals:
+            vals[l] = table.scaled(m - l, l)
+        return vals[l]
+
+    if s(1) >= s0 or s(m - 1) >= s(m):
+        return min(s0, s(m))
+    # s(lo + 1) < s(lo) and s(hi + 1) >= s(hi): the turn lies in (lo, hi]
+    lo, hi = 0, m - 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if s(mid + 1) >= s(mid):
+            hi = mid
+        else:
+            lo = mid
+    return s(hi)
 
 
 def check_divergence(p: SpectralParams, cartan: CartanData,
@@ -206,18 +260,26 @@ def check_divergence(p: SpectralParams, cartan: CartanData,
     lane is tracked separately: on the boundary
     theta = -(1 - q^-2) mu_y it converges to a finite limit, so a bound
     above that limit is never cleared lane-wise.  Raises
-    BoundNotCleared when the full shell minima never exceed the bound.
+    BoundNotCleared when the full shell minima never exceed the bound;
+    warns ParamsNotValidated when p was never validated.
+
+    Each shell minimum is certified, not sampled: one shell shares the
+    denominator scale(m), so minima compare integer numerators, and by
+    the one-turn lemma (module docstring) the minimum is s(0), s(m) or
+    the bisected turning point, from O(log m) evaluations instead of
+    m + 1.  Only the shells below m0 are scanned point by point, to
+    count the eigenvalues below the bound.
     """
+    _warn_unvalidated(p)
     bound = Fraction(bound)
     table = _QintTable(p, shell_max)
     minima = []
     lane_l0 = []
     for m in range(shell_max + 1):
-        # one shell shares scale(m), so compare the integer numerators
-        vals = [table.scaled(m - l, l) for l in range(m + 1)]
+        s0 = table.scaled(m, 0)
         d = table.scale(m)
-        minima.append(Fraction(min(vals), d))
-        lane_l0.append(Fraction(vals[0], d))
+        minima.append(Fraction(_shell_minimum(table, m, s0), d))
+        lane_l0.append(Fraction(s0, d))
     m0 = None
     for m in range(shell_max, -1, -1):
         if minima[m] <= bound:

@@ -1,10 +1,11 @@
 """Root-system data and the Weyl dimension formula for so_N."""
 
 from fractions import Fraction
+from math import prod
 
 import pytest
 
-from qso_spectra.cartan import CartanData
+from qso_spectra.cartan import CartanData, cartan_data
 from qso_spectra.errors import NonDominantWeight
 
 
@@ -85,3 +86,57 @@ def test_pair2_integrality():
     # but against eps_1 it is 2*(1/2) = 1
     w = c.fundamental_weights[2]
     assert c.pair2(w, c.simple_roots[2]) == 1
+
+
+def _dense_weyl_dim(c):
+    """Humphreys 24.3 over every coordinate of every positive root, with
+    rho as the half sum of the positive roots, on doubled integer
+    vectors: lam |-> prod (2 lam + 2 rho, a) / prod (2 rho, a)."""
+    roots = [[int(x) for x in a] for a in c.positive_roots]
+    rho2 = [sum(col) for col in zip(*roots)]
+    den = prod(sum(r * x for r, x in zip(rho2, a)) for a in roots)
+
+    def dim(lam):
+        shifted = [int(2 * x) + r for x, r in zip(lam, rho2)]
+        num = prod(sum(s * x for s, x in zip(shifted, a)) for a in roots)
+        assert num % den == 0
+        return num // den
+
+    return dim
+
+
+def test_weyl_dim_matches_dense_product_on_spectrum_weights():
+    # every eigenspace weight 2l*w_1 + k*lam_y, lam_y = 2 w_1 - alpha_1
+    for N in range(5, 21):
+        c = CartanData(N)
+        dense = _dense_weyl_dim(c)
+        w1, a1 = c.fundamental_weights[0], c.simple_roots[0]
+        for k in range(13):
+            for l in range(13):
+                lam = tuple(2 * l * w + k * (2 * w - a) for w, a in zip(w1, a1))
+                assert c.weyl_dim(lam) == dense(lam), (N, k, l)
+
+
+def test_weyl_dim_matches_dense_product_on_fundamental_weights():
+    # spin weights (half-integral coordinates) included
+    for N in range(5, 21):
+        c = CartanData(N)
+        dense = _dense_weyl_dim(c)
+        for w in c.fundamental_weights:
+            assert c.weyl_dim(w) == dense(w), (N, w)
+
+
+def test_nondominant_raises_at_every_rank():
+    for N in (5, 6, 9, 12, 20):
+        c = CartanData(N)
+        w1, last = c.fundamental_weights[0], c.fundamental_weights[-1]
+        for lam in (tuple(-x for x in w1), tuple(-x for x in last),
+                    tuple(a - 2 * b for a, b in zip(w1, last))):
+            with pytest.raises(NonDominantWeight):
+                c.weyl_dim(lam)
+
+
+def test_cartan_data_is_built_once_per_n():
+    assert cartan_data(7) is cartan_data(7)
+    assert cartan_data(7) is not cartan_data(8)
+    assert cartan_data(7).cartan_matrix == CartanData(7).cartan_matrix

@@ -73,6 +73,20 @@ def test_usage_error_exit_two(capsys):
     # the adjoint normalization is fixed: there is no --q2 flag
     code, out, err = run(capsys, "--q2", "q", "verify", "rep", "--n", "6")
     assert code == 2 and not out and "qso-spectra: error: " in err
+    # an unknown flag before the subcommand is named, not its value
+    for argv, flag in ((("--q2", "q", "verify", "rep", "--n", "6"), "--q2"),
+                       (("--bogus", "3", "spectrum", "table", "--n", "7"), "--bogus"),
+                       (("--jobs", "1", "--bogus=3", "spectrum", "table", "--n", "7"),
+                        "--bogus"),
+                       (("-x", "fiber", "nonprimitive", "--n", "5"), "-x")):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and not out, argv
+        assert f"unrecognized arguments: {flag}" in err, (argv, err)
+        assert "invalid choice" not in err, (argv, err)
+    # global flags and their unique abbreviations still parse
+    code, out, _ = run(capsys, "--jobs", "1", "--form", "csv", "spectrum", "table",
+                       "--n", "5", "--kmax", "0", "--lmax", "0")
+    assert code == 0 and out.startswith("k,l,value")
 
 
 @pytest.mark.parametrize("argv", [

@@ -155,6 +155,28 @@ def test_kappa_centrality_between_vs_outside():
                 kappa_power(p, l, "outside").coeffs
 
 
+def test_kappa_powers_and_lefschetz_read_the_shared_table(monkeypatch):
+    # once the table of M is built, the "between" kappa powers and L
+    # straighten nothing: they read the table's map
+    p = ExtAlgParams(4)
+    fiber.lefschetz_table(4)
+    calls = []
+    straighten = fiber._straighten
+
+    def counting(*args):
+        calls.append(args)
+        return straighten(*args)
+
+    monkeypatch.setattr(fiber, "_straighten", counting)
+    for l in range(2 * 4 + 1):
+        kappa_power(p, l)
+    assert lefschetz(p, FiberForm.one(4)) == kappa(p)
+    assert calls == []
+    # the mirror and single-pair insertions still straighten their keys
+    g_expansion(p, 2)
+    assert calls
+
+
 def test_classical_kappa_oracle():
     for M in (3, 4, 5):
         for l in range(M + 1):

@@ -1,6 +1,8 @@
 """Laplacian spectrum: exact eigenvalues, parameter validation,
 multiplicities and divergence certification."""
 
+import copy
+import random
 import warnings
 from fractions import Fraction
 from math import comb
@@ -10,11 +12,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qso_spectra.cartan import CartanData
+from qso_spectra import reports, spectrum
+from qso_spectra.cartan import CartanData, cartan_data
+from qso_spectra.cli import main
 from qso_spectra.errors import BoundNotCleared, ParamsNotValidated
 from qso_spectra.spectrum import (
     SpectralParams,
     _QintTable,
+    _shell_minimum,
+    boundary_theta,
     check_divergence,
     eigen_weight,
     eigenvalue,
@@ -225,3 +231,162 @@ def test_spectrum_table_warns_without_validation():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         spectrum_table(p, CartanData(5), 1, 1)
+
+
+def test_check_divergence_warns_without_validation():
+    p = SpectralParams()
+    with pytest.warns(ParamsNotValidated):
+        check_divergence(p, CartanData(5), shell_max=30, bound=20)
+    validate_params(p)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        check_divergence(p, CartanData(5), shell_max=30, bound=20)
+
+
+# -- one turn per shell -------------------------------------------------------
+
+def _random_constants(rng, q):
+    """Six constants of either sign, with theta on the boundary, inside
+    the region or negative below it, and theta2 of either sign."""
+    def frac(lo, hi):
+        return Fraction(rng.randint(lo, hi), rng.randint(1, 12))
+
+    mu_y = frac(1, 40)
+    p = SpectralParams(theta1=frac(1, 40), theta2=frac(-60, 60),
+                       theta3=frac(1, 40), mu_y=mu_y, mu_z=frac(1, 40), q=q)
+    p.theta = rng.choice([boundary_theta(p), boundary_theta(p) + frac(0, 30),
+                          frac(-60, 0), frac(-60, 60)])
+    if rng.random() < 0.2:
+        # signs outside the admissible region: the lemma is algebraic
+        p.theta1, p.theta3 = frac(-40, 40), frac(-40, 40)
+    return p
+
+
+ONE_TURN_QS = [Fraction(1), Fraction(1, 2), Fraction(9, 10), Fraction(2, 3),
+               Fraction(11, 10), Fraction(3, 2), Fraction(13, 5),
+               Fraction(101, 100), Fraction(7, 5)]
+
+
+def test_shell_differences_turn_at_most_once():
+    # lam = U t^k + W t^-k + D on a shell, so the sign of its first
+    # difference is monotone along the shell, and the bisected minimum
+    # is the minimum of the full scan
+    rng = random.Random(20221018)
+    turns = 0
+    for trial in range(360):
+        q = ONE_TURN_QS[trial % len(ONE_TURN_QS)]
+        p = _random_constants(rng, q)
+        table = _QintTable(p, 40)
+        for m in range(41):
+            s = [table.scaled(m - l, l) for l in range(m + 1)]
+            signs = [(b > a) - (b < a) for a, b in zip(s, s[1:])]
+            assert signs in (sorted(signs), sorted(signs, reverse=True)), \
+                (p.as_dict(), m, signs)
+            assert _shell_minimum(table, m, s[0]) == min(s), (p.as_dict(), m)
+            turns += 2 < len(s) and s[1] < s[0] and s[-2] < s[-1]
+    # the bisection branch is exercised, not only the endpoints
+    assert turns > 1000
+
+
+def _full_scan_divergence(p, cartan, shell_max, bound):
+    """check_divergence as it was before the one-turn lemma: every
+    eigenvalue of every shell is evaluated."""
+    bound = Fraction(bound)
+    table = _QintTable(p, shell_max)
+    minima, lane_l0 = [], []
+    for m in range(shell_max + 1):
+        vals = [table.scaled(m - l, l) for l in range(m + 1)]
+        d = table.scale(m)
+        minima.append(Fraction(min(vals), d))
+        lane_l0.append(Fraction(vals[0], d))
+    m0 = None
+    for m in range(shell_max, -1, -1):
+        if minima[m] <= bound:
+            break
+        m0 = m
+    if m0 is None:
+        raise BoundNotCleared(
+            f"shell minima never exceed {bound} within shell_max="
+            f"{shell_max}; trajectory tail {[str(x) for x in minima[-5:]]}")
+    below_mult = below_count = 0
+    for m in range(m0):
+        for l in range(m + 1):
+            if table.value(m - l, l) <= bound:
+                below_mult += multiplicity(m - l, l, cartan)
+                below_count += 1
+    lane_cleared = None
+    for m in range(shell_max, -1, -1):
+        if lane_l0[m] <= bound:
+            break
+        lane_cleared = m
+    return {
+        "params": p.as_dict(), "bound": str(bound), "shell_max": shell_max,
+        "m0": m0, "shell_minima": [str(x) for x in minima],
+        "eigenvalues_below_bound": below_count,
+        "multiplicity_below_bound": below_mult,
+        "l0_lane_cleared_at": lane_cleared,
+        "l0_lane_limit_exists": p.theta == boundary_theta(p),
+        "status": "verified",
+    }
+
+
+def test_check_divergence_matches_full_scan_report():
+    # the README request, an interior point whose shells turn inside,
+    # and a boundary point whose bound is cleared
+    q = Fraction(11, 10)
+    cases = [
+        (params(), 7, 200, 100),
+        (params(theta=Fraction(-1, 10), theta1=Fraction(1, 3), theta2=-40,
+                mu_z=Fraction(1, 7)), 12, 120, 300),
+        (params(theta=-(1 - 1 / (q * q))), 20, 150, 5),
+    ]
+    for p, N, shell_max, bound in cases:
+        c = CartanData(N)
+        got = reports.to_json(check_divergence(p, c, shell_max, bound))
+        assert got == reports.to_json(_full_scan_divergence(p, c, shell_max, bound))
+
+
+def test_boundary_not_cleared_message_matches_full_scan():
+    q = Fraction(11, 10)
+    p = params(theta=-(1 - 1 / (q * q)))
+    c = CartanData(7)
+    with pytest.raises(BoundNotCleared) as want:
+        _full_scan_divergence(p, c, 150, 100)
+    with pytest.raises(BoundNotCleared) as got:
+        check_divergence(p, c, 150, 100)
+    assert str(got.value) == str(want.value)
+
+
+def test_divergence_evaluations_are_logarithmic_per_shell(monkeypatch):
+    calls = []
+    scaled = _QintTable.scaled
+
+    def counting(self, k, l):
+        calls.append((k, l))
+        return scaled(self, k, l)
+
+    monkeypatch.setattr(_QintTable, "scaled", counting)
+    out = check_divergence(params(), CartanData(7), shell_max=200, bound=100)
+    assert out["status"] == "verified"
+    # a full scan makes 20,301 minimum evaluations alone
+    assert len(calls) <= 1000
+
+
+def test_spectrum_requests_share_one_cartan_data(monkeypatch, tmp_path):
+    seen = []
+    for name in ("spectrum_table", "check_divergence"):
+        fn = getattr(spectrum, name)
+
+        def recording(p, cartan, *args, _fn=fn):
+            seen.append(cartan)
+            return _fn(p, cartan, *args)
+
+        monkeypatch.setattr(spectrum, name, recording)
+    shared = cartan_data(12)
+    before = {k: copy.deepcopy(getattr(shared, k)) for k in CartanData.__slots__}
+    out = str(tmp_path / "report.json")
+    assert main(["--out", out, "spectrum", "table", "--n", "12"]) == 0
+    assert main(["--out", out, "spectrum", "diverge", "--n", "12",
+                 "--shell-max", "60", "--bound", "50"]) == 0
+    assert len(seen) == 2 and seen[0] is seen[1] is shared
+    assert {k: getattr(shared, k) for k in CartanData.__slots__} == before
