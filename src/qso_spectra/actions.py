@@ -6,6 +6,12 @@ checks for the spherical generators, commutation identities of z and y
 with their differentials, and the right-action orbit scan through the
 z-coordinates.
 
+The representation comes from one fixed table per side (_ef_tables),
+with -1 on the conjugate-pair entries, and one guard: the E-F
+commutator, checked once per side.  A single kernel applies every
+letter on either side; sign_fixes in the covariance report is a
+constant record per parity of the entries that carry that -1 at even N.
+
 Covariance is certified on a basis of the relation span, the rows of
 the shared degree-2 rewriter's rules: the actions and the normal form
 are Q(v)-linear, so stability of the basis proves stability of every
@@ -96,38 +102,52 @@ class RepMatrices:
     E_i v_s contains c * v_t.  Right tables are stored row-major as
     [source][target]: u^i acted from the right lands on row t with the
     stored coefficient (this layout makes the right tables an honest
-    matrix representation under ordinary multiplication).  maps holds
-    the arbitrated tables the matrices were built from, keyed by
-    (letter, side): {i: {source: (target, coeff)}}.
+    matrix representation under ordinary multiplication).  K and Kinv
+    are diagonal and serve both sides.  maps holds the tables the
+    matrices were built from, keyed by (letter, side):
+    {i: {source: (target, coeff)}}.
     """
 
     __slots__ = (
-        "N", "cartan", "El", "Fl", "Kl", "Kil", "Er", "Fr", "Kr", "Kir",
+        "N", "cartan", "El", "Fl", "Er", "Fr", "K", "Kinv",
         "kexp", "sign_fixes", "maps",
     )
 
 
-def _ef_tables(N, c, up, down, sign):
-    """E/F column maps of the left action: col -> (target, coeff), with
-    up = -v c and down = -c / v at the short root of odd N.  The right
-    action's row maps are these tables with up and down exchanged
-    (v -> 1/v) and E and F swapped; covariance of the quadratic
-    relation span fixes that mirror placement, which the E-F commutator
-    alone cannot tell apart."""
+# The conjugate-pair entries of the tables carry -1.  At even N these
+# are the entries whose +1 the E-F commutator rejects on both sides; the
+# covariance report records them, a constant per parity.
+_EVEN_SIGN_FIXES = ("left F_j on column j' arbitrated to -1",
+                    "right E_i on row i' arbitrated to -1")
+
+
+def _ef_tables(N, side):
+    """E/F maps of one side, {i: {source: (target, coeff)}}.  Left:
+    column maps, with up = -v c and down = -c / v at the short root of
+    odd N, where c is the adjoint, c^2 = v + 1/v.  Right: row maps, the
+    left tables with up and down exchanged (v -> 1/v) and E and F
+    swapped; covariance of the quadratic relation span fixes that
+    mirror placement, which the E-F commutator alone cannot tell
+    apart."""
     n = N // 2
+    conj = lambda x: N + 1 - x
     Es = {}
     Fs = {}
     for j in range(1, n):
-        conj = lambda x: N + 1 - x
         Es[j] = {j: (j + 1, ONE), conj(j + 1): (conj(j), -ONE)}
-        Fs[j] = {j + 1: (j, ONE), conj(j): (conj(j + 1), sign)}
+        Fs[j] = {j + 1: (j, ONE), conj(j): (conj(j + 1), -ONE)}
     if N % 2:
+        c = FieldElem.adjoint()
+        v = FieldElem.v_pow(1)
+        up, down = -(v * c), -(c / v)
+        if side == "right":
+            up, down = down, up
         Es[n] = {n: (n + 1, c), n + 1: (n + 2, up)}
         Fs[n] = {n + 1: (n, c), n + 2: (n + 1, down)}
     else:
         Es[n] = {n: (n + 2, -ONE), n - 1: (n + 1, ONE)}
         Fs[n] = {n + 2: (n, -ONE), n + 1: (n - 1, ONE)}
-    return Es, Fs
+    return (Es, Fs) if side == "left" else (Fs, Es)
 
 
 def _propagate_weights(N, cartan, Es):
@@ -174,67 +194,44 @@ def _ef_diag_ok(Em, Fm, Km, Kim, vexp_i):
 
 @cache
 def vector_rep(N: int) -> RepMatrices:
-    """Assemble the vector representation from the tabulated actions,
-    once per process; the result is shared and read-only, like
-    frt.rewriter(N).  For odd N the short-root entries carry the adjoint
-    c, c^2 = v + 1/v.  For even N the tabulated sign of the second F_j
-    column (left) and the second E_i row (right) fails the E-F
-    commutator; both are arbitrated automatically against that
-    commutator and the applied flips are recorded in sign_fixes.  Raises
-    RepresentationInconsistent when no sign satisfies it."""
+    """Assemble the vector representation from the fixed tables of
+    _ef_tables, once per process; the result is shared and read-only,
+    like frt.rewriter(N).  The E-F commutator is checked once per side
+    as a guard; RepresentationInconsistent is raised when it fails.
+    sign_fixes is the constant record of the conjugate entries whose
+    sign the commutator fixes at even N."""
     cartan = cartan_data(N)
     n = cartan.n
-    c = FieldElem.adjoint()
-    v = FieldElem.v_pow(1)
-    up, down = (-(v * c), -(c / v)) if N % 2 else (None, None)
     rep = RepMatrices()
     rep.N = N
     rep.cartan = cartan
-    rep.sign_fixes = []
-
-    # the weights follow the E-action graph, which no sign changes
-    weights = _propagate_weights(N, cartan, _ef_tables(N, c, up, down, ONE)[0])
-    kexp = {}
-    Km, Kim = {}, {}
-    for i in range(1, n + 1):
-        alpha = cartan.simple_roots[i - 1]
-        kexp[i] = [0] + [cartan.pair2(alpha, weights[j]) for j in range(1, N + 1)]
-        Km[i] = _zeros(N)
-        Kim[i] = _zeros(N)
-        for j in range(1, N + 1):
-            Km[i][j - 1][j - 1] = FieldElem.v_pow(kexp[i][j])
-            Kim[i][j - 1][j - 1] = FieldElem.v_pow(-kexp[i][j])
-
-    # odd N: the conjugate sign is -1 in the tables; even N: the
-    # tabulated +1 fails the E-F commutator, so try both and arbitrate
-    signs = [-ONE] if N % 2 else [ONE, -ONE]
-
+    rep.sign_fixes = () if N % 2 else _EVEN_SIGN_FIXES
     rep.maps = {}
 
-    def arbitrate(side, tables, transpose, fix):
-        for sign in signs:
-            Es, Fs = tables(sign)
-            Em, Fm = ({i: _cols_to_matrix(N, cols[i], transpose) for i in cols}
-                      for cols in (Es, Fs))
-            if all(_ef_diag_ok(Em[i], Fm[i], Km[i], Kim[i],
+    weights = _propagate_weights(N, cartan, _ef_tables(N, "left")[0])
+    rep.kexp = {}
+    rep.K, rep.Kinv = {}, {}
+    for i in range(1, n + 1):
+        alpha = cartan.simple_roots[i - 1]
+        kexp = [0] + [cartan.pair2(alpha, weights[j]) for j in range(1, N + 1)]
+        rep.kexp[i] = kexp
+        rep.K[i], rep.Kinv[i] = _zeros(N), _zeros(N)
+        for j in range(1, N + 1):
+            rep.K[i][j - 1][j - 1] = FieldElem.v_pow(kexp[j])
+            rep.Kinv[i][j - 1][j - 1] = FieldElem.v_pow(-kexp[j])
+
+    mats = []
+    for side, transpose in (("left", False), ("right", True)):
+        Es, Fs = rep.maps[E, side], rep.maps[F, side] = _ef_tables(N, side)
+        Em, Fm = ({i: _cols_to_matrix(N, cols[i], transpose) for i in cols}
+                  for cols in (Es, Fs))
+        if not all(_ef_diag_ok(Em[i], Fm[i], rep.K[i], rep.Kinv[i],
                                int(2 * cartan.d[i - 1]))
                    for i in range(1, n + 1)):
-                if N % 2 == 0 and sign == -ONE:
-                    rep.sign_fixes.append(fix)
-                rep.maps[E, side], rep.maps[F, side] = Es, Fs
-                return Em, Fm
-        raise RepresentationInconsistent(
-            f"N = {N}: no sign choice satisfies the E-F commutator ({side})")
-
-    rep.El, rep.Fl = arbitrate(
-        "left", lambda sign: _ef_tables(N, c, up, down, sign), False,
-        "left F_j on column j' arbitrated to -1")
-    rep.Er, rep.Fr = arbitrate(
-        "right", lambda sign: _ef_tables(N, c, down, up, sign)[::-1], True,
-        "right E_i on row i' arbitrated to -1")
-    rep.kexp = kexp
-    rep.Kl = rep.Kr = Km
-    rep.Kil = rep.Kir = Kim
+            raise RepresentationInconsistent(
+                f"N = {N}: the tables fail the E-F commutator ({side})")
+        mats.append((Em, Fm))
+    (rep.El, rep.Fl), (rep.Er, rep.Fr) = mats
     return rep
 
 
@@ -251,10 +248,8 @@ def verify_qea_relations(N: int) -> list:
         report.append({"relation": name, "side": side,
                        "status": "verified" if ok else "failed"})
 
-    for side, (Em, Fm, Km, Kim) in (
-        ("left", (rep.El, rep.Fl, rep.Kl, rep.Kil)),
-        ("right", (rep.Er, rep.Fr, rep.Kr, rep.Kir)),
-    ):
+    Km, Kim = rep.K, rep.Kinv
+    for side, Em, Fm in (("left", rep.El, rep.Fl), ("right", rep.Er, rep.Fr)):
         for i in range(1, n + 1):
             for j in range(1, n + 1):
                 ok = mat_is_zero(mat_sub(mat_mul(Km[i], Km[j]), mat_mul(Km[j], Km[i])))
@@ -272,14 +267,12 @@ def verify_qea_relations(N: int) -> list:
                 record(f"K{i} F{j} K{i}^-1 = qi^-a_ij F{j}", ok, side)
         for i in range(1, n + 1):
             for j in range(1, n + 1):
-                comm = mat_sub(mat_mul(Em[i], Fm[j]), mat_mul(Fm[j], Em[i]))
                 if i == j:
-                    qi = FieldElem.v_pow(int(2 * cartan.d[i - 1]))
-                    rhs = mat_scale(mat_sub(Km[i], Kim[i]),
-                                    (qi - qi.inverse()).inverse())
-                    ok = mat_is_zero(mat_sub(comm, rhs))
+                    ok = _ef_diag_ok(Em[i], Fm[i], Km[i], Kim[i],
+                                     int(2 * cartan.d[i - 1]))
                 else:
-                    ok = mat_is_zero(comm)
+                    ok = mat_is_zero(mat_sub(mat_mul(Em[i], Fm[j]),
+                                             mat_mul(Fm[j], Em[i])))
                 record(f"[E{i}, F{j}] = delta (K{i}-K{i}^-1)/(qi-qi^-1)", ok, side)
         for Xname, Xm in (("E", Em), ("F", Fm)):
             for i in range(1, n + 1):
@@ -312,7 +305,7 @@ class ActionEngine:
     """Left and right U_q(so_N) actions on NCPoly words via the
     coproducts Delta(E) = E (x) K + 1 (x) E and
     Delta(F) = F (x) 1 + K^-1 (x) F.  The E and F letters move indices
-    through the representation's arbitrated maps."""
+    through the representation's tables."""
 
     __slots__ = ("N", "rep", "maps", "kexp")
 
@@ -322,57 +315,37 @@ class ActionEngine:
         self.maps = rep.maps
         self.kexp = rep.kexp
 
-    # index extractors: left action moves column (second) indices,
-    # right action moves row (first) indices
-    @staticmethod
-    def _col(letter):
-        return letter[1]
-
-    @staticmethod
-    def _row(letter):
-        return letter[0]
-
     def _act_one(self, kind, l, p: NCPoly, side: str) -> NCPoly:
+        """One letter on one side.  The left action moves column (second)
+        indices, the right action row (first) indices.  By the
+        coproducts, E at a position carries K on every later letter and
+        F carries K^-1 on every earlier one."""
         if p.N != self.N:
             raise IndexOutOfRange("polynomial and engine disagree on N")
         kexp = self.kexp[l]
-        idx = self._col if side == "left" else self._row
+        ix = 1 if side == "left" else 0
         out = {}
         if kind in (K, KINV):
             sgn = 1 if kind == K else -1
             for w, c in p.terms.items():
-                e = sgn * sum(kexp[idx(x)] for x in w)
+                e = sgn * sum(kexp[x[ix]] for x in w)
                 accumulate(out, w, c * FieldElem.v_pow(e))
             return NCPoly(self.N, out)
 
         gmap = self.maps[kind, side].get(l, {})
         for w, c in p.terms.items():
-            L = len(w)
-            exps = [kexp[idx(x)] for x in w]
-            if kind == E:
-                # E at position p, K on every later letter
-                tail = [0] * (L + 1)
-                for r in range(L - 1, -1, -1):
-                    tail[r] = tail[r + 1] + exps[r]
-                for pos in range(L):
-                    hit = gmap.get(idx(w[pos]))
-                    if not hit:
-                        continue
+            exps = [kexp[x[ix]] for x in w]
+            before, after = 0, sum(exps)
+            for pos, x in enumerate(w):
+                after -= exps[pos]
+                hit = gmap.get(x[ix])
+                if hit:
                     t, cc = hit
-                    nl = (w[pos][0], t) if side == "left" else (t, w[pos][1])
+                    nl = (x[0], t) if ix else (t, x[1])
+                    e = after if kind == E else -before
                     accumulate(out, w[:pos] + (nl,) + w[pos + 1:],
-                               c * cc * FieldElem.v_pow(tail[pos + 1]))
-            else:
-                # F at position p, K^-1 on every earlier letter
-                pre = 0
-                for pos in range(L):
-                    hit = gmap.get(idx(w[pos]))
-                    if hit:
-                        t, cc = hit
-                        nl = (w[pos][0], t) if side == "left" else (t, w[pos][1])
-                        accumulate(out, w[:pos] + (nl,) + w[pos + 1:],
-                                   c * cc * FieldElem.v_pow(-pre))
-                    pre += exps[pos]
+                               c * cc * FieldElem.v_pow(e))
+                before += exps[pos]
         return NCPoly(self.N, out)
 
     def act_left(self, word, p: NCPoly) -> NCPoly:
@@ -561,7 +534,7 @@ class ZSolver:
     (frt.reduce_lead's layout); combs[lead] is the combination of z_ab
     that a pivot row stands for."""
 
-    __slots__ = ("N", "rw", "pivots", "combs", "rank")
+    __slots__ = ("N", "rw", "pivots", "combs")
 
     def __init__(self, N: int, rw):
         self.N = N
@@ -579,7 +552,6 @@ class ZSolver:
                 combs[lead] = {k: c * inv for k, c in comb.items()}
         self.pivots = pivots
         self.combs = combs
-        self.rank = len(pivots)
 
     def express(self, p: NCPoly) -> dict:
         """Coefficients x_ab with sum x_ab z_ab = p modulo relations."""

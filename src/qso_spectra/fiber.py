@@ -60,7 +60,7 @@ from __future__ import annotations
 import functools
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 from math import factorial, isqrt
 
 from .errors import DecompositionSingular, IndexOutOfRange
@@ -391,7 +391,7 @@ def classical_kappa_coeffs(M: int, l: int):
     out = {}
     for subset in combinations(range(1, M + 1), l):
         total = 0
-        for perm in _permutations(subset):
+        for perm in permutations(subset):
             word = []
             for i in perm:
                 word.append((0, i))  # p_i
@@ -400,16 +400,6 @@ def classical_kappa_coeffs(M: int, l: int):
         if total:
             out[subset] = total
     return out
-
-
-def _permutations(items):
-    items = list(items)
-    if not items:
-        yield ()
-        return
-    for k, x in enumerate(items):
-        for rest in _permutations(items[:k] + items[k + 1:]):
-            yield (x,) + rest
 
 
 def _sort_sign(word) -> int:
@@ -595,9 +585,7 @@ def _nullspace(columns, nrows: int):
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for fc in free:
-        vec = [None] * ncols
-        for c in range(ncols):
-            vec[c] = 0
+        vec = [0] * ncols
         vec[fc] = 1
         for r, pc in enumerate(pivots):
             vec[pc] = -rows[r][fc]

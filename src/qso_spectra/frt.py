@@ -188,25 +188,16 @@ def _rows_to_rref(rows) -> dict:
             continue
         inv = row.pop(lead).inverse()
         pivots[lead] = {w: c * inv for w, c in row.items()}
-    # interreduce tails, ascending in the lead order so that every rule
-    # used for reduction is itself already fully reduced
+    # interreduce tails, ascending in the lead order: every tail word is
+    # below its lead, so each pivot row substituted is already fully
+    # reduced and one substitution per pivot word in the tail suffices
     for lead in sorted(pivots, key=word_key):
         tail = pivots[lead]
-        changed = True
-        while changed:
-            changed = False
-            for w in sorted(tail, key=word_key, reverse=True):
-                prow = pivots.get(w)
-                if prow is None or w == lead:
-                    continue
-                c = tail.pop(w, None)
-                if c is None:
-                    continue
-                c = -c
-                for w2, c2 in prow.items():
-                    accumulate(tail, w2, c * c2)
-                changed = True
-                break
+        for w in sorted((w for w in tail if w in pivots), key=word_key,
+                        reverse=True):
+            c = -tail.pop(w)
+            for w2, c2 in pivots[w].items():
+                accumulate(tail, w2, c * c2)
     return pivots
 
 
@@ -277,9 +268,9 @@ def normal_form(p: NCPoly, rw: Rewriter) -> NCPoly:
 # ---------------------------------------------------------------------------
 
 
-def complete_rewriter(rw: Rewriter, max_degree: int, max_rules: int = 20000):
-    """Resolve critical pairs up to the degree bound; returns
-    (extended rewriter, saturated flag)."""
+def complete_rewriter(rw: Rewriter, max_degree: int) -> Rewriter:
+    """Resolve critical pairs up to the degree bound; returns the
+    extended rewriter."""
     rules = dict(rw.rules)
 
     def all_pairs(leads):
@@ -293,7 +284,6 @@ def complete_rewriter(rw: Rewriter, max_degree: int, max_rules: int = 20000):
 
     queue = list(all_pairs(list(rules)))
     work = Rewriter(rw.N, rules)
-    saturated = True
     idx = 0
     while idx < len(queue):
         w1, w2, o = queue[idx]
@@ -318,9 +308,6 @@ def complete_rewriter(rw: Rewriter, max_degree: int, max_rules: int = 20000):
         work.by_first.setdefault(lead[0], {})[lead] = tail
         if len(lead) not in work.lengths:
             work.lengths = sorted(set(work.lengths) | {len(lead)})
-        if len(work.rules) > max_rules:
-            saturated = False
-            break
         for other in list(work.rules):
             for o2 in range(1, min(len(lead), len(other))):
                 if len(lead) + len(other) - o2 <= max_degree:
@@ -329,7 +316,7 @@ def complete_rewriter(rw: Rewriter, max_degree: int, max_rules: int = 20000):
                     if other[-o2:] == lead[:o2]:
                         queue.append((other, lead, o2))
     work.rank = len(work.rules)
-    return work, saturated
+    return work
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +328,6 @@ def complete_rewriter(rw: Rewriter, max_degree: int, max_rules: int = 20000):
 class MembershipReport:
     status: str  # verified | failed (degree <= 2) | inconclusive
     certificate_size: int = 0
-    detail: str = ""
 
 
 def saturate_and_check(
@@ -368,12 +354,12 @@ def saturate_and_check(
         )
     nf = normal_form(target, rw)
     if nf.is_zero():
-        return MembershipReport("verified", rw.rank, "normal form")
+        return MembershipReport("verified", rw.rank)
     if target.degree() <= 2:
-        return MembershipReport("failed", rw.rank, "nonzero normal form")
-    crw, _ = complete_rewriter(rw, max_degree)
+        return MembershipReport("failed", rw.rank)
+    crw = complete_rewriter(rw, max_degree)
     if normal_form(nf, crw).is_zero():
-        return MembershipReport("verified", crw.rank, "completed normal form")
+        return MembershipReport("verified", crw.rank)
     return MembershipReport("inconclusive")
 
 

@@ -184,18 +184,9 @@ def y_weight(cartan: CartanData) -> tuple:
 
 
 def _weight_of(k: int, l: int, w1, ly) -> tuple:
-    """2l*w1 + k*ly, for w1 and ly computed once per CartanData."""
+    """Highest weight 2l*w_1 + k*lam_y of the (k, l) eigenspace, for
+    w1 = w_1 and ly = y_weight(cartan) computed once per call."""
     return tuple(2 * l * w + k * y for w, y in zip(w1, ly))
-
-
-def eigen_weight(k: int, l: int, cartan: CartanData) -> tuple:
-    """Highest weight 2l*w_1 + k*lam_y of the (k, l) eigenspace."""
-    return _weight_of(k, l, cartan.fundamental_weights[0], y_weight(cartan))
-
-
-def multiplicity(k: int, l: int, cartan: CartanData) -> int:
-    """Weyl dimension of the (k, l) eigenspace."""
-    return cartan.weyl_dim(eigen_weight(k, l, cartan))
 
 
 def spectrum_table(p: SpectralParams, cartan: CartanData,
@@ -289,6 +280,7 @@ def check_divergence(p: SpectralParams, cartan: CartanData,
         raise BoundNotCleared(
             f"shell minima never exceed {bound} within shell_max="
             f"{shell_max}; trajectory tail {[str(x) for x in minima[-5:]]}")
+    w1, ly = cartan.fundamental_weights[0], y_weight(cartan)
     below_mult = 0
     below_count = 0
     for m in range(m0):
@@ -296,7 +288,7 @@ def check_divergence(p: SpectralParams, cartan: CartanData,
         cut = bound.numerator * table.scale(m)
         for l in range(m + 1):
             if table.scaled(m - l, l) * bound.denominator <= cut:
-                below_mult += multiplicity(m - l, l, cartan)
+                below_mult += cartan.weyl_dim(_weight_of(m - l, l, w1, ly))
                 below_count += 1
     lane_cleared = None
     for m in range(shell_max, -1, -1):

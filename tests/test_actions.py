@@ -2,6 +2,7 @@
 generators and the orbit scan."""
 
 import copy
+import random
 
 import pytest
 
@@ -28,7 +29,9 @@ from qso_spectra.actions import (
     z_coord_poly,
     z_poly,
 )
-from qso_spectra.field import FieldElem
+from qso_spectra.errors import RepresentationInconsistent
+from qso_spectra.field import ONE, FieldElem
+from qso_spectra.ncpoly import accumulate
 from qso_spectra.frt import normal_form, saturate_and_check
 from qso_spectra.ncpoly import NCPoly
 
@@ -44,20 +47,122 @@ def test_defining_relations(N):
 
 
 def test_k_inverse_matrices():
-    from qso_spectra.field import ONE, ZERO
+    from qso_spectra.field import ZERO
 
     rep = vector_rep(5)
     eye = [[ONE if a == b else ZERO for b in range(rep.N)]
            for a in range(rep.N)]
     for i in range(1, rep.cartan.n + 1):
-        assert mat_is_zero(mat_sub(mat_mul(rep.Kl[i], rep.Kil[i]), eye))
-        assert mat_is_zero(mat_sub(mat_mul(rep.Kir[i], rep.Kr[i]), eye))
+        assert mat_is_zero(mat_sub(mat_mul(rep.K[i], rep.Kinv[i]), eye))
+        assert mat_is_zero(mat_sub(mat_mul(rep.Kinv[i], rep.K[i]), eye))
 
 
 def test_sign_fixes_even_series():
     # the even series needs explicit sign adjustments; the odd does not
     assert vector_rep(6).sign_fixes
     assert not vector_rep(5).sign_fixes
+
+
+@pytest.mark.parametrize("N", range(5, 11))
+def test_conjugate_entries_are_minus_one(N):
+    maps = vector_rep(N).maps
+    conj = lambda x: N + 1 - x
+    for j in range(1, N // 2):
+        assert maps[E, "left"][j][conj(j + 1)] == (conj(j), -ONE)
+        assert maps[F, "left"][j][conj(j)] == (conj(j + 1), -ONE)
+        assert maps[F, "right"][j][conj(j + 1)] == (conj(j), -ONE)
+        assert maps[E, "right"][j][conj(j)] == (conj(j + 1), -ONE)
+
+
+@pytest.mark.parametrize("side, table", [("left", 1), ("right", 0)])
+def test_rep_one_sided_fault_names_its_side(monkeypatch, side, table):
+    # negate the conjugate entry of F_1 (left) or E_1 (right) on row or
+    # column 1' = N; only that side's E-F commutator fails
+    ef_tables = actions._ef_tables
+
+    def faulty(N, s):
+        tables = ef_tables(N, s)
+        if s == side:
+            target, coeff = tables[table][1][N]
+            tables[table][1][N] = (target, -coeff)
+        return tables
+
+    monkeypatch.setattr(actions, "_ef_tables", faulty)
+    actions.vector_rep.cache_clear()
+    try:
+        for N in (5, 6):
+            with pytest.raises(RepresentationInconsistent,
+                               match=rf"N = {N}: .*\({side}\)"):
+                actions.vector_rep(N)
+    finally:
+        actions.vector_rep.cache_clear()
+
+
+def _reference_act(eng, kind, l, p, side):
+    """One letter on one side with separate E and F loops: E at a
+    position carries K on every later letter, F carries K^-1 on every
+    earlier one."""
+    kexp = eng.kexp[l]
+    idx = (lambda x: x[1]) if side == "left" else (lambda x: x[0])
+    out = {}
+    if kind in (K, KINV):
+        sgn = 1 if kind == K else -1
+        for w, c in p.terms.items():
+            e = sgn * sum(kexp[idx(x)] for x in w)
+            accumulate(out, w, c * FieldElem.v_pow(e))
+        return NCPoly(p.N, out)
+    gmap = eng.maps[kind, side].get(l, {})
+    for w, c in p.terms.items():
+        L = len(w)
+        exps = [kexp[idx(x)] for x in w]
+        if kind == E:
+            tail = [0] * (L + 1)
+            for r in range(L - 1, -1, -1):
+                tail[r] = tail[r + 1] + exps[r]
+            for pos in range(L):
+                hit = gmap.get(idx(w[pos]))
+                if not hit:
+                    continue
+                t, cc = hit
+                nl = (w[pos][0], t) if side == "left" else (t, w[pos][1])
+                accumulate(out, w[:pos] + (nl,) + w[pos + 1:],
+                           c * cc * FieldElem.v_pow(tail[pos + 1]))
+        else:
+            pre = 0
+            for pos in range(L):
+                hit = gmap.get(idx(w[pos]))
+                if hit:
+                    t, cc = hit
+                    nl = (w[pos][0], t) if side == "left" else (t, w[pos][1])
+                    accumulate(out, w[:pos] + (nl,) + w[pos + 1:],
+                               c * cc * FieldElem.v_pow(-pre))
+                pre += exps[pos]
+    return NCPoly(p.N, out)
+
+
+@pytest.mark.parametrize("N", [5, 6, 7])
+def test_action_kernel_matches_separate_e_f_loops(N):
+    rng = random.Random(N)
+    eng = algebra(N).eng
+    n = N // 2
+    letters = [(X, i) for X in (E, F, K, KINV) for i in range(1, n + 1)]
+    for degree in (2, 4):
+        for _ in range(3):
+            terms = {}
+            for _ in range(8):
+                w = tuple((rng.randint(1, N), rng.randint(1, N))
+                          for _ in range(degree))
+                c = FieldElem.v_pow(rng.randint(-3, 3)) * rng.choice([-2, -1, 1, 3])
+                accumulate(terms, w, c)
+            p = NCPoly(N, terms)
+            for kind, l in letters:
+                left = eng.act_left((kind, l), p)
+                right = eng.act_right(p, (kind, l))
+                # same terms in the same order, so reports keep their bytes
+                assert list(left.terms.items()) == list(
+                    _reference_act(eng, kind, l, p, "left").terms.items())
+                assert list(right.terms.items()) == list(
+                    _reference_act(eng, kind, l, p, "right").terms.items())
 
 
 def test_covariance():

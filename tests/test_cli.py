@@ -289,11 +289,18 @@ def test_malformed_config_file_exits_two(tmp_path, capsys, content, reason):
 
 
 def test_rep_sign_fault_raises_and_exits_two(monkeypatch, capsys):
-    # flip the conjugate sign the tables are built with: at odd N no
-    # other sign is tried, so the E-F commutator fails
+    # negate the conjugate entry of the left F_1 table, on column 1' = N:
+    # the left E-F commutator fails
     ef_tables = actions._ef_tables
-    monkeypatch.setattr(actions, "_ef_tables", lambda N, c, up, down, sign:
-                        ef_tables(N, c, up, down, -sign))
+
+    def faulty(N, side):
+        Es, Fs = ef_tables(N, side)
+        if side == "left":
+            target, coeff = Fs[1][N]
+            Fs[1][N] = (target, -coeff)
+        return Es, Fs
+
+    monkeypatch.setattr(actions, "_ef_tables", faulty)
     actions.vector_rep.cache_clear()
     try:
         with pytest.raises(RepresentationInconsistent):

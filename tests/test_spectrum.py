@@ -20,11 +20,10 @@ from qso_spectra.spectrum import (
     SpectralParams,
     _QintTable,
     _shell_minimum,
+    _weight_of,
     boundary_theta,
     check_divergence,
-    eigen_weight,
     eigenvalue,
-    multiplicity,
     spectrum_table,
     validate_params,
     y_weight,
@@ -38,6 +37,13 @@ def params(**kw):
     p = SpectralParams(**kw)
     validate_params(p)
     return p
+
+
+def multiplicity(k, l, cartan):
+    """Weyl dimension of the (k, l) eigenspace, as check_divergence and
+    spectrum_table compute it."""
+    return cartan.weyl_dim(_weight_of(k, l, cartan.fundamental_weights[0],
+                                      y_weight(cartan)))
 
 
 def test_base_eigenvalues():
@@ -108,10 +114,12 @@ def test_multiplicity_brute_force_oracle():
 @given(st.integers(0, 6), st.integers(0, 6))
 def test_eigen_weight_additive(k, l):
     c = CartanData(5)
-    w = eigen_weight(k, l, c)
-    base = tuple(2 * l * a + k * b for a, b in
-                 zip(c.fundamental_weights[0], y_weight(c)))
-    assert w == base
+    w1, ly = c.fundamental_weights[0], y_weight(c)
+    assert _weight_of(1, 0, w1, ly) == ly
+    assert _weight_of(0, 1, w1, ly) == tuple(2 * a for a in w1)
+    assert _weight_of(k, l, w1, ly) == tuple(
+        k * a + l * b for a, b in
+        zip(_weight_of(1, 0, w1, ly), _weight_of(0, 1, w1, ly)))
     assert multiplicity(k, l, c) >= 1
 
 
