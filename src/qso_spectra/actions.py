@@ -7,10 +7,11 @@ with their differentials, and the right-action orbit scan through the
 z-coordinates.
 
 The representation comes from one fixed table per side (_ef_tables),
-with -1 on the conjugate-pair entries, and one guard: the E-F
-commutator, checked once per side.  A single kernel applies every
-letter on either side; sign_fixes in the covariance report is a
-constant record per parity of the entries that carry that -1 at even N.
+with entries in Q(v) and -1 on the conjugate-pair entries, and one
+guard: the E-F commutator, checked once per side.  A single kernel
+applies every letter on either side; sign_fixes in the covariance
+report is a constant record per parity of the entries that carry that
+-1 at even N.
 
 Covariance is certified on a basis of the relation span, the rows of
 the shared degree-2 rewriter's rules: the actions and the normal form
@@ -28,7 +29,7 @@ from functools import cache
 
 from .cartan import cartan_data
 from .errors import IndexOutOfRange, NotInZSpan, RepresentationInconsistent
-from .field import ONE, ZERO, FieldElem, sym_qbinom
+from .field import ONE, ZERO, FieldElem, sym_qbinom, sym_qint
 from .frt import (FRTData, Rewriter, generate_relations, normal_form,
                   reduce_lead, rewriter)
 from .ncpoly import NCPoly, accumulate
@@ -123,12 +124,18 @@ _EVEN_SIGN_FIXES = ("left F_j on column j' arbitrated to -1",
 
 def _ef_tables(N, side):
     """E/F maps of one side, {i: {source: (target, coeff)}}.  Left:
-    column maps, with up = -v c and down = -c / v at the short root of
-    odd N, where c is the adjoint, c^2 = v + 1/v.  Right: row maps, the
-    left tables with up and down exchanged (v -> 1/v) and E and F
-    swapped; covariance of the quadratic relation span fixes that
-    mirror placement, which the E-F commutator alone cannot tell
-    apart."""
+    column maps.  Right: row maps, each left map reversed, so that in
+    the row layout the right matrices equal the left ones; covariance
+    of the quadratic relation span fixes that placement, which the E-F
+    commutator alone cannot tell apart.
+
+    At the short root of odd N the commutator fixes only the product of
+    each E_n entry with the F_n entry of the reverse step, [2] = v + 1/v
+    for both steps.  E_n carries [2] and -v [2], F_n carries 1 and
+    -1/v, so every entry lies in Q(v).  Scaling E_n by any nonzero x and F_n by
+    1/x preserves the relations, the coproducts and the antipode, and
+    multiplies each action by a constant, so no zero normal form and no
+    ratio of orbit coefficients depends on the split."""
     n = N // 2
     conj = lambda x: N + 1 - x
     Es = {}
@@ -137,17 +144,17 @@ def _ef_tables(N, side):
         Es[j] = {j: (j + 1, ONE), conj(j + 1): (conj(j), -ONE)}
         Fs[j] = {j + 1: (j, ONE), conj(j): (conj(j + 1), -ONE)}
     if N % 2:
-        c = FieldElem.adjoint()
         v = FieldElem.v_pow(1)
-        up, down = -(v * c), -(c / v)
-        if side == "right":
-            up, down = down, up
-        Es[n] = {n: (n + 1, c), n + 1: (n + 2, up)}
-        Fs[n] = {n + 1: (n, c), n + 2: (n + 1, down)}
+        two = sym_qint(2, 1)
+        Es[n] = {n: (n + 1, two), n + 1: (n + 2, -(v * two))}
+        Fs[n] = {n + 1: (n, ONE), n + 2: (n + 1, -v.inverse())}
     else:
         Es[n] = {n: (n + 2, -ONE), n - 1: (n + 1, ONE)}
         Fs[n] = {n + 2: (n, -ONE), n + 1: (n - 1, ONE)}
-    return (Es, Fs) if side == "left" else (Fs, Es)
+    if side == "left":
+        return Es, Fs
+    return tuple({i: {t: (s, c) for s, (t, c) in m.items()} for i, m in X.items()}
+                 for X in (Es, Fs))
 
 
 def _propagate_weights(N, cartan, Es):
@@ -610,8 +617,6 @@ def orbit_sequence(N: int) -> list:
 
 def _monomial_of(c: FieldElem):
     """(rational, v-exponent) if c is a pure v-monomial, else None."""
-    if c.extp is not None:
-        return None
     num, den = c.base
     if len(num) != 1 or den != {0: Fraction(1)}:
         return None

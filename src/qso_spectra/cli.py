@@ -189,7 +189,7 @@ def _cmd_verify(args):
     if args.suite == "rep":
         results = actions.verify_qea_relations(n)
         status = reports.aggregate_status(r["status"] for r in results)
-        # one adjoint normalization (c^2 = v + 1/v); the key keeps the layout
+        # entries lie in Q(v) with v = q^(1/2); the key keeps the layout
         return {"command": "verify rep", "N": n, "q2_convention": "qhalf",
                 "results": results, "status": status}, status
     if args.suite == "covariance":

@@ -9,10 +9,6 @@ class DenominatorVanishes(QsoError):
     """Evaluation point is a pole of the rational function."""
 
 
-class AdjointNotRational(QsoError):
-    """An element carrying the adjoint c has no rational value."""
-
-
 class AlphabetMismatch(QsoError):
     """Noncommutative polynomials over different generator alphabets."""
 
@@ -34,8 +30,8 @@ class DecompositionSingular(QsoError):
 
 
 class RepresentationInconsistent(QsoError):
-    """No sign choice makes the tabulated vector representation satisfy
-    the E-F commutator."""
+    """The fixed tables of the vector representation fail the E-F
+    commutator."""
 
 
 class NonDominantWeight(QsoError):

@@ -30,7 +30,7 @@ modes:
              kappa powers;
   "outside"  e+_i ^ (e+_I ^ e-_J) ^ e-_i, the centrality cross-check;
   "mirror"   e-_I ^ (e-_i ^ e+_i) ^ e+_J on minus-first forms, the
-             g-expansion.
+             mirrored kappa powers (the g coefficients).
 
 The Lefschetz map on every basis key is one table per M, built on first
 use and shared for the life of the process (lefschetz_table); the
@@ -43,9 +43,9 @@ primitive vectors and the elimination that solves the Lefschetz
 decomposition.  The F_p image, cheap after interning, is rebuilt per
 rank check and kept nowhere, so a rank check at another point does not
 drop the Hodge check's decompositions.  The kappa powers and
-lefschetz() read the table's symbolic map; the g-expansion ("mirror")
-and the non-primitivity check's single top pair insert only against
-the keys they touch.
+lefschetz() read the table's symbolic map; the mirrored powers
+("mirror") and the non-primitivity check's single top pair insert only
+against the keys they touch.
 
 The imaginary unit is never adjoined to the coefficient field: a
 general form stores a pair (re, im) of real coefficients per basis key
@@ -362,7 +362,9 @@ def _apply_form(num_map, form: FiberForm) -> FiberForm:
 
 
 def kappa_power(params: ExtAlgParams, l: int, mode: str = "between") -> KappaExpansion:
-    """Exact expansion of kappa^l over the sorted basis."""
+    """Exact expansion of kappa^l over the sorted basis.  Mode "mirror"
+    gives the g coefficients on minus-first forms:
+    [kappa^l] = i^l sum g_{l,I,J} e-_I ^ e+_J."""
     if l < 0 or l > 2 * params.M:
         raise ValueError("need 0 <= l <= 2M")
     coeffs = {((), ()): ONE}
@@ -433,13 +435,7 @@ def make_evaluator(q0):
     root = _sqrt_fraction(q0)
     if root is not None:
         return lambda x: x.eval_v(root)
-
-    def ev(x):
-        a, b = x.eval_sqrtq(q0)
-        if b:
-            raise ValueError("unexpected adjoint part in fiber coefficient")
-        return a
-    return ev
+    return lambda x: x.eval_sqrtq(q0)
 
 
 # ---------------------------------------------------------------------------
@@ -930,16 +926,6 @@ def verify_f_properties(params: ExtAlgParams) -> dict:
     }
 
 
-def g_expansion(params: ExtAlgParams, l: int):
-    """Mirrored kappa powers on minus-first forms:
-    [kappa^l] = i^l sum g_{l,I,J} e-_I ^ e+_J, built by inserting
-    e-_i ^ e+_i between the minus block and the plus block."""
-    coeffs = {((), ()): ONE}
-    for _ in range(l):
-        coeffs = _insert_step(params, coeffs, "mirror")
-    return coeffs
-
-
 def verify_nonprimitive(params: ExtAlgParams, extra_samples=(Fraction(101, 100),)) -> dict:
     """kappa^{M-1} ^ e+_M ^ e-_M is a nonzero multiple of the top form
     (nonzero at q = 1 and at the extra sample points), plus the mirrored
@@ -948,12 +934,10 @@ def verify_nonprimitive(params: ExtAlgParams, extra_samples=(Fraction(101, 100),
     failures = []
     details = {}
     full = tuple(range(1, M + 1))
-    for label, coeffs, mode in (
-        ("f", kappa_power(params, M - 1).coeffs, "between"),
-        ("g", g_expansion(params, M - 1), "mirror"),
-    ):
+    for label, mode in (("f", "between"), ("g", "mirror")):
         # wedge the (M-1)-power with the (M, M) pair in its block convention
-        res = _insert_step(params, coeffs, mode, (M,))
+        res = _insert_step(params, kappa_power(params, M - 1, mode).coeffs,
+                           mode, (M,))
         keys = list(res)
         if keys != [(full, full)]:
             failures.append({"law": label,

@@ -1,8 +1,7 @@
-"""Exact coefficient field: rational functions in v = q^(1/2) over Q,
-extended by the square-root adjoint c with c^2 = v + v^(-1).
+"""Exact coefficient field: rational functions in v = q^(1/2) over Q.
 
 Representation: a pair of Laurent dicts (numerator, denominator) in
-canonical form, plus an optional second pair multiplying the adjoint.
+canonical form.
 Canonical form: the denominator is a polynomial dict with nonzero
 constant term normalized to 1, and gcd(numerator, denominator) = 1
 (after factoring a v-power out of the numerator).  Zero is ({}, {0: 1}).
@@ -23,8 +22,8 @@ from .laurent import (
     plist_divmod,
     plist_gcd,
 )
-from .errors import AdjointNotRational, DenominatorVanishes
-from .quadext import QuadExt, sign_with_adjoint
+from .errors import DenominatorVanishes
+from .quadext import QuadExt
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
@@ -134,25 +133,15 @@ _RF_ZERO = ({}, _one_poly())
 _RF_ONE = ({0: _F1}, _one_poly())
 
 
-# c^2 = v + v^(-1), the one normalization under which the short-root E/F
-# entries of the odd-N vector representation satisfy the E-F commutator
-_C_SQ = ({1: _F1, -1: _F1}, _one_poly())
-
-
 class FieldElem:
-    """Element a + b*c of Q(v) extended by the adjoint c."""
+    """Element of Q(v): one canonical numerator/denominator pair."""
 
-    __slots__ = ("base", "extp")
+    __slots__ = ("base",)
 
-    def __init__(self, base, extp=None):
+    def __init__(self, base):
         self.base = base
-        self.extp = None if extp is None or _rf_is_zero(extp) else extp
 
     # -- constructors ------------------------------------------------
-    @classmethod
-    def zero(cls) -> "FieldElem":
-        return _ZERO_ELEM
-
     @classmethod
     def one(cls) -> "FieldElem":
         return _ONE_ELEM
@@ -175,15 +164,7 @@ class FieldElem:
     def v_pow(cls, k: int) -> "FieldElem":
         return cls.monomial(1, k)
 
-    @classmethod
-    def adjoint(cls) -> "FieldElem":
-        """The adjoint c itself."""
-        return cls(_RF_ZERO, _RF_ONE)
-
     # -- structure ---------------------------------------------------
-    def _parts(self):
-        return self.base, (self.extp if self.extp is not None else _RF_ZERO)
-
     @staticmethod
     def _coerce(x) -> "FieldElem":
         if isinstance(x, FieldElem):
@@ -193,36 +174,25 @@ class FieldElem:
         return NotImplemented
 
     def __bool__(self):
-        return not _rf_is_zero(self.base) or self.extp is not None
+        return not _rf_is_zero(self.base)
 
     # -- arithmetic --------------------------------------------------
     def __add__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        if self.extp is None and o.extp is None:
-            return FieldElem(_rf_add(self.base, o.base))
-        a1, b1 = self._parts()
-        a2, b2 = o._parts()
-        return FieldElem(_rf_add(a1, a2), _rf_add(b1, b2))
+        return FieldElem(_rf_add(self.base, o.base))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return FieldElem(
-            _rf_neg(self.base),
-            _rf_neg(self.extp) if self.extp is not None else None,
-        )
+        return FieldElem(_rf_neg(self.base))
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        if self.extp is None and o.extp is None:
-            return FieldElem(_rf_sub(self.base, o.base))
-        a1, b1 = self._parts()
-        a2, b2 = o._parts()
-        return FieldElem(_rf_sub(a1, a2), _rf_sub(b1, b2))
+        return FieldElem(_rf_sub(self.base, o.base))
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -234,23 +204,12 @@ class FieldElem:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        if self.extp is None and o.extp is None:
-            return FieldElem(_rf_mul(self.base, o.base))
-        a1, b1 = self._parts()
-        a2, b2 = o._parts()
-        base = _rf_add(_rf_mul(a1, a2), _rf_mul(_rf_mul(b1, b2), _C_SQ))
-        extp = _rf_add(_rf_mul(a1, b2), _rf_mul(b1, a2))
-        return FieldElem(base, extp)
+        return FieldElem(_rf_mul(self.base, o.base))
 
     __rmul__ = __mul__
 
     def inverse(self) -> "FieldElem":
-        if self.extp is None:
-            return FieldElem(_rf_inv(self.base))
-        a, b = self._parts()
-        norm = _rf_sub(_rf_mul(a, a), _rf_mul(_rf_mul(b, b), _C_SQ))
-        inv_norm = _rf_inv(norm)
-        return FieldElem(_rf_mul(a, inv_norm), _rf_neg(_rf_mul(b, inv_norm)))
+        return FieldElem(_rf_inv(self.base))
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -264,58 +223,33 @@ class FieldElem:
             return NotImplemented
         return o * self.inverse()
 
-    def __pow__(self, k: int):
-        if not isinstance(k, int):
-            return NotImplemented
-        if k < 0:
-            return self.inverse() ** (-k)
-        result = _ONE_ELEM
-        square = self
-        while k:
-            if k & 1:
-                result = result * square
-            square = square * square
-            k >>= 1
-        return result
-
     def __eq__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        a1, b1 = self._parts()
-        a2, b2 = o._parts()
-        return _rf_is_zero(_rf_sub(a1, a2)) and _rf_is_zero(_rf_sub(b1, b2))
+        return _rf_is_zero(_rf_sub(self.base, o.base))
 
     def __hash__(self):
-        b = tuple(sorted(self.base[0].items())), tuple(sorted(self.base[1].items()))
-        if self.extp is None:
-            return hash(b)
-        e = tuple(sorted(self.extp[0].items())), tuple(sorted(self.extp[1].items()))
-        return hash((b, e))
+        num, den = self.base
+        return hash((tuple(sorted(num.items())), tuple(sorted(den.items()))))
 
     # -- evaluation --------------------------------------------------
     def eval_v(self, v0) -> Fraction:
-        """Exact value at v = v0 of an element without adjoint part."""
+        """Exact value at v = v0."""
         v0 = Fraction(v0)
         if not v0:
             raise DenominatorVanishes("v = 0 is outside the domain")
         den = lp_eval(self.base[1], v0)
         if not den:
             raise DenominatorVanishes(f"denominator vanishes at v = {v0}")
-        if self.extp is not None:
-            raise AdjointNotRational(
-                "element involves the adjoint c, which has no rational value")
         return lp_eval(self.base[0], v0) / den
 
     def eval_mod(self, s: int, p: int) -> int | None:
         """Image in F_p under v |-> s, for a prime p and a unit s mod p.
 
         None when a coefficient denominator or the value's denominator
-        vanishes mod p, or when the element carries the adjoint part:
-        the element then has no image, and the caller must use an exact
-        evaluation instead."""
-        if self.extp is not None:
-            return None
+        vanishes mod p: the element then has no image, and the caller
+        must use an exact evaluation instead."""
         num, den = self.base
 
         def ev(poly):
@@ -332,40 +266,29 @@ class FieldElem:
             return None
         return n * pow(d, -1, p) % p
 
-    def _rf_eval_sqrtq(self, rf, q0: Fraction) -> QuadExt:
-        out = QuadExt(0, 0, q0)
-        num, den = rf
-        for e, c in num.items():
-            half, odd = divmod(e, 2)
-            term = c * q0 ** half
-            out = out + (QuadExt(0, term, q0) if odd else QuadExt(term, 0, q0))
-        dval = QuadExt(0, 0, q0)
-        for e, c in den.items():
-            half, odd = divmod(e, 2)
-            term = c * q0 ** half
-            dval = dval + (QuadExt(0, term, q0) if odd else QuadExt(term, 0, q0))
-        if not dval:
-            raise DenominatorVanishes(f"denominator vanishes at v = sqrt({q0})")
-        return out / dval
-
-    def eval_sqrtq(self, q0) -> tuple[QuadExt, QuadExt]:
-        """Value at v = sqrt(q0): returns (A, B) with total value A + B*c."""
+    def eval_sqrtq(self, q0) -> QuadExt:
+        """Exact value at v = sqrt(q0) for rational q0 > 0: v^e is
+        q0^(e/2) for even e and q0^((e-1)/2) sqrt(q0) for odd e."""
         q0 = Fraction(q0)
         if q0 <= 0:
             raise DenominatorVanishes("need q0 > 0")
-        a = self._rf_eval_sqrtq(self.base, q0)
-        if self.extp is None:
-            return a, QuadExt(0, 0, q0)
-        return a, self._rf_eval_sqrtq(self.extp, q0)
+        parts = []
+        for poly in self.base:
+            rat = irr = _F0
+            for e, c in poly.items():
+                if e % 2:
+                    irr += c * q0 ** (e // 2)
+                else:
+                    rat += c * q0 ** (e // 2)
+            parts.append(QuadExt(rat, irr, q0))
+        num, den = parts
+        if not den:
+            raise DenominatorVanishes(f"denominator vanishes at v = sqrt({q0})")
+        return num / den
 
     def sign_at_sqrtq(self, q0) -> int:
-        """Exact sign at v = sqrt(q0) > 0 (adjoint c taken positive)."""
-        q0 = Fraction(q0)
-        a, b = self.eval_sqrtq(q0)
-        if not b:
-            return a.sign()
-        c_sq = self._rf_eval_sqrtq(_C_SQ, q0)
-        return sign_with_adjoint(a, b, c_sq)
+        """Exact sign at v = sqrt(q0) > 0."""
+        return self.eval_sqrtq(q0).sign()
 
     # -- formatting --------------------------------------------------
     @staticmethod
@@ -387,9 +310,8 @@ class FieldElem:
                 parts.append(f"+ {body}" if c > 0 else f"- {body}")
         return " ".join(parts)
 
-    @staticmethod
-    def _fmt_rf(rf) -> str:
-        num, den = rf
+    def to_text(self) -> str:
+        num, den = self.base
         if not num:
             return "0"
         shift = min(0, min(num))
@@ -397,17 +319,8 @@ class FieldElem:
             num = lp_shift(num, -shift)
             den = lp_shift(den, -shift)
         if len(den) == 1 and den.get(0) == 1:
-            return FieldElem._fmt_poly(num)
-        return f"({FieldElem._fmt_poly(num)})/({FieldElem._fmt_poly(den)})"
-
-    def to_text(self) -> str:
-        base = self._fmt_rf(self.base)
-        if self.extp is None:
-            return base
-        extp = self._fmt_rf(self.extp)
-        if base == "0":
-            return f"({extp})*c"
-        return f"{base} + ({extp})*c"
+            return self._fmt_poly(num)
+        return f"({self._fmt_poly(num)})/({self._fmt_poly(den)})"
 
     def __str__(self):
         return self.to_text()

@@ -112,23 +112,3 @@ class QuadExt:
     def __repr__(self):
         return f"QuadExt({self.a}, {self.b}, sqrt={self.d})"
 
-
-def sign_with_adjoint(a: QuadExt, b: QuadExt, c_sq: QuadExt) -> int:
-    """Exact sign of a + b*c where c = sqrt(c_sq) > 0 and a, b, c_sq
-    live in a common real quadratic extension."""
-    if c_sq.sign() <= 0:
-        raise ValueError("adjoint square must be positive")
-    sa, sb = a.sign(), b.sign()
-    if sb == 0:
-        return sa
-    if sa == 0:
-        return sb
-    if sa == sb:
-        return sa
-    # |a| vs |b|*sqrt(c_sq): compare a^2 with b^2*c_sq exactly.
-    cmp = (a * a - b * b * c_sq).sign()
-    if cmp > 0:
-        return sa
-    if cmp < 0:
-        return sb
-    return 0

@@ -98,6 +98,52 @@ def test_rep_one_sided_fault_names_its_side(monkeypatch, side, table):
         actions.vector_rep.cache_clear()
 
 
+@pytest.mark.parametrize("N", [5, 7, 9])
+def test_short_root_entries_lie_in_qv(N):
+    # E_n carries [2] = v + 1/v, F_n carries 1; the right tables hold the
+    # same values in the row layout
+    n = N // 2
+    v = FieldElem.v_pow(1)
+    two = v + v.inverse()
+    maps = vector_rep(N).maps
+    assert maps[E, "left"][n] == {n: (n + 1, two), n + 1: (n + 2, -(v * two))}
+    assert maps[F, "left"][n] == {n + 1: (n, ONE), n + 2: (n + 1, -v.inverse())}
+    assert maps[E, "right"][n] == {n + 1: (n, two), n + 2: (n + 1, -(v * two))}
+    assert maps[F, "right"][n] == {n: (n + 1, ONE), n + 1: (n + 2, -v.inverse())}
+
+
+def test_reports_do_not_depend_on_the_short_root_split(monkeypatch):
+    # E_n -> x E_n, F_n -> F_n / x preserves the relations and the
+    # coproducts and scales each action by a constant: every verdict and
+    # every orbit coefficient ratio stays the same
+    def reports():
+        return ([verify_qea_relations(N) for N in (5, 6)],
+                verify_covariance(5), verify_spherical(5),
+                orbit_scan(5), orbit_scan(7))
+
+    want = reports()
+    ef_tables = actions._ef_tables
+    x = FieldElem.v_pow(2)
+
+    def scaled(N, side):
+        Es, Fs = ef_tables(N, side)
+        n = N // 2
+        Es[n] = {s: (t, c * x) for s, (t, c) in Es[n].items()}
+        Fs[n] = {s: (t, c / x) for s, (t, c) in Fs[n].items()}
+        return Es, Fs
+
+    monkeypatch.setattr(actions, "_ef_tables", scaled)
+    actions.vector_rep.cache_clear()
+    actions.algebra.cache_clear()
+    try:
+        assert vector_rep(5).maps[E, "left"][2][2][1] == \
+            x * (FieldElem.v_pow(1) + FieldElem.v_pow(-1))
+        assert reports() == want
+    finally:
+        actions.vector_rep.cache_clear()
+        actions.algebra.cache_clear()
+
+
 def _reference_act(eng, kind, l, p, side):
     """One letter on one side with separate E and F loops: E at a
     position carries K on every later letter, F carries K^-1 on every

@@ -70,7 +70,7 @@ def test_usage_error_exit_two(capsys):
     assert code == 2
     code, _, _ = run(capsys, "spectrum", "table", "--n", "7", "--q", "1/0")
     assert code == 2
-    # the adjoint normalization is fixed: there is no --q2 flag
+    # the representation has no normalization option: there is no --q2 flag
     code, out, err = run(capsys, "--q2", "q", "verify", "rep", "--n", "6")
     assert code == 2 and not out and "qso-spectra: error: " in err
     # an unknown flag before the subcommand is named, not its value

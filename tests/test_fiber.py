@@ -16,7 +16,6 @@ from qso_spectra.fiber import (
     ExtAlgParams,
     FiberForm,
     classical_kappa_coeffs,
-    g_expansion,
     hodge,
     kappa,
     kappa_power,
@@ -173,7 +172,7 @@ def test_kappa_powers_and_lefschetz_read_the_shared_table(monkeypatch):
     assert lefschetz(p, FiberForm.one(4)) == kappa(p)
     assert calls == []
     # the mirror and single-pair insertions still straighten their keys
-    g_expansion(p, 2)
+    kappa_power(p, 2, "mirror")
     assert calls
 
 
@@ -199,7 +198,7 @@ def test_g_mirror_at_q1_matches_f():
     p = ExtAlgParams(3)
     for l in range(4):
         f = kappa_power(p, l).coeffs
-        g = g_expansion(p, l)
+        g = kappa_power(p, l, "mirror").coeffs
         fd = {I: c.eval_v(1) for (I, J), c in f.items() if I == J}
         gd = {I: c.eval_v(1) for (I, J), c in g.items() if I == J}
         assert fd == gd

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qso_spectra.errors import AdjointNotRational, DenominatorVanishes
+from qso_spectra.errors import DenominatorVanishes
 from qso_spectra.field import (
     ONE,
     ZERO,
@@ -88,8 +88,6 @@ def test_eval_mod_without_image():
     assert x.eval_mod(2, 11) == 2 * pow(7, -1, 11) % 11
     y = ONE / (FieldElem.v_pow(2) - 4)
     assert y.eval_mod(2, 11) is None         # pole at v = 2
-    c = FieldElem.adjoint()
-    assert (ONE + c).eval_mod(2, 11) is None  # adjoint part
 
 
 def test_eval_pole_raises():
@@ -129,28 +127,13 @@ def test_sym_qint_balanced():
     assert sym_qint(-3, 2) == -sym_qint(3, 2)
 
 
-def test_adjoint_squares_to_modulus():
-    c = FieldElem.adjoint()
-    assert c * c == FieldElem.v_pow(1) + FieldElem.v_pow(-1)
-    # inverse in the quadratic extension
-    x = ONE + c
-    assert x * x.inverse() == ONE
-
-
-def test_eval_v_rejects_an_adjoint_part():
-    c = FieldElem.adjoint()
-    with pytest.raises(AdjointNotRational):
-        (ONE + c).eval_v(2)
-    assert (c * c).eval_v(2) == Fraction(5, 2)
-
-
 def test_eval_sqrtq_and_sign():
     x = FieldElem.v_pow(1) - FieldElem.v_pow(-1)  # q^{1/2} - q^{-1/2}
     assert x.sign_at_sqrtq(Fraction(11, 10)) == 1
     assert (-x).sign_at_sqrtq(Fraction(11, 10)) == -1
     assert ZERO.sign_at_sqrtq(Fraction(11, 10)) == 0
-    a, b = (FieldElem.v_pow(2)).eval_sqrtq(Fraction(11, 10))
-    assert a.a == Fraction(11, 10) and a.b == 0 and not b
+    a = (FieldElem.v_pow(2)).eval_sqrtq(Fraction(11, 10))
+    assert a.a == Fraction(11, 10) and a.b == 0
 
 
 def test_to_text_examples():
