@@ -204,6 +204,10 @@ class FieldElem:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
+        if o is _ONE_ELEM:
+            return self
+        if self is _ONE_ELEM:
+            return o
         return FieldElem(_rf_mul(self.base, o.base))
 
     __rmul__ = __mul__

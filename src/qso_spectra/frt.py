@@ -227,14 +227,26 @@ def rewriter(N: int) -> Rewriter:
 
 
 def _nf_terms(terms: dict, rw: Rewriter) -> dict:
-    """Normal form of a {word: coeff} dict under the rewriter."""
+    """Normal form of a {word: coeff} dict under the rewriter.
+
+    Words are taken largest first in deglex, one length bucket at a
+    time.  Every rewrite step yields smaller words, so each word is
+    reduced once, with all its contributions summed; each word's own
+    reduction is fixed, so the result does not depend on this order."""
     by_first = rw.by_first
     lengths = rw.lengths
     out = {}
-    agenda = dict(terms)
-    while agenda:
-        w, c = agenda.popitem()
-        L = len(w)
+    levels = {}
+    for w, c in terms.items():
+        levels.setdefault(len(w), {})[w] = c
+    while levels:
+        L = max(levels)
+        agenda = levels[L]
+        if not agenda:
+            del levels[L]
+            continue
+        w = max(agenda)
+        c = agenda.pop(w)
         hit = None
         for pos in range(L):
             d = by_first.get(w[pos])
@@ -247,12 +259,13 @@ def _nf_terms(terms: dict, rw: Rewriter) -> dict:
             if hit:
                 break
         if hit is None:
-            accumulate(out, w, c)
+            out[w] = c
         else:
             pos, ln, tail = hit
             pre, suf = w[:pos], w[pos + ln:]
             for tw, tc in tail.items():
-                accumulate(agenda, pre + tw + suf, c * tc)
+                nw = pre + tw + suf
+                accumulate(levels.setdefault(len(nw), {}), nw, c * tc)
     return out
 
 

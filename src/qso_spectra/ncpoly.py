@@ -94,11 +94,6 @@ class NCPoly:
             raise ValueError("zero polynomial has no leading word")
         return max(self.terms, key=word_key)
 
-    def coeff(self, word: Word) -> FieldElem:
-        from .field import ZERO
-
-        return self.terms.get(tuple(word), ZERO)
-
     # -- arithmetic --------------------------------------------------
     def __add__(self, other: "NCPoly") -> "NCPoly":
         self._check(other)

@@ -10,19 +10,14 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _enc
 
 from .field import FieldElem
 
 
-def jsonable(obj):
-    """Recursively convert report payloads to JSON-safe values."""
-    if isinstance(obj, dict):
-        return {_key(k): jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple, set, frozenset)):
-        items = sorted(obj, key=repr) if isinstance(obj, (set, frozenset)) else obj
-        return [jsonable(v) for v in items]
+def _leaf(obj):
+    """JSON-safe value of anything but a dict or a sequence."""
     if isinstance(obj, Fraction):
         return str(obj)
     if isinstance(obj, FieldElem):
@@ -45,7 +40,41 @@ def _key(k):
 
 
 def to_json(report) -> str:
-    return json.dumps(jsonable(report), indent=2) + "\n"
+    """The report as JSON in the layout of json.dumps(..., indent=2),
+    with a final newline.  Keys become strings, sets are sorted by repr
+    and leaves convert as in _leaf."""
+    return _dump(report, "\n") + "\n"
+
+
+def _dump(obj, nl):
+    """JSON text of one value; ``nl`` is a newline followed by the
+    indentation of the line the value starts on."""
+    if isinstance(obj, str):
+        return _enc(obj)
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = nl + "  "
+        items = {_key(k): v for k, v in obj.items()}
+        return ("{" + inner + ("," + inner).join(
+            [_enc(k) + ": " + _dump(v, inner) for k, v in items.items()])
+            + nl + "}")
+    if isinstance(obj, (list, tuple, set, frozenset)):
+        if not obj:
+            return "[]"
+        if isinstance(obj, (set, frozenset)):
+            obj = sorted(obj, key=repr)
+        inner = nl + "  "
+        return ("[" + inner + ("," + inner).join([_dump(v, inner) for v in obj])
+                + nl + "]")
+    v = _leaf(obj)
+    if isinstance(v, str):
+        return _enc(v)
+    if v is None:
+        return "null"
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    return int.__repr__(v)
 
 
 def to_csv(rows, fieldnames) -> str:
@@ -54,7 +83,7 @@ def to_csv(rows, fieldnames) -> str:
     writer = csv.DictWriter(buf, fieldnames=fieldnames, lineterminator="\n")
     writer.writeheader()
     for row in rows:
-        writer.writerow({k: jsonable(row.get(k)) for k in fieldnames})
+        writer.writerow({k: _leaf(row.get(k)) for k in fieldnames})
     return buf.getvalue()
 
 

@@ -249,6 +249,34 @@ def test_aggregate_status_folds_unknown_statuses_to_failed():
     assert reports.aggregate_status(["verified", "pass"]) == "failed"
 
 
+def test_to_json_matches_the_json_module():
+    from fractions import Fraction
+
+    from qso_spectra.field import FieldElem
+
+    v = FieldElem.v_pow(1)
+    value = {
+        "s": "café \"x\"\n", 3: [1, -2, 10**30], (1, 2): True,
+        frozenset([4]): None, "f": Fraction(-3, 4), "e": v + v.inverse(),
+        "t": (False, {}, [], set(), ()), "set": {3, 1, 2},
+        "deep": [{"a": [[], [{}]], "b": {"c": (Fraction(2),)}}],
+    }
+    plain = {
+        "s": "café \"x\"\n", "3": [1, -2, 10**30], "1,2": True,
+        "4": None, "f": "-3/4", "e": "(v^2 + 1)/(v)",
+        "t": [False, {}, [], [], []], "set": [1, 2, 3],
+        "deep": [{"a": [[], [{}]], "b": {"c": ["2"]}}],
+    }
+    assert reports.to_json(value) == json.dumps(plain, indent=2) + "\n"
+    for n in (5, 6):
+        report = {"command": "verify rels", "N": n,
+                  "results": frt.verify_lemma_rels(n), "status": "verified"}
+        text = reports.to_json(report)
+        assert text == json.dumps(json.loads(text), indent=2) + "\n"
+    with pytest.raises(TypeError):
+        reports.to_json({"x": [0.5]})
+
+
 def _readme_commands():
     """argv of every qso-spectra line in the README's CLI block."""
     text = README.read_text(encoding="utf-8")

@@ -87,6 +87,17 @@ def test_normal_form_idempotent_and_linear():
     # every relation itself reduces to zero
     for r in rels.elems[:20]:
         assert normal_form(r, rw).is_zero()
+    # mixed degrees up to 4: the normal form is the sum of the normal
+    # forms of the words, whatever order the words are reduced in
+    u = lambda i, j: NCPoly.gen(5, i, j)
+    m = (u(5, 1) * u(1, 5) - u(2, 4) * u(4, 2)).scale(FieldElem.v_pow(1))
+    p = m * m + u(4, 1) * u(3, 3) * u(1, 2) + p
+    nf = normal_form(p, rw)
+    assert normal_form(nf, rw) == nf and nf.degree() == 4
+    words = NCPoly(5)
+    for w, c in p.terms.items():
+        words = words + normal_form(NCPoly.monomial(5, w, c), rw)
+    assert nf == words
 
 
 @pytest.mark.parametrize("N", [5, 6, 7])
