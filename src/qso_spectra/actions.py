@@ -7,11 +7,12 @@ with their differentials, and the right-action orbit scan through the
 z-coordinates.
 
 The representation comes from one fixed table per side (_ef_tables),
-with entries in Q(v) and -1 on the conjugate-pair entries, and one
-guard: the E-F commutator, checked once per side.  A single kernel
-applies every letter on either side; sign_fixes in the covariance
-report is a constant record per parity of the entries that carry that
--1 at even N.
+with entries in Q(v) and -1 on the conjugate-pair entries.  A single
+kernel applies every letter on either side.  The defining relations
+are evaluated through that kernel on sum_s u^s_s, so the right rows
+check the right action itself; the E-F commutator rows guard the
+build.  sign_fixes in the covariance report is a constant record per
+parity of the entries that carry that -1 at even N.
 
 Covariance is certified on a basis of the relation span, the rows of
 the shared degree-2 rewriter's rules: the actions and the normal form
@@ -27,9 +28,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
-from .cartan import cartan_data
+from .cartan import CartanData, cartan_data
 from .errors import IndexOutOfRange, NotInZSpan, RepresentationInconsistent
-from .field import ONE, ZERO, FieldElem, sym_qbinom, sym_qint
+from .field import ONE, FieldElem, sym_qbinom, sym_qint
 from .frt import (FRTData, Rewriter, generate_relations, normal_form,
                   reduce_lead, rewriter)
 from .ncpoly import NCPoly, accumulate
@@ -38,81 +39,23 @@ E, F, K, KINV = "E", "F", "K", "Kinv"
 
 
 # ---------------------------------------------------------------------------
-# Dense matrix helpers over FieldElem (N <= 9, so dense is fine)
-# ---------------------------------------------------------------------------
-
-
-def _zeros(N):
-    return [[ZERO] * N for _ in range(N)]
-
-
-def _eye(N):
-    m = _zeros(N)
-    for i in range(N):
-        m[i][i] = ONE
-    return m
-
-
-def mat_mul(a, b):
-    N = len(a)
-    out = _zeros(N)
-    for i in range(N):
-        ai = a[i]
-        oi = out[i]
-        for k in range(N):
-            c = ai[k]
-            if not c:
-                continue
-            bk = b[k]
-            for j in range(N):
-                if bk[j]:
-                    oi[j] = oi[j] + c * bk[j]
-    return out
-
-def mat_sub(a, b):
-    N = len(a)
-    return [[a[i][j] - b[i][j] for j in range(N)] for i in range(N)]
-
-
-def mat_scale(a, c):
-    return [[x * c for x in row] for row in a]
-
-
-def mat_is_zero(a):
-    return all(not x for row in a for x in row)
-
-
-def mat_pow(a, k):
-    N = len(a)
-    out = _eye(N)
-    for _ in range(k):
-        out = mat_mul(out, a)
-    return out
-
-
-# ---------------------------------------------------------------------------
 # Vector representation
 # ---------------------------------------------------------------------------
 
 
-class RepMatrices:
-    """E_i, F_i, K_i matrices of the vector representation and the
-    right-action analogues.
+@dataclass(frozen=True)
+class VectorRep:
+    """The vector representation of N.  maps holds the E/F tables keyed
+    by (letter, side), {i: {source: (target, coeff)}}: the left tables
+    move column indices, the right tables row indices.  K_i multiplies
+    index j by v^kexp[i][j] on either side.  sign_fixes records the
+    conjugate entries whose sign the E-F commutator fixes at even N."""
 
-    Left matrices are [target][source]; an entry El[t][s] = c means
-    E_i v_s contains c * v_t.  Right tables are stored row-major as
-    [source][target]: u^i acted from the right lands on row t with the
-    stored coefficient (this layout makes the right tables an honest
-    matrix representation under ordinary multiplication).  K and Kinv
-    are diagonal and serve both sides.  maps holds the tables the
-    matrices were built from, keyed by (letter, side):
-    {i: {source: (target, coeff)}}.
-    """
-
-    __slots__ = (
-        "N", "cartan", "El", "Fl", "Er", "Fr", "K", "Kinv",
-        "kexp", "sign_fixes", "maps",
-    )
+    N: int
+    cartan: CartanData
+    kexp: dict
+    maps: dict
+    sign_fixes: tuple
 
 
 # The conjugate-pair entries of the tables carry -1.  At even N these
@@ -124,10 +67,11 @@ _EVEN_SIGN_FIXES = ("left F_j on column j' arbitrated to -1",
 
 def _ef_tables(N, side):
     """E/F maps of one side, {i: {source: (target, coeff)}}.  Left:
-    column maps.  Right: row maps, each left map reversed, so that in
-    the row layout the right matrices equal the left ones; covariance
-    of the quadratic relation span fixes that placement, which the E-F
-    commutator alone cannot tell apart.
+    column maps.  Right: row maps, each left map reversed, so that a
+    right letter moves row s to t with the coefficient that moves
+    column t to s on the left; covariance of the quadratic relation
+    span fixes that placement, which the E-F commutator alone cannot
+    tell apart.
 
     At the short root of odd N the commutator fixes only the product of
     each E_n entry with the F_n entry of the reverse step, [2] = v + 1/v
@@ -180,127 +124,28 @@ def _propagate_weights(N, cartan, Es):
     return [None] + [wt[j] for j in range(1, N + 1)]
 
 
-def _cols_to_matrix(N, cols, transpose=False):
-    m = _zeros(N)
-    for s, (t, coeff) in cols.items():
-        if transpose:
-            m[s - 1][t - 1] = coeff
-        else:
-            m[t - 1][s - 1] = coeff
-    return m
-
-
-def _ef_diag_ok(Em, Fm, Km, Kim, vexp_i):
-    """[E_i, F_i] = (K_i - K_i^{-1}) / (q_i - q_i^{-1}) as matrices,
-    with q_i = v^vexp_i."""
-    qi = FieldElem.v_pow(vexp_i)
-    lhs = mat_sub(mat_mul(Em, Fm), mat_mul(Fm, Em))
-    rhs = mat_scale(mat_sub(Km, Kim), (qi - qi.inverse()).inverse())
-    return mat_is_zero(mat_sub(lhs, rhs))
-
-
 @cache
-def vector_rep(N: int) -> RepMatrices:
+def vector_rep(N: int) -> VectorRep:
     """Assemble the vector representation from the fixed tables of
     _ef_tables, once per process; the result is shared and read-only,
-    like frt.rewriter(N).  The E-F commutator is checked once per side
-    as a guard; RepresentationInconsistent is raised when it fails.
-    sign_fixes is the constant record of the conjugate entries whose
-    sign the commutator fixes at even N."""
+    like frt.rewriter(N).  As a guard, the E-F commutator rows are
+    evaluated through the action kernel on each side;
+    RepresentationInconsistent is raised when one fails."""
     cartan = cartan_data(N)
-    n = cartan.n
-    rep = RepMatrices()
-    rep.N = N
-    rep.cartan = cartan
-    rep.sign_fixes = () if N % 2 else _EVEN_SIGN_FIXES
-    rep.maps = {}
-
-    weights = _propagate_weights(N, cartan, _ef_tables(N, "left")[0])
-    rep.kexp = {}
-    rep.K, rep.Kinv = {}, {}
-    for i in range(1, n + 1):
-        alpha = cartan.simple_roots[i - 1]
-        kexp = [0] + [cartan.pair2(alpha, weights[j]) for j in range(1, N + 1)]
-        rep.kexp[i] = kexp
-        rep.K[i], rep.Kinv[i] = _zeros(N), _zeros(N)
-        for j in range(1, N + 1):
-            rep.K[i][j - 1][j - 1] = FieldElem.v_pow(kexp[j])
-            rep.Kinv[i][j - 1][j - 1] = FieldElem.v_pow(-kexp[j])
-
-    mats = []
-    for side, transpose in (("left", False), ("right", True)):
-        Es, Fs = rep.maps[E, side], rep.maps[F, side] = _ef_tables(N, side)
-        Em, Fm = ({i: _cols_to_matrix(N, cols[i], transpose) for i in cols}
-                  for cols in (Es, Fs))
-        if not all(_ef_diag_ok(Em[i], Fm[i], rep.K[i], rep.Kinv[i],
-                               int(2 * cartan.d[i - 1]))
-                   for i in range(1, n + 1)):
+    maps = {}
+    for side in ("left", "right"):
+        maps[E, side], maps[F, side] = _ef_tables(N, side)
+    weights = _propagate_weights(N, cartan, maps[E, "left"])
+    kexp = {i: [0] + [cartan.pair2(alpha, weights[j]) for j in range(1, N + 1)]
+            for i, alpha in enumerate(cartan.simple_roots, 1)}
+    rep = VectorRep(N, cartan, kexp, maps, () if N % 2 else _EVEN_SIGN_FIXES)
+    eng = ActionEngine(rep)
+    for side in ("left", "right"):
+        if not all(_vanishes(eng, _ef_commutator(cartan, i, i), side)
+                   for i in range(1, cartan.n + 1)):
             raise RepresentationInconsistent(
                 f"N = {N}: the tables fail the E-F commutator ({side})")
-        mats.append((Em, Fm))
-    (rep.El, rep.Fl), (rep.Er, rep.Fr) = mats
     return rep
-
-
-def verify_qea_relations(N: int) -> list:
-    """Exact matrix checks of the defining relations (K commutation,
-    K-E-K and K-F-K conjugation, E-F commutator, quantum Serre) on the
-    left matrices and on the right (row-layout) matrices."""
-    rep = vector_rep(N)
-    cartan = rep.cartan
-    n = cartan.n
-    report = []
-
-    def record(name, ok, side):
-        report.append({"relation": name, "side": side,
-                       "status": "verified" if ok else "failed"})
-
-    Km, Kim = rep.K, rep.Kinv
-    for side, Em, Fm in (("left", rep.El, rep.Fl), ("right", rep.Er, rep.Fr)):
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                ok = mat_is_zero(mat_sub(mat_mul(Km[i], Km[j]), mat_mul(Km[j], Km[i])))
-                record(f"K{i} K{j} = K{j} K{i}", ok, side)
-        for i in range(1, n + 1):
-            di = cartan.d[i - 1]
-            for j in range(1, n + 1):
-                aij = cartan.cartan_matrix[i - 1][j - 1]
-                vexp_fac = int(2 * di * aij)
-                lhs = mat_mul(mat_mul(Km[i], Em[j]), Kim[i])
-                ok = mat_is_zero(mat_sub(lhs, mat_scale(Em[j], FieldElem.v_pow(vexp_fac))))
-                record(f"K{i} E{j} K{i}^-1 = qi^a_ij E{j}", ok, side)
-                lhs = mat_mul(mat_mul(Km[i], Fm[j]), Kim[i])
-                ok = mat_is_zero(mat_sub(lhs, mat_scale(Fm[j], FieldElem.v_pow(-vexp_fac))))
-                record(f"K{i} F{j} K{i}^-1 = qi^-a_ij F{j}", ok, side)
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                if i == j:
-                    ok = _ef_diag_ok(Em[i], Fm[i], Km[i], Kim[i],
-                                     int(2 * cartan.d[i - 1]))
-                else:
-                    ok = mat_is_zero(mat_sub(mat_mul(Em[i], Fm[j]),
-                                             mat_mul(Fm[j], Em[i])))
-                record(f"[E{i}, F{j}] = delta (K{i}-K{i}^-1)/(qi-qi^-1)", ok, side)
-        for Xname, Xm in (("E", Em), ("F", Fm)):
-            for i in range(1, n + 1):
-                for j in range(1, n + 1):
-                    if i == j:
-                        continue
-                    m = 1 - cartan.cartan_matrix[i - 1][j - 1]
-                    vexp = int(2 * cartan.d[i - 1])
-                    total = _zeros(N)
-                    for r in range(m + 1):
-                        term = mat_mul(mat_mul(mat_pow(Xm[i], r), Xm[j]),
-                                       mat_pow(Xm[i], m - r))
-                        coeff = sym_qbinom(m, r, vexp)
-                        if r % 2:
-                            coeff = -coeff
-                        term = mat_scale(term, coeff)
-                        for a in range(N):
-                            for b in range(N):
-                                total[a][b] = total[a][b] + term[a][b]
-                    record(f"Serre {Xname}{i},{Xname}{j}", mat_is_zero(total), side)
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +161,7 @@ class ActionEngine:
 
     __slots__ = ("N", "rep", "maps", "kexp")
 
-    def __init__(self, rep: RepMatrices):
+    def __init__(self, rep: VectorRep):
         self.N = rep.N
         self.rep = rep
         self.maps = rep.maps
@@ -356,21 +201,99 @@ class ActionEngine:
         return NCPoly(self.N, out)
 
     def act_left(self, word, p: NCPoly) -> NCPoly:
-        """Apply a word of letters ('E'|'F'|'K'|'Kinv', i) on the left;
-        the leftmost letter acts last."""
-        if isinstance(word, tuple) and word and isinstance(word[0], str):
-            word = [word]
-        for kind, l in reversed(list(word)):
+        """Apply a word, a list of letters ('E'|'F'|'K'|'Kinv', i), on
+        the left; the leftmost letter acts last."""
+        for kind, l in reversed(word):
             p = self._act_one(kind, l, p, "left")
         return p
 
     def act_right(self, p: NCPoly, word) -> NCPoly:
         """Apply a word on the right; the leftmost letter acts first."""
-        if isinstance(word, tuple) and word and isinstance(word[0], str):
-            word = [word]
         for kind, l in word:
             p = self._act_one(kind, l, p, "right")
         return p
+
+
+# ---------------------------------------------------------------------------
+# Defining relations
+# ---------------------------------------------------------------------------
+
+
+def _ef_commutator(cartan: CartanData, i: int, j: int) -> list:
+    """[E_i, F_j] - delta_ij (K_i - K_i^-1)/(q_i - q_i^-1) as
+    (coeff, word) terms, with q_i = v^(2 d_i).  At i = j the terms are
+    those of (q_i - q_i^-1) times the relation, which keeps every
+    coefficient a Laurent polynomial."""
+    if i != j:
+        return [(ONE, [(E, i), (F, j)]), (-ONE, [(F, j), (E, i)])]
+    qi = FieldElem.v_pow(int(2 * cartan.d[i - 1]))
+    c = qi - qi.inverse()
+    return [(c, [(E, i), (F, i)]), (-c, [(F, i), (E, i)]),
+            (-ONE, [(K, i)]), (ONE, [(KINV, i)])]
+
+
+def _relations(cartan: CartanData) -> list:
+    """The defining relations of U_q(so_N) in report order, as
+    (name, terms): K commutation, K-E-K^-1 and K-F-K^-1, the E-F
+    commutator and quantum Serre.  terms is a list of (coeff, word)
+    whose sum vanishes in U_q(so_N)."""
+    idx = range(1, cartan.n + 1)
+    a = cartan.cartan_matrix
+    qexp = [None] + [int(2 * d) for d in cartan.d]
+    out = [(f"K{i} K{j} = K{j} K{i}",
+            [(ONE, [(K, i), (K, j)]), (-ONE, [(K, j), (K, i)])])
+           for i in idx for j in idx]
+    for i in idx:
+        for j in idx:
+            e = qexp[i] * a[i - 1][j - 1]
+            for X, sign, k in ((E, "", e), (F, "-", -e)):
+                out.append((f"K{i} {X}{j} K{i}^-1 = qi^{sign}a_ij {X}{j}",
+                            [(ONE, [(K, i), (X, j), (KINV, i)]),
+                             (-FieldElem.v_pow(k), [(X, j)])]))
+    out += [(f"[E{i}, F{j}] = delta (K{i}-K{i}^-1)/(qi-qi^-1)",
+             _ef_commutator(cartan, i, j)) for i in idx for j in idx]
+    for X in (E, F):
+        for i in idx:
+            for j in idx:
+                if i == j:
+                    continue
+                m = 1 - a[i - 1][j - 1]
+                terms = []
+                for r in range(m + 1):
+                    c = sym_qbinom(m, r, qexp[i])
+                    terms.append((-c if r % 2 else c,
+                                  [(X, i)] * r + [(X, j)] + [(X, i)] * (m - r)))
+                out.append((f"Serre {X}{i},{X}{j}", terms))
+    return out
+
+
+def _vanishes(eng: ActionEngine, terms, side: str) -> bool:
+    """Whether sum coeff * word acts as zero on one side.  Each word acts
+    on sum_s u^s_s; the left action moves only columns and the right
+    action only rows, so the words (s, t) of the result hold every
+    matrix entry."""
+    N = eng.N
+    ident = NCPoly(N, {((s, s),): ONE for s in range(1, N + 1)})
+    out = {}
+    for c, word in terms:
+        acted = eng.act_left(word, ident) if side == "left" \
+            else eng.act_right(ident, word)
+        for w, x in acted.terms.items():
+            accumulate(out, w, c * x)
+    return not out
+
+
+def verify_qea_relations(N: int) -> list:
+    """Exact checks of the defining relations (K commutation, K-E-K and
+    K-F-K conjugation, E-F commutator, quantum Serre), each evaluated
+    through the action kernel on sum_s u^s_s on the left and on the
+    right, so the right rows check the right action itself."""
+    rep = vector_rep(N)
+    eng = ActionEngine(rep)
+    rels = _relations(rep.cartan)
+    return [{"relation": name, "side": side,
+             "status": "verified" if _vanishes(eng, terms, side) else "failed"}
+            for side in ("left", "right") for name, terms in rels]
 
 
 # ---------------------------------------------------------------------------
@@ -384,8 +307,8 @@ def _unstable(polys, letters, eng: ActionEngine, rw: Rewriter):
     for idx, p in enumerate(polys):
         for letter in letters:
             for side in ("left", "right"):
-                acted = eng.act_left(letter, p) if side == "left" \
-                    else eng.act_right(p, letter)
+                acted = eng.act_left([letter], p) if side == "left" \
+                    else eng.act_right(p, [letter])
                 if not normal_form(acted, rw).is_zero():
                     yield idx, letter, side
 
@@ -583,7 +506,7 @@ class Algebra:
     engine and the z-coordinate solver."""
 
     rw: Rewriter
-    rep: RepMatrices
+    rep: VectorRep
     eng: ActionEngine
     solver: ZSolver
 

@@ -2,6 +2,7 @@
 generators and the orbit scan."""
 
 import copy
+import dataclasses
 import random
 
 import pytest
@@ -16,9 +17,6 @@ from qso_spectra.actions import (
     Algebra,
     algebra,
     classify_z_combination,
-    mat_is_zero,
-    mat_mul,
-    mat_sub,
     orbit_scan,
     orbit_sequence,
     vector_rep,
@@ -36,25 +34,46 @@ from qso_spectra.frt import normal_form, saturate_and_check
 from qso_spectra.ncpoly import NCPoly
 
 
-@pytest.mark.parametrize("N", [5, 6])
+@pytest.mark.parametrize("N", [5, 6, 7, 8, 9])
 def test_defining_relations(N):
     report = verify_qea_relations(N)
     bad = [r for r in report if r["status"] != "verified"]
     assert not bad
-    # both module structures are exercised
-    assert {r["side"] for r in report} == {"left", "right"}
-    assert any(r["relation"].startswith("Serre") for r in report)
+    # both module structures are exercised, each relation once per side
+    left = [r["relation"] for r in report if r["side"] == "left"]
+    right = [r["relation"] for r in report if r["side"] == "right"]
+    assert len(left) + len(right) == len(report)
+    assert left == right and len(set(left)) == len(left)
+    assert any(name.startswith("Serre") for name in left)
 
 
 def test_k_inverse_matrices():
-    from qso_spectra.field import ZERO
+    # K_i K_i^-1 = K_i^-1 K_i = 1 through the kernel, on both sides
+    for N in (5, 6):
+        rep = vector_rep(N)
+        eng = ActionEngine(rep)
+        ident = NCPoly(N, {((s, s),): ONE for s in range(1, N + 1)})
+        for i in range(1, rep.cartan.n + 1):
+            for word in ([(K, i), (KINV, i)], [(KINV, i), (K, i)]):
+                assert eng.act_left(word, ident) == ident
+                assert eng.act_right(ident, word) == ident
 
-    rep = vector_rep(5)
-    eye = [[ONE if a == b else ZERO for b in range(rep.N)]
-           for a in range(rep.N)]
-    for i in range(1, rep.cartan.n + 1):
-        assert mat_is_zero(mat_sub(mat_mul(rep.K[i], rep.Kinv[i]), eye))
-        assert mat_is_zero(mat_sub(mat_mul(rep.Kinv[i], rep.K[i]), eye))
+
+@pytest.mark.parametrize("N", [5, 6])
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_relation_rows_check_their_own_side(monkeypatch, N, side):
+    # a v^2 fault in one E_1 entry of one side fails [E1, F1] on that
+    # side only: each side's rows read that side's action
+    shared = vector_rep(N)
+    maps = copy.deepcopy(shared.maps)
+    cols = maps[E, side][1]
+    source, (target, coeff) = next(iter(cols.items()))
+    cols[source] = (target, coeff * FieldElem.v_pow(2))
+    faulty = dataclasses.replace(shared, maps=maps)
+    monkeypatch.setattr(actions, "vector_rep", lambda n: faulty)
+    bad = [(r["relation"], r["side"]) for r in verify_qea_relations(N)
+           if r["status"] != "verified"]
+    assert bad == [("[E1, F1] = delta (K1-K1^-1)/(qi-qi^-1)", side)]
 
 
 def test_sign_fixes_even_series():
@@ -202,8 +221,8 @@ def test_action_kernel_matches_separate_e_f_loops(N):
                 accumulate(terms, w, c)
             p = NCPoly(N, terms)
             for kind, l in letters:
-                left = eng.act_left((kind, l), p)
-                right = eng.act_right(p, (kind, l))
+                left = eng.act_left([(kind, l)], p)
+                right = eng.act_right(p, [(kind, l)])
                 # same terms in the same order, so reports keep their bytes
                 assert list(left.terms.items()) == list(
                     _reference_act(eng, kind, l, p, "left").terms.items())
@@ -230,8 +249,8 @@ def _covariance_by_relation(N, alg):
     for ridx, r in enumerate(rels.elems):
         for letter in letters:
             for side in ("left", "right"):
-                acted = alg.eng.act_left(letter, r) if side == "left" \
-                    else alg.eng.act_right(r, letter)
+                acted = alg.eng.act_left([letter], r) if side == "left" \
+                    else alg.eng.act_right(r, [letter])
                 checked += 1
                 if not normal_form(acted, alg.rw).is_zero():
                     failures.append({"relation": ridx, "letter": letter,
@@ -328,11 +347,11 @@ def test_module_algebra_leibniz():
     p = NCPoly.gen(N, 2, 1)
     q = NCPoly.gen(N, 1, 4)
     for letter in [(E, 1), (F, 2), (K, 1), (KINV, 2)]:
-        whole = eng.act_left(letter, p * q)
-        assert whole == eng.act_left(letter, p * q)  # determinism
+        whole = eng.act_left([letter], p * q)
+        assert whole == eng.act_left([letter], p * q)  # determinism
         # left and right actions commute with each other
-        lr = eng.act_right(eng.act_left(letter, p * q), [(F, 1)])
-        rl = eng.act_left(letter, eng.act_right(p * q, [(F, 1)]))
+        lr = eng.act_right(eng.act_left([letter], p * q), [(F, 1)])
+        rl = eng.act_left([letter], eng.act_right(p * q, [(F, 1)]))
         assert lr == rl
 
 
