@@ -14,12 +14,20 @@ check the right action itself; the E-F commutator rows guard the
 build.  sign_fixes in the covariance report is a constant record per
 parity of the entries that carry that -1 at even N.
 
-Covariance is certified on a basis of the relation span, the rows of
-the shared degree-2 rewriter's rules: the actions and the normal form
-are Q(v)-linear, so stability of the basis proves stability of every
-relation.  When a rule row fails, the exhaustive per-relation loop
-runs and reports the failing (relation, letter, side) triples; the
-report's checks count those triples whichever path decided.
+Covariance is certified by the FRT intertwiner identities.  Read a
+degree-2 word u^a_b u^c_d as (row pair (a, c)) (x) (column pair
+(b, d)); the relations of frt.generate_relations then span the image
+of Phi = R (x) 1 - P (x) R', where R e_ij = sum R^{ij}_{kl} e_kl,
+R' e_mn = sum R^{lk}_{mn} e_kl (both from frt._r_tables) and P flips
+a pair.  A letter acts as 1 (x) D on the left and as D_r (x) 1 on the
+right, with D and D_r read from the kernel itself.  If R'D = DR', then
+(1 (x) D) Phi = Phi (1 (x) D); if D_r R = R (P D_r P), then
+(D_r (x) 1) Phi = Phi (P D_r P (x) 1).  So when both hold for every
+E_i, F_i and K_i the span is stable, without a single normal form.
+When one fails, nothing follows from it: the exact per-relation loop
+runs against the shared rewriter and reports the failing (relation,
+letter, side) triples.  The report's checks count the relation x
+letter x side triples the verdict covers, whichever path decided.
 """
 
 from __future__ import annotations
@@ -31,8 +39,8 @@ from functools import cache
 from .cartan import CartanData, cartan_data
 from .errors import IndexOutOfRange, NotInZSpan, RepresentationInconsistent
 from .field import ONE, FieldElem, sym_qbinom, sym_qint
-from .frt import (FRTData, Rewriter, generate_relations, normal_form,
-                  reduce_lead, rewriter)
+from .frt import (FRTData, Rewriter, _r_tables, generate_relations,
+                  normal_form, reduce_lead, rewriter)
 from .ncpoly import NCPoly, accumulate
 
 E, F, K, KINV = "E", "F", "K", "Kinv"
@@ -313,35 +321,91 @@ def _unstable(polys, letters, eng: ActionEngine, rw: Rewriter):
                     yield idx, letter, side
 
 
+def _pair_action(eng: ActionEngine, letter, side: str, fixed=(1, 1)) -> dict:
+    """A letter's action on index pairs, {(a, b): {(x, y): coeff}}: the
+    column pairs of u^r_a u^s_b on the left, the row pairs of
+    u^a_r u^b_s on the right, with (r, s) = fixed.  The left action
+    moves only columns and the right action only rows, so the result
+    does not depend on fixed."""
+    N = eng.N
+    r, s = fixed
+    ix = 1 if side == "left" else 0
+    out = {}
+    for a in range(1, N + 1):
+        for b in range(1, N + 1):
+            if side == "left":
+                acted = eng.act_left([letter], NCPoly(N, {((r, a), (s, b)): ONE}))
+            else:
+                acted = eng.act_right(NCPoly(N, {((a, r), (b, s)): ONE}), [letter])
+            if acted.terms:
+                out[a, b] = {(x[ix], y[ix]): c for (x, y), c in acted.terms.items()}
+    return out
+
+
+def _apply(m: dict, vec: dict) -> dict:
+    """The map m, {pair: image row}, applied to a sparse vector."""
+    out = {}
+    for s, c in vec.items():
+        for t, x in m.get(s, {}).items():
+            accumulate(out, t, c * x)
+    return out
+
+
+def _commutes(A: dict, B: dict, C: dict, D: dict, pairs) -> bool:
+    """Whether A B = C D on every basis pair, exactly."""
+    for s in pairs:
+        diff = _apply(A, B.get(s, {}))
+        for t, c in _apply(C, D.get(s, {})).items():
+            accumulate(diff, t, -c)
+        if diff:
+            return False
+    return True
+
+
+def _intertwines(N: int, eng: ActionEngine, letters) -> bool:
+    """Whether every letter satisfies R'D = DR' on the left and
+    D_r R = R (P D_r P) on the right, so that it maps the image of
+    Phi = R (x) 1 - P (x) R' into itself (module docstring)."""
+    rows, cols = _r_tables(FRTData(N))
+    rprime = {mn: {(k, l): c for (l, k), c in col.items()}
+              for mn, col in cols.items()}
+    for letter in letters:
+        d = _pair_action(eng, letter, "left")
+        if not _commutes(rprime, d, d, rprime, rows):
+            return False
+        dr = _pair_action(eng, letter, "right")
+        pdrp = {(b, a): {(y, x): c for (x, y), c in img.items()}
+                for (a, b), img in dr.items()}
+        if not _commutes(dr, rows, rows, pdrp, rows):
+            return False
+    return True
+
+
 def verify_covariance(N: int) -> dict:
     """Check the quadratic relation span is stable under every left and
-    right E_i, F_i, K_i action: normal forms of acted relations vanish.
+    right E_i, F_i, K_i action.
 
-    The certificate is a basis of the span: the rows lead - sum(tail)
-    of the rewriter's rules, which are the RREF of the same relations.
-    Every relation is a Q(v)-combination of rule rows, and both the
-    actions and the degree-2 normal form are Q(v)-linear, so a zero
-    normal form for every rule row, letter and side proves one for
-    every relation.  If any rule row fails, the exact per-relation loop
-    runs instead and its (relation, letter, side) triples are the
-    failures.  checks counts the relations x letters x sides triples
-    that the verdict covers, either way."""
-    # context first: a cold build frees its own relation set before
-    # this one is made, which keeps peak memory at one set
-    alg = algebra(N)
-    rels = generate_relations(FRTData(N))
-    rw, rep, eng = alg.rw, alg.rep, alg.eng
+    The certificate is the pair of FRT intertwiner identities of the
+    module docstring, checked exactly for every letter on the pair maps
+    that the action kernel itself produces; it reads vector_rep(N) and
+    no rewriter.  If an identity fails, nothing is concluded from it:
+    the exact loop acts with every letter on both sides of every
+    generated relation, reduces each image against rewriter(N), and
+    its (relation, letter, side) triples with a nonzero normal form are
+    the failures.  checks counts the relations x letters x sides
+    triples that the verdict covers, either way."""
+    rep = vector_rep(N)
+    eng = ActionEngine(rep)
     n = rep.cartan.n
     letters = [(E, i) for i in range(1, n + 1)] + \
               [(F, i) for i in range(1, n + 1)] + \
               [(K, i) for i in range(1, n + 1)]
-    rows = (NCPoly(N, {lead: ONE, **{w: -c for w, c in tail.items()}})
-            for lead, tail in rw.rules.items())
+    rels = generate_relations(FRTData(N))
     failures = []
-    if next(_unstable(rows, letters, eng, rw), None) is not None:
+    if not _intertwines(N, eng, letters):
         failures = [{"relation": ridx, "letter": letter, "side": side}
                     for ridx, letter, side
-                    in _unstable(rels.elems, letters, eng, rw)]
+                    in _unstable(rels.elems, letters, eng, rewriter(N))]
     return {
         "N": N,
         "relations": len(rels.elems),
@@ -501,9 +565,11 @@ class ZSolver:
 
 @dataclass(frozen=True)
 class Algebra:
-    """What the covariance, spherical and orbit suites reduce and act
-    with: the degree-2 rewriter, the vector representation, its action
-    engine and the z-coordinate solver."""
+    """What the spherical and orbit suites reduce and act with: the
+    degree-2 rewriter, the vector representation, its action engine and
+    the z-coordinate solver.  Covariance needs none of it unless its
+    intertwiner certificate fails; then it reduces against the rewriter
+    alone."""
 
     rw: Rewriter
     rep: VectorRep

@@ -389,9 +389,12 @@ def _qp(k):
     return FieldElem.v_pow(2 * k)
 
 
-def lemma_rel_instances(N: int):
-    """Yield (family, indices, target NCPoly) for the nine relation
-    families; every family has instances for each N >= 5.
+@cache
+def lemma_rel_instances(N: int) -> tuple:
+    """The (family, indices, target NCPoly) instances of the nine
+    relation families, built once per process; every family has
+    instances for each N >= 5.  Like rewriter(N), the tuple and its
+    targets are shared by every caller and are read-only.
 
     The stated ranges of the degree-2 families exclude the boundary
     cases l = k' and i = j' (and the (1, N) column pair, covered by the
@@ -492,7 +495,13 @@ def lemma_rel_instances(N: int):
             yield ("hw_antiholomorphic", (a,),
                    w_N * w_a - (w_a * w_N).scale(_qp(2)))
 
-    return emitted()
+    # equal coefficients share one FieldElem object: the targets hold
+    # nine distinct values, so this keeps the cached tuple small
+    shared = {}
+    return tuple((family, indices,
+                  NCPoly(N, {w: shared.setdefault(c, c)
+                             for w, c in target.terms.items()}))
+                 for family, indices, target in emitted())
 
 
 def excluded_boundary_instances(N: int):

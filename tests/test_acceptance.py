@@ -31,7 +31,7 @@ def test_criterion_02_vector_representation_with_serre():
 
 def test_criterion_03_relation_span_covariance():
     t0 = time.perf_counter()
-    for N in (5, 6, 7):
+    for N in range(5, 11):
         out = actions.verify_covariance(N)
         assert out["status"] == "verified", (N, out["failures"])
     assert time.perf_counter() - t0 < 120

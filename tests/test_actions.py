@@ -64,12 +64,7 @@ def test_k_inverse_matrices():
 def test_relation_rows_check_their_own_side(monkeypatch, N, side):
     # a v^2 fault in one E_1 entry of one side fails [E1, F1] on that
     # side only: each side's rows read that side's action
-    shared = vector_rep(N)
-    maps = copy.deepcopy(shared.maps)
-    cols = maps[E, side][1]
-    source, (target, coeff) = next(iter(cols.items()))
-    cols[source] = (target, coeff * FieldElem.v_pow(2))
-    faulty = dataclasses.replace(shared, maps=maps)
+    faulty = _faulty_rep(N, E, side, 1, FieldElem.v_pow(2))
     monkeypatch.setattr(actions, "vector_rep", lambda n: faulty)
     bad = [(r["relation"], r["side"]) for r in verify_qea_relations(N)
            if r["status"] != "verified"]
@@ -265,43 +260,85 @@ def _covariance_by_relation(N, alg):
     }
 
 
+def _faulty_rep(N, kind, side, i, scale):
+    """A copy of vector_rep(N) with deep-copied maps in which the first
+    entry of one E/F table is multiplied by scale."""
+    shared = vector_rep(N)
+    maps = copy.deepcopy(shared.maps)
+    cols = maps[kind, side][i]
+    source, (target, coeff) = next(iter(cols.items()))
+    cols[source] = (target, coeff * scale)
+    return dataclasses.replace(shared, maps=maps)
+
+
+COVARIANCE_FAULTS = [(E, "left", 1, FieldElem.v_pow(2)),
+                     (F, "right", 2, -ONE),
+                     (E, "right", 2, FieldElem.v_pow(1))]
+
+
+@pytest.mark.parametrize("N", range(5, 11))
+def test_intertwiner_identities_hold(N):
+    rep = vector_rep(N)
+    n = rep.cartan.n
+    letters = [(X, i) for X in (E, F, K) for i in range(1, n + 1)]
+    assert actions._intertwines(N, ActionEngine(rep), letters)
+
+
+@pytest.mark.parametrize("N", [5, 6])
+def test_pair_action_does_not_depend_on_the_fixed_index(N):
+    # the certificate reads D and D_r on one fixed row or column pair;
+    # the kernel must act the same way on every other one
+    eng = ActionEngine(vector_rep(N))
+    n = eng.rep.cartan.n
+    for letter in [(X, i) for X in (E, F, K) for i in range(1, n + 1)]:
+        for side in ("left", "right"):
+            want = actions._pair_action(eng, letter, side)
+            assert want
+            for r in range(1, N + 1):
+                for s in range(1, N + 1):
+                    assert actions._pair_action(eng, letter, side, (r, s)) == want
+
+
 def test_covariance_basis_certificate_matches_relation_loop(monkeypatch):
     shared = algebra(5)
-    maps_before = copy.deepcopy(shared.eng.maps)
+    maps_before = copy.deepcopy(shared.rep.maps)
     assert verify_covariance(5) == _covariance_by_relation(5, shared)
 
-    # a wrong E coefficient breaks covariance: the rule-row check fails
-    # and the exact loop reports the same triples as the reference
-    eng = ActionEngine(shared.rep)
-    eng.maps = copy.deepcopy(shared.eng.maps)
-    cols = eng.maps[E, "left"][1]
-    source, (target, coeff) = next(iter(cols.items()))
-    cols[source] = (target, coeff * FieldElem.v_pow(2))
-    faulty = Algebra(shared.rw, shared.rep, eng, shared.solver)
-    monkeypatch.setattr(actions, "algebra", lambda N: faulty)
-    out = verify_covariance(5)
-    want = _covariance_by_relation(5, faulty)
-    assert out["status"] == "failed"
-    assert out == want
+    # each injected fault breaks the identities; the exact loop then
+    # decides, and reports the same triples as the reference
+    n = shared.rep.cartan.n
+    letters = [(X, i) for X in (E, F, K) for i in range(1, n + 1)]
+    for fault, failures in zip(COVARIANCE_FAULTS, (150, 125, 125)):
+        faulty = _faulty_rep(5, *fault)
+        assert not actions._intertwines(5, ActionEngine(faulty), letters)
+        monkeypatch.setattr(actions, "vector_rep", lambda N: faulty)
+        out = verify_covariance(5)
+        ref = Algebra(shared.rw, faulty, ActionEngine(faulty), shared.solver)
+        assert out["status"] == "failed"
+        assert len(out["failures"]) == failures
+        assert out == _covariance_by_relation(5, ref)
 
     monkeypatch.undo()
-    assert algebra(5) is shared
-    assert shared.eng.maps == maps_before
-    assert shared.rep.maps is shared.eng.maps
+    assert vector_rep(5) is shared.rep
+    assert shared.rep.maps == maps_before
 
 
-def test_covariance_acts_on_the_rule_rows_only(monkeypatch):
-    alg = algebra(5)
+def test_covariance_certificate_needs_no_rewriter(monkeypatch):
     calls = []
 
-    def counted(p, rw):
-        calls.append(p)
+    def counted_nf(p, rw):
+        calls.append("normal_form")
         return normal_form(p, rw)
 
-    monkeypatch.setattr(actions, "normal_form", counted)
-    assert verify_covariance(5)["status"] == "verified"
-    letters = 3 * alg.rep.cartan.n
-    assert len(calls) == frt.rewriter(5).rank * letters * 2 == 3936
+    def counted_rw(N):
+        calls.append("rewriter")
+        return frt.rewriter(N)
+
+    monkeypatch.setattr(actions, "normal_form", counted_nf)
+    monkeypatch.setattr(actions, "rewriter", counted_rw)
+    for N in (5, 6):
+        assert verify_covariance(N)["status"] == "verified"
+    assert calls == []
 
 
 def test_covariance_report_does_not_alias_the_shared_rep():
@@ -320,8 +357,15 @@ def _snapshot(rw):
             list(rw.lengths), rw.rank)
 
 
+def _targets(N):
+    """Copies of the cached lemma targets down to the coefficient objects."""
+    return [(family, indices, dict(target.terms))
+            for family, indices, target in frt.lemma_rel_instances(N)]
+
+
 def test_requests_leave_the_shared_context_unchanged():
     before = {N: _snapshot(frt.rewriter(N)) for N in (5, 6)}
+    targets = {N: _targets(N) for N in (5, 6)}
     for N in (5, 6):
         frt.verify_lemma_rels(N)
         verify_covariance(N)
@@ -334,25 +378,43 @@ def test_requests_leave_the_shared_context_unchanged():
     assert not normal_form(target, frt.rewriter(5)).is_zero()
     assert saturate_and_check(target, frt.rewriter(5), 3).status == "inconclusive"
     assert {N: _snapshot(frt.rewriter(N)) for N in (5, 6)} == before
+    assert {N: _targets(N) for N in (5, 6)} == targets
     assert frt.rewriter(5) is frt.rewriter(5)
+    assert frt.lemma_rel_instances(5) is frt.lemma_rel_instances(5)
+
+
+def _random_poly(rng, N, degree):
+    terms = {}
+    for _ in range(4):
+        w = tuple((rng.randint(1, N), rng.randint(1, N)) for _ in range(degree))
+        c = FieldElem.v_pow(rng.randint(-2, 2)) * rng.choice([-2, -1, 1, 3])
+        accumulate(terms, w, c)
+    return NCPoly(N, terms)
 
 
 def test_module_algebra_leibniz():
-    # E acts through Delta(E) = E (x) K + 1 (x) E: acting on a product
-    # equals acting on the expanded product directly
-    N = 5
-    eng = ActionEngine(vector_rep(N))
-    from qso_spectra.ncpoly import NCPoly
+    # both actions follow the coproducts on a product p q:
+    # E(pq) = E(p) K(q) + p E(q), F(pq) = F(p) q + K^-1(p) F(q),
+    # K(pq) = K(p) K(q)
+    moved = 0
+    for N in (5, 6):
+        rng = random.Random(N)
+        eng = ActionEngine(vector_rep(N))
+        n = eng.rep.cartan.n
+        for dp, dq in ((1, 1), (1, 2), (2, 1), (2, 2)):
+            p, q = _random_poly(rng, N, dp), _random_poly(rng, N, dq)
+            for side in ("left", "right"):
+                def act(kind, i, x):
+                    return eng.act_left([(kind, i)], x) if side == "left" \
+                        else eng.act_right(x, [(kind, i)])
 
-    p = NCPoly.gen(N, 2, 1)
-    q = NCPoly.gen(N, 1, 4)
-    for letter in [(E, 1), (F, 2), (K, 1), (KINV, 2)]:
-        whole = eng.act_left([letter], p * q)
-        assert whole == eng.act_left([letter], p * q)  # determinism
-        # left and right actions commute with each other
-        lr = eng.act_right(eng.act_left([letter], p * q), [(F, 1)])
-        rl = eng.act_left([letter], eng.act_right(p * q, [(F, 1)]))
-        assert lr == rl
+                for i in range(1, n + 1):
+                    e_pq, f_pq = act(E, i, p * q), act(F, i, p * q)
+                    assert e_pq == act(E, i, p) * act(K, i, q) + p * act(E, i, q)
+                    assert f_pq == act(F, i, p) * q + act(KINV, i, p) * act(F, i, q)
+                    assert act(K, i, p * q) == act(K, i, p) * act(K, i, q)
+                    moved += bool(e_pq) + bool(f_pq)
+    assert moved > 50
 
 
 def test_spherical_highest_weight():

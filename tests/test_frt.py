@@ -102,8 +102,9 @@ def test_normal_form_idempotent_and_linear():
 
 @pytest.mark.parametrize("N", [5, 6, 7])
 def test_every_relation_reduces_to_zero(N):
-    """relations lie in the span of the shared rewriter's rules, the
-    step that lets verify_covariance check the rule rows alone"""
+    """relations lie in the span of the shared rewriter's rules, so a
+    zero normal form is membership in the span, which the covariance
+    fallback tests"""
     rw = rewriter(N)
     for r in generate_relations(FRTData(N)).elems:
         assert normal_form(r, rw).is_zero()
