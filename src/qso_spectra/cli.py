@@ -151,6 +151,9 @@ def _load_config(args) -> None:
         args.out = cfg["out"]
 
 
+_PARAM_KEYS = ("theta", "theta1", "theta2", "theta3", "mu_y", "mu_z")
+
+
 def _spectral_params(spec: str, q: Fraction) -> spectrum.SpectralParams:
     if spec == "default":
         return spectrum.SpectralParams(q=q)
@@ -159,13 +162,20 @@ def _spectral_params(spec: str, q: Fraction) -> spectrum.SpectralParams:
     if not isinstance(raw, dict):
         raise QsoError(f"--params {spec}: expected a JSON object of constants")
     kwargs = {}
-    for k in ("theta", "theta1", "theta2", "theta3", "mu_y", "mu_z"):
-        if k in raw:
-            try:
-                kwargs[k] = Fraction(raw[k])
-            except (TypeError, ValueError, ZeroDivisionError):
-                raise QsoError(f"--params {spec}: {k} is not an exact "
-                               f"rational: {raw[k]!r}") from None
+    for k, x in raw.items():
+        if k not in _PARAM_KEYS:
+            raise QsoError(f"--params {spec}: unknown key {k!r}; expected "
+                           f"{', '.join(_PARAM_KEYS)}")
+        # only JSON integers and strings are exact: a number with a
+        # fraction or exponent loads as a binary float, true/false as bool
+        try:
+            value = Fraction(x) if type(x) in (int, str) else None
+        except (ValueError, ZeroDivisionError):
+            value = None
+        if value is None:
+            raise QsoError(f"--params {spec}: {k} is not an exact "
+                           f"rational: {x!r}")
+        kwargs[k] = value
     return spectrum.SpectralParams(q=q, **kwargs)
 
 

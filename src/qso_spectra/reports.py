@@ -4,6 +4,13 @@ All rationals cross the boundary as exact "p/q" strings and symbolic
 coefficients as their canonical text form; no floats anywhere.  Reports
 carry no timing fields, so identical configurations produce
 byte-identical output.
+
+The JSON writer dispatches on exact type first: an object whose type
+is Fraction or int, the leaves of every report, is written at once.
+Anything else goes through the isinstance chain: a bool prints
+true/false, an int subclass such as an IntEnum member prints as
+json.dumps prints it, a FieldElem as its text form, and a float raises
+TypeError wherever it sits.
 """
 
 from __future__ import annotations
@@ -49,6 +56,11 @@ def to_json(report) -> str:
 def _dump(obj, nl):
     """JSON text of one value; ``nl`` is a newline followed by the
     indentation of the line the value starts on."""
+    t = type(obj)
+    if t is Fraction:
+        return _enc(str(obj))
+    if t is int:
+        return int.__repr__(obj)
     if isinstance(obj, str):
         return _enc(obj)
     if isinstance(obj, dict):

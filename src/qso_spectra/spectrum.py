@@ -36,6 +36,15 @@ differences turn from negative to nonnegative once, and the minimum is
 s at the first l with s(l+1) >= s(l), which bisection finds.
 check_divergence uses this to read each shell minimum from O(log m)
 exact integer evaluations.
+
+Integers end to end.  w_1 and lam_y are integer tuples (_int_weights;
+for so_N, w_1 = eps_1 and lam_y = eps_1 + eps_2), converted once per
+call, so the weights passed to weyl_dim are ints.  spectrum_table
+sorts on value * scale(kmax + lmax), an integer because every shell
+scale divides the largest one.  check_divergence tests lam <= p/r as
+scaled * r <= p * scale(m), cross-multiplied.  A Fraction is made only
+for a value the report prints: the table's values and weights and the
+divergence report's shell minima.
 """
 
 from __future__ import annotations
@@ -183,18 +192,43 @@ def y_weight(cartan: CartanData) -> tuple:
     return tuple(2 * w - a for w, a in zip(w1, a1))
 
 
+def _int_weights(cartan: CartanData) -> tuple:
+    """w_1 and lam_y as tuples of ints; raises ValueError on a
+    coordinate that is not an integer (for so_N, w_1 = eps_1 and
+    lam_y = eps_1 + eps_2)."""
+    out = []
+    for w in (cartan.fundamental_weights[0], y_weight(cartan)):
+        if any(x.denominator != 1 for x in w):
+            raise ValueError(f"weight {w} has a non-integral coordinate")
+        out.append(tuple(x.numerator for x in w))
+    return tuple(out)
+
+
 def _weight_of(k: int, l: int, w1, ly) -> tuple:
     """Highest weight 2l*w_1 + k*lam_y of the (k, l) eigenspace, for
-    w1 = w_1 and ly = y_weight(cartan) computed once per call."""
+    w1, ly = _int_weights(cartan) computed once per call."""
     return tuple(2 * l * w + k * y for w, y in zip(w1, ly))
+
+
+class _Fractions(dict):
+    """Fraction(x) for an int x, each built once per table."""
+
+    def __missing__(self, x):
+        f = self[x] = Fraction(x)
+        return f
 
 
 def spectrum_table(p: SpectralParams, cartan: CartanData,
                    kmax: int, lmax: int) -> list:
-    """All records with k <= kmax, l <= lmax, sorted by (value, k+l, k)."""
+    """All records with k <= kmax, l <= lmax, sorted by (value, k+l, k).
+
+    Every value times top = scale(kmax + lmax) is an integer, so the
+    sort compares integers; the record's weight is printed as Fractions."""
     _warn_unvalidated(p)
     table = _QintTable(p, max(kmax, lmax))
-    w1, ly = cartan.fundamental_weights[0], y_weight(cartan)
+    top = table.scale(kmax + lmax)
+    w1, ly = _int_weights(cartan)
+    fracs = _Fractions()
     records = []
     for k in range(kmax + 1):
         for l in range(lmax + 1):
@@ -204,9 +238,11 @@ def spectrum_table(p: SpectralParams, cartan: CartanData,
                 "l": l,
                 "value": table.value(k, l),
                 "multiplicity": cartan.weyl_dim(weight),
-                "weight": weight,
+                "weight": tuple(map(fracs.__getitem__, weight)),
             })
-    records.sort(key=lambda r: (r["value"], r["k"] + r["l"], r["k"]))
+    records.sort(key=lambda r: (
+        top // r["value"].denominator * r["value"].numerator,
+        r["k"] + r["l"], r["k"]))
     return records
 
 
@@ -263,36 +299,39 @@ def check_divergence(p: SpectralParams, cartan: CartanData,
     """
     _warn_unvalidated(p)
     bound = Fraction(bound)
+    num, den = bound.numerator, bound.denominator
     table = _QintTable(p, shell_max)
+    # lam <= bound  <=>  scaled * den <= num * scale(m); only the printed
+    # minima become Fractions
+    cuts = [num * table.scale(m) for m in range(shell_max + 1)]
     minima = []
     lane_l0 = []
     for m in range(shell_max + 1):
         s0 = table.scaled(m, 0)
-        d = table.scale(m)
-        minima.append(Fraction(_shell_minimum(table, m, s0), d))
-        lane_l0.append(Fraction(s0, d))
+        minima.append(_shell_minimum(table, m, s0))
+        lane_l0.append(s0)
     m0 = None
     for m in range(shell_max, -1, -1):
-        if minima[m] <= bound:
+        if minima[m] * den <= cuts[m]:
             break
         m0 = m
+    shown = [str(Fraction(s, table.scale(m))) for m, s in enumerate(minima)]
     if m0 is None:
         raise BoundNotCleared(
             f"shell minima never exceed {bound} within shell_max="
-            f"{shell_max}; trajectory tail {[str(x) for x in minima[-5:]]}")
-    w1, ly = cartan.fundamental_weights[0], y_weight(cartan)
+            f"{shell_max}; trajectory tail {shown[-5:]}")
+    w1, ly = _int_weights(cartan)
     below_mult = 0
     below_count = 0
     for m in range(m0):
-        # lam <= bound  <=>  scaled * den <= num * scale(m)
-        cut = bound.numerator * table.scale(m)
+        cut = cuts[m]
         for l in range(m + 1):
-            if table.scaled(m - l, l) * bound.denominator <= cut:
+            if table.scaled(m - l, l) * den <= cut:
                 below_mult += cartan.weyl_dim(_weight_of(m - l, l, w1, ly))
                 below_count += 1
     lane_cleared = None
     for m in range(shell_max, -1, -1):
-        if lane_l0[m] <= bound:
+        if lane_l0[m] * den <= cuts[m]:
             break
         lane_cleared = m
     return {
@@ -300,7 +339,7 @@ def check_divergence(p: SpectralParams, cartan: CartanData,
         "bound": str(bound),
         "shell_max": shell_max,
         "m0": m0,
-        "shell_minima": [str(x) for x in minima],
+        "shell_minima": shown,
         "eigenvalues_below_bound": below_count,
         "multiplicity_below_bound": below_mult,
         "l0_lane_cleared_at": lane_cleared,

@@ -341,6 +341,29 @@ def test_covariance_certificate_needs_no_rewriter(monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("N", range(5, 9))
+def test_relation_count_matches_generated_relations(N):
+    assert actions.relation_count(N) == \
+        len(frt.generate_relations(frt.FRTData(N)).elems)
+
+
+def test_warm_covariance_generates_no_relations(monkeypatch):
+    calls = []
+
+    def counted(data):
+        calls.append(data.N)
+        return frt.generate_relations(data)
+
+    for N in (5, 6):
+        verify_covariance(N)
+    monkeypatch.setattr(actions, "generate_relations", counted)
+    for N in (5, 6):
+        out = verify_covariance(N)
+        assert out["status"] == "verified"
+        assert out["relations"] == actions.relation_count(N)
+    assert calls == []
+
+
 def test_covariance_report_does_not_alias_the_shared_rep():
     first = verify_covariance(6)
     expected = list(first["sign_fixes"])

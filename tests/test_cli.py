@@ -137,6 +137,10 @@ def test_bad_ambient_size(capsys, argv):
     ('{"theta": [1]}', "not an exact rational"),
     ('{"mu_y": "1/0"}', "not an exact rational"),
     ("[1, 2]", "JSON object"),
+    ('{"theta": 0.5}', "theta is not an exact rational: 0.5"),
+    ('{"mu_z": 0.1}', "mu_z is not an exact rational: 0.1"),
+    ('{"theta": true}', "theta is not an exact rational: True"),
+    ('{"theta_1": "2"}', "unknown key 'theta_1'"),
 ])
 def test_malformed_params_file_exits_two(tmp_path, capsys, content, reason):
     pf = tmp_path / "params.json"
@@ -250,9 +254,13 @@ def test_aggregate_status_folds_unknown_statuses_to_failed():
 
 
 def test_to_json_matches_the_json_module():
+    import enum
     from fractions import Fraction
 
     from qso_spectra.field import FieldElem
+
+    class Level(enum.IntEnum):
+        LOW = 3
 
     v = FieldElem.v_pow(1)
     value = {
@@ -275,6 +283,16 @@ def test_to_json_matches_the_json_module():
         assert text == json.dumps(json.loads(text), indent=2) + "\n"
     with pytest.raises(TypeError):
         reports.to_json({"x": [0.5]})
+    # the leaves the exact-type dispatch passes to the isinstance chain
+    value = {"flags": [True, False, [True]], "on": True, "off": False,
+             "enum": Level.LOW, "enums": [Level.LOW], "whole": Fraction(6, 3),
+             "neg": -(10**40) - 7, "mixed": [0, -1, Fraction(-5, 1)]}
+    plain = {"flags": [True, False, [True]], "on": True, "off": False,
+             "enum": Level.LOW, "enums": [Level.LOW], "whole": "2",
+             "neg": -(10**40) - 7, "mixed": [0, -1, "-5"]}
+    assert reports.to_json(value) == json.dumps(plain, indent=2) + "\n"
+    with pytest.raises(TypeError):
+        reports.to_json({"a": [{"b": 0.5}]})
 
 
 def _readme_commands():

@@ -7,6 +7,7 @@ import warnings
 from fractions import Fraction
 from math import comb
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +19,7 @@ from qso_spectra.cli import main
 from qso_spectra.errors import BoundNotCleared, ParamsNotValidated
 from qso_spectra.spectrum import (
     SpectralParams,
+    _int_weights,
     _QintTable,
     _shell_minimum,
     _weight_of,
@@ -156,6 +158,96 @@ def test_spectrum_table_sorted_and_complete():
     assert values == sorted(values)
     # deterministic
     assert table == spectrum_table(p, c, 5, 5)
+
+
+def _fraction_spectrum_table(p, cartan, kmax, lmax):
+    """spectrum_table as it was before the integer weights: Fraction
+    weights over every coordinate, sorted on the Fraction value."""
+    table = _QintTable(p, max(kmax, lmax))
+    w1, ly = cartan.fundamental_weights[0], y_weight(cartan)
+    records = []
+    for k in range(kmax + 1):
+        for l in range(lmax + 1):
+            weight = _weight_of(k, l, w1, ly)
+            records.append({
+                "k": k, "l": l, "value": table.value(k, l),
+                "multiplicity": cartan.weyl_dim(weight), "weight": weight,
+            })
+    records.sort(key=lambda r: (r["value"], r["k"] + r["l"], r["k"]))
+    return records
+
+
+def _same_records(got, want):
+    """Equal records in the same order, with the same leaf types."""
+    assert got == want
+    for g, w in zip(got, want):
+        assert list(g) == list(w)
+        for key in g:
+            assert type(g[key]) is type(w[key]), key
+        assert [type(x) for x in g["weight"]] == [type(x) for x in w["weight"]]
+
+
+def test_spectrum_table_matches_fraction_reference():
+    q = Fraction(11, 10)
+    cases = [
+        params(),  # lam(1, 0) = lam(0, 1) = 1: the tie-break decides
+        params(theta=-(1 - 1 / (q * q))),  # boundary theta
+        params(theta=-(1 - 1 / Fraction(49, 25)) * Fraction(3, 2),
+               mu_y=Fraction(3, 2), mu_z=Fraction(1, 3), theta2=Fraction(5, 8),
+               q=Fraction(7, 5)),
+    ]
+    default = spectrum_table(cases[0], CartanData(7), 2, 2)
+    assert [(r["k"], r["l"]) for r in default[:3]] == [(0, 0), (0, 1), (1, 0)]
+    assert default[1]["value"] == default[2]["value"] == 1
+    for N in range(5, 21):
+        c = cartan_data(N)
+        for p in cases:
+            for kmax, lmax in ((6, 6), (7, 3), (2, 9), (0, 4), (5, 0)):
+                _same_records(spectrum_table(p, c, kmax, lmax),
+                              _fraction_spectrum_table(p, c, kmax, lmax))
+
+
+_POS = st.fractions(min_value=Fraction(1, 40), max_value=50, max_denominator=40)
+
+
+@settings(max_examples=40, deadline=None)
+@given(mu_y=_POS, mu_z=_POS, theta1=_POS, theta3=_POS,
+       theta2=st.fractions(min_value=-50, max_value=50, max_denominator=40),
+       lift=st.fractions(min_value=0, max_value=20, max_denominator=40),
+       q=st.sampled_from([Fraction(11, 10), Fraction(3, 2), Fraction(7, 5),
+                          Fraction(101, 100), Fraction(2)]),
+       N=st.integers(5, 20), kmax=st.integers(0, 8), lmax=st.integers(0, 8))
+def test_spectrum_table_matches_fraction_reference_at_admissible_constants(
+        mu_y, mu_z, theta1, theta3, theta2, lift, q, N, kmax, lmax):
+    p = SpectralParams(theta1=theta1, theta2=theta2, theta3=theta3,
+                       mu_y=mu_y, mu_z=mu_z, q=q)
+    p.theta = boundary_theta(p) + lift
+    assert validate_params(p)["status"] == "verified"
+    c = cartan_data(N)
+    _same_records(spectrum_table(p, c, kmax, lmax),
+                  _fraction_spectrum_table(p, c, kmax, lmax))
+
+
+def test_integer_weights():
+    for N in range(5, 21):
+        c = cartan_data(N)
+        w1, ly = _int_weights(c)
+        assert all(type(x) is int for x in w1 + ly)
+        assert w1 == tuple(c.fundamental_weights[0])
+        assert ly == y_weight(c)
+        # w_1 = eps_1 and lam_y = eps_1 + eps_2
+        assert w1 == (1,) + (0,) * (c.n - 1)
+        assert ly == (1, 1) + (0,) * (c.n - 2)
+    # a spin weight has half-integral coordinates: raise, never truncate
+    c = CartanData(7)
+    spin = SimpleNamespace(fundamental_weights=[c.fundamental_weights[-1]],
+                           simple_roots=c.simple_roots)
+    with pytest.raises(ValueError, match="non-integral"):
+        _int_weights(spin)
+    with pytest.raises(ValueError, match="non-integral"):
+        spectrum_table(params(), spin, 1, 1)
+    with pytest.raises(ValueError, match="non-integral"):
+        check_divergence(params(), spin, 30, 20)
 
 
 def test_check_divergence_reports():
@@ -352,6 +444,37 @@ def test_check_divergence_matches_full_scan_report():
         c = CartanData(N)
         got = reports.to_json(check_divergence(p, c, shell_max, bound))
         assert got == reports.to_json(_full_scan_divergence(p, c, shell_max, bound))
+
+
+def test_check_divergence_bound_ties_match_full_scan():
+    # lam <= bound keeps a shell or a lane value at the bound: pick
+    # bounds equal to a shell minimum and to an l = 0 lane value
+    q = Fraction(11, 10)
+    cases = [
+        (params(), 7, 60),
+        (params(theta=Fraction(-1, 10), theta1=Fraction(1, 3), theta2=-40,
+                mu_z=Fraction(1, 7)), 12, 60),
+        (params(theta=-(1 - 1 / (q * q))), 20, 60),
+    ]
+    ties = 0
+    for p, N, shell_max in cases:
+        c = CartanData(N)
+        table = _QintTable(p, shell_max)
+        minima = [Fraction(_shell_minimum(table, m, table.scaled(m, 0)),
+                           table.scale(m)) for m in range(shell_max + 1)]
+        lane = [table.value(m, 0) for m in range(shell_max + 1)]
+        for bound in minima[5:40:7] + lane[3:40:9]:
+            try:
+                want = _full_scan_divergence(p, c, shell_max, bound)
+            except BoundNotCleared as exc:
+                with pytest.raises(BoundNotCleared) as got:
+                    check_divergence(p, c, shell_max, bound)
+                assert str(got.value) == str(exc)
+                continue
+            got = check_divergence(p, c, shell_max, bound)
+            assert reports.to_json(got) == reports.to_json(want)
+            ties += 1
+    assert ties >= 15
 
 
 def test_boundary_not_cleared_message_matches_full_scan():
