@@ -16,7 +16,9 @@ lam, so the Weyl dimension formula runs over integers on 2*lam and
 Theory, 24.3).  Every root is eps_i, eps_i - eps_j or eps_i + eps_j, so
 it has at most two nonzero coordinates; weyl_dim pairs against each
 root through its (index, coefficient) support only, so a pairing costs
-at most two products instead of n.
+at most two products instead of n.  The supports come first: d, the
+Cartan matrix and the coordinates of every root are read off them, so
+the build is quadratic in the rank.
 
 CartanData is fixed by N: cartan_data(N) builds it once per process
 and returns the shared, read-only object.
@@ -53,23 +55,15 @@ class CartanData:
             self.n = N // 2
         n = self.n
 
-        def eps(i, c=1):
-            w = [Fraction(0)] * n
-            w[i - 1] = Fraction(c)
-            return tuple(w)
-
-        def add(x, y):
-            return tuple(a + b for a, b in zip(x, y))
-
-        def sub(x, y):
-            return tuple(a - b for a, b in zip(x, y))
-
-        roots = [sub(eps(i), eps(i + 1)) for i in range(1, n)]
+        # integer (index, coefficient) supports of the simple roots;
+        # weyl_dim works with 2*lam and 2*rho against these
+        simple = [((i, 1), (i + 1, -1)) for i in range(n - 1)]
         if self.series == "B":
-            roots.append(eps(n))
+            simple.append(((n - 1, 1),))
         else:
-            roots.append(add(eps(n - 1), eps(n)))
-        self.simple_roots = roots
+            simple.append(((n - 2, 1), (n - 1, 1)))
+        self.simple_support = simple
+        self.simple_roots = [_root(n, a) for a in simple]
 
         if self.series == "B":
             fw = [tuple(Fraction(1) if j < i else Fraction(0) for j in range(n))
@@ -83,26 +77,21 @@ class CartanData:
             fw.append(tuple(Fraction(1, 2) for _ in range(n)))
         self.fundamental_weights = fw
 
-        self.d = [self.pair(a, a) / 2 for a in roots]
-        self.cartan_matrix = [
-            [int(2 * self.pair(ai, aj) / self.pair(ai, ai)) for aj in roots]
-            for ai in roots
-        ]
+        # (alpha_i, alpha_j) over the supports, at most two products each
+        sparse = [dict(a) for a in simple]
+        gram = [[sum(c * b.get(i, 0) for i, c in a) for b in sparse] for a in simple]
+        self.d = [Fraction(g[i], 2) for i, g in enumerate(gram)]
+        self.cartan_matrix = [[2 * x // g[i] for x in g] for i, g in enumerate(gram)]
 
         pos = []
-        for i in range(1, n + 1):
-            for j in range(i + 1, n + 1):
-                pos.append(sub(eps(i), eps(j)))
-                pos.append(add(eps(i), eps(j)))
+        for i in range(n):
+            for j in range(i + 1, n):
+                pos.append(((i, 1), (j, -1)))
+                pos.append(((i, 1), (j, 1)))
         if self.series == "B":
-            for i in range(1, n + 1):
-                pos.append(eps(i))
-        self.positive_roots = pos
-
-        # integer (index, coefficient) supports for weyl_dim, which works
-        # with 2*lam and 2*rho
-        self.simple_support = [_support(a) for a in roots]
-        self.positive_support = [_support(a) for a in pos]
+            pos.extend(((i, 1),) for i in range(n))
+        self.positive_support = pos
+        self.positive_roots = [_root(n, a) for a in pos]
         self.rho2 = tuple(int(2 * sum(c)) for c in zip(*fw))
         self.weyl_den = prod(_pair_support(a, self.rho2)
                              for a in self.positive_support)
@@ -153,10 +142,12 @@ class CartanData:
         return dim
 
 
-def _support(root) -> tuple:
-    """The (index, coefficient) pairs of a root's nonzero coordinates,
-    as integers."""
-    return tuple((i, int(c)) for i, c in enumerate(root) if c)
+def _root(n: int, support) -> tuple:
+    """The Fraction coordinates of a root given by its support."""
+    w = [Fraction(0)] * n
+    for i, c in support:
+        w[i] = Fraction(c)
+    return tuple(w)
 
 
 def _pair_support(support, x) -> int:

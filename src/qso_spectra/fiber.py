@@ -11,26 +11,25 @@ the fiber conjugation i |-> M+1-i:
                                                  (c = conj(i) > i),
              e-_m ^ e-_m = (q^{1/2} - q^{-1/2}) sum_{j<m}
                  q^{j-m+1} e-_j ^ e-_conj(j)     (odd M, m the middle),
-  Lambda^+:  the mirror with q |-> q^{-1} in the swap and correction
+  Lambda^+:  the same rules with q |-> q^{-1} in the swap and correction
              exponents and a global minus on the correction sums.
 
+Since q - q^{-1} and q^{1/2} - q^{-1/2} change sign under v |-> 1/v,
+Lambda^+ is the bar of Lambda^- (FieldElem.bar): only the Lambda^- rules
+are built, and a Lambda^+ normal form, like a mirrored kappa power, is
+the bar of its Lambda^- counterpart.
+
 The swap direction (descending pair (x, y) |-> -q^{+1} (y, x) on the
-minus side, -q^{-1} on the plus side) is the unique choice that makes
-the straightening rules locally confluent together with the fixed
-conjugate-pair corrections (checked exhaustively on length-3 words for
-M <= 6 by the test suite); the opposite direction fails confluence for
-M >= 5.  The algebras, and so every table below, depend on M alone.
+minus side) is the unique choice that makes the straightening rules
+locally confluent together with the fixed conjugate-pair corrections
+(checked exhaustively on length-3 words for M <= 6 by the test suite);
+the opposite direction fails confluence for M >= 5.  The algebras, and
+so every table below, depend on M alone.
 
 Mixed e+/e- commutation relations are never used: all computations on
 two-block forms route through centrality of the Kaehler form.  One
-kernel, _insert, inserts a pair against a basis term, in one of three
-modes:
-
-  "between"  e+_I ^ (e+_i ^ e-_i) ^ e-_J, the Lefschetz map L and the
-             kappa powers;
-  "outside"  e+_i ^ (e+_I ^ e-_J) ^ e-_i, the centrality cross-check;
-  "mirror"   e-_I ^ (e-_i ^ e+_i) ^ e+_J on minus-first forms, the
-             mirrored kappa powers (the g coefficients).
+kernel, _insert, inserts the pair e+_i ^ e-_i between the blocks of a
+basis term, e+_I ^ (e+_i ^ e-_i) ^ e-_J.
 
 The Lefschetz map on every basis key is one table per M, built on first
 use and shared for the life of the process (lefschetz_table); the
@@ -43,9 +42,8 @@ primitive vectors and the elimination that solves the Lefschetz
 decomposition.  The F_p image, cheap after interning, is rebuilt per
 rank check and kept nowhere, so a rank check at another point does not
 drop the Hodge check's decompositions.  The kappa powers and
-lefschetz() read the table's symbolic map; the mirrored powers
-("mirror") and the non-primitivity check's single top pair insert only
-against the keys they touch.
+lefschetz() read the table's symbolic map; the non-primitivity check's
+single top pair inserts only against the keys it touches.
 
 The imaginary unit is never adjoined to the coefficient field: a
 general form stores a pair (re, im) of real coefficients per basis key
@@ -95,38 +93,36 @@ class ExtAlgParams:
 # Straightening
 # ---------------------------------------------------------------------------
 
-def _reduce_pair(params: ExtAlgParams, side: str, x: int, y: int):
-    """Rewrite the adjacent factor e_x ^ e_y, or None if irreducible.
+def _reduce_pair(params: ExtAlgParams, x: int, y: int):
+    """Rewrite the adjacent factor e-_x ^ e-_y of Lambda^-, or None if
+    irreducible.
 
     Returns a dict {(a, b): coeff} replacing the two letters.
     """
-    sgn = 1 if side == "-" else -1  # exponent / correction-sum sign mirror
     if x == y:
         if params.odd and x == params.middle:
             m = params.middle
-            out = {}
-            for j in range(1, m):
-                c = _NU_HALF * FieldElem.v_pow(2 * sgn * (j - m + 1))
-                out[(j, params.conj(j))] = c if side == "-" else -c
-            return out
+            return {(j, params.conj(j)): _NU_HALF * FieldElem.v_pow(2 * (j - m + 1))
+                    for j in range(1, m)}
         return {}
     if x > y:
         if y == params.conj(x):
             out = {(y, x): -ONE}
             for j in range(1, y):
-                c = _NU * FieldElem.v_pow(2 * sgn * (j - y + 1))
-                out[(j, params.conj(j))] = c if side == "-" else -c
+                out[(j, params.conj(j))] = _NU * FieldElem.v_pow(2 * (j - y + 1))
             return out
-        return {(y, x): -FieldElem.v_pow(2 * sgn)}
+        return {(y, x): -FieldElem.v_pow(2)}
     return None
 
 
 def _straighten(params: ExtAlgParams, word, side: str):
-    """Normal form of a wedge word as {strictly increasing tuple: coeff}.
+    """Normal form of a wedge word as {strictly increasing tuple: coeff},
+    in Lambda^- (side "-") or Lambda^+ (side "+").
 
     Every rule replaces a two-letter factor by lexicographically smaller
     factors, so the worklist terminates; confluence makes the reduction
-    order immaterial.
+    order immaterial.  The Lambda^+ rules are the bar of the Lambda^-
+    rules, so its normal form is the bar of the Lambda^- one.
     """
     for a in word:
         if not 1 <= a <= params.M:
@@ -139,7 +135,7 @@ def _straighten(params: ExtAlgParams, word, side: str):
             continue
         hit = None
         for p in range(len(w) - 1):
-            r = _reduce_pair(params, side, w[p], w[p + 1])
+            r = _reduce_pair(params, w[p], w[p + 1])
             if r is not None:
                 hit = (p, r)
                 break
@@ -152,23 +148,9 @@ def _straighten(params: ExtAlgParams, word, side: str):
             nw = w[:p] + pair + w[p + 2:]
             acc = work.get(nw)
             work[nw] = c * cc if acc is None else acc + c * cc
+    if side == "+":
+        return {w: c.bar() for w, c in done.items() if c}
     return {w: c for w, c in done.items() if c}
-
-
-def straighten_minus(params: ExtAlgParams, word) -> "FiberForm":
-    """Normal form of e-_{w1} ^ ... ^ e-_{wk} as a FiberForm."""
-    form = FiberForm(params.M)
-    for j_tuple, c in _straighten(params, word, "-").items():
-        form.add((), j_tuple, c, ZERO)
-    return form
-
-
-def straighten_plus(params: ExtAlgParams, word) -> "FiberForm":
-    """Normal form of e+_{w1} ^ ... ^ e+_{wk} as a FiberForm."""
-    form = FiberForm(params.M)
-    for i_tuple, c in _straighten(params, word, "+").items():
-        form.add(i_tuple, (), c, ZERO)
-    return form
 
 
 # ---------------------------------------------------------------------------
@@ -291,16 +273,11 @@ class KappaExpansion:
 # The insertion kernel
 # ---------------------------------------------------------------------------
 
-def _insert(params: ExtAlgParams, key, mode: str = "between", indices=None,
-            straighten=None):
-    """Image of the basis key (I, J) under the pair insertions summed over
-    i in indices (default 1..M), as {(I', J'): coeff}.
+def _insert(params: ExtAlgParams, key, indices=None, straighten=None):
+    """Image of the basis key (I, J) under the central pair insertions
+    e+_I ^ (e+_i ^ e-_i) ^ e-_J summed over i in indices (default 1..M),
+    as {(I', J'): coeff}.
 
-    mode "between": e+_I ^ (e+_i ^ e-_i) ^ e-_J, the central-insertion
-    slot.  mode "outside": e+_i ^ (e+_I ^ e-_J) ^ e-_i, valid against a
-    central element (kappa power); agreement of the two is the
-    computational content of centrality and a regression test.  mode
-    "mirror": e-_I ^ (e-_i ^ e+_i) ^ e+_J on a minus-first key (I, J).
     The factor i of each kappa term is left to the caller.  straighten
     (word, side) -> normal form defaults to _straighten; the table build
     passes a memoised one.
@@ -308,17 +285,12 @@ def _insert(params: ExtAlgParams, key, mode: str = "between", indices=None,
     if straighten is None:
         straighten = functools.partial(_straighten, params)
     I, J = key
-    left, right = ("-", "+") if mode == "mirror" else ("+", "-")
     out = {}
     for i in indices or range(1, params.M + 1):
-        if mode == "outside":
-            lword, rword = (i,) + I, J + (i,)
-        else:
-            lword, rword = I + (i,), (i,) + J
-        lpart = straighten(lword, left)
+        lpart = straighten(I + (i,), "+")
         if not lpart:
             continue
-        rpart = straighten(rword, right)
+        rpart = straighten((i,) + J, "-")
         for lk, lc in lpart.items():
             for rk, rc in rpart.items():
                 c = lc * rc
@@ -342,15 +314,6 @@ def _apply_num(num_map, vec, p=None):
     return {k: c for k, c in out.items() if c}
 
 
-def _insert_step(params: ExtAlgParams, vec, mode: str = "between", indices=None):
-    """One insertion step on a symbolic {key: FieldElem} vector.  A full
-    "between" step is the Lefschetz map, so it reads the shared table's
-    map; the other modes insert against the keys of vec."""
-    if mode == "between" and indices is None:
-        return _apply_num(lefschetz_table(params.M).map, vec)
-    return _apply_num({key: _insert(params, key, mode, indices) for key in vec}, vec)
-
-
 def _apply_form(num_map, form: FiberForm) -> FiberForm:
     """kappa ^ form through an insertion map: each inserted kappa term
     carries a factor i, which turns (re, im) into (-im, re)."""
@@ -361,15 +324,15 @@ def _apply_form(num_map, form: FiberForm) -> FiberForm:
     return out
 
 
-def kappa_power(params: ExtAlgParams, l: int, mode: str = "between") -> KappaExpansion:
-    """Exact expansion of kappa^l over the sorted basis.  Mode "mirror"
-    gives the g coefficients on minus-first forms:
-    [kappa^l] = i^l sum g_{l,I,J} e-_I ^ e+_J."""
+def kappa_power(params: ExtAlgParams, l: int) -> KappaExpansion:
+    """Exact expansion of kappa^l over the sorted basis, by l steps of
+    the shared Lefschetz table."""
     if l < 0 or l > 2 * params.M:
         raise ValueError("need 0 <= l <= 2M")
+    num = lefschetz_table(params.M).map
     coeffs = {((), ()): ONE}
     for _ in range(l):
-        coeffs = _insert_step(params, coeffs, mode)
+        coeffs = _apply_num(num, coeffs)
     return KappaExpansion(params.M, l, coeffs)
 
 
@@ -882,11 +845,12 @@ def verify_f_properties(params: ExtAlgParams) -> dict:
     M = params.M
     checks = 0
     failures = []
+    num = lefschetz_table(M).map
     coeffs = {((), ()): ONE}
     records = []
     for l in range(M + 1):
         if l:
-            coeffs = _insert_step(params, coeffs)
+            coeffs = _apply_num(num, coeffs)
         oracle = classical_kappa_coeffs(M, l)
         want_sign = (-1) ** (l * (l - 1) // 2)
         want_val = want_sign * factorial(l)
@@ -929,21 +893,21 @@ def verify_f_properties(params: ExtAlgParams) -> dict:
 def verify_nonprimitive(params: ExtAlgParams, extra_samples=(Fraction(101, 100),)) -> dict:
     """kappa^{M-1} ^ e+_M ^ e-_M is a nonzero multiple of the top form
     (nonzero at q = 1 and at the extra sample points), plus the mirrored
-    minus-first computation through the g coefficients."""
+    minus-first law g, whose top coefficient is the bar of the f one."""
     M = params.M
     failures = []
     details = {}
     full = tuple(range(1, M + 1))
-    for label, mode in (("f", "between"), ("g", "mirror")):
-        # wedge the (M-1)-power with the (M, M) pair in its block convention
-        res = _insert_step(params, kappa_power(params, M - 1, mode).coeffs,
-                           mode, (M,))
-        keys = list(res)
+    # wedge the (M-1)-power with the (M, M) pair between its blocks
+    power = kappa_power(params, M - 1).coeffs
+    res = _apply_num({key: _insert(params, key, (M,)) for key in power}, power)
+    keys = list(res)
+    for label in ("f", "g"):
         if keys != [(full, full)]:
             failures.append({"law": label,
                              "reason": f"expected only the top pair, got {keys}"})
             continue
-        c = res[(full, full)]
+        c = res[(full, full)] if label == "f" else res[(full, full)].bar()
         at1 = c.eval_v(1)
         entry = {"coefficient": c.to_text(), "at_1": str(at1)}
         if at1 == 0:

@@ -215,6 +215,14 @@ class FieldElem:
     def inverse(self) -> "FieldElem":
         return FieldElem(_rf_inv(self.base))
 
+    def bar(self) -> "FieldElem":
+        """The automorphism v |-> 1/v of Q(v)."""
+        num, den = self.base
+        num = {-e: c for e, c in num.items()}
+        if len(den) == 1:  # a Laurent polynomial stays canonical
+            return FieldElem((num, den))
+        return FieldElem(_rf_norm(num, {-e: c for e, c in den.items()}))
+
     def __truediv__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:

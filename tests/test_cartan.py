@@ -1,5 +1,6 @@
 """Root-system data and the Weyl dimension formula for so_N."""
 
+import time
 from fractions import Fraction
 from math import prod
 
@@ -140,3 +141,57 @@ def test_cartan_data_is_built_once_per_n():
     assert cartan_data(7) is cartan_data(7)
     assert cartan_data(7) is not cartan_data(8)
     assert cartan_data(7).cartan_matrix == CartanData(7).cartan_matrix
+
+
+def _dense_reference(N):
+    """cartan_matrix, d, positive_roots, rho2 and weyl_den from dense
+    Fraction coordinates: pairings of length n and tuple arithmetic."""
+    c = CartanData(N)
+    n = c.n
+
+    def eps(i):
+        return tuple(Fraction(int(j == i - 1)) for j in range(n))
+
+    def pair(x, y):
+        return sum(a * b for a, b in zip(x, y))
+
+    roots = [tuple(a - b for a, b in zip(eps(i), eps(i + 1))) for i in range(1, n)]
+    roots.append(eps(n) if c.series == "B"
+                 else tuple(a + b for a, b in zip(eps(n - 1), eps(n))))
+    pos = []
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            pos.append(tuple(a - b for a, b in zip(eps(i), eps(j))))
+            pos.append(tuple(a + b for a, b in zip(eps(i), eps(j))))
+    if c.series == "B":
+        pos += [eps(i) for i in range(1, n + 1)]
+    rho2 = tuple(int(2 * sum(x)) for x in zip(*c.fundamental_weights))
+    return {
+        "simple_roots": roots,
+        "cartan_matrix": [[int(2 * pair(a, b) / pair(a, a)) for b in roots]
+                          for a in roots],
+        "d": [pair(a, a) / 2 for a in roots],
+        "positive_roots": pos,
+        "rho2": rho2,
+        "weyl_den": prod(int(pair(a, rho2)) for a in pos),
+    }
+
+
+@pytest.mark.parametrize("N", range(5, 31))
+def test_cartan_fields_match_the_dense_formulas(N):
+    c = CartanData(N)
+    for name, want in _dense_reference(N).items():
+        assert getattr(c, name) == want, name
+    assert [type(x) for x in c.d] == [Fraction] * c.n
+    assert all(type(x) is Fraction for r in c.positive_roots for x in r)
+    assert all(type(x) is int for row in c.cartan_matrix for x in row)
+
+
+def test_large_rank_builds_within_budget():
+    # the supports make the build quadratic in the rank: about 0.2 s at
+    # N = 201 (n = 100), where dense Fraction pairings took over 10 s
+    start = time.process_time()
+    c = CartanData(201)
+    assert time.process_time() - start < 4.0
+    assert len(c.positive_roots) == 100 * 100
+    assert c.weyl_dim(c.fundamental_weights[0]) == 201

@@ -1,6 +1,7 @@
 """Quantum exterior algebra of the fiber: straightening, kappa powers,
 Lefschetz theory and the Hodge map."""
 
+import functools
 import random
 from fractions import Fraction
 from itertools import product
@@ -23,8 +24,6 @@ from qso_spectra.fiber import (
     make_evaluator,
     primitive_decompose,
     random_form,
-    straighten_minus,
-    straighten_plus,
     verify_f_properties,
     verify_hodge_shape,
     verify_lefschetz_iso,
@@ -35,50 +34,43 @@ from qso_spectra.field import ONE, ZERO, FieldElem
 V = FieldElem.v_pow
 
 
-def single_minus(M, J, coeff):
-    f = FiberForm(M)
-    f.add((), J, coeff, ZERO)
-    return f
-
-
 def test_straighten_plain_swap():
     # descending non-conjugate minus pair picks up -q
     p = ExtAlgParams(4)
-    assert straighten_minus(p, (3, 1)) == single_minus(4, (1, 3), -V(2))
+    assert fiber._straighten(p, (3, 1), "-") == {(1, 3): -V(2)}
     # plus side mirrors with -q^-1
-    f = straighten_plus(p, (3, 1))
-    assert f.terms == {((1, 3), ()): [-V(-2), ZERO]}
+    assert fiber._straighten(p, (3, 1), "+") == {(1, 3): -V(-2)}
 
 
 def test_straighten_conjugate_pair():
     # (conj(1), 1) = (4, 1) at M = 4: no lower corrections, bare -1
     p = ExtAlgParams(4)
-    assert straighten_minus(p, (4, 1)) == single_minus(4, (1, 4), -ONE)
+    assert fiber._straighten(p, (4, 1), "-") == {(1, 4): -ONE}
 
 
 def test_straighten_middle_square():
     # e-_2 ^ e-_2 at M = 3: (q^{1/2} - q^{-1/2}) e-_{1,3}
     p = ExtAlgParams(3)
-    assert straighten_minus(p, (2, 2)) == single_minus(3, (1, 3), V(1) - V(-1))
+    assert fiber._straighten(p, (2, 2), "-") == {(1, 3): V(1) - V(-1)}
 
 
 def test_straighten_nilpotent_square():
     p = ExtAlgParams(4)
-    assert not straighten_minus(p, (2, 2))
-    assert not straighten_plus(p, (3, 3))
+    assert not fiber._straighten(p, (2, 2), "-")
+    assert not fiber._straighten(p, (3, 3), "+")
 
 
 def test_straighten_fixed_on_normal_words():
     p = ExtAlgParams(5)
-    assert straighten_minus(p, (1, 3, 5)) == single_minus(5, (1, 3, 5), ONE)
+    assert fiber._straighten(p, (1, 3, 5), "-") == {(1, 3, 5): ONE}
 
 
 def test_straighten_index_guard():
     p = ExtAlgParams(3)
     with pytest.raises(IndexOutOfRange):
-        straighten_minus(p, (0, 1))
+        fiber._straighten(p, (0, 1), "-")
     with pytest.raises(IndexOutOfRange):
-        straighten_plus(p, (1, 4))
+        fiber._straighten(p, (1, 4), "+")
 
 
 @settings(max_examples=40, deadline=None)
@@ -87,13 +79,11 @@ def test_classical_limit_is_exterior_algebra(perm):
     # at q = 1 all correction terms vanish and straightening is the
     # ordinary sign-of-permutation sort
     p = ExtAlgParams(4)
-    res = straighten_minus(p, tuple(perm))
-    assert len(res.terms) == 1
-    ((I, J), (re, im)), = res.terms.items()
-    assert I == () and J == (1, 2, 3, 4) and not im
+    (J, c), = fiber._straighten(p, tuple(perm), "-").items()
+    assert J == (1, 2, 3, 4)
     inv = sum(1 for a in range(4) for b in range(a + 1, 4)
               if perm[a] > perm[b])
-    assert re.eval_v(1) == (-1) ** inv
+    assert c.eval_v(1) == (-1) ** inv
 
 
 def test_straighten_confluence_samples():
@@ -102,20 +92,52 @@ def test_straighten_confluence_samples():
     # straightening of w against straightening the reversal twice
     p = ExtAlgParams(5)
     for word in [(3, 3, 2), (5, 1, 5), (2, 4, 2), (4, 3, 3)]:
-        res = straighten_minus(p, word)
+        res = fiber._straighten(p, word, "-")
         # rebuild: expand each output word back, must reproduce itself
-        for (_, J), (re, im) in res.terms.items():
-            again = straighten_minus(p, J)
-            assert again == single_minus(5, J, ONE)
-            assert not im
+        for J in res:
+            assert fiber._straighten(p, J, "-") == {J: ONE}
+
+
+def _reduce_pair_plus(p, x, y):
+    """The Lambda^+ rules as the fiber module docstring states them: the
+    Lambda^- rules with q |-> q^{-1} in the swap and correction exponents
+    and a global minus on the correction sums."""
+    nu, nu_half = V(2) - V(-2), V(1) - V(-1)
+    if x == y:
+        if p.odd and x == p.middle:
+            m = p.middle
+            return {(j, p.conj(j)): -nu_half * V(-2 * (j - m + 1)) for j in range(1, m)}
+        return {}
+    if x > y:
+        if y == p.conj(x):
+            out = {(y, x): -ONE}
+            for j in range(1, y):
+                out[(j, p.conj(j))] = -nu * V(-2 * (j - y + 1))
+            return out
+        return {(y, x): -V(-2)}
+    return None
+
+
+RULES = {"-": fiber._reduce_pair, "+": _reduce_pair_plus}
+
+
+def _normal_form(p, side, word):
+    """Normal form by the module's Lambda^- straightening, or by leftmost
+    rewriting with the test's own Lambda^+ rules."""
+    if side == "-":
+        return fiber._straighten(p, word, "-")
+    for pos in range(len(word) - 1):
+        if _reduce_pair_plus(p, word[pos], word[pos + 1]) is not None:
+            return _straighten_after(p, side, word, pos)
+    return {tuple(word): ONE}
 
 
 def _straighten_after(p, side, word, pos):
     """Straighten the word after first rewriting its pair at pos."""
     out = {}
-    for pair, c in fiber._reduce_pair(p, side, word[pos], word[pos + 1]).items():
+    for pair, c in RULES[side](p, word[pos], word[pos + 1]).items():
         rest = word[:pos] + pair + word[pos + 2:]
-        for w, cc in fiber._straighten(p, rest, side).items():
+        for w, cc in _normal_form(p, side, rest).items():
             acc = out.get(w)
             out[w] = c * cc if acc is None else acc + c * cc
     return {w: c for w, c in out.items() if c}
@@ -129,13 +151,66 @@ def test_straightening_is_locally_confluent(side):
     for M in range(1, 7):
         p = ExtAlgParams(M)
         for word in product(range(1, M + 1), repeat=3):
-            if fiber._reduce_pair(p, side, *word[:2]) is None or \
-                    fiber._reduce_pair(p, side, *word[1:]) is None:
+            if RULES[side](p, *word[:2]) is None or \
+                    RULES[side](p, *word[1:]) is None:
                 continue
             overlaps += 1
             assert _straighten_after(p, side, word, 0) == \
                 _straighten_after(p, side, word, 1), (M, word)
     assert overlaps == 126
+
+
+def _words():
+    """Every word of length <= 4 at M = 1..5 and of length <= 3 at M = 6."""
+    for M, longest in [(1, 4), (2, 4), (3, 4), (4, 4), (5, 4), (6, 3)]:
+        for k in range(longest + 1):
+            for word in product(range(1, M + 1), repeat=k):
+                yield ExtAlgParams(M), word
+
+
+def test_plus_straightening_is_the_bar_of_minus():
+    count = 0
+    for p, word in _words():
+        minus = fiber._straighten(p, word, "-")
+        want = _normal_form(p, "+", word)
+        assert {w: c.bar() for w, c in minus.items()} == want, (p.M, word)
+        assert fiber._straighten(p, word, "+") == want, (p.M, word)
+        count += 1
+    assert count == 1538
+
+
+def _power_by(p, l, blocks):
+    """{(I, J): coeff} after l pair insertions from 1, where blocks(I, J, i)
+    gives the two straightened blocks that one inserted pair makes."""
+    coeffs = {((), ()): ONE}
+    for _ in range(l):
+        out = {}
+        for (I, J), c in coeffs.items():
+            for i in range(1, p.M + 1):
+                lpart, rpart = blocks(I, J, i)
+                for lk, lc in lpart.items():
+                    for rk, rc in rpart.items():
+                        term = c * lc * rc
+                        acc = out.get((lk, rk))
+                        out[(lk, rk)] = term if acc is None else acc + term
+        coeffs = {t: c for t, c in out.items() if c}
+    return coeffs
+
+
+def _outside_power(p, l):
+    """kappa^l by insertions e+_i ^ (e+_I ^ e-_J) ^ e-_i outside the
+    blocks, valid against a central element."""
+    return _power_by(p, l, lambda I, J, i: (fiber._straighten(p, (i,) + I, "+"),
+                                            fiber._straighten(p, J + (i,), "-")))
+
+
+def _mirror_power(p, l):
+    """The g coefficients of the mirrored kappa^l on minus-first forms,
+    [kappa^l] = i^l sum g_{l,I,J} e-_I ^ e+_J, by insertions
+    e-_I ^ (e-_i ^ e+_i) ^ e+_J with the test's own Lambda^+ rules."""
+    plus = functools.cache(lambda word: _normal_form(p, "+", word))
+    return _power_by(p, l, lambda I, J, i: (fiber._straighten(p, I + (i,), "-"),
+                                            plus((i,) + J)))
 
 
 def test_kappa_power_endpoints():
@@ -150,13 +225,20 @@ def test_kappa_centrality_between_vs_outside():
     for M in (3, 4):
         p = ExtAlgParams(M)
         for l in range(M + 1):
-            assert kappa_power(p, l, "between").coeffs == \
-                kappa_power(p, l, "outside").coeffs
+            assert kappa_power(p, l).coeffs == _outside_power(p, l)
+
+
+def test_mirrored_kappa_powers_are_the_bar_of_kappa_powers():
+    for M in range(1, 7):
+        p = ExtAlgParams(M)
+        for l in range(2 * M + 1):
+            f = kappa_power(p, l).coeffs
+            assert _mirror_power(p, l) == {t: c.bar() for t, c in f.items()}, (M, l)
 
 
 def test_kappa_powers_and_lefschetz_read_the_shared_table(monkeypatch):
-    # once the table of M is built, the "between" kappa powers and L
-    # straighten nothing: they read the table's map
+    # once the table of M is built, the kappa powers and L straighten
+    # nothing: they read the table's map
     p = ExtAlgParams(4)
     fiber.lefschetz_table(4)
     calls = []
@@ -171,9 +253,11 @@ def test_kappa_powers_and_lefschetz_read_the_shared_table(monkeypatch):
         kappa_power(p, l)
     assert lefschetz(p, FiberForm.one(4)) == kappa(p)
     assert calls == []
-    # the mirror and single-pair insertions still straighten their keys
-    kappa_power(p, 2, "mirror")
+    # the non-primitivity check's single top pair still straightens its
+    # keys, and only words holding the inserted index
+    verify_nonprimitive(p)
     assert calls
+    assert all(4 in word for _, word, _ in calls)
 
 
 def test_classical_kappa_oracle():
@@ -198,7 +282,7 @@ def test_g_mirror_at_q1_matches_f():
     p = ExtAlgParams(3)
     for l in range(4):
         f = kappa_power(p, l).coeffs
-        g = kappa_power(p, l, "mirror").coeffs
+        g = _mirror_power(p, l)
         fd = {I: c.eval_v(1) for (I, J), c in f.items() if I == J}
         gd = {I: c.eval_v(1) for (I, J), c in g.items() if I == J}
         assert fd == gd
@@ -360,6 +444,15 @@ def test_nonprimitive_top_wedge(M):
     assert set(out["details"]) == {"f", "g"}
     if M == 3:
         assert out["details"]["f"]["at_1"] == "-2"
+    # the "g" law is e-_M ^ e+_M inserted into the mirrored (M-1)-power
+    p = ExtAlgParams(M)
+    full = tuple(range(1, M + 1))
+    top = ZERO
+    for (I, J), c in _mirror_power(p, M - 1).items():
+        lpart = fiber._straighten(p, I + (M,), "-")
+        rpart = _normal_form(p, "+", (M,) + J)
+        top = top + c * lpart.get(full, ZERO) * rpart.get(full, ZERO)
+    assert out["details"]["g"]["coefficient"] == top.to_text()
 
 
 def test_hodge_shape():

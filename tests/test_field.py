@@ -82,6 +82,42 @@ def test_eval_mod_agrees_with_exact_value(a, v0):
     assert got == exact.numerator * pow(exact.denominator, -1, p) % p
 
 
+@settings(max_examples=60, deadline=None)
+@given(field_elems(), field_elems(),
+       st.fractions(min_value=Fraction(1, 3), max_value=Fraction(3),
+                    max_denominator=4))
+def test_bar_is_an_involutive_automorphism(a, b, v0):
+    # v |-> 1/v: additive, multiplicative, an involution, and the value
+    # of bar(a) at v0 is the value of a at 1/v0
+    assert (a + b).bar() == a.bar() + b.bar()
+    assert (a * b).bar() == a.bar() * b.bar()
+    assert a.bar().bar().base == a.base
+    try:
+        want = a.eval_v(1 / v0)
+    except DenominatorVanishes:
+        with pytest.raises(DenominatorVanishes):
+            a.bar().eval_v(v0)
+        return
+    assert a.bar().eval_v(v0) == want
+
+
+def test_bar_of_a_proper_fraction_is_canonical():
+    # 1/(v^{-1} + 2) = v/(1 + 2v): the denominator is shifted to a
+    # polynomial with constant term 1
+    x = ONE / (FieldElem.v_pow(1) + 2)
+    assert x.bar().base == ({1: Fraction(1)}, {0: Fraction(1), 1: Fraction(2)})
+    assert FieldElem.monomial(Fraction(3, 2), 5).bar().base == \
+        ({-5: Fraction(3, 2)}, {0: Fraction(1)})
+    assert ZERO.bar() == ZERO and ONE.bar() == ONE
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(-8, 8), st.integers(1, 3))
+def test_sym_qint_is_bar_invariant(m, e):
+    x = sym_qint(m, e)
+    assert x.bar() == x
+
+
 def test_eval_mod_without_image():
     x = FieldElem.monomial(Fraction(1, 7), 1)
     assert x.eval_mod(2, 7) is None          # coefficient denominator 7
