@@ -191,7 +191,7 @@ class ActionEngine:
             sgn = 1 if kind == K else -1
             for w, c in p.terms.items():
                 e = sgn * sum(kexp[x[ix]] for x in w)
-                accumulate(out, w, c * FieldElem.v_pow(e))
+                accumulate(out, w, c.shift(e))
             return NCPoly(self.N, out)
 
         gmap = self.maps[kind, side].get(l, {})
@@ -206,7 +206,7 @@ class ActionEngine:
                     nl = (x[0], t) if ix else (t, x[1])
                     e = after if kind == E else -before
                     accumulate(out, w[:pos] + (nl,) + w[pos + 1:],
-                               c * cc * FieldElem.v_pow(e))
+                               (c * cc).shift(e))
                 before += exps[pos]
         return NCPoly(self.N, out)
 
@@ -616,15 +616,6 @@ def orbit_sequence(N: int) -> list:
     return block + block + [(F, 1), (F, 1)]
 
 
-def _monomial_of(c: FieldElem):
-    """(rational, v-exponent) if c is a pure v-monomial, else None."""
-    num, den = c.base
-    if len(num) != 1 or den != {0: Fraction(1)}:
-        return None
-    (e, r), = num.items()
-    return (r, e)
-
-
 def classify_z_combination(N: int, coeffs: dict):
     """Match a z-coordinate combination against the four orbit families."""
     support = frozenset(coeffs)
@@ -633,7 +624,7 @@ def classify_z_combination(N: int, coeffs: dict):
         return coeffs[kb] / coeffs[ka]
 
     def gamma_exp(c: FieldElem):
-        m = _monomial_of(c)
+        m = c.as_monomial()
         if m is None:
             return None
         r, e = m

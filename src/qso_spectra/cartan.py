@@ -17,8 +17,9 @@ Theory, 24.3).  Every root is eps_i, eps_i - eps_j or eps_i + eps_j, so
 it has at most two nonzero coordinates; weyl_dim pairs against each
 root through its (index, coefficient) support only, so a pairing costs
 at most two products instead of n.  The supports come first: d, the
-Cartan matrix and the coordinates of every root are read off them, so
-the build is quadratic in the rank.
+Cartan matrix and the coordinates of the simple roots are read off
+them, and the positive roots are kept as supports only, so the build
+is quadratic in the rank.
 
 CartanData is fixed by N: cartan_data(N) builds it once per process
 and returns the shared, read-only object.
@@ -34,13 +35,13 @@ from .errors import NonDominantWeight
 
 
 class CartanData:
-    """Cartan matrix, simple roots, fundamental weights, positive
-    roots and the Weyl dimension formula for so_N."""
+    """Cartan matrix, simple roots, fundamental weights, the supports
+    of the positive roots and the Weyl dimension formula for so_N."""
 
     __slots__ = (
         "N", "series", "n", "simple_roots", "fundamental_weights",
-        "cartan_matrix", "d", "positive_roots", "simple_support",
-        "positive_support", "rho2", "weyl_den",
+        "cartan_matrix", "d", "simple_support", "positive_support",
+        "rho2", "weyl_den",
     )
 
     def __init__(self, N: int):
@@ -91,7 +92,6 @@ class CartanData:
         if self.series == "B":
             pos.extend(((i, 1),) for i in range(n))
         self.positive_support = pos
-        self.positive_roots = [_root(n, a) for a in pos]
         self.rho2 = tuple(int(2 * sum(c)) for c in zip(*fw))
         self.weyl_den = prod(_pair_support(a, self.rho2)
                              for a in self.positive_support)

@@ -5,6 +5,12 @@ canonical form.
 Canonical form: the denominator is a polynomial dict with nonzero
 constant term normalized to 1, and gcd(numerator, denominator) = 1
 (after factoring a v-power out of the numerator).  Zero is ({}, {0: 1}).
+A coefficient is an int exactly when it is integral and a Fraction only
+when it is not, so a Laurent polynomial over Z, which is what the
+algebra layers multiply, never touches Fraction arithmetic; every
+division of coefficients goes through Fraction, never int / int.
+Fraction(3) == 3 and hash(Fraction(3)) == hash(3), so the coefficient
+type changes neither equality, hashing nor any printed text.
 """
 
 from __future__ import annotations
@@ -14,6 +20,7 @@ from fractions import Fraction
 from .laurent import (
     lp_add,
     lp_eval,
+    lp_ints,
     lp_mul,
     lp_neg,
     lp_scale,
@@ -25,25 +32,22 @@ from .laurent import (
 from .errors import DenominatorVanishes
 from .quadext import QuadExt
 
-_F0 = Fraction(0)
-_F1 = Fraction(1)
-
 
 def _one_poly():
-    return {0: _F1}
+    return {0: 1}
 
 
 def _lp_to_list(p):
     """Laurent dict with min exponent 0 -> dense list."""
     deg = max(p)
-    out = [_F0] * (deg + 1)
+    out = [0] * (deg + 1)
     for e, c in p.items():
         out[e] = c
     return out
 
 
 def _list_to_lp(lst):
-    return {e: c for e, c in enumerate(lst) if c}
+    return lp_ints({e: c for e, c in enumerate(lst) if c})
 
 
 def _rf_norm(num, den):
@@ -57,7 +61,7 @@ def _rf_norm(num, den):
     if len(den) == 1:
         c = den[0]
         if c != 1:
-            num = lp_scale(num, 1 / c)
+            num = lp_scale(num, Fraction(1) / c)
         return num, _one_poly()
     nmin = min(num)
     npoly = lp_shift(num, -nmin) if nmin else num
@@ -75,11 +79,11 @@ def _rf_norm(num, den):
         if len(den) == 1:
             c = den[0]
             if c != 1:
-                num = lp_scale(num, 1 / c)
+                num = lp_scale(num, Fraction(1) / c)
             return num, _one_poly()
     c = den[0]
     if c != 1:
-        inv = 1 / c
+        inv = Fraction(1) / c
         num = lp_scale(num, inv)
         den = lp_scale(den, inv)
     return num, den
@@ -130,7 +134,7 @@ def _rf_is_zero(p):
 
 
 _RF_ZERO = ({}, _one_poly())
-_RF_ONE = ({0: _F1}, _one_poly())
+_RF_ONE = ({0: 1}, _one_poly())
 
 
 class FieldElem:
@@ -148,17 +152,14 @@ class FieldElem:
 
     @classmethod
     def from_rational(cls, r) -> "FieldElem":
-        r = Fraction(r)
-        if not r:
-            return _ZERO_ELEM
-        return cls(({0: r}, _one_poly()))
+        return cls.monomial(r, 0)
 
     @classmethod
     def monomial(cls, coeff, vexp: int) -> "FieldElem":
         coeff = Fraction(coeff)
         if not coeff:
             return _ZERO_ELEM
-        return cls(({vexp: coeff}, _one_poly()))
+        return cls((lp_ints({vexp: coeff}), _one_poly()))
 
     @classmethod
     def v_pow(cls, k: int) -> "FieldElem":
@@ -175,6 +176,15 @@ class FieldElem:
 
     def __bool__(self):
         return not _rf_is_zero(self.base)
+
+    def as_monomial(self):
+        """(coeff, exponent) when self is coeff * v^exponent with a
+        rational coeff, else None."""
+        num, den = self.base
+        if len(num) != 1 or len(den) != 1:
+            return None
+        (e, c), = num.items()
+        return c, e
 
     # -- arithmetic --------------------------------------------------
     def __add__(self, other):
@@ -214,6 +224,14 @@ class FieldElem:
 
     def inverse(self) -> "FieldElem":
         return FieldElem(_rf_inv(self.base))
+
+    def shift(self, k: int) -> "FieldElem":
+        """self * v^k: the numerator's exponents move by k and the
+        denominator, whose constant term is untouched, stays canonical."""
+        if not k:
+            return self
+        num, den = self.base
+        return FieldElem(({e + k: c for e, c in num.items()}, den))
 
     def bar(self) -> "FieldElem":
         """The automorphism v |-> 1/v of Q(v)."""
@@ -286,7 +304,7 @@ class FieldElem:
             raise DenominatorVanishes("need q0 > 0")
         parts = []
         for poly in self.base:
-            rat = irr = _F0
+            rat = irr = Fraction(0)
             for e, c in poly.items():
                 if e % 2:
                     irr += c * q0 ** (e // 2)
@@ -365,7 +383,7 @@ def sym_qint(m: int, vexp: int) -> FieldElem:
         return -sym_qint(-m, vexp)
     num = {}
     for j in range(m):
-        num[vexp * (m - 1 - 2 * j)] = _F1
+        num[vexp * (m - 1 - 2 * j)] = 1
     return FieldElem((num, _one_poly())) if num else ZERO
 
 

@@ -1,13 +1,28 @@
 """Kernels for Laurent polynomial arithmetic over Q.
 
-A Laurent polynomial in the variable v is a dict {exponent: Fraction}
-with no zero values.  A dense polynomial is a list of Fractions indexed
+A Laurent polynomial in the variable v is a dict {exponent: coefficient}
+with no zero values.  A coefficient is an int exactly when it is
+integral and a Fraction only when it is not, so a polynomial over Z
+runs on int arithmetic alone; every kernel returning a dict keeps that
+rule (``lp_ints``).  Python's numeric tower keeps int/Fraction mixing
+exact, but int / int is a float, so every division of coefficients goes
+through Fraction.  A dense polynomial is a list of coefficients indexed
 by exponent (trailing zeros stripped, [] is the zero polynomial).
 """
 
 from fractions import Fraction
+from math import gcd as igcd
 
-_ZERO = Fraction(0)
+_ZERO = 0
+
+
+def lp_ints(a):
+    """a with every integral coefficient stored as an int.  The sum of
+    the coefficients is an int exactly when every one of them is, and
+    sum() adds ints in C, so the all-int case costs one pass in C."""
+    if sum(a.values()).__class__ is int:
+        return a
+    return {e: c.numerator if c.denominator == 1 else c for e, c in a.items()}
 
 
 def lp_add(a, b):
@@ -23,7 +38,7 @@ def lp_add(a, b):
             out[e] = s
         else:
             out.pop(e, None)
-    return out
+    return lp_ints(out)
 
 
 def lp_neg(a):
@@ -40,7 +55,7 @@ def lp_sub(a, b):
             out[e] = s
         else:
             out.pop(e, None)
-    return out
+    return lp_ints(out)
 
 
 def lp_mul(a, b):
@@ -48,10 +63,10 @@ def lp_mul(a, b):
         return {}
     if len(a) == 1:
         (ea, ca), = a.items()
-        return {ea + e: ca * c for e, c in b.items()}
+        return lp_ints({ea + e: ca * c for e, c in b.items()})
     if len(b) == 1:
         (eb, cb), = b.items()
-        return {eb + e: cb * c for e, c in a.items()}
+        return lp_ints({eb + e: cb * c for e, c in a.items()})
     out = {}
     for ea, ca in a.items():
         for eb, cb in b.items():
@@ -61,13 +76,13 @@ def lp_mul(a, b):
                 out[e] = s
             else:
                 out.pop(e, None)
-    return out
+    return lp_ints(out)
 
 
 def lp_scale(a, c):
     if not c:
         return {}
-    return {e: co * c for e, co in a.items()}
+    return lp_ints({e: co * c for e, co in a.items()})
 
 
 def lp_shift(a, k):
@@ -98,7 +113,7 @@ def plist_divmod(a, b):
         if not r[dr]:
             r.pop()
             continue
-        f = r[dr] / lb
+        f = Fraction(r[dr]) / lb
         q[dr - db] = f
         for i in range(db + 1):
             r[dr - db + i] -= f * b[i]
@@ -111,12 +126,10 @@ def plist_divmod(a, b):
 
 
 def _primitive(p):
-    """Rescale to integer coefficients with content 1 (keeps Euclid's
+    """Rescale to int coefficients with content 1 (keeps Euclid's
     intermediate fractions small)."""
     if not p:
         return p
-    from math import gcd as igcd
-
     den = 1
     for c in p:
         den = den * c.denominator // igcd(den, c.denominator)
@@ -128,7 +141,7 @@ def _primitive(p):
         g = igcd(g, n)
     if g > 1:
         ints = [n // g for n in ints]
-    return [Fraction(n) for n in ints]
+    return ints
 
 
 def plist_gcd(a, b):
@@ -140,5 +153,5 @@ def plist_gcd(a, b):
     if x:
         lead = x[-1]
         if lead != 1:
-            x = [c / lead for c in x]
+            x = [Fraction(c) / lead for c in x]
     return x

@@ -4,10 +4,11 @@ generators and the orbit scan."""
 import copy
 import dataclasses
 import random
+from fractions import Fraction
 
 import pytest
 
-from qso_spectra import actions, frt
+from qso_spectra import actions, field, frt
 from qso_spectra.actions import (
     E,
     F,
@@ -495,3 +496,92 @@ def test_classify_unrecognized():
 def test_y_weight_polynomial_shape():
     y = y_poly(5)
     assert y.degree() == 2 and len(y.terms) == 2
+
+
+# -- int coefficients in the Q(v) hot path ---------------------------------
+
+def _coefficients(x: FieldElem):
+    num, den = x.base
+    return list(num.values()) + list(den.values())
+
+
+def _assert_no_integral_fraction(elems):
+    count = 0
+    for x in elems:
+        for c in _coefficients(x):
+            assert type(c) is int or (type(c) is Fraction and c.denominator > 1), c
+            count += 1
+    assert count
+
+
+@pytest.mark.parametrize("N", [5, 6, 7])
+def test_shared_tables_hold_no_integral_fraction(N):
+    rw = frt.rewriter(N)
+    _assert_no_integral_fraction(c for tail in rw.rules.values() for c in tail.values())
+    _assert_no_integral_fraction(c for m in vector_rep(N).maps.values()
+                                 for table in m.values() for _, c in table.values())
+    _assert_no_integral_fraction(c for _, _, target in frt.lemma_rel_instances(N)
+                                 for c in target.terms.values())
+
+
+def test_warm_algebra_requests_multiply_ints_only(monkeypatch):
+    # every operand coefficient of every Laurent product in warm verify
+    # rels / orbit / spherical / covariance requests at N = 5 is an int;
+    # field is the only module that calls lp_mul
+    def rels():
+        results = frt.verify_lemma_rels(5)
+        ok = all(r["status"] in ("verified", "excluded") for r in results)
+        return {"status": "verified" if ok else "failed"}
+
+    requests = (rels, lambda: orbit_scan(5), lambda: verify_spherical(5),
+                lambda: verify_covariance(5))
+    for run in requests:
+        run()
+    kinds = set()
+    calls = 0
+    orig = field.lp_mul
+
+    def checked(a, b):
+        nonlocal calls
+        calls += 1
+        kinds.update(map(type, a.values()))
+        kinds.update(map(type, b.values()))
+        return orig(a, b)
+
+    monkeypatch.setattr(field, "lp_mul", checked)
+    for run in requests:
+        assert run()["status"] == "verified"
+    assert calls > 1000
+    assert kinds == {int}
+
+
+def test_action_hit_makes_one_product(monkeypatch):
+    # a hit multiplies the coefficient by the table entry, which skips
+    # the product for the entry ONE, and shifts the result; a K letter
+    # shifts only
+    eng = algebra(6).eng
+    p = (NCPoly.gen(6, 1, 2) * NCPoly.gen(6, 3, 4)).scale(FieldElem.v_pow(1) + 2)
+    calls = []
+    orig = field.lp_mul
+
+    def counted(a, b):
+        calls.append(1)
+        return orig(a, b)
+
+    monkeypatch.setattr(field, "lp_mul", counted)
+    for i in (1, 2, 3):
+        eng.act_left([(K, i)], p)
+        eng.act_right(p, [(KINV, i)])
+    assert calls == []
+    hits = products = 0
+    for i in (1, 2, 3):
+        for kind in (E, F):
+            eng.act_left([(kind, i)], p)
+            table = eng.maps[kind, "left"].get(i, {})
+            for w in p.terms:
+                for x in w:
+                    if x[1] in table:
+                        hits += 1
+                        products += table[x[1]][1] is not ONE
+    assert hits > products > 0
+    assert len(calls) == products

@@ -210,3 +210,149 @@ def test_plist_gcd_divides_and_is_monic(a, b):
                 _, r = plist_divmod(p, g)
                 assert not r
         assert g[-1] == 1
+
+
+# -- the coefficient rule: an int exactly when integral -------------------
+#
+# The reference below is Q(v) with every coefficient a Fraction and no
+# normalisation at all: an element is a (numerator, denominator) pair of
+# Laurent dicts, and two elements are equal when they cross-multiply to
+# the same dict.
+
+def _ref_poly(p):
+    return {e: Fraction(c) for e, c in p.items()}
+
+
+def _ref_add(a, b, sign=1):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, Fraction(0)) + sign * c
+    return {e: c for e, c in out.items() if c}
+
+
+def _ref_mul(a, b):
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            out[ea + eb] = out.get(ea + eb, Fraction(0)) + ca * cb
+    return {e: c for e, c in out.items() if c}
+
+
+def _ref_value(p, v0):
+    return sum((c * v0 ** e for e, c in p.items()), Fraction(0))
+
+
+_REF_ONE = {0: Fraction(1)}
+
+
+@st.composite
+def field_pairs(draw):
+    """A FieldElem built by field arithmetic and the same element in the
+    all-Fraction reference, built separately.  Integer coefficients are
+    drawn often, so results over Z are common."""
+    coeff = st.one_of(st.integers(-5, 5), rationals)
+    terms = draw(st.lists(st.tuples(st.integers(-4, 4), coeff), max_size=3))
+    x, num = ZERO, {}
+    for e, c in terms:
+        x = x + FieldElem.monomial(c, e)
+        num = _ref_add(num, {e: Fraction(c)})
+    ref = (num, _REF_ONE)
+    if draw(st.booleans()):
+        d = draw(st.integers(-2, 2))
+        k = draw(st.sampled_from([2, -3, Fraction(1, 3)]))
+        x = x / (FieldElem.v_pow(d) + k)
+        ref = (num, _ref_add({d: Fraction(1)}, {0: Fraction(k)}))
+    return x, ref
+
+
+def _assert_rule(x):
+    # every coefficient is an int or a non-integral Fraction, never a
+    # float, and the denominator is canonical
+    num, den = x.base
+    for p in (num, den):
+        for c in p.values():
+            assert type(c) is int or (type(c) is Fraction and c.denominator > 1), c
+    assert min(den) == 0 and den[0] == 1
+    if len(den) == 1 and all(Fraction(c).denominator == 1 for c in num.values()):
+        # a Laurent polynomial over Z: int coefficients only
+        assert all(type(c) is int for c in num.values())
+
+
+def _assert_same(x, ref):
+    _assert_rule(x)
+    num, den = x.base
+    rn, rd = ref
+    assert _ref_mul(_ref_poly(num), rd) == _ref_mul(rn, _ref_poly(den))
+
+
+@settings(max_examples=150, deadline=None)
+@given(field_pairs(), field_pairs(), st.integers(-3, 3))
+def test_arithmetic_matches_the_all_fraction_reference(pa, pb, k):
+    (a, (an, ad)), (b, (bn, bd)) = pa, pb
+    _assert_same(a, (an, ad))
+    _assert_same(a + b, (_ref_add(_ref_mul(an, bd), _ref_mul(bn, ad)), _ref_mul(ad, bd)))
+    _assert_same(a - b, (_ref_add(_ref_mul(an, bd), _ref_mul(bn, ad), -1),
+                         _ref_mul(ad, bd)))
+    _assert_same(a * b, (_ref_mul(an, bn), _ref_mul(ad, bd)))
+    _assert_same(-a, ({e: -c for e, c in an.items()}, ad))
+    _assert_same(a.bar(), ({-e: c for e, c in an.items()},
+                           {-e: c for e, c in ad.items()}))
+    _assert_same(a.shift(k), ({e + k: c for e, c in an.items()}, ad))
+    assert a.shift(k) == a * FieldElem.v_pow(k)
+    if b:
+        _assert_same(a / b, (_ref_mul(an, bd), _ref_mul(ad, bn)))
+        _assert_same(b.inverse(), (bd, bn))
+
+
+@settings(max_examples=100, deadline=None)
+@given(field_pairs(), st.sampled_from([Fraction(1), Fraction(2), Fraction(3, 2),
+                                       Fraction(-7, 5)]))
+def test_evaluation_matches_the_all_fraction_reference(pa, v0):
+    a, (an, ad) = pa
+    p = 1_000_003
+    s = v0.numerator * pow(v0.denominator, -1, p) % p
+    rd = _ref_value(ad, v0)
+    try:
+        got = a.eval_v(v0)
+    except DenominatorVanishes:
+        assert not rd
+        return
+    assert type(got) is Fraction
+    if not rd:
+        return  # a removable pole of the reference pair
+    want = _ref_value(an, v0) / rd
+    assert got == want
+    image = a.eval_mod(s, p)
+    assert type(image) is int
+    assert image == want.numerator * pow(want.denominator, -1, p) % p
+
+
+def test_constructors_store_integral_coefficients_as_ints():
+    for x in (ONE, FieldElem.one(), FieldElem.v_pow(-3), FieldElem.from_rational(Fraction(6, 3)),
+              FieldElem.monomial(Fraction(-4, 2), 5), FieldElem.from_rational(7),
+              sym_qint(4, 1), sym_qbinom(5, 2, 1), qint(3, FieldElem.v_pow(2))):
+        num, den = x.base
+        assert all(type(c) is int for p in (num, den) for c in p.values()), x
+    half = FieldElem.from_rational(Fraction(1, 2))
+    assert type(half.base[0][0]) is Fraction
+    assert type((half * 2).base[0][0]) is int
+    assert type((half + half).base[0][0]) is int
+    # a proper fraction whose gcd path normalises to a polynomial over Z
+    x = (FieldElem.v_pow(2) - 1) / (FieldElem.v_pow(1) - 1)
+    assert x == FieldElem.v_pow(1) + 1
+    _assert_rule(x)
+
+
+def test_as_monomial():
+    assert FieldElem.monomial(Fraction(3, 2), -4).as_monomial() == (Fraction(3, 2), -4)
+    assert FieldElem.v_pow(6).as_monomial() == (1, 6)
+    assert type(FieldElem.v_pow(6).as_monomial()[0]) is int
+    assert ZERO.as_monomial() is None
+    assert (FieldElem.v_pow(1) + 1).as_monomial() is None
+    assert (ONE / (FieldElem.v_pow(1) + 2)).as_monomial() is None
+
+
+def test_plist_division_makes_no_float():
+    q, r = plist_divmod([1, 0, 1], [2, 3])
+    assert all(type(c) is Fraction for c in q + r)
+    assert plist_gcd([-1, 0, 1], [1, 1]) == [1, 1]
