@@ -216,8 +216,8 @@ def _cmd_verify(args):
 def _kappa_power_entries(M: int, l: int):
     exp = fiber.kappa_power(fiber.ExtAlgParams(M), l)
     entries = []
-    for (I, J) in sorted(exp.coeffs):
-        c = exp.coeffs[(I, J)]
+    for (I, J) in sorted(exp.terms):
+        c = exp.terms[(I, J)]
         entries.append({"I": list(I), "J": list(J),
                         "f": c.to_text(), "f_at_1": str(c.eval_v(1))})
     return entries

@@ -128,8 +128,7 @@ def test_criterion_10_hodge_operator_shape():
     t0 = time.perf_counter()
     params = ExtAlgParams(3)
     star1 = hodge(params, FiberForm.one(3))
-    want = kappa_power(params, 3).to_form().scaled(
-        FieldElem.from_rational(Fraction(1, factorial(3))))
+    want = kappa_power(params, 3).scaled(FieldElem.from_rational(Fraction(1, factorial(3))))
     assert star1 == want
     out = fiber.verify_hodge_shape(params, q0=Fraction(11, 10))
     assert out["status"] == "verified", out["failures"]

@@ -1,4 +1,4 @@
-"""Every function and method in the package has a use.
+"""Every function, method and class in the package has a use.
 
 A name defined in src/qso_spectra/ that appears nowhere but in its own
 definition, across src/, tests/, perfbench/ and README.md, is dead code.
@@ -25,7 +25,7 @@ def _definitions():
     defs = Counter()
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 if not (node.name.startswith("__") and node.name.endswith("__")):
                     defs[node.name] += 1
     return defs
