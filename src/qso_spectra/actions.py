@@ -42,8 +42,8 @@ from .cartan import CartanData, cartan_data
 from .errors import IndexOutOfRange, NotInZSpan, RepresentationInconsistent
 from .field import ONE, FieldElem, sym_qbinom, sym_qint
 from .frt import (FRTData, Rewriter, _r_tables, generate_relations,
-                  normal_form, reduce_lead, rewriter)
-from .ncpoly import NCPoly, accumulate
+                  normal_form, rewriter)
+from .ncpoly import NCPoly, accumulate, insert_pivot, reduce_lead
 
 E, F, K, KINV = "E", "F", "K", "Kinv"
 
@@ -537,27 +537,19 @@ class ZSolver:
     """Express degree-2 normal forms in the z_ab coordinate basis.
 
     pivots is the forward-eliminated basis of the z_ab normal forms
-    (frt.reduce_lead's layout); combs[lead] is the combination of z_ab
-    that a pivot row stands for."""
+    (ncpoly.insert_pivot's layout); combs[lead] is the combination of
+    z_ab that a pivot row stands for."""
 
     __slots__ = ("N", "rw", "pivots", "combs")
 
     def __init__(self, N: int, rw):
         self.N = N
         self.rw = rw
-        pivots, combs = {}, {}
+        self.pivots, self.combs = {}, {}
         for a in range(1, N + 1):
             for b in range(1, N + 1):
-                vec = dict(normal_form(z_coord_poly(N, a, b), rw).terms)
-                comb = {(a, b): ONE}
-                lead = reduce_lead(vec, pivots, comb, combs)
-                if lead is None:
-                    continue
-                inv = vec.pop(lead).inverse()
-                pivots[lead] = {w: c * inv for w, c in vec.items()}
-                combs[lead] = {k: c * inv for k, c in comb.items()}
-        self.pivots = pivots
-        self.combs = combs
+                insert_pivot(dict(normal_form(z_coord_poly(N, a, b), rw).terms),
+                             self.pivots, {(a, b): ONE}, self.combs)
 
     def express(self, p: NCPoly) -> dict:
         """Coefficients x_ab with sum x_ab z_ab = p modulo relations."""

@@ -38,10 +38,13 @@ The build straightens each wedge word once and interns the table's few
 distinct coefficients, so an evaluation at a point, or mod p, costs one
 evaluation per distinct coefficient.  The table keeps the objects of
 its latest point q0 only: the evaluated map and, per degree, the
-primitive vectors and the elimination that solves the Lefschetz
-decomposition.  The F_p image, cheap after interning, is rebuilt per
-rank check and kept nowhere, so a rank check at another point does not
-drop the Hodge check's decompositions.  The kappa powers and
+primitive vectors and the span of their Lefschetz images that solves
+the Lefschetz decomposition.  The F_p image, cheap after interning, is
+rebuilt per rank check and kept nowhere, so a rank check at another
+point does not drop the Hodge check's decompositions.  No dense matrix
+is formed: every rank, kernel and solve eliminates the sparse images
+L^l(e_key) of basis keys, mod p in _rank_mod and exactly through
+ncpoly's elimination step and ncpoly.Span.  The kappa powers and
 lefschetz() read the table's symbolic map; the non-primitivity check's
 single top pair inserts only against the keys it touches.
 
@@ -68,6 +71,7 @@ from math import factorial, isqrt
 
 from .errors import DecompositionSingular, IndexOutOfRange
 from .field import ONE, FieldElem
+from .ncpoly import Span, insert_pivot
 
 _NU = FieldElem.v_pow(2) - FieldElem.v_pow(-2)      # q - q^{-1}
 _NU_HALF = FieldElem.v_pow(1) - FieldElem.v_pow(-1)  # q^{1/2} - q^{-1/2}
@@ -276,11 +280,8 @@ def kappa_power(params: ExtAlgParams, l: int) -> FiberForm:
     basis, by l steps of the shared Lefschetz table."""
     if l < 0 or l > 2 * params.M:
         raise ValueError("need 0 <= l <= 2M")
-    num = lefschetz_table(params.M).map
-    coeffs = {((), ()): ONE}
-    for _ in range(l):
-        coeffs = _apply_num(num, coeffs)
-    return FiberForm(params.M, coeffs)
+    return FiberForm(params.M, _power(lefschetz_table(params.M).map,
+                                      {((), ()): ONE}, l))
 
 
 def lefschetz(params: ExtAlgParams, form: FiberForm) -> FiberForm:
@@ -416,81 +417,40 @@ def _modular_point(q0):
 
 
 def _rank_mod(rows, p: int) -> int:
-    """Rank over F_p of a matrix of residues, by in-place forward
-    elimination."""
-    rank = 0
-    ncols = len(rows[0]) if rows else 0
-    for c in range(ncols):
-        piv = None
-        for r in range(rank, len(rows)):
-            if rows[r][c]:
-                piv = r
+    """Rank over F_p of sparse rows of residues ({key: residue}), by
+    elimination on lead keys."""
+    pivots = {}
+    for row in rows:
+        row = dict(row)
+        while row:
+            lead = max(row)
+            prow = pivots.get(lead)
+            if prow is None:
+                inv = pow(row.pop(lead), -1, p)
+                pivots[lead] = {k: c * inv % p for k, c in row.items()}
                 break
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        prow = rows[rank]
-        inv = pow(prow[c], -1, p)
-        for r in range(rank + 1, len(rows)):
-            f = rows[r][c]
-            if f:
-                f = f * inv % p
-                rows[r] = [(x - f * y) % p for x, y in zip(rows[r], prow)]
-        rank += 1
-    return rank
+            c = row.pop(lead)
+            for k, pc in prow.items():
+                x = (row.get(k, 0) - c * pc) % p
+                if x:
+                    row[k] = x
+                else:
+                    row.pop(k, None)
+    return len(pivots)
 
 
 # ---------------------------------------------------------------------------
-# Exact linear algebra (field-generic: Fraction, QuadExt or FieldElem)
+# Exact rank (the certificate's fallback)
 # ---------------------------------------------------------------------------
 
-def _echelon(rows, reduced: bool = False):
-    """In-place elimination to row echelon form, or to the reduced form
-    (Gauss-Jordan) when reduced is set; returns (rank, pivot cols).
-
-    The forward pass clears each pivot column below the pivot only, which
-    is all a rank needs.  Entries may mix plain ints with one exact
-    scalar type; the pivot row is scaled by Fraction(1) / pivot, so
-    integer rows stay exact."""
-    rank = 0
-    pivots = []
-    ncols = len(rows[0]) if rows else 0
-    for c in range(ncols):
-        piv = None
-        for r in range(rank, len(rows)):
-            if rows[r][c]:
-                piv = r
-                break
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = Fraction(1) / rows[rank][c]
-        rows[rank] = [x * inv for x in rows[rank]]
-        for r in range(0 if reduced else rank + 1, len(rows)):
-            if r != rank and rows[r][c]:
-                f = rows[r][c]
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
-        pivots.append(c)
-        rank += 1
-    return rank, pivots
-
-
-def _nullspace(columns, nrows: int):
-    """Nullspace basis (as coordinate lists over the columns)."""
-    ncols = len(columns)
-    rows = [[col[r] for col in columns] for r in range(nrows)]
-    if not rows:
-        rows = [[0] * ncols] if ncols else []
-    rank, pivots = _echelon(rows, reduced=True)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [0] * ncols
-        vec[fc] = 1
-        for r, pc in enumerate(pivots):
-            vec[pc] = -rows[r][fc]
-        basis.append(vec)
-    return basis
+def _echelon(rows) -> int:
+    """Exact rank of sparse rows over their scalar field (Fraction,
+    QuadExt or FieldElem; ints mix in), by ncpoly's elimination step.
+    The rows are left as they are."""
+    pivots = {}
+    for row in rows:
+        insert_pivot(dict(row), pivots)
+    return len(pivots)
 
 
 # ---------------------------------------------------------------------------
@@ -582,24 +542,17 @@ def lefschetz_table(M: int) -> _LefschetzTable:
     return _LefschetzTable(ExtAlgParams(M))
 
 
-def _power_columns(num_map, M: int, k: int, p=None, power=None):
-    """Dense columns of L^power (default M - k): degree k -> degree
-    k + 2 power, over the target degree's basis; residues mod p when p
-    is given."""
-    if power is None:
-        power = M - k
-    tgt = _basis(M, k + 2 * power)
-    index = {key: r for r, key in enumerate(tgt)}
-    cols = []
-    for key in _basis(M, k):
-        vec = {key: 1}
-        for _ in range(power):
-            vec = _apply_num(num_map, vec, p)
-        col = [0] * len(tgt)
-        for t, c in vec.items():
-            col[index[t]] = c
-        cols.append(col)
-    return cols
+def _power(num_map, vec, power: int, p=None):
+    """L^power(vec) on a {key: scalar} vector through num_map; residues
+    mod p when p is given."""
+    for _ in range(power):
+        vec = _apply_num(num_map, vec, p)
+    return vec
+
+
+def _images(num_map, M: int, d: int, power: int, p=None):
+    """The images L^power(e_key) of degree d's basis keys, in order."""
+    return [_power(num_map, {key: 1}, power, p) for key in _basis(M, d)]
 
 
 def verify_lefschetz_iso(params: ExtAlgParams, q0) -> dict:
@@ -613,8 +566,8 @@ def verify_lefschetz_iso(params: ExtAlgParams, q0) -> dict:
     is deficient takes the exact rank over Fraction or QuadExt, and so
     does every degree when there is no usable point or some entry has no
     image mod p.  Either way the reported rank is exact.  A matrix and
-    its transpose have one rank, so both paths eliminate the columns of
-    L^{M-k} as rows.
+    its transpose have one rank, so both paths eliminate the images of
+    the basis keys, the columns of L^{M-k}, as sparse rows.
     """
     M = params.M
     table = lefschetz_table(M)
@@ -624,10 +577,10 @@ def verify_lefschetz_iso(params: ExtAlgParams, q0) -> dict:
     failures = []
     for k in range(M):
         dim = len(_basis(M, k))
-        if mod is not None and _rank_mod(_power_columns(mod, M, k, p), p) == dim:
+        if mod is not None and _rank_mod(_images(mod, M, k, M - k, p), p) == dim:
             rank = dim
         else:
-            rank = _echelon(_power_columns(table.at(q0)[1], M, k))[0]
+            rank = _echelon(_images(table.at(q0)[1], M, k, M - k))
         ok = rank == dim
         results.append({"k": k, "dim": dim, "rank": rank,
                         "status": "bijective" if ok else "NotBijective"})
@@ -642,60 +595,39 @@ def verify_lefschetz_iso(params: ExtAlgParams, q0) -> dict:
     }
 
 
+def _primitives(num_map, M: int, d: int):
+    """A basis of the primitive vectors of degree d, the kernel of
+    L^{M-d+1} there: the dependencies among the images of the basis
+    keys, as {key: scalar}."""
+    images = Span()
+    deps = (images.add(img, key)
+            for key, img in zip(_basis(M, d), _images(num_map, M, d, M - d + 1)))
+    return [dep for dep in deps if dep is not None]
+
+
 class _Decomposition:
     """Degree k's Lefschetz decomposition over one evaluated map.
 
-    prims lists (j, w) for each primitive basis vector w of degree k - 2j
-    (a nullspace vector of L^{M-d+1} on degree d = k - 2j, as {key:
-    scalar}); the columns C are the L^j(w) over the degree-k basis.
-    Gauss-Jordan on [C | I] gives E with E C = [I; 0] when C has full
-    column rank; the solve of C x = b is then one product E b.
+    prims lists (j, w) for each primitive basis vector w of degree
+    k - 2j; span holds the L^j(w), labelled by position in prims, or is
+    None when they are dependent and no solve is unique.
     """
 
-    __slots__ = ("index", "prims", "transform")
+    __slots__ = ("prims", "span")
 
     def __init__(self, num, M: int, k: int):
-        tgt = _basis(M, k)
-        self.index = {key: r for r, key in enumerate(tgt)}
-        self.prims = []
-        columns = []
-        for j in range(max(0, k - M), k // 2 + 1):
-            d = k - 2 * j
-            if d > M:
-                continue
-            pcols = _power_columns(num, M, d, power=M - d + 1)
-            for coords in _nullspace(pcols, len(pcols[0])):
-                prim = {key: c for c, key in zip(coords, _basis(M, d)) if c}
-                vec = prim
-                for _ in range(j):
-                    vec = _apply_num(num, vec)
-                col = [0] * len(tgt)
-                for t, c in vec.items():
-                    col[self.index[t]] = c
-                columns.append(col)
-                self.prims.append((j, prim))
-        n = len(columns)
-        rows = [[col[r] for col in columns] + [int(r == i) for i in range(len(tgt))]
-                for r in range(len(tgt))]
-        pivots = _echelon(rows, reduced=True)[1]
-        # the rows of E, or None when C has rank below its column count
-        self.transform = [row[n:] for row in rows] \
-            if pivots[:n] == list(range(n)) else None
+        self.prims = [(j, w) for j in range(max(0, k - M), k // 2 + 1)
+                      for w in _primitives(num, M, k - 2 * j)]
+        self.span = Span()
+        if any(self.span.add(_power(num, w, j), i) is not None
+               for i, (j, w) in enumerate(self.prims)):
+            self.span = None
 
     def solve(self, rhs):
-        """x with sum_j x_j C_j = rhs (a sparse {row: scalar}), or None
-        when the system has no unique solution."""
-        if self.transform is None:
-            return None
-        n = len(self.prims)
-        x = []
-        for r, row in enumerate(self.transform):
-            val = sum(row[i] * b for i, b in rhs.items() if row[i])
-            if r < n:
-                x.append(val)
-            elif val:
-                return None  # inconsistent
-        return x
+        """{i: x_i} with sum_i x_i L^j(w) = rhs over (j, w) = prims[i],
+        for a {key: scalar} rhs with no zero; None when the system has no
+        unique solution."""
+        return None if self.span is None else self.span.express(rhs)
 
 
 def primitive_decompose(params: ExtAlgParams, form: FiberForm, q0=None):
@@ -714,20 +646,20 @@ def primitive_decompose(params: ExtAlgParams, form: FiberForm, q0=None):
         return []
     table = lefschetz_table(M)
     ev = table.at(q0)[0]
-    dec = table.decomposition(q0, k)
-    rhs = {dec.index[key]: ev(c) for key, c in form.terms.items()}
-    if not any(rhs.values()):
+    rhs = {key: x for key, c in form.terms.items() if (x := ev(c))}
+    if not rhs:
         return []
+    dec = table.decomposition(q0, k)
     sol = dec.solve(rhs)
     if sol is None:
         raise DecompositionSingular(
             f"Lefschetz decomposition singular (M={M}, degree {k}, q0={q0})")
     parts = {}
-    for x, (j, prim) in zip(sol, dec.prims):
-        if x:
-            f = parts.setdefault(j, FiberForm(M))
-            for (I, J), c in prim.items():
-                f.add(I, J, x * c)
+    for i, x in sol.items():
+        j, prim = dec.prims[i]
+        f = parts.setdefault(j, FiberForm(M))
+        for (I, J), c in prim.items():
+            f.add(I, J, x * c)
     return sorted(parts.items())
 
 
@@ -751,9 +683,7 @@ def hodge(params: ExtAlgParams, form: FiberForm, q0=None) -> FiberForm:
         k = wj.degree()
         terms = wj.scaled(Fraction((-1) ** (k * (k + 1) // 2) * factorial(j),
                                    factorial(M - j - k))).terms
-        for _ in range(M - j - k):
-            terms = _apply_num(num, terms)
-        out = out.plus(FiberForm(M, terms))
+        out = out.plus(FiberForm(M, _power(num, terms, M - j - k)))
     return out
 
 

@@ -248,6 +248,8 @@ class FieldElem:
         return self * o.inverse()
 
     def __rtruediv__(self, other):
+        if other == 1:  # a pivot's 1 / c costs what inverse() costs
+            return self.inverse()
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented

@@ -5,9 +5,8 @@ machine verification of the nine commutation-relation families.
 Internally a linear combination of words is a sparse row
 {word: FieldElem}, added into only through ncpoly.accumulate.  R is one
 table of rows, the relations read its columns from the transpose.
-reduce_lead is the one lead-elimination step: the forward pass of the
-rewriter's echelon form and the z-coordinate solver of actions both
-reduce through it.
+The forward pass of the rewriter's echelon form is ncpoly.insert_pivot,
+the elimination step that actions and fiber share.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ from functools import cache
 
 from .errors import DegreeOverflow, IndexOutOfRange
 from .field import ONE, ZERO, FieldElem
-from .ncpoly import NCPoly, accumulate, word_key
+from .ncpoly import NCPoly, accumulate, insert_pivot, word_key
 
 
 # ---------------------------------------------------------------------------
@@ -150,28 +149,6 @@ class Rewriter:
         self.rank = len(rules)
 
 
-def reduce_lead(row: dict, pivots: dict, comb=None, combs=None):
-    """Subtract pivot rows from row, in place, until its deglex-leading
-    word has no pivot; return that word, or None when row reduces to 0.
-
-    pivots maps a lead to its tail with the leading coefficient
-    normalized out.  Given comb, the same multiples of combs[lead] are
-    subtracted from it, which tracks the combination of original rows
-    that row has become."""
-    while row:
-        lead = max(row, key=word_key)
-        prow = pivots.get(lead)
-        if prow is None:
-            return lead
-        c = -row.pop(lead)
-        for w, pc in prow.items():
-            accumulate(row, w, c * pc)
-        if comb is not None:
-            for k, pc in combs[lead].items():
-                accumulate(comb, k, c * pc)
-    return None
-
-
 def _rows_to_rref(rows) -> dict:
     """Reduced row echelon form of a sparse row collection.
 
@@ -182,12 +159,7 @@ def _rows_to_rref(rows) -> dict:
     pass."""
     pivots = {}
     for row in rows:
-        row = dict(row)
-        lead = reduce_lead(row, pivots)
-        if lead is None:
-            continue
-        inv = row.pop(lead).inverse()
-        pivots[lead] = {w: c * inv for w, c in row.items()}
+        insert_pivot(dict(row), pivots)
     # interreduce tails, ascending in the lead order: every tail word is
     # below its lead, so each pivot row substituted is already fully
     # reduced and one substitution per pivot word in the tail suffices

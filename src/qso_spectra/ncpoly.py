@@ -5,11 +5,17 @@ is a tuple of labels.  The monomial order is degree-lexicographic:
 shorter words first, equal lengths compared letter by letter with
 (i, j) < (k, l) lexicographically.
 
-A sparse row is a dict {key: FieldElem} with no zero values; ncpoly,
-frt and actions add into one only through accumulate.
+A sparse row is a dict {key: scalar} with no zero values; ncpoly, frt
+and actions add into one only through accumulate.  The one exact
+elimination step on sparse rows lives here too: reduce_lead and
+insert_pivot, shared by the rewriter's forward pass (frt), the
+z-coordinate solver (actions) and every fiber rank, kernel and solve
+through Span (fiber).
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 from .errors import AlphabetMismatch, IndexOutOfRange
 from .field import ONE, FieldElem
@@ -30,6 +36,72 @@ def accumulate(row: dict, key, c) -> None:
         row[key] = s
     else:
         row.pop(key, None)
+
+
+def reduce_lead(row: dict, pivots: dict, comb=None, combs=None):
+    """Subtract pivot rows from row, in place, until its deglex-leading
+    key has no pivot; return that key, or None when row reduces to 0.
+
+    pivots maps a lead to its tail with the leading coefficient
+    normalized out.  Given comb, the same multiples of combs[lead] are
+    subtracted from it, which tracks the combination of original rows
+    that row has become."""
+    while row:
+        lead = max(row, key=word_key)
+        prow = pivots.get(lead)
+        if prow is None:
+            return lead
+        c = -row.pop(lead)
+        for w, pc in prow.items():
+            accumulate(row, w, c * pc)
+        if comb is not None:
+            for k, pc in combs[lead].items():
+                accumulate(comb, k, c * pc)
+    return None
+
+
+def insert_pivot(row: dict, pivots: dict, comb=None, combs=None):
+    """Reduce row in place (reduce_lead) and store what is left as the
+    pivot of its lead, the lead coefficient divided out through
+    Fraction(1) / c so integer rows stay exact; given comb, store it the
+    same way as combs[lead].  Returns the lead, or None when row reduces
+    to 0 (comb is then a vanishing combination)."""
+    lead = reduce_lead(row, pivots, comb, combs)
+    if lead is not None:
+        inv = Fraction(1) / row.pop(lead)
+        pivots[lead] = {w: c * inv for w, c in row.items()}
+        if comb is not None:
+            combs[lead] = {k: c * inv for k, c in comb.items()}
+    return lead
+
+
+class Span:
+    """The span of sparse rows added under labels, as pivots in
+    reduce_lead's layout; combs[lead] is the combination of labelled
+    rows that a pivot stands for."""
+
+    __slots__ = ("pivots", "combs")
+
+    def __init__(self):
+        self.pivots, self.combs = {}, {}
+
+    def add(self, row: dict, label):
+        """Add row under label.  Returns None when it is independent of
+        the rows added before, else the dependency {label: coeff}, row's
+        own label at 1, whose combination of added rows is 0."""
+        comb = {label: 1}
+        if insert_pivot(dict(row), self.pivots, comb, self.combs) is None:
+            return comb
+        return None
+
+    def express(self, row: dict):
+        """{label: coeff} whose combination of the added rows is row, or
+        None when row is outside the span."""
+        comb = {}
+        if reduce_lead(dict(row), self.pivots, comb, self.combs) is not None:
+            return None
+        # comb holds what was subtracted from row, so row is its negative
+        return {k: -c for k, c in comb.items()}
 
 
 def deglex_compare(w1: Word, w2: Word) -> int:

@@ -4,6 +4,7 @@ generators and the orbit scan."""
 import copy
 import dataclasses
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -28,7 +29,7 @@ from qso_spectra.actions import (
     z_coord_poly,
     z_poly,
 )
-from qso_spectra.errors import RepresentationInconsistent
+from qso_spectra.errors import NotInZSpan, RepresentationInconsistent
 from qso_spectra.field import ONE, FieldElem
 from qso_spectra.ncpoly import accumulate
 from qso_spectra.frt import normal_form, saturate_and_check
@@ -462,6 +463,13 @@ def test_zsolver_roundtrip():
         t = z_coord_poly(N, a, b).scale(c)
         acc = t if acc is None else acc + t
     assert normal_form(acc - z_poly(N), rw).is_zero()
+
+
+def test_zsolver_names_the_residual_word_outside_the_z_span():
+    N = 5
+    u11 = NCPoly.gen(N, 1, 1)
+    with pytest.raises(NotInZSpan, match=re.escape("residual word ((1, 1), (1, 1))")):
+        algebra(N).solver.express(u11 * u11)
 
 
 def test_orbit_sequence_shape():

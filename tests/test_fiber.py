@@ -315,7 +315,7 @@ CATALOGUE_Q = [Fraction(1), Fraction(121, 100), Fraction(9, 4),
 
 
 def _rank_mod_p(table, M, k, p, s):
-    return fiber._rank_mod(fiber._power_columns(table.modular(s, p), M, k, p), p)
+    return fiber._rank_mod(fiber._images(table.modular(s, p), M, k, M - k, p), p)
 
 
 @pytest.mark.parametrize("M", [3, 4])
@@ -328,7 +328,7 @@ def test_modular_ranks_equal_exact_ranks(M):
         assert (s * s - q0.numerator * pow(q0.denominator, -1, p)) % p == 0
         num = table.numeric(make_evaluator(q0))
         for k in range(M):
-            exact = fiber._echelon(fiber._power_columns(num, M, k))[0]
+            exact = fiber._echelon(fiber._images(num, M, k, M - k))
             assert _rank_mod_p(table, M, k, p, s) == exact, (M, q0, k)
 
 
@@ -494,6 +494,73 @@ def test_hodge_is_an_involution(M):
                 assert hodge(p, hodge(p, form)) == form, (a, b)
 
 
+# Classical q = 1 oracle for the Hodge map.  Real coordinates u_0..u_{2M-1}
+# with x_i = u_{2i-2}, y_i = u_{2i-1} are orthonormal for the flat metric
+# and e+_i = x_i + i y_i, e-_i = (x_i - i y_i) / 2, so that
+# kappa = i sum_i e+_i ^ e-_i = sum_i x_i ^ y_i and kappa^M / M! is
+# u_0 ^ ... ^ u_{2M-1}.  Complex scalars are (re, im) pairs of rationals.
+
+def _gmul(a, b):
+    return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+
+
+def _inversions(word):
+    return sum(a > b for n, a in enumerate(word) for b in word[n + 1:])
+
+
+def _real_coordinates(M, form):
+    """A {(I, J): (re, im)} form in the basis e+_I ^ f-_J, f-_j = i e-_j,
+    as {sorted tuple S: (re, im)} over the monomials u_S."""
+    half = Fraction(1, 2)
+    plus = {i: {2 * i - 2: (1, 0), 2 * i - 1: (0, 1)} for i in range(1, M + 1)}
+    fminus = {i: {2 * i - 2: (0, half), 2 * i - 1: (half, 0)} for i in range(1, M + 1)}
+    out = {}
+    for (I, J), c in form.items():
+        partial = {(): c}
+        for gen in [plus[i] for i in I] + [fminus[j] for j in J]:
+            nxt = {}
+            for S, a in partial.items():
+                for u, b in gen.items():
+                    if u in S:
+                        continue
+                    x = _gmul(a, b)
+                    sign = (-1) ** sum(s > u for s in S)
+                    key = tuple(sorted(S + (u,)))
+                    y = nxt.get(key, (0, 0))
+                    nxt[key] = (y[0] + sign * x[0], y[1] + sign * x[1])
+            partial = nxt
+        for S, a in partial.items():
+            y = out.get(S, (0, 0))
+            out[S] = (y[0] + a[0], y[1] + a[1])
+    return {S: a for S, a in out.items() if a != (0, 0)}
+
+
+def _classical_star(M, real):
+    """The Hodge star of the flat metric, *(u_S) = sign(S, S^c) u_{S^c},
+    with the orientation *(1) = kappa^M / M! = u_0 ^ ... ^ u_{2M-1}."""
+    out = {}
+    for S, a in real.items():
+        rest = tuple(u for u in range(2 * M) if u not in S)
+        sign = (-1) ** _inversions(S + rest)
+        out[rest] = (sign * a[0], sign * a[1])
+    return out
+
+
+@pytest.mark.parametrize("M", [1, 2, 3])
+def test_hodge_matches_the_classical_star_at_q_1(M):
+    # * = C hodge, with C = i^{p-q} on bidegree (p, q); this pins the Weil
+    # sign (-1)^{k(k+1)/2}, which the involution test cannot see
+    p = ExtAlgParams(M)
+    powers = [(1, 0), (0, 1), (-1, 0), (0, -1)]
+    for k in range(2 * M + 1):
+        for key in fiber._basis(M, k):
+            image = hodge(p, FiberForm(M, {key: ONE}), Fraction(1))
+            weil = {(I, J): _gmul((c, 0), powers[(len(I) - len(J)) % 4])
+                    for (I, J), c in image.terms.items()}
+            want = _classical_star(M, _real_coordinates(M, {key: (1, 0)}))
+            assert _real_coordinates(M, weil) == want, key
+
+
 def test_numeric_hodge_is_an_involution_at_m4():
     p = ExtAlgParams(4)
     q0 = Fraction(121, 100)
@@ -569,7 +636,7 @@ def test_table_keeps_one_evaluated_map(monkeypatch):
     decs_a = [table.decomposition(a, k) for k in range(7)]
     assert [table.decomposition(a, k) for k in range(7)] == decs_a
     assert len(calls) == 1
-    objs_a = [map_a] + decs_a + [x for d in decs_a for x in (d.prims, d.transform)]
+    objs_a = [map_a] + decs_a + [x for d in decs_a for x in (d.prims, d.span)]
     assert id(map_a) in _reachable(table)
     table.at(b)
     held = _reachable(table)
@@ -601,26 +668,6 @@ def test_evaluation_is_per_distinct_coefficient(M, distinct, entries, monkeypatc
     assert table.modular(s, p) is not None and len(calls) == distinct
 
 
-def test_echelon_and_nullspace_on_low_rank_integer_matrices():
-    rng = random.Random(3)
-    for _ in range(40):
-        base = [[rng.randint(-3, 3) for _ in range(6)] for _ in range(3)]
-        rows = [[sum(rng.randint(-2, 2) * b[c] for b in base) for c in range(6)]
-                for _ in range(5)]
-        forward = [r[:] for r in rows]
-        full = [r[:] for r in rows]
-        rank, pivots = fiber._echelon(forward)
-        assert (rank, pivots) == fiber._echelon(full, reduced=True)
-        for r, c in enumerate(pivots):
-            assert all(not forward[s][c] for s in range(r + 1, len(rows)))
-            assert all(not full[s][c] for s in range(len(rows)) if s != r)
-        columns = [[row[c] for row in rows] for c in range(6)]
-        null = fiber._nullspace(columns, len(rows))
-        assert len(null) == 6 - rank
-        for vec in null:
-            assert all(sum(x * row[c] for c, x in enumerate(vec)) == 0 for row in rows)
-
-
 @pytest.mark.parametrize("M", [3, 4])
 def test_decomposition_is_the_same_cold_and_warm(M, monkeypatch):
     p = ExtAlgParams(M)
@@ -628,13 +675,13 @@ def test_decomposition_is_the_same_cold_and_warm(M, monkeypatch):
     table = fiber._LefschetzTable(p)
     monkeypatch.setattr(fiber, "lefschetz_table", lambda m: table)
     calls = []
-    echelon = fiber._echelon
+    primitives = fiber._primitives
 
-    def counting(rows, *args, **kwargs):
-        calls.append(len(rows))
-        return echelon(rows, *args, **kwargs)
+    def counting(num, M, d):
+        calls.append(d)
+        return primitives(num, M, d)
 
-    monkeypatch.setattr(fiber, "_echelon", counting)
+    monkeypatch.setattr(fiber, "_primitives", counting)
     form = random_form(p, 2, 1, random.Random(9))[0].plus(
         random_form(p, 1, 2, random.Random(10))[1])
     cold = primitive_decompose(p, form, q0)
@@ -657,15 +704,15 @@ def test_singular_decomposition_raises(fault, monkeypatch):
     p = ExtAlgParams(3)
     table = fiber._LefschetzTable(p)
     monkeypatch.setattr(fiber, "lefschetz_table", lambda m: table)
-    nullspace = fiber._nullspace
+    primitives = fiber._primitives
 
-    def faulty(columns, nrows):
-        basis = nullspace(columns, nrows)
-        if len(columns) == 1:  # degree 0: the constant 1
+    def faulty(num, M, d):
+        basis = primitives(num, M, d)
+        if d == 0:  # the constant 1
             return [] if fault == "drop" else basis * 2
         return basis
 
-    monkeypatch.setattr(fiber, "_nullspace", faulty)
+    monkeypatch.setattr(fiber, "_primitives", faulty)
     with pytest.raises(DecompositionSingular):
         primitive_decompose(p, kappa(p), Fraction(121, 100))
     with pytest.raises(DecompositionSingular):

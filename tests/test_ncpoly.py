@@ -1,14 +1,16 @@
 """Free noncommutative polynomials and the deglex monomial order."""
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qso_spectra import fiber
 from qso_spectra.errors import AlphabetMismatch, IndexOutOfRange
 from qso_spectra.field import FieldElem
-from qso_spectra.ncpoly import NCPoly, deglex_compare, word_key
+from qso_spectra.ncpoly import NCPoly, Span, deglex_compare, word_key
 
 N = 3
 
@@ -90,3 +92,81 @@ def test_degree_and_homogeneity():
     q = p + NCPoly.unit(N)
     assert q.degree() == 1 and not q.is_homogeneous()
     assert NCPoly.zero(N).degree() == -1
+
+
+def _low_rank_rows(rng, nrows=5, ncols=6, rank=3):
+    """Sparse integer rows {column: value} spanning at most rank dimensions."""
+    base = [[rng.randint(-3, 3) for _ in range(ncols)] for _ in range(rank)]
+    out = []
+    for _ in range(nrows):
+        mix = [rng.randint(-2, 2) for _ in base]
+        row = [sum(m * b[c] for m, b in zip(mix, base)) for c in range(ncols)]
+        out.append({(c,): x for c, x in enumerate(row) if x})
+    return out
+
+
+def _combine(rows, comb):
+    out = {}
+    for label, c in comb.items():
+        for key, x in rows[label].items():
+            out[key] = out.get(key, 0) + c * x
+    return {k: x for k, x in out.items() if x}
+
+
+def _exact_types(values):
+    return all(type(x) in (int, Fraction) for x in values)
+
+
+def test_span_add_returns_dependencies_that_sum_to_zero():
+    rng = random.Random(3)
+    for _ in range(40):
+        rows = _low_rank_rows(rng)
+        span = Span()
+        deps = [span.add(row, i) for i, row in enumerate(rows)]
+        rank = deps.count(None)
+        assert rank == len(span.pivots) <= 3
+        for i, dep in enumerate(deps):
+            if dep is None:
+                continue
+            # the row's own label at 1, earlier labels only, combination 0
+            assert dep[i] == 1 and max(dep) == i
+            assert _combine(rows, dep) == {}
+            assert _exact_types(dep.values())
+        # triangular in the labels, so independent; with the rank from the
+        # separate mod-p loop their count is the kernel's dimension
+        p = 2 ** 61 - 1
+        assert rank == fiber._rank_mod([{k: x % p for k, x in row.items()}
+                                        for row in rows], p)
+
+
+def test_span_express_round_trips_and_rejects_rows_outside():
+    rng = random.Random(5)
+    for _ in range(40):
+        rows = _low_rank_rows(rng)
+        span = Span()
+        for i, row in enumerate(rows):
+            span.add(row, i)
+        want = {i: Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                for i in range(len(rows))}
+        target = _combine(rows, want)
+        got = span.express(target)
+        assert _combine(rows, got) == target
+        assert _exact_types(got.values())
+        assert span.express({}) == {}
+        if len(span.pivots) < 6:
+            # a unit row outside the span moves target outside it too
+            c = next(c for c in range(6) if span.express({(c,): 1}) is None)
+            outside = _combine(rows + [{(c,): 1}], {**want, len(rows): 1})
+            assert span.express(outside) is None
+
+
+def test_rank_mod_equals_exact_rank_on_low_rank_integer_rows():
+    p = 2 ** 61 - 1
+    rng = random.Random(11)
+    for _ in range(40):
+        rows = _low_rank_rows(rng, nrows=rng.randint(1, 7), ncols=rng.randint(1, 7),
+                              rank=rng.randint(0, 4))
+        kept = [dict(row) for row in rows]
+        residues = [{k: x % p for k, x in row.items()} for row in rows]
+        assert fiber._rank_mod(residues, p) == fiber._echelon(rows)
+        assert rows == kept

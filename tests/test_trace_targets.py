@@ -1,12 +1,15 @@
 """The benchmark's tracer still finds every name it wraps.
 
 perfbench/tracing.py rebinds program functions by name; renaming one of
-them breaks only the traced benchmark run, with a KeyError.  This test
-installs and uninstalls the tracer on the imported package, so such a
-rename fails here first.
+them breaks only the traced benchmark run, with a KeyError.  These tests
+install and uninstall the tracer on the imported package, so such a
+rename fails here first, and run every hooked target once under it, so a
+hook that no longer reads its target's arguments or result fails here
+too.
 """
 
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import qso_spectra
@@ -63,3 +66,27 @@ def test_every_target_resolves_and_is_restored(monkeypatch):
     assert after.keys() == before.keys()
     changed = [key for key, val in before.items() if after[key] is not val]
     assert not changed
+
+
+def test_every_hook_reads_its_target(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracing
+
+    # no modular point: every Lefschetz degree takes the exact _echelon path
+    monkeypatch.setattr(fiber, "_modular_point", lambda q0: None)
+    tracer = tracing.Tracer(qso_spectra.__name__)
+    tracer.install()
+    try:
+        reports.to_json({"status": "verified"})
+        frt.build_rewriter(frt.generate_relations(frt.FRTData(5)))
+        v = field.FieldElem.v_pow(1)
+        (v + field.ONE).inverse() * (v - field.ONE)
+        params = spectrum.SpectralParams()
+        spectrum.validate_params(params)
+        spectrum.eigenvalue(2, 1, params)
+        fiber.verify_lefschetz_iso(fiber.ExtAlgParams(2), Fraction(11, 10))
+    finally:
+        tracer.uninstall()
+    assert tracer.bytes_out and tracer.builds and tracer.gcds
+    assert tracer.eigen_evals and tracer.echelon_cells
+    assert tracer.stat("fiber.echelon")[0] == 2
