@@ -16,5 +16,5 @@ __all__ = [
 __version__ = "0.1.0"
 
 # Name of the kernel implementation, recorded by benchmark results; the
-# pure-Python Laurent kernels in ``laurent`` are the only one.
+# pure-Python Laurent kernels in ``field`` are the only one.
 BACKEND_NAME = "py"

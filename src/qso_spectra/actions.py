@@ -43,7 +43,7 @@ from .errors import IndexOutOfRange, NotInZSpan, RepresentationInconsistent
 from .field import ONE, FieldElem, sym_qbinom, sym_qint
 from .frt import (FRTData, Rewriter, _r_tables, generate_relations,
                   normal_form, rewriter)
-from .ncpoly import NCPoly, accumulate, insert_pivot, reduce_lead
+from .ncpoly import NCPoly, Span, accumulate, reduce_lead
 
 E, F, K, KINV = "E", "F", "K", "Kinv"
 
@@ -534,32 +534,27 @@ def z_coord_poly(N: int, a: int, b: int) -> NCPoly:
 
 
 class ZSolver:
-    """Express degree-2 normal forms in the z_ab coordinate basis.
+    """Express degree-2 normal forms in the z_ab coordinate basis: span
+    holds the z_ab normal forms, each labelled (a, b)."""
 
-    pivots is the forward-eliminated basis of the z_ab normal forms
-    (ncpoly.insert_pivot's layout); combs[lead] is the combination of
-    z_ab that a pivot row stands for."""
-
-    __slots__ = ("N", "rw", "pivots", "combs")
+    __slots__ = ("N", "rw", "span")
 
     def __init__(self, N: int, rw):
         self.N = N
         self.rw = rw
-        self.pivots, self.combs = {}, {}
+        self.span = Span()
         for a in range(1, N + 1):
             for b in range(1, N + 1):
-                insert_pivot(dict(normal_form(z_coord_poly(N, a, b), rw).terms),
-                             self.pivots, {(a, b): ONE}, self.combs)
+                self.span.add(normal_form(z_coord_poly(N, a, b), rw).terms, (a, b))
 
     def express(self, p: NCPoly) -> dict:
         """Coefficients x_ab with sum x_ab z_ab = p modulo relations."""
-        vec = dict(normal_form(p, self.rw).terms)
-        comb = {}
-        lead = reduce_lead(vec, self.pivots, comb, self.combs)
-        if lead is not None:
+        vec = normal_form(p, self.rw).terms
+        coeffs = self.span.express(vec)
+        if coeffs is None:
+            lead = reduce_lead(dict(vec), self.span.pivots)
             raise NotInZSpan(f"residual word {lead}")
-        # comb holds what was subtracted from p, so p is its negative
-        return {k: -c for k, c in comb.items()}
+        return coeffs
 
 
 # ---------------------------------------------------------------------------

@@ -73,7 +73,8 @@ def _build_parser() -> argparse.ArgumentParser:
                     "coordinate algebras, exterior fiber algebras and the "
                     "zero-form Laplacian spectrum.")
     parser.add_argument("--out", help="write the report to this path instead of stdout")
-    parser.add_argument("--format", choices=("json", "csv"), default="json")
+    parser.add_argument("--format", choices=("json", "csv"),
+                        help="report format (default: json)")
     parser.add_argument("--jobs", type=int, default=1,
                         help="accepted for compatibility; has no effect")
     parser.add_argument("--config", help="JSON config file; flags take precedence")
@@ -129,24 +130,25 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(args) -> None:
-    if not args.config:
-        return
-    with open(args.config, encoding="utf-8") as fh:
-        cfg = json.load(fh)
-    where = f"--config {args.config}"
-    if not isinstance(cfg, dict):
-        raise QsoError(f"{where}: expected a JSON object")
-    for key, value in cfg.items():
-        if key == "out":
-            if not isinstance(value, str):
-                raise QsoError(f"{where}: out must be a path string, got {value!r}")
-        elif key != "format":
-            raise QsoError(f"{where}: unknown key {key!r}; expected format or out")
-        elif value not in ("json", "csv"):
-            raise QsoError(f"{where}: format must be one of json, csv, "
-                           f"got {value!r}")
-    if "format" in cfg and args.format == "json":
-        args.format = cfg["format"]
+    """Fill --format and --out from the --config file where the flag is
+    unset; --format defaults to json."""
+    cfg = {}
+    if args.config:
+        with open(args.config, encoding="utf-8") as fh:
+            cfg = json.load(fh)
+        where = f"--config {args.config}"
+        if not isinstance(cfg, dict):
+            raise QsoError(f"{where}: expected a JSON object")
+        for key, value in cfg.items():
+            if key == "out":
+                if not isinstance(value, str):
+                    raise QsoError(f"{where}: out must be a path string, got {value!r}")
+            elif key != "format":
+                raise QsoError(f"{where}: unknown key {key!r}; expected format or out")
+            elif value not in ("json", "csv"):
+                raise QsoError(f"{where}: format must be one of json, csv, "
+                               f"got {value!r}")
+    args.format = args.format or cfg.get("format", "json")
     if "out" in cfg and not args.out:
         args.out = cfg["out"]
 

@@ -1,36 +1,152 @@
 """Exact coefficient field: rational functions in v = q^(1/2) over Q.
 
-Representation: a pair of Laurent dicts (numerator, denominator) in
-canonical form.
-Canonical form: the denominator is a polynomial dict with nonzero
-constant term normalized to 1, and gcd(numerator, denominator) = 1
-(after factoring a v-power out of the numerator).  Zero is ({}, {0: 1}).
-A coefficient is an int exactly when it is integral and a Fraction only
-when it is not, so a Laurent polynomial over Z, which is what the
-algebra layers multiply, never touches Fraction arithmetic; every
-division of coefficients goes through Fraction, never int / int.
+A Laurent polynomial in v is a dict {exponent: coefficient} with no zero
+values; the lp_* kernels below are its arithmetic.  A coefficient is an
+int exactly when it is integral and a Fraction only when it is not
+(``lp_ints``), so a Laurent polynomial over Z, which is what the algebra
+layers multiply, never touches Fraction arithmetic.  int / int is a
+float, so every division of coefficients goes through Fraction.
 Fraction(3) == 3 and hash(Fraction(3)) == hash(3), so the coefficient
-type changes neither equality, hashing nor any printed text.
+type changes neither equality, hashing nor any printed text.  A dense
+polynomial is a list of coefficients indexed by exponent (trailing
+zeros stripped, [] is the zero polynomial).
+
+An element of Q(v) is a pair of Laurent dicts (numerator, denominator)
+in canonical form: the denominator is a polynomial dict with nonzero
+constant term normalized to 1, and gcd(numerator, denominator) = 1
+after factoring a v-power out of the numerator.  Zero is ({}, {0: 1}).
+Every rational function has exactly one such pair, so ``==`` and
+``hash`` read the pair and do no arithmetic.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd as igcd
 
-from .laurent import (
-    lp_add,
-    lp_eval,
-    lp_ints,
-    lp_mul,
-    lp_neg,
-    lp_scale,
-    lp_shift,
-    lp_sub,
-    plist_divmod,
-    plist_gcd,
-)
 from .errors import DenominatorVanishes
 from .quadext import QuadExt
+
+# -- Laurent polynomials ----------------------------------------------------
+
+
+def lp_ints(a):
+    """a with every integral coefficient stored as an int.  The sum of
+    the coefficients is an int exactly when every one of them is, and
+    sum() adds ints in C, so the all-int case costs one pass in C."""
+    if sum(a.values()).__class__ is int:
+        return a
+    return {e: c.numerator if c.denominator == 1 else c for e, c in a.items()}
+
+
+def lp_add(a, b):
+    """Sum of two Laurent dicts."""
+    if not a:
+        return dict(b)
+    if not b:
+        return dict(a)
+    out = dict(a)
+    for e, c in b.items():
+        s = out.get(e, 0) + c
+        if s:
+            out[e] = s
+        else:
+            out.pop(e, None)
+    return lp_ints(out)
+
+
+def lp_mul(a, b):
+    if not a or not b:
+        return {}
+    if len(a) == 1:
+        (ea, ca), = a.items()
+        return lp_ints({ea + e: ca * c for e, c in b.items()})
+    if len(b) == 1:
+        (eb, cb), = b.items()
+        return lp_ints({eb + e: cb * c for e, c in a.items()})
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = ea + eb
+            s = out.get(e, 0) + ca * cb
+            if s:
+                out[e] = s
+            else:
+                out.pop(e, None)
+    return lp_ints(out)
+
+
+def lp_scale(a, c):
+    if not c:
+        return {}
+    return lp_ints({e: co * c for e, co in a.items()})
+
+
+def lp_shift(a, k):
+    """Multiply by v**k."""
+    if not k:
+        return dict(a)
+    return {e + k: c for e, c in a.items()}
+
+
+def plist_divmod(a, b):
+    """Quotient and remainder of dense polynomial lists (b nonzero)."""
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    r = list(a)
+    db = len(b) - 1
+    lb = b[db]
+    q = [0] * max(len(r) - db, 0)
+    while len(r) - 1 >= db:
+        dr = len(r) - 1
+        if not r[dr]:
+            r.pop()
+            continue
+        f = Fraction(r[dr]) / lb
+        q[dr - db] = f
+        for i in range(db + 1):
+            r[dr - db + i] -= f * b[i]
+        r.pop()
+    while r and not r[-1]:
+        r.pop()
+    while q and not q[-1]:
+        q.pop()
+    return q, r
+
+
+def _primitive(p):
+    """Rescale to int coefficients with content 1 (keeps Euclid's
+    intermediate fractions small)."""
+    if not p:
+        return p
+    den = 1
+    for c in p:
+        den = den * c.denominator // igcd(den, c.denominator)
+    g = 0
+    ints = []
+    for c in p:
+        n = int(c * den)
+        ints.append(n)
+        g = igcd(g, n)
+    if g > 1:
+        ints = [n // g for n in ints]
+    return ints
+
+
+def plist_gcd(a, b):
+    """Monic gcd of dense polynomial lists."""
+    x, y = _primitive(list(a)), _primitive(list(b))
+    while y:
+        _, r = plist_divmod(x, y)
+        x, y = y, _primitive(r)
+    if x:
+        lead = x[-1]
+        if lead != 1:
+            x = [Fraction(c) / lead for c in x]
+    return x
+
+
+# -- canonical pairs --------------------------------------------------------
 
 
 def _one_poly():
@@ -58,29 +174,17 @@ def _rf_norm(num, den):
     if dmin:
         den = lp_shift(den, -dmin)
         num = lp_shift(num, -dmin)
-    if len(den) == 1:
-        c = den[0]
-        if c != 1:
-            num = lp_scale(num, Fraction(1) / c)
-        return num, _one_poly()
-    nmin = min(num)
-    npoly = lp_shift(num, -nmin) if nmin else num
-    g = plist_gcd(_lp_to_list(npoly), _lp_to_list(den))
-    if len(g) > 1:
-        nq, _ = plist_divmod(_lp_to_list(npoly), g)
-        dq, _ = plist_divmod(_lp_to_list(den), g)
-        npoly = _list_to_lp(nq)
-        den = _list_to_lp(dq)
-        num = lp_shift(npoly, nmin) if nmin else npoly
-        dmin = min(den)
-        if dmin:
-            den = lp_shift(den, -dmin)
-            num = lp_shift(num, -dmin)
-        if len(den) == 1:
-            c = den[0]
-            if c != 1:
-                num = lp_scale(num, Fraction(1) / c)
-            return num, _one_poly()
+    if len(den) > 1:
+        nmin = min(num)
+        npoly = lp_shift(num, -nmin) if nmin else num
+        g = plist_gcd(_lp_to_list(npoly), _lp_to_list(den))
+        if len(g) > 1:
+            # g divides den, whose constant term is nonzero, so the
+            # quotient's constant term is nonzero too: no v-power to shift
+            nq, _ = plist_divmod(_lp_to_list(npoly), g)
+            dq, _ = plist_divmod(_lp_to_list(den), g)
+            num = lp_shift(_list_to_lp(nq), nmin)
+            den = _list_to_lp(dq)
     c = den[0]
     if c != 1:
         inv = Fraction(1) / c
@@ -89,52 +193,7 @@ def _rf_norm(num, den):
     return num, den
 
 
-def _rf_add(p1, p2):
-    n1, d1 = p1
-    n2, d2 = p2
-    if d1 == d2:
-        if len(d1) == 1:
-            return lp_add(n1, n2), _one_poly()
-        return _rf_norm(lp_add(n1, n2), d1)
-    return _rf_norm(lp_add(lp_mul(n1, d2), lp_mul(n2, d1)), lp_mul(d1, d2))
-
-
-def _rf_sub(p1, p2):
-    n1, d1 = p1
-    n2, d2 = p2
-    if d1 == d2:
-        if len(d1) == 1:
-            return lp_sub(n1, n2), _one_poly()
-        return _rf_norm(lp_sub(n1, n2), d1)
-    return _rf_norm(lp_sub(lp_mul(n1, d2), lp_mul(n2, d1)), lp_mul(d1, d2))
-
-
-def _rf_mul(p1, p2):
-    n1, d1 = p1
-    n2, d2 = p2
-    if len(d1) == 1 and len(d2) == 1:
-        return lp_mul(n1, n2), _one_poly()
-    return _rf_norm(lp_mul(n1, n2), lp_mul(d1, d2))
-
-
-def _rf_neg(p):
-    return lp_neg(p[0]), p[1]
-
-
-def _rf_inv(p):
-    num, den = p
-    if not num:
-        raise ZeroDivisionError("division by zero field element")
-    # gcd(num, den) = 1 already; only reshift and rescale.
-    return _rf_norm(den, num)
-
-
-def _rf_is_zero(p):
-    return not p[0]
-
-
-_RF_ZERO = ({}, _one_poly())
-_RF_ONE = ({0: 1}, _one_poly())
+# -- the field --------------------------------------------------------------
 
 
 class FieldElem:
@@ -148,7 +207,7 @@ class FieldElem:
     # -- constructors ------------------------------------------------
     @classmethod
     def one(cls) -> "FieldElem":
-        return _ONE_ELEM
+        return ONE
 
     @classmethod
     def from_rational(cls, r) -> "FieldElem":
@@ -158,7 +217,7 @@ class FieldElem:
     def monomial(cls, coeff, vexp: int) -> "FieldElem":
         coeff = Fraction(coeff)
         if not coeff:
-            return _ZERO_ELEM
+            return ZERO
         return cls((lp_ints({vexp: coeff}), _one_poly()))
 
     @classmethod
@@ -175,7 +234,7 @@ class FieldElem:
         return NotImplemented
 
     def __bool__(self):
-        return not _rf_is_zero(self.base)
+        return bool(self.base[0])
 
     def as_monomial(self):
         """(coeff, exponent) when self is coeff * v^exponent with a
@@ -191,18 +250,26 @@ class FieldElem:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return FieldElem(_rf_add(self.base, o.base))
+        n1, d1 = self.base
+        n2, d2 = o.base
+        if d1 == d2:
+            if len(d1) == 1:
+                return FieldElem((lp_add(n1, n2), _one_poly()))
+            return FieldElem(_rf_norm(lp_add(n1, n2), d1))
+        return FieldElem(_rf_norm(lp_add(lp_mul(n1, d2), lp_mul(n2, d1)),
+                                  lp_mul(d1, d2)))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return FieldElem(_rf_neg(self.base))
+        num, den = self.base
+        return FieldElem(({e: -c for e, c in num.items()}, den))
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return FieldElem(_rf_sub(self.base, o.base))
+        return self + (-o)
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -214,16 +281,23 @@ class FieldElem:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        if o is _ONE_ELEM:
+        if o is ONE:
             return self
-        if self is _ONE_ELEM:
+        if self is ONE:
             return o
-        return FieldElem(_rf_mul(self.base, o.base))
+        n1, d1 = self.base
+        n2, d2 = o.base
+        if len(d1) == 1 and len(d2) == 1:
+            return FieldElem((lp_mul(n1, n2), _one_poly()))
+        return FieldElem(_rf_norm(lp_mul(n1, n2), lp_mul(d1, d2)))
 
     __rmul__ = __mul__
 
     def inverse(self) -> "FieldElem":
-        return FieldElem(_rf_inv(self.base))
+        num, den = self.base
+        if not num:
+            raise ZeroDivisionError("division by zero field element")
+        return FieldElem(_rf_norm(den, num))
 
     def shift(self, k: int) -> "FieldElem":
         """self * v^k: the numerator's exponents move by k and the
@@ -259,7 +333,7 @@ class FieldElem:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return _rf_is_zero(_rf_sub(self.base, o.base))
+        return self.base == o.base
 
     def __hash__(self):
         num, den = self.base
@@ -271,10 +345,10 @@ class FieldElem:
         v0 = Fraction(v0)
         if not v0:
             raise DenominatorVanishes("v = 0 is outside the domain")
-        den = lp_eval(self.base[1], v0)
+        num, den = (sum(c * v0 ** e for e, c in p.items()) for p in self.base)
         if not den:
             raise DenominatorVanishes(f"denominator vanishes at v = {v0}")
-        return lp_eval(self.base[0], v0) / den
+        return num / den
 
     def eval_mod(self, s: int, p: int) -> int | None:
         """Image in F_p under v |-> s, for a prime p and a unit s mod p.
@@ -361,11 +435,8 @@ class FieldElem:
         return f"FieldElem({self.to_text()})"
 
 
-_ZERO_ELEM = FieldElem(_RF_ZERO)
-_ONE_ELEM = FieldElem(_RF_ONE)
-
-ZERO = _ZERO_ELEM
-ONE = _ONE_ELEM
+ZERO = FieldElem(({}, _one_poly()))
+ONE = FieldElem(({0: 1}, _one_poly()))
 
 
 def qint(k: int, t: FieldElem) -> FieldElem:

@@ -8,9 +8,9 @@ shorter words first, equal lengths compared letter by letter with
 A sparse row is a dict {key: scalar} with no zero values; ncpoly, frt
 and actions add into one only through accumulate.  The one exact
 elimination step on sparse rows lives here too: reduce_lead and
-insert_pivot, shared by the rewriter's forward pass (frt), the
-z-coordinate solver (actions) and every fiber rank, kernel and solve
-through Span (fiber).
+insert_pivot, shared by the rewriter's forward pass (frt) and, through
+Span, by the z-coordinate solver (actions) and every fiber rank, kernel
+and solve (fiber).
 """
 
 from __future__ import annotations

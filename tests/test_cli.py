@@ -187,6 +187,12 @@ def test_config_file(tmp_path, capsys):
                        "--kmax", "1", "--lmax", "1")
     assert code == 0
     assert out.splitlines()[0] == "k,l,value,multiplicity,weight"
+    # an explicit flag wins over the config file, even at its default value
+    code, out, _ = run(capsys, "--format", "json", "--config", str(cfg),
+                       "spectrum", "table", "--n", "5",
+                       "--kmax", "1", "--lmax", "0")
+    assert code == 0
+    assert json.loads(out)["command"] == "spectrum table"
 
 
 def test_spectrum_params_file(tmp_path, capsys):

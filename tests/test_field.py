@@ -11,11 +11,15 @@ from qso_spectra.field import (
     ONE,
     ZERO,
     FieldElem,
+    _rf_norm,
+    lp_scale,
+    lp_shift,
+    plist_divmod,
+    plist_gcd,
     qint,
     sym_qbinom,
     sym_qint,
 )
-from qso_spectra.laurent import plist_divmod, plist_gcd
 
 rationals = st.fractions(
     min_value=Fraction(-5), max_value=Fraction(5), max_denominator=6)
@@ -99,6 +103,29 @@ def test_bar_is_an_involutive_automorphism(a, b, v0):
             a.bar().eval_v(v0)
         return
     assert a.bar().eval_v(v0) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(field_elems(), field_elems(), st.integers(-3, 3),
+       rationals.filter(bool))
+def test_equal_values_have_one_canonical_pair(a, b, k, c):
+    # == and hash read the canonical pair, so one value built by two
+    # routes must land on one pair, and _rf_norm must be idempotent
+    assert (a == b) is (not (a - b))
+    pairs = [((a + b) * (a - b), a * a - b * b), (a.bar().bar(), a),
+             (a.shift(k).shift(-k), a)]
+    if a:
+        pairs.append((a.inverse().inverse(), a))
+    if b:
+        pairs.append(((a * b) / b, a))
+    for x, y in pairs:
+        assert not (x - y)
+        assert x == y and hash(x) == hash(y)
+        num, den = x.base
+        assert _rf_norm(num, den) == x.base
+        # the same value with a common factor c * v^k put back
+        assert _rf_norm(lp_scale(lp_shift(num, k), c),
+                        lp_scale(lp_shift(den, k), c)) == x.base
 
 
 def test_bar_of_a_proper_fraction_is_canonical():
