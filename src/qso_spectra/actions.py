@@ -43,7 +43,7 @@ from .errors import IndexOutOfRange, NotInZSpan, RepresentationInconsistent
 from .field import ONE, FieldElem, sym_qbinom, sym_qint
 from .frt import (FRTData, Rewriter, _r_tables, generate_relations,
                   normal_form, rewriter)
-from .ncpoly import NCPoly, Span, accumulate, reduce_lead
+from .ncpoly import NCPoly, Span, accumulate, apply, reduce_lead
 
 E, F, K, KINV = "E", "F", "K", "Kinv"
 
@@ -344,20 +344,11 @@ def _pair_action(eng: ActionEngine, letter, side: str, fixed=(1, 1)) -> dict:
     return out
 
 
-def _apply(m: dict, vec: dict) -> dict:
-    """The map m, {pair: image row}, applied to a sparse vector."""
-    out = {}
-    for s, c in vec.items():
-        for t, x in m.get(s, {}).items():
-            accumulate(out, t, c * x)
-    return out
-
-
 def _commutes(A: dict, B: dict, C: dict, D: dict, pairs) -> bool:
     """Whether A B = C D on every basis pair, exactly."""
     for s in pairs:
-        diff = _apply(A, B.get(s, {}))
-        for t, c in _apply(C, D.get(s, {})).items():
+        diff = apply(A, B.get(s, {}))
+        for t, c in apply(C, D.get(s, {})).items():
             accumulate(diff, t, -c)
         if diff:
             return False

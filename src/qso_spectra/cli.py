@@ -129,14 +129,23 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _load_json(where: str, path: str):
+    """The JSON value in the file at path.  A file that is not JSON in
+    UTF-8 raises QsoError prefixed with where, the flag that named it."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise QsoError(f"{where}: {exc}") from exc
+
+
 def _load_config(args) -> None:
     """Fill --format and --out from the --config file where the flag is
     unset; --format defaults to json."""
     cfg = {}
     if args.config:
-        with open(args.config, encoding="utf-8") as fh:
-            cfg = json.load(fh)
         where = f"--config {args.config}"
+        cfg = _load_json(where, args.config)
         if not isinstance(cfg, dict):
             raise QsoError(f"{where}: expected a JSON object")
         for key, value in cfg.items():
@@ -159,8 +168,7 @@ _PARAM_KEYS = ("theta", "theta1", "theta2", "theta3", "mu_y", "mu_z")
 def _spectral_params(spec: str, q: Fraction) -> spectrum.SpectralParams:
     if spec == "default":
         return spectrum.SpectralParams(q=q)
-    with open(spec, encoding="utf-8") as fh:
-        raw = json.load(fh)
+    raw = _load_json(f"--params {spec}", spec)
     if not isinstance(raw, dict):
         raise QsoError(f"--params {spec}: expected a JSON object of constants")
     kwargs = {}
@@ -218,8 +226,7 @@ def _cmd_verify(args):
 def _kappa_power_entries(M: int, l: int):
     exp = fiber.kappa_power(fiber.ExtAlgParams(M), l)
     entries = []
-    for (I, J) in sorted(exp.terms):
-        c = exp.terms[(I, J)]
+    for (I, J), c in sorted(exp.items()):
         entries.append({"I": list(I), "J": list(J),
                         "f": c.to_text(), "f_at_1": str(c.eval_v(1))})
     return entries
@@ -343,21 +350,23 @@ def _stage_spectrum(n, q):
 
 # -- entry point ------------------------------------------------------------
 
+# the (command, suite) pairs whose report is a table, the only ones with csv
+_TABULAR = (("spectrum", "table"), ("fiber", "kappa-powers"))
+
+
 def _render(args, report) -> str:
     if args.format == "json":
         return reports.to_json(report)
-    if report.get("command") == "spectrum table":
+    if report["command"] == "spectrum table":
         rows = [{"k": r["k"], "l": r["l"], "value": r["value"],
                  "multiplicity": r["multiplicity"],
                  "weight": " ".join(str(c) for c in r["weight"])}
                 for r in report["records"]]
         return reports.to_csv(rows, ["k", "l", "value", "multiplicity", "weight"])
-    if report.get("command") == "fiber kappa-powers":
-        rows = [{"M": report["M"], "l": report["l"], "I": " ".join(map(str, e["I"])),
-                 "J": " ".join(map(str, e["J"])), "f_at_1": e["f_at_1"]}
-                for e in report["entries"]]
-        return reports.to_csv(rows, ["M", "l", "I", "J", "f_at_1"])
-    raise QsoError("csv output is only available for tabular subcommands")
+    rows = [{"M": report["M"], "l": report["l"], "I": " ".join(map(str, e["I"])),
+             "J": " ".join(map(str, e["J"])), "f_at_1": e["f_at_1"]}
+            for e in report["entries"]]
+    return reports.to_csv(rows, ["M", "l", "I", "J", "f_at_1"])
 
 
 def main(argv=None) -> int:
@@ -372,6 +381,9 @@ def main(argv=None) -> int:
         return 2 if exc.code else 0
     try:
         _load_config(args)
+        if args.format == "csv" and \
+                (args.command, getattr(args, "suite", None)) not in _TABULAR:
+            raise QsoError("csv output is only available for tabular subcommands")
         if args.command != "fiber" and args.n < 5:
             raise QsoError(f"need --n >= 5, got {args.n}")
         if args.command == "verify":
@@ -383,7 +395,7 @@ def main(argv=None) -> int:
         else:
             report, status = _cmd_all(args)
         _emit(args, _render(args, report))
-    except (QsoError, OSError, json.JSONDecodeError) as exc:
+    except (QsoError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     return reports.exit_code(status)

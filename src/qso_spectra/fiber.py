@@ -52,9 +52,12 @@ Forms are written in the basis f-_j = i e-_j of Lambda^-.  Its rules
 are homogeneous quadratic, so they hold unchanged for the f-_j; the
 Kaehler form i * sum_i e+_i ^ e-_i is sum_i e+_i ^ f-_i, and the
 Lefschetz map, the kappa powers and the primitive decomposition are
-real in the basis e+_I ^ f-_J.  A form stores one real coefficient per
-key (I, J), an exact scalar of one kind: FieldElem (symbolic in v), or
-Fraction / QuadExt (evaluated at v = sqrt(q0)).  The imaginary unit is
+real in the basis e+_I ^ f-_J.  A form is a sparse row {(I, J): scalar}
+(ncpoly), one real coefficient per key of sorted index tuples and no
+zero stored, each scalar an exact one of one kind: FieldElem (symbolic
+in v), or Fraction / QuadExt (evaluated at v = sqrt(q0)).  Forms add
+through ncpoly.accumulate and every linear map on them, L included, is
+applied through ncpoly.apply.  The imaginary unit is
 never adjoined to the coefficient field: hodge() returns C^{-1} *, with
 C the Weil operator i^{p-q} on bidegree (p, q), which is real and has
 the bidegrees of * (the Weil formula of O Buachalla, Noncommutative
@@ -71,7 +74,7 @@ from math import factorial, isqrt
 
 from .errors import DecompositionSingular, IndexOutOfRange
 from .field import ONE, FieldElem
-from .ncpoly import Span, insert_pivot
+from .ncpoly import Span, accumulate, apply, insert_pivot
 
 _NU = FieldElem.v_pow(2) - FieldElem.v_pow(-2)      # q - q^{-1}
 _NU_HALF = FieldElem.v_pow(1) - FieldElem.v_pow(-1)  # q^{1/2} - q^{-1/2}
@@ -140,8 +143,6 @@ def _straighten(params: ExtAlgParams, word, side: str):
     done = {}
     while work:
         w, c = work.popitem()
-        if not c:
-            continue
         hit = None
         for p in range(len(w) - 1):
             r = _reduce_pair(params, w[p], w[p + 1])
@@ -149,84 +150,14 @@ def _straighten(params: ExtAlgParams, word, side: str):
                 hit = (p, r)
                 break
         if hit is None:
-            acc = done.get(w)
-            done[w] = c if acc is None else acc + c
+            accumulate(done, w, c)
             continue
         p, r = hit
         for pair, cc in r.items():
-            nw = w[:p] + pair + w[p + 2:]
-            acc = work.get(nw)
-            work[nw] = c * cc if acc is None else acc + c * cc
+            accumulate(work, w[:p] + pair + w[p + 2:], c * cc)
     if side == "+":
-        return {w: c.bar() for w, c in done.items() if c}
-    return {w: c for w, c in done.items() if c}
-
-
-# ---------------------------------------------------------------------------
-# Forms
-# ---------------------------------------------------------------------------
-
-class FiberForm:
-    """Sum of c e+_I ^ f-_J over sorted-basis keys (I, J), with f-_j =
-    i e-_j and one real scalar c per key; no zero is stored."""
-
-    __slots__ = ("M", "terms")
-
-    def __init__(self, M: int, terms=None):
-        self.M = M
-        self.terms = {} if terms is None else terms  # (I, J) -> scalar
-
-    def add(self, I, J, c) -> None:
-        """Add c e+_I ^ f-_J.  A new key keeps the scalar it is given, so
-        a form holds the scalar type of its coefficients."""
-        key = (tuple(I), tuple(J))
-        acc = self.terms.get(key)
-        c = c if acc is None else acc + c
-        if c:
-            self.terms[key] = c
-        else:
-            self.terms.pop(key, None)
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        if not isinstance(other, FiberForm) or self.M != other.M:
-            return NotImplemented
-        return self.terms == other.terms
-
-    def scaled(self, c) -> "FiberForm":
-        out = FiberForm(self.M)
-        for (I, J), x in self.terms.items():
-            out.add(I, J, x * c)
-        return out
-
-    def plus(self, other: "FiberForm") -> "FiberForm":
-        out = FiberForm(self.M, dict(self.terms))
-        for (I, J), x in other.terms.items():
-            out.add(I, J, x)
-        return out
-
-    def bidegrees(self):
-        return {(len(I), len(J)) for I, J in self.terms}
-
-    def degree(self) -> int:
-        """Total degree; raises if not homogeneous."""
-        degs = {len(I) + len(J) for I, J in self.terms}
-        if not degs:
-            return 0
-        if len(degs) > 1:
-            raise ValueError("form is not homogeneous")
-        return degs.pop()
-
-    @classmethod
-    def one(cls, M: int) -> "FiberForm":
-        return cls(M, {((), ()): ONE})
-
-
-def kappa(params: ExtAlgParams) -> FiberForm:
-    """The Kaehler fiber form i * sum_i e+_i ^ e-_i = sum_i e+_i ^ f-_i."""
-    return FiberForm(params.M, {((i,), (i,)): ONE for i in range(1, params.M + 1)})
+        return {w: c.bar() for w, c in done.items()}
+    return done
 
 
 # ---------------------------------------------------------------------------
@@ -254,39 +185,22 @@ def _insert(params: ExtAlgParams, key, indices=None, straighten=None):
         rpart = straighten((i,) + J, "-")
         for lk, lc in lpart.items():
             for rk, rc in rpart.items():
-                c = lc * rc
-                acc = out.get((lk, rk))
-                out[(lk, rk)] = c if acc is None else acc + c
-    return {t: c for t, c in out.items() if c}
+                accumulate(out, (lk, rk), lc * rc)
+    return out
 
 
-def _apply_num(num_map, vec, p=None):
-    """One insertion step, kappa ^ vec, on a {key: scalar} vector through
-    num_map ({key: image}); residues mod p when p is given."""
-    out = {}
-    for key, c in vec.items():
-        if not c:
-            continue
-        for tgt, m in num_map[key].items():
-            acc = out.get(tgt)
-            out[tgt] = c * m if acc is None else acc + c * m
-    if p is not None:
-        out = {k: c % p for k, c in out.items()}
-    return {k: c for k, c in out.items() if c}
-
-
-def kappa_power(params: ExtAlgParams, l: int) -> FiberForm:
+def kappa_power(params: ExtAlgParams, l: int) -> dict:
     """Exact expansion kappa^l = sum f_{l,I,J} e+_I ^ f-_J over the sorted
-    basis, by l steps of the shared Lefschetz table."""
+    basis, as the form {(I, J): f_{l,I,J}}, by l steps of the shared
+    Lefschetz table; kappa itself is l = 1."""
     if l < 0 or l > 2 * params.M:
         raise ValueError("need 0 <= l <= 2M")
-    return FiberForm(params.M, _power(lefschetz_table(params.M).map,
-                                      {((), ()): ONE}, l))
+    return _power(lefschetz_table(params.M).map, {((), ()): ONE}, l)
 
 
-def lefschetz(params: ExtAlgParams, form: FiberForm) -> FiberForm:
+def lefschetz(params: ExtAlgParams, form: dict) -> dict:
     """kappa ^ form, raising bidegree by (1, 1)."""
-    return FiberForm(params.M, _apply_num(lefschetz_table(params.M).map, form.terms))
+    return apply(lefschetz_table(params.M).map, form)
 
 
 # ---------------------------------------------------------------------------
@@ -546,7 +460,9 @@ def _power(num_map, vec, power: int, p=None):
     """L^power(vec) on a {key: scalar} vector through num_map; residues
     mod p when p is given."""
     for _ in range(power):
-        vec = _apply_num(num_map, vec, p)
+        vec = apply(num_map, vec)
+        if p is not None:
+            vec = {k: r for k, c in vec.items() if (r := c % p)}
     return vec
 
 
@@ -630,23 +546,27 @@ class _Decomposition:
         return None if self.span is None else self.span.express(rhs)
 
 
-def primitive_decompose(params: ExtAlgParams, form: FiberForm, q0=None):
+def primitive_decompose(params: ExtAlgParams, form: dict, q0=None):
     """Lefschetz decomposition form = sum_j L^j(w_j), each w_j primitive.
 
     L is real in the basis e+_I ^ f-_J, so one solve per form gives the
     w_j.  Symbolic over the coefficient field when q0 is None (intended
     for M <= 4); exact rational/quadratic arithmetic at v = sqrt(q0)
     otherwise, on a form with FieldElem coefficients.  Returns a list of
-    (j, FiberForm).  Raises DecompositionSingular when the sample point
+    (j, w_j), each w_j a form.  Raises ValueError on a form that is not
+    homogeneous, and DecompositionSingular when the sample point
     degenerates the system.
     """
     M = params.M
-    k = form.degree()
     if not form:
         return []
+    degrees = {len(I) + len(J) for I, J in form}
+    if len(degrees) > 1:
+        raise ValueError("form is not homogeneous")
+    k = degrees.pop()
     table = lefschetz_table(M)
     ev = table.at(q0)[0]
-    rhs = {key: x for key, c in form.terms.items() if (x := ev(c))}
+    rhs = {key: x for key, c in form.items() if (x := ev(c))}
     if not rhs:
         return []
     dec = table.decomposition(q0, k)
@@ -657,13 +577,13 @@ def primitive_decompose(params: ExtAlgParams, form: FiberForm, q0=None):
     parts = {}
     for i, x in sol.items():
         j, prim = dec.prims[i]
-        f = parts.setdefault(j, FiberForm(M))
-        for (I, J), c in prim.items():
-            f.add(I, J, x * c)
+        part = parts.setdefault(j, {})
+        for key, c in prim.items():
+            accumulate(part, key, x * c)
     return sorted(parts.items())
 
 
-def hodge(params: ExtAlgParams, form: FiberForm, q0=None) -> FiberForm:
+def hodge(params: ExtAlgParams, form: dict, q0=None) -> dict:
     """C^{-1} * of the Hodge map *, with C the Weil operator i^{p-q} on
     bidegree (p, q), via the Weil formula on the Lefschetz decomposition:
 
@@ -675,15 +595,18 @@ def hodge(params: ExtAlgParams, form: FiberForm, q0=None) -> FiberForm:
     v = sqrt(q0).
     """
     M = params.M
-    out = FiberForm(M)
+    out = {}
     if not form:
         return out
+    I, J = next(iter(form))
+    d = len(I) + len(J)  # primitive_decompose checks that form is homogeneous
     num = lefschetz_table(M).at(q0)[1]
     for j, wj in primitive_decompose(params, form, q0):
-        k = wj.degree()
-        terms = wj.scaled(Fraction((-1) ** (k * (k + 1) // 2) * factorial(j),
-                                   factorial(M - j - k))).terms
-        out = out.plus(FiberForm(M, _power(num, terms, M - j - k)))
+        k = d - 2 * j
+        s = Fraction((-1) ** (k * (k + 1) // 2) * factorial(j), factorial(M - j - k))
+        image = _power(num, {key: x * s for key, x in wj.items()}, M - j - k)
+        for key, c in image.items():
+            accumulate(out, key, c)
     return out
 
 
@@ -707,7 +630,7 @@ def verify_f_properties(params: ExtAlgParams) -> dict:
     records = []
     for l in range(M + 1):
         if l:
-            coeffs = _apply_num(num, coeffs)
+            coeffs = apply(num, coeffs)
         oracle = classical_kappa_coeffs(M, l)
         want_sign = (-1) ** (l * (l - 1) // 2)
         want_val = want_sign * factorial(l)
@@ -756,8 +679,8 @@ def verify_nonprimitive(params: ExtAlgParams, extra_samples=(Fraction(101, 100),
     details = {}
     full = tuple(range(1, M + 1))
     # wedge the (M-1)-power with the (M, M) pair between its blocks
-    power = kappa_power(params, M - 1).terms
-    res = _apply_num({key: _insert(params, key, (M,)) for key in power}, power)
+    power = kappa_power(params, M - 1)
+    res = apply({key: _insert(params, key, (M,)) for key in power}, power)
     keys = list(res)
     for label in ("f", "g"):
         if keys != [(full, full)]:
@@ -791,12 +714,11 @@ def random_form(params: ExtAlgParams, a: int, b: int, rng: random.Random,
     M = params.M
     keys_a = list(combinations(range(1, M + 1), a))
     keys_b = list(combinations(range(1, M + 1), b))
-    re, im = FiberForm(M), FiberForm(M)
+    re, im = {}, {}
     for _ in range(terms):
-        I = rng.choice(keys_a)
-        J = rng.choice(keys_b)
+        key = rng.choice(keys_a), rng.choice(keys_b)
         for part in (re, im):
-            part.add(I, J, FieldElem.from_rational(
+            accumulate(part, key, FieldElem.from_rational(
                 Fraction(rng.randint(-4, 4), rng.randint(1, 3))))
     return re, im
 
@@ -815,8 +737,9 @@ def verify_hodge_shape(params: ExtAlgParams, q0=Fraction(11, 10),
     failures = []
     checks = 0
 
-    star_one = hodge(params, FiberForm.one(M))
-    want = kappa_power(params, M).scaled(Fraction(1, factorial(M)))
+    star_one = hodge(params, {((), ()): ONE})
+    scale = Fraction(1, factorial(M))
+    want = {key: c * scale for key, c in kappa_power(params, M).items()}
     checks += 1
     if star_one != want:
         failures.append({"reason": "*(1) != kappa^M / M!"})
@@ -833,8 +756,8 @@ def verify_hodge_shape(params: ExtAlgParams, q0=Fraction(11, 10),
                 except DecompositionSingular as exc:
                     failures.append({"a": a, "b": b, "reason": str(exc)})
                     continue
-                bad = {bd for image in images for bd in image.bidegrees()
-                       if bd != (M - b, M - a)}
+                bad = ({(len(I), len(J)) for image in images for I, J in image}
+                       - {(M - b, M - a)})
                 if bad:
                     failures.append({"a": a, "b": b,
                                      "reason": f"output bidegrees {sorted(bad)} != "

@@ -5,8 +5,9 @@ is a tuple of labels.  The monomial order is degree-lexicographic:
 shorter words first, equal lengths compared letter by letter with
 (i, j) < (k, l) lexicographically.
 
-A sparse row is a dict {key: scalar} with no zero values; ncpoly, frt
-and actions add into one only through accumulate.  The one exact
+A sparse row is a dict {key: scalar} with no zero values; ncpoly, frt,
+actions and fiber add into one only through accumulate, and apply a
+linear map {key: image row} to one only through apply.  The one exact
 elimination step on sparse rows lives here too: reduce_lead and
 insert_pivot, shared by the rewriter's forward pass (frt) and, through
 Span, by the z-coordinate solver (actions) and every fiber rank, kernel
@@ -36,6 +37,18 @@ def accumulate(row: dict, key, c) -> None:
         row[key] = s
     else:
         row.pop(key, None)
+
+
+def apply(m: dict, vec: dict) -> dict:
+    """The linear map m, {key: image row}, applied to the sparse row vec;
+    a key that m does not hold maps to 0.  Sums are filtered once at the
+    end rather than per term: this is the fiber's hottest loop."""
+    out = {}
+    for key, c in vec.items():
+        for t, x in m.get(key, {}).items():
+            acc = out.get(t)
+            out[t] = c * x if acc is None else acc + c * x
+    return {t: c for t, c in out.items() if c}
 
 
 def reduce_lead(row: dict, pivots: dict, comb=None, combs=None):

@@ -122,13 +122,14 @@ def test_criterion_09_spectrum_identities_and_divergence():
 def test_criterion_10_hodge_operator_shape():
     from math import factorial
 
-    from qso_spectra.field import FieldElem
-    from qso_spectra.fiber import ExtAlgParams, FiberForm, hodge, kappa_power
+    from qso_spectra.field import ONE, FieldElem
+    from qso_spectra.fiber import ExtAlgParams, hodge, kappa_power
 
     t0 = time.perf_counter()
     params = ExtAlgParams(3)
-    star1 = hodge(params, FiberForm.one(3))
-    want = kappa_power(params, 3).scaled(FieldElem.from_rational(Fraction(1, factorial(3))))
+    star1 = hodge(params, {((), ()): ONE})
+    scale = FieldElem.from_rational(Fraction(1, factorial(3)))
+    want = {key: c * scale for key, c in kappa_power(params, 3).items()}
     assert star1 == want
     out = fiber.verify_hodge_shape(params, q0=Fraction(11, 10))
     assert out["status"] == "verified", out["failures"]

@@ -65,6 +65,20 @@ def test_csv_unsupported_subcommand(capsys):
     assert "csv" in err
 
 
+def test_csv_on_a_non_tabular_command_is_rejected_before_the_work(
+        tmp_path, capsys, monkeypatch):
+    def work(n):
+        raise AssertionError("the suite ran")
+
+    monkeypatch.setattr(frt, "verify_lemma_rels", work)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"format": "csv"}))
+    for argv in (["--format", "csv"], ["--config", str(cfg)]):
+        code, out, err = run(capsys, *argv, "verify", "rels", "--n", "8")
+        assert code == 2 and not out
+        assert err == "error: csv output is only available for tabular subcommands\n"
+
+
 def test_usage_error_exit_two(capsys):
     code, _, _ = run(capsys, "verify", "rels")  # missing --n
     assert code == 2
@@ -141,10 +155,14 @@ def test_bad_ambient_size(capsys, argv):
     ('{"mu_z": 0.1}', "mu_z is not an exact rational: 0.1"),
     ('{"theta": true}', "theta is not an exact rational: True"),
     ('{"theta_1": "2"}', "unknown key 'theta_1'"),
+    (b'\xff\xfe{"theta": "1"}', "params.json: 'utf-8' codec can't decode"),
 ])
 def test_malformed_params_file_exits_two(tmp_path, capsys, content, reason):
     pf = tmp_path / "params.json"
-    pf.write_text(content)
+    if isinstance(content, bytes):
+        pf.write_bytes(content)
+    else:
+        pf.write_text(content)
     for suite in ("table", "diverge"):
         code, out, err = run(capsys, "spectrum", suite, "--n", "5",
                              "--params", str(pf))
@@ -330,10 +348,15 @@ def test_readme_commands_run(tmp_path):
     ('{"format": "xml"}', "format must be one of json, csv"),
     ('{"n": 5}', "unknown key 'n'"),
     ('{"out": 3}', "out must be a path string"),
+    ("{", "Expecting property name"),
+    (b'\xff\xfe{"format": "json"}', "can't decode byte 0xff"),
 ])
 def test_malformed_config_file_exits_two(tmp_path, capsys, content, reason):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(content)
+    if isinstance(content, bytes):
+        cfg.write_bytes(content)
+    else:
+        cfg.write_text(content)
     code, out, err = run(capsys, "--config", str(cfg), "verify", "rels", "--n", "5")
     assert code == 2 and not out
     assert err.startswith("error: --config ") and reason in err

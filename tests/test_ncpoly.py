@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from qso_spectra import fiber
 from qso_spectra.errors import AlphabetMismatch, IndexOutOfRange
 from qso_spectra.field import FieldElem
-from qso_spectra.ncpoly import NCPoly, Span, deglex_compare, word_key
+from qso_spectra.ncpoly import NCPoly, Span, accumulate, apply, deglex_compare, word_key
 
 N = 3
 
@@ -92,6 +92,36 @@ def test_degree_and_homogeneity():
     q = p + NCPoly.unit(N)
     assert q.degree() == 1 and not q.is_homogeneous()
     assert NCPoly.zero(N).degree() == -1
+
+
+def test_apply_drops_cancelled_terms_and_unmapped_keys():
+    m = {"a": {"x": 1, "y": 2}, "b": {"x": -1, "z": 3}}
+    # the x terms cancel and leave no key; "c" is not in m and maps to 0
+    assert apply(m, {"a": 1, "b": 1, "c": 5}) == {"y": 2, "z": 3}
+    assert apply(m, {"c": 5}) == {}
+    assert apply(m, {}) == {}
+
+
+sparse_rows = st.dictionaries(st.integers(0, 5), st.integers(-3, 3).filter(bool),
+                              max_size=4)
+
+
+def _combination(pairs):
+    """sum of s * row over (row, s), added through accumulate."""
+    out = {}
+    for row, s in pairs:
+        for k, c in row.items():
+            accumulate(out, k, s * c)
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.dictionaries(st.integers(0, 5), sparse_rows, max_size=5),
+       sparse_rows, sparse_rows, st.integers(-3, 3))
+def test_apply_is_linear(m, u, w, a):
+    image = apply(m, _combination([(u, a), (w, 1)]))
+    assert image == _combination([(apply(m, u), a), (apply(m, w), 1)])
+    assert all(image.values())
 
 
 def _low_rank_rows(rng, nrows=5, ncols=6, rank=3):
