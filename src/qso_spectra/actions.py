@@ -34,7 +34,6 @@ whichever path decided.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
@@ -51,21 +50,6 @@ E, F, K, KINV = "E", "F", "K", "Kinv"
 # ---------------------------------------------------------------------------
 # Vector representation
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class VectorRep:
-    """The vector representation of N.  maps holds the E/F tables keyed
-    by (letter, side), {i: {source: (target, coeff)}}: the left tables
-    move column indices, the right tables row indices.  K_i multiplies
-    index j by v^kexp[i][j] on either side.  sign_fixes records the
-    conjugate entries whose sign the E-F commutator fixes at even N."""
-
-    N: int
-    cartan: CartanData
-    kexp: dict
-    maps: dict
-    sign_fixes: tuple
 
 
 # The conjugate-pair entries of the tables carry -1.  At even N these
@@ -135,12 +119,12 @@ def _propagate_weights(N, cartan, Es):
 
 
 @cache
-def vector_rep(N: int) -> VectorRep:
-    """Assemble the vector representation from the fixed tables of
-    _ef_tables, once per process; the result is shared and read-only,
-    like frt.rewriter(N).  As a guard, the E-F commutator rows are
-    evaluated through the action kernel on each side;
-    RepresentationInconsistent is raised when one fails."""
+def vector_rep(N: int) -> ActionEngine:
+    """The vector representation of N as its action engine, assembled
+    from the fixed tables of _ef_tables once per process; the engine is
+    shared by every suite and read-only, like frt.rewriter(N).  As a
+    guard, the E-F commutator rows are evaluated through the engine on
+    each side; RepresentationInconsistent is raised when one fails."""
     cartan = cartan_data(N)
     maps = {}
     for side in ("left", "right"):
@@ -148,14 +132,13 @@ def vector_rep(N: int) -> VectorRep:
     weights = _propagate_weights(N, cartan, maps[E, "left"])
     kexp = {i: [0] + [cartan.pair2(alpha, weights[j]) for j in range(1, N + 1)]
             for i, alpha in enumerate(cartan.simple_roots, 1)}
-    rep = VectorRep(N, cartan, kexp, maps, () if N % 2 else _EVEN_SIGN_FIXES)
-    eng = ActionEngine(rep)
+    eng = ActionEngine(N, cartan, kexp, maps, () if N % 2 else _EVEN_SIGN_FIXES)
     for side in ("left", "right"):
         if not all(_vanishes(eng, _ef_commutator(cartan, i, i), side)
                    for i in range(1, cartan.n + 1)):
             raise RepresentationInconsistent(
                 f"N = {N}: the tables fail the E-F commutator ({side})")
-    return rep
+    return eng
 
 
 # ---------------------------------------------------------------------------
@@ -164,18 +147,26 @@ def vector_rep(N: int) -> VectorRep:
 
 
 class ActionEngine:
-    """Left and right U_q(so_N) actions on NCPoly words via the
-    coproducts Delta(E) = E (x) K + 1 (x) E and
-    Delta(F) = F (x) 1 + K^-1 (x) F.  The E and F letters move indices
-    through the representation's tables."""
+    """The vector representation of N and its left and right U_q(so_N)
+    actions on NCPoly words via the coproducts
+    Delta(E) = E (x) K + 1 (x) E and Delta(F) = F (x) 1 + K^-1 (x) F.
 
-    __slots__ = ("N", "rep", "maps", "kexp")
+    maps holds the E/F tables keyed by (letter, side),
+    {i: {source: (target, coeff)}}: the left tables move column indices,
+    the right tables row indices.  K_i multiplies index j by
+    v^kexp[i][j] on either side.  sign_fixes records the conjugate
+    entries whose sign the E-F commutator fixes at even N.  Build it
+    through vector_rep(N)."""
 
-    def __init__(self, rep: VectorRep):
-        self.N = rep.N
-        self.rep = rep
-        self.maps = rep.maps
-        self.kexp = rep.kexp
+    __slots__ = ("N", "cartan", "kexp", "maps", "sign_fixes")
+
+    def __init__(self, N: int, cartan: CartanData, kexp: dict, maps: dict,
+                 sign_fixes: tuple):
+        self.N = N
+        self.cartan = cartan
+        self.kexp = kexp
+        self.maps = maps
+        self.sign_fixes = sign_fixes
 
     def _act_one(self, kind, l, p: NCPoly, side: str) -> NCPoly:
         """One letter on one side.  The left action moves column (second)
@@ -298,9 +289,8 @@ def verify_qea_relations(N: int) -> list:
     K-F-K conjugation, E-F commutator, quantum Serre), each evaluated
     through the action kernel on sum_s u^s_s on the left and on the
     right, so the right rows check the right action itself."""
-    rep = vector_rep(N)
-    eng = ActionEngine(rep)
-    rels = _relations(rep.cartan)
+    eng = vector_rep(N)
+    rels = _relations(eng.cartan)
     return [{"relation": name, "side": side,
              "status": "verified" if _vanishes(eng, terms, side) else "failed"}
             for side in ("left", "right") for name, terms in rels]
@@ -378,7 +368,7 @@ def _intertwines(N: int, eng: ActionEngine, letters) -> bool:
 def relation_count(N: int) -> int:
     """The number of relations frt.generate_relations makes at N,
     counted once per process."""
-    return len(generate_relations(FRTData(N)).elems)
+    return len(generate_relations(FRTData(N)))
 
 
 def verify_covariance(N: int) -> dict:
@@ -396,18 +386,17 @@ def verify_covariance(N: int) -> dict:
     relations is relation_count(N), counted once per process, and
     checks counts the relations x letters x sides triples that the
     verdict covers, either way."""
-    rep = vector_rep(N)
-    eng = ActionEngine(rep)
-    n = rep.cartan.n
+    eng = vector_rep(N)
+    n = eng.cartan.n
     letters = [(E, i) for i in range(1, n + 1)] + \
               [(F, i) for i in range(1, n + 1)] + \
               [(K, i) for i in range(1, n + 1)]
     failures = []
     if not _intertwines(N, eng, letters):
-        rels = generate_relations(FRTData(N))
         failures = [{"relation": ridx, "letter": letter, "side": side}
                     for ridx, letter, side
-                    in _unstable(rels.elems, letters, eng, rewriter(N))]
+                    in _unstable(generate_relations(FRTData(N)), letters,
+                                 eng, rewriter(N))]
     count = relation_count(N)
     return {
         "N": N,
@@ -415,7 +404,7 @@ def verify_covariance(N: int) -> dict:
         "checks": count * len(letters) * 2,
         "failures": failures,
         "status": "verified" if not failures else "failed",
-        "sign_fixes": list(rep.sign_fixes),
+        "sign_fixes": list(eng.sign_fixes),
     }
 
 
@@ -440,7 +429,7 @@ def hw_check(a: NCPoly, lam, eng: ActionEngine, rw) -> dict:
     """Highest-weight test for the S-twisted left action
     X > a := a <| S(X): every a <| S(E_i) vanishes modulo relations and
     a <| S(K_i) = q^((lam, alpha_i)) a modulo relations."""
-    cartan = eng.rep.cartan
+    cartan = eng.cartan
     n = cartan.n
     detail = []
     ok = True
@@ -468,9 +457,8 @@ def verify_spherical(N: int) -> dict:
     the z and y differential relations:
     u^1_N u^1_k' u^1_N u^1_1 = q^-2 u^1_N u^1_1 u^1_N u^1_k' and
     w_l' w_N = q^-2 w_N w_l' with w_a = u^1_a u^2_N - q u^2_a u^1_N."""
-    alg = algebra(N)
-    rw, eng = alg.rw, alg.eng
-    cartan = alg.rep.cartan
+    rw, eng = rewriter(N), vector_rep(N)
+    cartan = eng.cartan
     two_fw1 = tuple(2 * x for x in cartan.fundamental_weights[0])
     lam_y = tuple(2 * x - a for x, a in
                   zip(cartan.fundamental_weights[0], cartan.simple_roots[0]))
@@ -525,13 +513,14 @@ def z_coord_poly(N: int, a: int, b: int) -> NCPoly:
 
 
 class ZSolver:
-    """Express degree-2 normal forms in the z_ab coordinate basis: span
-    holds the z_ab normal forms, each labelled (a, b)."""
+    """Express degree-2 normal forms in the z_ab coordinate basis of the
+    rewriter's N: span holds the z_ab normal forms against rw, each
+    labelled (a, b).  Build it through z_solver(N)."""
 
-    __slots__ = ("N", "rw", "span")
+    __slots__ = ("rw", "span")
 
-    def __init__(self, N: int, rw):
-        self.N = N
+    def __init__(self, rw: Rewriter):
+        N = rw.N
         self.rw = rw
         self.span = Span()
         for a in range(1, N + 1):
@@ -548,33 +537,11 @@ class ZSolver:
         return coeffs
 
 
-# ---------------------------------------------------------------------------
-# The per-N algebra context
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Algebra:
-    """What the spherical and orbit suites reduce and act with: the
-    degree-2 rewriter, the vector representation, its action engine and
-    the z-coordinate solver.  Covariance needs none of it unless its
-    intertwiner certificate fails; then it reduces against the rewriter
-    alone."""
-
-    rw: Rewriter
-    rep: VectorRep
-    eng: ActionEngine
-    solver: ZSolver
-
-
 @cache
-def algebra(N: int) -> Algebra:
-    """The algebra context of N, built once per process on the shared
-    frt.rewriter(N) and vector_rep(N).  The returned objects are shared
-    by every caller and are read-only: copy anything a report hands out."""
-    rw = rewriter(N)
-    rep = vector_rep(N)
-    return Algebra(rw, rep, ActionEngine(rep), ZSolver(N, rw))
+def z_solver(N: int) -> ZSolver:
+    """The z-coordinate solver on the shared frt.rewriter(N), built once
+    per process; like the rewriter it is shared and read-only."""
+    return ZSolver(rewriter(N))
 
 
 # ---------------------------------------------------------------------------
@@ -639,8 +606,7 @@ def orbit_scan(N: int) -> dict:
     to y on the right, classify each nonzero result in z-coordinates,
     and check the terminal element (one up-down block followed by F_1
     twice) lands in family (iv') with mu < 0 at q = 11/10."""
-    alg = algebra(N)
-    rw, eng, solver = alg.rw, alg.eng, alg.solver
+    rw, eng, solver = rewriter(N), vector_rep(N), z_solver(N)
     seq = orbit_sequence(N)
     y = y_poly(N)
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 from functools import cache
@@ -384,6 +385,8 @@ def main(argv=None) -> int:
         if args.format == "csv" and \
                 (args.command, getattr(args, "suite", None)) not in _TABULAR:
             raise QsoError("csv output is only available for tabular subcommands")
+        if args.out and not os.path.isdir(os.path.dirname(args.out) or "."):
+            raise QsoError(f"--out {args.out}: no such directory")
         if args.command != "fiber" and args.n < 5:
             raise QsoError(f"need --n >= 5, got {args.n}")
         if args.command == "verify":

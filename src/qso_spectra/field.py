@@ -294,10 +294,19 @@ class FieldElem:
     __rmul__ = __mul__
 
     def inverse(self) -> "FieldElem":
+        """den/num, canonical without a gcd: the pair is already
+        coprime, so only the numerator's v-power moves to the new
+        numerator and its lowest coefficient is divided out."""
         num, den = self.base
         if not num:
             raise ZeroDivisionError("division by zero field element")
-        return FieldElem(_rf_norm(den, num))
+        k = min(num)
+        num, den = lp_shift(den, -k), lp_shift(num, -k)
+        c = den[0]
+        if c != 1:
+            inv = Fraction(1) / c
+            num, den = lp_scale(num, inv), lp_scale(den, inv)
+        return FieldElem((num, den))
 
     def shift(self, k: int) -> "FieldElem":
         """self * v^k: the numerator's exponents move by k and the

@@ -98,17 +98,11 @@ def _r_tables(data: FRTData):
     return rows, cols
 
 
-@dataclass
-class RelationSet:
-    """Nonzero quadratic relation candidates, one per index quadruple."""
-
-    N: int
-    elems: list
-
-
-def generate_relations(data: FRTData) -> RelationSet:
-    """All candidates sum_{kl} R^{ij}_{kl} u^k_m u^l_n -
-    sum_{kl} u^j_k u^i_l R^{lk}_{mn}; zero candidates discarded."""
+def generate_relations(data: FRTData) -> list:
+    """The quadratic relations of N = data.N as a list of NCPoly, one
+    per index quadruple (i, j, m, n) whose candidate
+    sum_{kl} R^{ij}_{kl} u^k_m u^l_n - sum_{kl} u^j_k u^i_l R^{lk}_{mn}
+    is nonzero; zero candidates are discarded."""
     N = data.N
     rows, cols = _r_tables(data)
     elems = []
@@ -119,7 +113,7 @@ def generate_relations(data: FRTData) -> RelationSet:
                 accumulate(terms, ((j, k), (i, l)), -c)
             if terms:
                 elems.append(NCPoly(N, terms))
-    return RelationSet(N, elems)
+    return elems
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +129,7 @@ class Rewriter:
     strictly deglex-smaller than the lead.
     """
 
-    __slots__ = ("N", "rules", "by_first", "lengths", "rank")
+    __slots__ = ("N", "rules", "by_first", "lengths")
 
     def __init__(self, N: int, rules: dict):
         self.N = N
@@ -146,7 +140,6 @@ class Rewriter:
             self.by_first.setdefault(lead[0], {})[lead] = tail
             lengths.add(len(lead))
         self.lengths = sorted(lengths)
-        self.rank = len(rules)
 
 
 def _rows_to_rref(rows) -> dict:
@@ -173,11 +166,13 @@ def _rows_to_rref(rows) -> dict:
     return pivots
 
 
-def build_rewriter(rels: RelationSet) -> Rewriter:
-    """RREF the degree-2 span; one rule per pivot.  Equal coefficients
-    share one FieldElem object: the rules hold few distinct values
-    (120 among 2,914 at N = 7), so this keeps the rewriter small."""
-    pivots = _rows_to_rref(r.terms for r in rels.elems)
+def build_rewriter(rels: list) -> Rewriter:
+    """RREF the span of a nonempty list of degree-2 relations, as
+    generate_relations makes them; one rule per pivot, over the N of
+    the relations.  Equal coefficients share one FieldElem object: the
+    rules hold few distinct values (120 among 2,914 at N = 7), so this
+    keeps the rewriter small."""
+    pivots = _rows_to_rref(r.terms for r in rels)
     shared = {}
     rules = {}
     for lead, row in pivots.items():
@@ -186,7 +181,7 @@ def build_rewriter(rels: RelationSet) -> Rewriter:
             c = -c
             tail[w] = shared.setdefault(c, c)
         rules[lead] = tail
-    return Rewriter(rels.N, rules)
+    return Rewriter(rels[0].N, rules)
 
 
 @cache
@@ -300,7 +295,6 @@ def complete_rewriter(rw: Rewriter, max_degree: int) -> Rewriter:
                         queue.append((lead, other, o2))
                     if other[-o2:] == lead[:o2]:
                         queue.append((other, lead, o2))
-    work.rank = len(work.rules)
     return work
 
 
@@ -339,12 +333,12 @@ def saturate_and_check(
         )
     nf = normal_form(target, rw)
     if nf.is_zero():
-        return MembershipReport("verified", rw.rank)
+        return MembershipReport("verified", len(rw.rules))
     if target.degree() <= 2:
-        return MembershipReport("failed", rw.rank)
+        return MembershipReport("failed", len(rw.rules))
     crw = complete_rewriter(rw, max_degree)
     if normal_form(nf, crw).is_zero():
-        return MembershipReport("verified", crw.rank)
+        return MembershipReport("verified", len(crw.rules))
     return MembershipReport("inconclusive")
 
 

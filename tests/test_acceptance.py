@@ -41,9 +41,8 @@ def test_criterion_04_spherical_highest_weights():
     from qso_spectra.actions import hw_check, y_poly, z_poly
 
     for N in (5, 6, 7, 8):
-        alg = actions.algebra(N)
-        rw, eng = alg.rw, alg.eng
-        cartan = eng.rep.cartan
+        rw, eng = frt.rewriter(N), actions.vector_rep(N)
+        cartan = eng.cartan
         two_fw1 = tuple(2 * x for x in cartan.fundamental_weights[0])
         lam_y = tuple(2 * x - a for x, a in
                       zip(cartan.fundamental_weights[0],

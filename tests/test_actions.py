@@ -2,7 +2,6 @@
 generators and the orbit scan."""
 
 import copy
-import dataclasses
 import random
 import re
 from fractions import Fraction
@@ -16,8 +15,6 @@ from qso_spectra.actions import (
     K,
     KINV,
     ActionEngine,
-    Algebra,
-    algebra,
     classify_z_combination,
     orbit_scan,
     orbit_sequence,
@@ -28,6 +25,7 @@ from qso_spectra.actions import (
     y_poly,
     z_coord_poly,
     z_poly,
+    z_solver,
 )
 from qso_spectra.errors import NotInZSpan, RepresentationInconsistent
 from qso_spectra.field import ONE, FieldElem
@@ -52,10 +50,9 @@ def test_defining_relations(N):
 def test_k_inverse_matrices():
     # K_i K_i^-1 = K_i^-1 K_i = 1 through the kernel, on both sides
     for N in (5, 6):
-        rep = vector_rep(N)
-        eng = ActionEngine(rep)
+        eng = vector_rep(N)
         ident = NCPoly(N, {((s, s),): ONE for s in range(1, N + 1)})
-        for i in range(1, rep.cartan.n + 1):
+        for i in range(1, eng.cartan.n + 1):
             for word in ([(K, i), (KINV, i)], [(KINV, i), (K, i)]):
                 assert eng.act_left(word, ident) == ident
                 assert eng.act_right(ident, word) == ident
@@ -150,14 +147,12 @@ def test_reports_do_not_depend_on_the_short_root_split(monkeypatch):
 
     monkeypatch.setattr(actions, "_ef_tables", scaled)
     actions.vector_rep.cache_clear()
-    actions.algebra.cache_clear()
     try:
         assert vector_rep(5).maps[E, "left"][2][2][1] == \
             x * (FieldElem.v_pow(1) + FieldElem.v_pow(-1))
         assert reports() == want
     finally:
         actions.vector_rep.cache_clear()
-        actions.algebra.cache_clear()
 
 
 def _reference_act(eng, kind, l, p, side):
@@ -205,7 +200,7 @@ def _reference_act(eng, kind, l, p, side):
 @pytest.mark.parametrize("N", [5, 6, 7])
 def test_action_kernel_matches_separate_e_f_loops(N):
     rng = random.Random(N)
-    eng = algebra(N).eng
+    eng = vector_rep(N)
     n = N // 2
     letters = [(X, i) for X in (E, F, K, KINV) for i in range(1, n + 1)]
     for degree in (2, 4):
@@ -235,30 +230,31 @@ def test_covariance():
     assert out["checks"] == out["relations"] * 2 * 3 * n
 
 
-def _covariance_by_relation(N, alg):
+def _covariance_by_relation(N, eng):
     """Reference report: act with every letter on both sides of every
     generated relation and reduce each image."""
     rels = frt.generate_relations(frt.FRTData(N))
-    n = alg.rep.cartan.n
+    rw = frt.rewriter(N)
+    n = eng.cartan.n
     letters = [(X, i) for X in (E, F, K) for i in range(1, n + 1)]
     failures = []
     checked = 0
-    for ridx, r in enumerate(rels.elems):
+    for ridx, r in enumerate(rels):
         for letter in letters:
             for side in ("left", "right"):
-                acted = alg.eng.act_left([letter], r) if side == "left" \
-                    else alg.eng.act_right(r, [letter])
+                acted = eng.act_left([letter], r) if side == "left" \
+                    else eng.act_right(r, [letter])
                 checked += 1
-                if not normal_form(acted, alg.rw).is_zero():
+                if not normal_form(acted, rw).is_zero():
                     failures.append({"relation": ridx, "letter": letter,
                                      "side": side})
     return {
         "N": N,
-        "relations": len(rels.elems),
+        "relations": len(rels),
         "checks": checked,
         "failures": failures,
         "status": "verified" if not failures else "failed",
-        "sign_fixes": list(alg.rep.sign_fixes),
+        "sign_fixes": list(eng.sign_fixes),
     }
 
 
@@ -270,7 +266,7 @@ def _faulty_rep(N, kind, side, i, scale):
     cols = maps[kind, side][i]
     source, (target, coeff) = next(iter(cols.items()))
     cols[source] = (target, coeff * scale)
-    return dataclasses.replace(shared, maps=maps)
+    return ActionEngine(N, shared.cartan, shared.kexp, maps, shared.sign_fixes)
 
 
 COVARIANCE_FAULTS = [(E, "left", 1, FieldElem.v_pow(2)),
@@ -280,18 +276,18 @@ COVARIANCE_FAULTS = [(E, "left", 1, FieldElem.v_pow(2)),
 
 @pytest.mark.parametrize("N", range(5, 11))
 def test_intertwiner_identities_hold(N):
-    rep = vector_rep(N)
-    n = rep.cartan.n
+    eng = vector_rep(N)
+    n = eng.cartan.n
     letters = [(X, i) for X in (E, F, K) for i in range(1, n + 1)]
-    assert actions._intertwines(N, ActionEngine(rep), letters)
+    assert actions._intertwines(N, eng, letters)
 
 
 @pytest.mark.parametrize("N", [5, 6])
 def test_pair_action_does_not_depend_on_the_fixed_index(N):
     # the certificate reads D and D_r on one fixed row or column pair;
     # the kernel must act the same way on every other one
-    eng = ActionEngine(vector_rep(N))
-    n = eng.rep.cartan.n
+    eng = vector_rep(N)
+    n = eng.cartan.n
     for letter in [(X, i) for X in (E, F, K) for i in range(1, n + 1)]:
         for side in ("left", "right"):
             want = actions._pair_action(eng, letter, side)
@@ -302,27 +298,26 @@ def test_pair_action_does_not_depend_on_the_fixed_index(N):
 
 
 def test_covariance_basis_certificate_matches_relation_loop(monkeypatch):
-    shared = algebra(5)
-    maps_before = copy.deepcopy(shared.rep.maps)
+    shared = vector_rep(5)
+    maps_before = copy.deepcopy(shared.maps)
     assert verify_covariance(5) == _covariance_by_relation(5, shared)
 
     # each injected fault breaks the identities; the exact loop then
     # decides, and reports the same triples as the reference
-    n = shared.rep.cartan.n
+    n = shared.cartan.n
     letters = [(X, i) for X in (E, F, K) for i in range(1, n + 1)]
     for fault, failures in zip(COVARIANCE_FAULTS, (150, 125, 125)):
         faulty = _faulty_rep(5, *fault)
-        assert not actions._intertwines(5, ActionEngine(faulty), letters)
+        assert not actions._intertwines(5, faulty, letters)
         monkeypatch.setattr(actions, "vector_rep", lambda N: faulty)
         out = verify_covariance(5)
-        ref = Algebra(shared.rw, faulty, ActionEngine(faulty), shared.solver)
         assert out["status"] == "failed"
         assert len(out["failures"]) == failures
-        assert out == _covariance_by_relation(5, ref)
+        assert out == _covariance_by_relation(5, faulty)
 
     monkeypatch.undo()
-    assert vector_rep(5) is shared.rep
-    assert shared.rep.maps == maps_before
+    assert vector_rep(5) is shared
+    assert shared.maps == maps_before
 
 
 def test_covariance_certificate_needs_no_rewriter(monkeypatch):
@@ -346,7 +341,7 @@ def test_covariance_certificate_needs_no_rewriter(monkeypatch):
 @pytest.mark.parametrize("N", range(5, 9))
 def test_relation_count_matches_generated_relations(N):
     assert actions.relation_count(N) == \
-        len(frt.generate_relations(frt.FRTData(N)).elems)
+        len(frt.generate_relations(frt.FRTData(N)))
 
 
 def test_warm_covariance_generates_no_relations(monkeypatch):
@@ -379,7 +374,7 @@ def _snapshot(rw):
     return ({lead: dict(tail) for lead, tail in rw.rules.items()},
             {a: {lead: dict(tail) for lead, tail in d.items()}
              for a, d in rw.by_first.items()},
-            list(rw.lengths), rw.rank)
+            list(rw.lengths))
 
 
 def _targets(N):
@@ -424,8 +419,8 @@ def test_module_algebra_leibniz():
     moved = 0
     for N in (5, 6):
         rng = random.Random(N)
-        eng = ActionEngine(vector_rep(N))
-        n = eng.rep.cartan.n
+        eng = vector_rep(N)
+        n = eng.cartan.n
         for dp, dq in ((1, 1), (1, 2), (2, 1), (2, 2)):
             p, q = _random_poly(rng, N, dp), _random_poly(rng, N, dq)
             for side in ("left", "right"):
@@ -452,8 +447,7 @@ def test_spherical_highest_weight():
 
 def test_zsolver_roundtrip():
     N = 5
-    alg = algebra(N)
-    rw, solver = alg.rw, alg.solver
+    rw, solver = frt.rewriter(N), z_solver(N)
     # z is a single coordinate up to the quadratic relations
     coeffs = solver.express(z_poly(N))
     assert set(coeffs) == {(1, N)}
@@ -469,7 +463,7 @@ def test_zsolver_names_the_residual_word_outside_the_z_span():
     N = 5
     u11 = NCPoly.gen(N, 1, 1)
     with pytest.raises(NotInZSpan, match=re.escape("residual word ((1, 1), (1, 1))")):
-        algebra(N).solver.express(u11 * u11)
+        z_solver(N).express(u11 * u11)
 
 
 def test_orbit_sequence_shape():
@@ -567,7 +561,7 @@ def test_action_hit_makes_one_product(monkeypatch):
     # a hit multiplies the coefficient by the table entry, which skips
     # the product for the entry ONE, and shifts the result; a K letter
     # shifts only
-    eng = algebra(6).eng
+    eng = vector_rep(6)
     p = (NCPoly.gen(6, 1, 2) * NCPoly.gen(6, 3, 4)).scale(FieldElem.v_pow(1) + 2)
     calls = []
     orig = field.lp_mul

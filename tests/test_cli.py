@@ -79,6 +79,22 @@ def test_csv_on_a_non_tabular_command_is_rejected_before_the_work(
         assert err == "error: csv output is only available for tabular subcommands\n"
 
 
+def test_out_in_a_missing_directory_is_rejected_before_the_work(
+        tmp_path, capsys, monkeypatch):
+    def work(n):
+        raise AssertionError("the suite ran")
+
+    monkeypatch.setattr(frt, "verify_lemma_rels", work)
+    missing = str(tmp_path / "missing" / "x.json")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"out": missing}))
+    for argv in (["--out", missing], ["--config", str(cfg)]):
+        code, out, err = run(capsys, *argv, "verify", "rels", "--n", "7")
+        assert code == 2 and not out
+        assert err == f"error: --out {missing}: no such directory\n"
+    assert not (tmp_path / "missing").exists()
+
+
 def test_usage_error_exit_two(capsys):
     code, _, _ = run(capsys, "verify", "rels")  # missing --n
     assert code == 2
@@ -235,15 +251,31 @@ def test_all_pipeline(capsys):
 
 def test_one_rewriter_build_per_n(tmp_path):
     frt.rewriter.cache_clear()
-    actions.algebra.cache_clear()
+    actions.z_solver.cache_clear()
     out = str(tmp_path / "report.json")
     for n in ("5", "6"):
         for suite in ("rels", "covariance", "spherical", "orbit"):
             assert main(["--out", out, "verify", suite, "--n", n]) == 0
     assert frt.rewriter.cache_info().misses == 2
-    assert actions.algebra.cache_info().misses == 2
-    assert actions.algebra(5).rw is frt.rewriter(5)
-    assert actions.algebra(5).rep is actions.vector_rep(5)
+    assert actions.z_solver.cache_info().misses == 2
+    assert actions.z_solver(5).rw is frt.rewriter(5)
+
+
+def test_one_action_engine_per_n(tmp_path, monkeypatch):
+    actions.vector_rep.cache_clear()
+    built = []
+    init = actions.ActionEngine.__init__
+
+    def counting(self, N, *rest):
+        built.append(N)
+        init(self, N, *rest)
+
+    monkeypatch.setattr(actions.ActionEngine, "__init__", counting)
+    out = str(tmp_path / "report.json")
+    for n in ("5", "6"):
+        for suite in ("rep", "covariance", "spherical", "orbit"):
+            assert main(["--out", out, "verify", suite, "--n", n]) == 0
+    assert built == [5, 6]
 
 
 def test_one_lefschetz_table_per_m(tmp_path, monkeypatch):

@@ -1,4 +1,5 @@
-"""Every function, method and class in the package has a use.
+"""Every function, method and class in the package has a use, and the
+README names none that is gone.
 
 A name defined in src/qso_spectra/ that appears nowhere but in its own
 definition, across src/, tests/, perfbench/ and README.md, is dead code.
@@ -6,6 +7,7 @@ Dunder methods are called by the language and are exempt.
 """
 
 import ast
+import importlib
 import re
 from collections import Counter
 from pathlib import Path
@@ -37,3 +39,23 @@ def test_no_function_is_defined_without_a_use():
     uses = Counter(re.findall(r"\w+", _corpus()))
     dead = sorted(name for name, n in _definitions().items() if uses[name] <= n)
     assert not dead, f"defined but never used: {dead}"
+
+
+def test_readme_module_references_resolve():
+    # a backticked `module.name` (or `module.name(...)`) whose module is
+    # one of the package's resolves to an attribute of qso_spectra.module;
+    # file names such as `field.py` are not references
+    modules = {path.stem for path in PACKAGE.glob("*.py")}
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    refs = [(mod, attr) for mod, attr in
+            re.findall(r"`(\w+)\.([\w.]+)(?:\([^`]*\))?`", text)
+            if mod in modules and attr != "py"]
+    assert refs
+    missing = []
+    for mod, attr in refs:
+        owner = importlib.import_module(f"qso_spectra.{mod}")
+        for part in attr.split("."):
+            owner = getattr(owner, part, None)
+        if owner is None:
+            missing.append(f"{mod}.{attr}")
+    assert not missing, f"README names what the package lacks: {missing}"

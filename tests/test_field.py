@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qso_spectra import field
 from qso_spectra.errors import DenominatorVanishes
 from qso_spectra.field import (
     ONE,
@@ -60,6 +61,34 @@ def test_field_inverse(a):
     else:
         with pytest.raises(ZeroDivisionError):
             a.inverse()
+
+
+@settings(max_examples=60, deadline=None)
+@given(field_elems())
+def test_inverse_is_the_canonical_swapped_pair(a):
+    if a:
+        num, den = a.base
+        got, want = a.inverse().base, _rf_norm(den, num)
+        assert got == want
+        assert [[type(c) for c in p.values()] for p in got] == \
+            [[type(c) for c in p.values()] for p in want]
+
+
+def test_inverse_makes_no_gcd(monkeypatch):
+    # a canonical pair is coprime, so swapping it needs no gcd
+    v = FieldElem.v_pow(1)
+    elems = [v + 2, (v + 2) / (v * v - 3), (v * v - 3) / (v.inverse() + 2)]
+    calls = []
+    orig = field.plist_gcd
+
+    def counted(a, b):
+        calls.append(1)
+        return orig(a, b)
+
+    monkeypatch.setattr(field, "plist_gcd", counted)
+    inverses = [x.inverse() for x in elems]
+    assert calls == []
+    assert all(x * y == ONE for x, y in zip(elems, inverses))
 
 
 @settings(max_examples=40, deadline=None)

@@ -69,8 +69,8 @@ def test_r_tables_match_r_entry(N):
 
 def test_relations_nonzero_and_homogeneous():
     rels = generate_relations(FRTData(5))
-    assert rels.elems
-    for r in rels.elems:
+    assert rels
+    for r in rels:
         assert not r.is_zero()
         assert r.degree() == 2 and r.is_homogeneous()
 
@@ -85,7 +85,7 @@ def test_normal_form_idempotent_and_linear():
     q = NCPoly.gen(5, 1, 1) * NCPoly.gen(5, 2, 2)
     assert normal_form(p + q, rw) == normal_form(p, rw) + normal_form(q, rw)
     # every relation itself reduces to zero
-    for r in rels.elems[:20]:
+    for r in rels[:20]:
         assert normal_form(r, rw).is_zero()
     # mixed degrees up to 4: the normal form is the sum of the normal
     # forms of the words, whatever order the words are reduced in
@@ -106,7 +106,7 @@ def test_every_relation_reduces_to_zero(N):
     zero normal form is membership in the span, which the covariance
     fallback tests"""
     rw = rewriter(N)
-    for r in generate_relations(FRTData(N)).elems:
+    for r in generate_relations(FRTData(N)):
         assert normal_form(r, rw).is_zero()
 
 
