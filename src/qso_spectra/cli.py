@@ -2,10 +2,11 @@
 
 Subcommands expose the verification suites and table generators with
 machine-readable output (JSON by default, CSV for the tabular
-commands).  Exit codes: 0 every check verified, 1 at least one
-inconclusive result, 2 a definite failure or invalid input.  All
-rationals are exact "p/q" strings; output is deterministic for a fixed
-configuration.
+commands).  Each command returns its report, and main reads the exit
+code from the report's "status": 0 every check verified, 1 at least
+one inconclusive result, 2 a definite failure.  Invalid input exits 2
+with a message and no report.  All rationals are exact "p/q" strings;
+output is deterministic for a fixed configuration.
 """
 
 from __future__ import annotations
@@ -200,28 +201,25 @@ def _emit(args, text: str) -> None:
 
 # -- command implementations ----------------------------------------------
 
+def _results(command, results, **head):
+    """The report of a suite that returns a list of results: command,
+    the head keys, the results and their aggregate status."""
+    return {"command": command, **head, "results": results,
+            "status": reports.aggregate_status(r["status"] for r in results)}
+
+
 def _cmd_verify(args):
-    n = args.n
+    n, command = args.n, f"verify {args.suite}"
     if args.suite == "rels":
-        results = frt.verify_lemma_rels(n)
-        status = reports.aggregate_status(r["status"] for r in results)
-        return {"command": "verify rels", "N": n, "results": results,
-                "status": status}, status
+        return _results(command, frt.verify_lemma_rels(n), N=n)
     if args.suite == "rep":
-        results = actions.verify_qea_relations(n)
-        status = reports.aggregate_status(r["status"] for r in results)
         # entries lie in Q(v) with v = q^(1/2); the key keeps the layout
-        return {"command": "verify rep", "N": n, "q2_convention": "qhalf",
-                "results": results, "status": status}, status
-    if args.suite == "covariance":
-        rep = actions.verify_covariance(n)
-    elif args.suite == "spherical":
-        rep = actions.verify_spherical(n)
-    else:
-        rep = actions.orbit_scan(n)
-    rep = dict(rep)
-    rep["command"] = f"verify {args.suite}"
-    return rep, rep["status"]
+        return _results(command, actions.verify_qea_relations(n), N=n,
+                        q2_convention="qhalf")
+    suite = {"covariance": actions.verify_covariance,
+             "spherical": actions.verify_spherical,
+             "orbit": actions.orbit_scan}[args.suite]
+    return {**suite(n), "command": command}
 
 
 def _kappa_power_entries(M: int, l: int):
@@ -241,19 +239,28 @@ def _cmd_fiber(args):
     if args.suite == "kappa-powers":
         if not 0 <= args.l <= 2 * M:
             raise QsoError(f"need 0 <= l <= {2 * M}")
-        report = {"command": "fiber kappa-powers", "M": M, "l": args.l,
-                  "entries": _kappa_power_entries(M, args.l),
-                  "status": "verified"}
-        return report, "verified"
+        return {"command": "fiber kappa-powers", "M": M, "l": args.l,
+                "entries": _kappa_power_entries(M, args.l),
+                "status": "verified"}
     if args.suite == "lefschetz":
         samples = args.q or [Fraction(1), Fraction(11, 10), Fraction(101, 100)]
         runs = [fiber.verify_lefschetz_iso(params, q0) for q0 in samples]
-        status = reports.aggregate_status(r["status"] for r in runs)
         return {"command": "fiber lefschetz", "M": M, "runs": runs,
-                "status": status}, status
-    rep = dict(fiber.verify_nonprimitive(params))
-    rep["command"] = "fiber nonprimitive"
-    return rep, rep["status"]
+                "status": reports.aggregate_status(r["status"] for r in runs)}
+    return {**fiber.verify_nonprimitive(params), "command": "fiber nonprimitive"}
+
+
+def _diverge(p, validation, cartan, shell_max, bound, **head):
+    """check_divergence's report at p, or, when p failed its validation
+    or the bound is not cleared, the failed report: the head keys, the
+    validation, the error if any and the status."""
+    error = {}
+    if validation["status"] == "verified":
+        try:
+            return spectrum.check_divergence(p, cartan, shell_max, bound)
+        except BoundNotCleared as exc:
+            error = {"error": str(exc)}
+    return {**head, "validation": validation, **error, "status": "failed"}
 
 
 def _cmd_spectrum(args):
@@ -262,91 +269,58 @@ def _cmd_spectrum(args):
     validation = spectrum.validate_params(p)
     if args.suite == "table":
         records = spectrum.spectrum_table(p, cartan, args.kmax, args.lmax)
-        report = {"command": "spectrum table", "N": args.n,
-                  "params": p.as_dict(), "validation": validation,
-                  "records": records, "status": validation["status"]}
-        return report, validation["status"]
-    if validation["status"] != "verified":
-        return {"command": "spectrum diverge", "N": args.n,
-                "validation": validation, "status": "failed"}, "failed"
-    try:
-        rep = spectrum.check_divergence(p, cartan, args.shell_max, args.bound)
-    except BoundNotCleared as exc:
-        return {"command": "spectrum diverge", "N": args.n,
-                "validation": validation, "error": str(exc),
-                "status": "failed"}, "failed"
-    rep = dict(rep)
-    rep["command"] = "spectrum diverge"
-    rep["validation"] = validation
-    return rep, rep["status"]
+        return {"command": "spectrum table", "N": args.n,
+                "params": p.as_dict(), "validation": validation,
+                "records": records, "status": validation["status"]}
+    rep = _diverge(p, validation, cartan, args.shell_max, args.bound,
+                   command="spectrum diverge", N=args.n)
+    if rep["status"] == "failed":
+        return rep
+    return {**rep, "command": "spectrum diverge", "validation": validation}
 
 
 def _cmd_all(args):
     n = args.n
-    stages = []
-
-    def run(name, fn):
-        rep, status = fn()
-        stages.append({"stage": name, "status": status, "report": rep})
-        return status
-
-    plan = [
-        ("rep", lambda: _stage_list("verify rep",
-                                    actions.verify_qea_relations(n))),
-        ("rels", lambda: _stage_list("verify rels", frt.verify_lemma_rels(n))),
-        ("covariance", lambda: _stage_dict(actions.verify_covariance(n))),
-        ("spherical", lambda: _stage_dict(actions.verify_spherical(n))),
-        ("orbit", lambda: _stage_dict(actions.orbit_scan(n))),
+    plan = (
+        ("rep", lambda: _results("verify rep", actions.verify_qea_relations(n))),
+        ("rels", lambda: _results("verify rels", frt.verify_lemma_rels(n))),
+        ("covariance", lambda: actions.verify_covariance(n)),
+        ("spherical", lambda: actions.verify_spherical(n)),
+        ("orbit", lambda: actions.orbit_scan(n)),
         ("fiber", lambda: _stage_fiber(n)),
         ("spectrum", lambda: _stage_spectrum(n, args.q)),
-    ]
-    overall = "verified"
-    for name, fn in plan:
-        status = run(name, fn)
+    )
+    stages, overall = [], "verified"
+    for name, stage in plan:
+        report = stage()
+        status = report["status"]
+        stages.append({"stage": name, "status": status, "report": report})
         if status == "inconclusive":
             overall = "inconclusive"
         elif status != "verified":
             overall = "failed"
             break
-    return {"command": "all", "N": n, "stages": stages,
-            "status": overall}, overall
-
-
-def _stage_list(name, results):
-    status = reports.aggregate_status(r["status"] for r in results)
-    return {"command": name, "results": results, "status": status}, status
-
-
-def _stage_dict(rep):
-    return rep, rep["status"]
+    return {"command": "all", "N": n, "stages": stages, "status": overall}
 
 
 def _stage_fiber(n):
     params = fiber.ExtAlgParams(n - 2)
-    flaw = fiber.verify_f_properties(params)
-    nonprim = fiber.verify_nonprimitive(params)
-    lef = fiber.verify_lefschetz_iso(params, Fraction(11, 10))
-    status = reports.aggregate_status(
-        [flaw["status"], nonprim["status"], lef["status"]])
-    return {"f_law": flaw, "nonprimitive": nonprim, "lefschetz": lef,
-            "status": status}, status
+    parts = {"f_law": fiber.verify_f_properties(params),
+             "nonprimitive": fiber.verify_nonprimitive(params),
+             "lefschetz": fiber.verify_lefschetz_iso(params, Fraction(11, 10))}
+    return {**parts, "status": reports.aggregate_status(
+        r["status"] for r in parts.values())}
 
 
 def _stage_spectrum(n, q):
-    cartan = cartan_data(n)
     p = spectrum.SpectralParams(q=q)
     validation = spectrum.validate_params(p)
-    if validation["status"] != "verified":
-        return {"validation": validation, "status": "failed"}, "failed"
-    try:
-        div = spectrum.check_divergence(p, cartan, 60, 50)
-    except BoundNotCleared as exc:
-        return {"validation": validation, "error": str(exc),
-                "status": "failed"}, "failed"
-    div = dict(div)
-    div.pop("shell_minima", None)
-    return {"validation": validation, "divergence": div,
-            "status": "verified"}, "verified"
+    div = _diverge(p, validation, cartan_data(n), 60, 50)
+    if div["status"] == "failed":
+        return div
+    return {"validation": validation,
+            "divergence": {k: v for k, v in div.items() if k != "shell_minima"},
+            "status": "verified"}
 
 
 # -- entry point ------------------------------------------------------------
@@ -370,6 +344,10 @@ def _render(args, report) -> str:
     return reports.to_csv(rows, ["M", "l", "I", "J", "f_at_1"])
 
 
+_COMMANDS = {"verify": _cmd_verify, "fiber": _cmd_fiber,
+             "spectrum": _cmd_spectrum, "all": _cmd_all}
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
@@ -385,23 +363,18 @@ def main(argv=None) -> int:
         if args.format == "csv" and \
                 (args.command, getattr(args, "suite", None)) not in _TABULAR:
             raise QsoError("csv output is only available for tabular subcommands")
+        if args.out and os.path.isdir(args.out):
+            raise QsoError(f"--out {args.out}: is a directory")
         if args.out and not os.path.isdir(os.path.dirname(args.out) or "."):
             raise QsoError(f"--out {args.out}: no such directory")
         if args.command != "fiber" and args.n < 5:
             raise QsoError(f"need --n >= 5, got {args.n}")
-        if args.command == "verify":
-            report, status = _cmd_verify(args)
-        elif args.command == "fiber":
-            report, status = _cmd_fiber(args)
-        elif args.command == "spectrum":
-            report, status = _cmd_spectrum(args)
-        else:
-            report, status = _cmd_all(args)
+        report = _COMMANDS[args.command](args)
         _emit(args, _render(args, report))
     except (QsoError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    return reports.exit_code(status)
+    return reports.exit_code(report["status"])
 
 
 if __name__ == "__main__":

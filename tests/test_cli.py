@@ -1,14 +1,17 @@
 """Command-line driver: subcommands, exit codes, formats, determinism."""
 
 import csv
+import hashlib
 import io
 import json
 import shlex
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from qso_spectra import actions, fiber, frt, reports
+from qso_spectra import actions, fiber, frt, reports, spectrum
+from qso_spectra.cartan import cartan_data
 from qso_spectra.cli import _build_parser, main
 from qso_spectra.errors import RepresentationInconsistent
 
@@ -87,11 +90,14 @@ def test_out_in_a_missing_directory_is_rejected_before_the_work(
     monkeypatch.setattr(frt, "verify_lemma_rels", work)
     missing = str(tmp_path / "missing" / "x.json")
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"out": missing}))
-    for argv in (["--out", missing], ["--config", str(cfg)]):
-        code, out, err = run(capsys, *argv, "verify", "rels", "--n", "7")
-        assert code == 2 and not out
-        assert err == f"error: --out {missing}: no such directory\n"
+    # an existing directory is no file to write either
+    for target, reason in ((missing, "no such directory"),
+                           (str(tmp_path), "is a directory")):
+        cfg.write_text(json.dumps({"out": target}))
+        for argv in (["--out", target], ["--config", str(cfg)]):
+            code, out, err = run(capsys, *argv, "verify", "rels", "--n", "7")
+            assert code == 2 and not out
+            assert err == f"error: --out {target}: {reason}\n"
     assert not (tmp_path / "missing").exists()
 
 
@@ -198,6 +204,15 @@ def test_divergence_failure_exit_two(capsys):
     assert report["status"] == "failed" and "error" in report
 
 
+def test_diverge_invalid_params_report(capsys):
+    code, out, _ = run(capsys, "spectrum", "diverge", "--n", "7", "--q", "1")
+    assert code == 2
+    report = json.loads(out)
+    assert list(report) == ["command", "N", "validation", "status"]
+    assert report["status"] == "failed"
+    assert report["validation"]["failures"] == ["q > 1"]
+
+
 def test_out_file_and_idempotence(tmp_path, capsys):
     target = tmp_path / "report.json"
     for _ in range(2):
@@ -239,14 +254,51 @@ def test_spectrum_params_file(tmp_path, capsys):
     assert "theta1 > 0" in report["validation"]["failures"]
 
 
+STAGES = ["rep", "rels", "covariance", "spherical", "orbit", "fiber", "spectrum"]
+
+
 def test_all_pipeline(capsys):
     code, out, _ = run(capsys, "all", "--n", "5")
     assert code == 0
     report = json.loads(out)
-    names = [s["stage"] for s in report["stages"]]
-    assert names == ["rep", "rels", "covariance", "spherical", "orbit",
-                     "fiber", "spectrum"]
+    assert [s["stage"] for s in report["stages"]] == STAGES
     assert report["status"] == "verified"
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "42ae2eb9968d7950c47617cf3fba200b9b338c6c5fe5df720ea3e10feddac06d")
+
+
+def test_all_stops_at_the_failed_spectrum_stage(capsys):
+    code, out, _ = run(capsys, "all", "--n", "5", "--q", "1")
+    assert code == 2
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "dd058ee5d7ce825c995201a8ef264e160fa31db7edf09db36d963bf50c530caa")
+    report = json.loads(out)
+    assert report["status"] == "failed"
+    assert [(s["stage"], s["status"]) for s in report["stages"]] == (
+        [(name, "verified") for name in STAGES[:-1]] + [("spectrum", "failed")])
+    spec = report["stages"][-1]["report"]
+    assert list(spec) == ["validation", "status"]
+    assert spec["validation"]["failures"] == ["q > 1"]
+
+
+def test_all_stages_are_the_standalone_reports(capsys):
+    code, out, _ = run(capsys, "all", "--n", "5")
+    assert code == 0
+    stages = {s["stage"]: s["report"] for s in json.loads(out)["stages"]}
+    for suite, drop in (("rels", ("N", "q2_convention")),
+                        ("rep", ("N", "q2_convention")),
+                        ("covariance", ("command",)),
+                        ("spherical", ("command",)),
+                        ("orbit", ("command",))):
+        code, out, _ = run(capsys, "verify", suite, "--n", "5")
+        assert code == 0
+        alone = {k: v for k, v in json.loads(out).items() if k not in drop}
+        assert stages[suite] == alone, suite
+    p = spectrum.SpectralParams(q=Fraction(11, 10))
+    assert spectrum.validate_params(p)["status"] == "verified"
+    div = spectrum.check_divergence(p, cartan_data(5), 60, 50)
+    del div["shell_minima"]
+    assert stages["spectrum"]["divergence"] == json.loads(reports.to_json(div))
 
 
 def test_one_rewriter_build_per_n(tmp_path):
@@ -311,7 +363,6 @@ def test_aggregate_status_folds_unknown_statuses_to_failed():
 
 def test_to_json_matches_the_json_module():
     import enum
-    from fractions import Fraction
 
     from qso_spectra.field import FieldElem
 
