@@ -2,15 +2,13 @@
 coordinate algebras, their exterior fiber algebras and the Dolbeault
 Laplacian spectrum on quantum quadrics."""
 
-from .field import FieldElem, qint
-from .ncpoly import NCPoly, deglex_compare
+from .field import FieldElem
+from .ncpoly import NCPoly
 
 __all__ = [
     "BACKEND_NAME",
     "FieldElem",
     "NCPoly",
-    "deglex_compare",
-    "qint",
 ]
 
 __version__ = "0.1.0"

@@ -40,8 +40,8 @@ from functools import cache
 from .cartan import CartanData, cartan_data
 from .errors import IndexOutOfRange, NotInZSpan, RepresentationInconsistent
 from .field import ONE, FieldElem, sym_qbinom, sym_qint
-from .frt import (FRTData, Rewriter, _r_tables, generate_relations,
-                  normal_form, rewriter)
+from .frt import (Rewriter, _r_tables, generate_relations, normal_form,
+                  rewriter, rho2)
 from .ncpoly import NCPoly, Span, accumulate, apply, reduce_lead
 
 E, F, K, KINV = "E", "F", "K", "Kinv"
@@ -349,7 +349,7 @@ def _intertwines(N: int, eng: ActionEngine, letters) -> bool:
     """Whether every letter satisfies R'D = DR' on the left and
     D_r R = R (P D_r P) on the right, so that it maps the image of
     Phi = R (x) 1 - P (x) R' into itself (module docstring)."""
-    rows, cols = _r_tables(FRTData(N))
+    rows, cols = _r_tables(N)
     rprime = {mn: {(k, l): c for (l, k), c in col.items()}
               for mn, col in cols.items()}
     for letter in letters:
@@ -368,7 +368,7 @@ def _intertwines(N: int, eng: ActionEngine, letters) -> bool:
 def relation_count(N: int) -> int:
     """The number of relations frt.generate_relations makes at N,
     counted once per process."""
-    return len(generate_relations(FRTData(N)))
+    return len(generate_relations(N))
 
 
 def verify_covariance(N: int) -> dict:
@@ -395,7 +395,7 @@ def verify_covariance(N: int) -> dict:
     if not _intertwines(N, eng, letters):
         failures = [{"relation": ridx, "letter": letter, "side": side}
                     for ridx, letter, side
-                    in _unstable(generate_relations(FRTData(N)), letters,
+                    in _unstable(generate_relations(N), letters,
                                  eng, rewriter(N))]
     count = relation_count(N)
     return {
@@ -506,9 +506,7 @@ def verify_spherical(N: int) -> dict:
 
 def z_coord_poly(N: int, a: int, b: int) -> NCPoly:
     """z_ab = u^a_N S(u^N_b) = q^(rho_b - rho_N) u^a_N u^(b')_1."""
-    data = FRTData(N)
-    e = data.rho2[b] - data.rho2[N]
-    coeff = FieldElem.v_pow(e)
+    coeff = FieldElem.v_pow(rho2(N, b) - rho2(N, N))
     return (NCPoly.gen(N, a, N) * NCPoly.gen(N, N + 1 - b, 1)).scale(coeff)
 
 
@@ -605,7 +603,9 @@ def orbit_scan(N: int) -> dict:
     """Scan all increasing subsequences of the orbit F-sequence applied
     to y on the right, classify each nonzero result in z-coordinates,
     and check the terminal element (one up-down block followed by F_1
-    twice) lands in family (iv') with mu < 0 at q = 11/10."""
+    twice) lands in family (iv') with mu < 0 at q = 11/10.  The report
+    fails exactly when failures is nonempty: every check that fails,
+    the terminal one included, lists the word it failed on."""
     rw, eng, solver = rewriter(N), vector_rep(N), z_solver(N)
     seq = orbit_sequence(N)
     y = y_poly(N)
@@ -645,12 +645,13 @@ def orbit_scan(N: int) -> dict:
             failures.append(entry)
         if prefix == terminal_prefix:
             terminal = entry
-    status = "verified"
-    if failures:
-        status = "failed"
-    if terminal is None or terminal.get("family") != "iv'" \
-            or terminal.get("mu_sign_at_11_10") != -1:
-        status = "failed"
+    # a terminal in (iv') with mu >= 0 is already listed above
+    if terminal is None or terminal["family"] != "iv'":
+        found = "no nonzero result" if terminal is None \
+            else f"family {terminal['family']}"
+        failures.append({"word": [f"F{seq[p][1]}" for p in terminal_prefix],
+                         "error": f"terminal word has {found}, not (iv')"})
+    status = "failed" if failures else "verified"
     return {
         "N": N,
         "sequence": [f"F{i}" for _, i in seq],

@@ -108,20 +108,6 @@ class CartanData:
             raise ValueError(f"pairing 2({x},{y}) is not an integer")
         return int(t)
 
-    def coroot_pair(self, i: int, y) -> Fraction:
-        """(alpha_i^vee, y) = 2 (alpha_i, y) / (alpha_i, alpha_i)."""
-        a = self.simple_roots[i - 1]
-        return 2 * self.pair(a, y) / self.pair(a, a)
-
-    # -- lattice helpers -----------------------------------------------
-    def weight(self, coeffs) -> tuple:
-        """Integer combination sum_i coeffs[i] * fundamental_weights[i]."""
-        out = [Fraction(0)] * self.n
-        for c, w in zip(coeffs, self.fundamental_weights):
-            for k in range(self.n):
-                out[k] += c * w[k]
-        return tuple(out)
-
     def weyl_dim(self, lam) -> int:
         """Dimension of the irreducible module of highest weight lam:
         prod over positive roots a of (2 lam + 2 rho, a) / (2 rho, a),

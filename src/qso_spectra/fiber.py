@@ -634,6 +634,7 @@ def verify_f_properties(params: ExtAlgParams) -> dict:
         oracle = classical_kappa_coeffs(M, l)
         want_sign = (-1) ** (l * (l - 1) // 2)
         want_val = want_sign * factorial(l)
+        failed_before = len(failures)
         seen_diag = set()
         for (I, J), c in coeffs.items():
             at1 = c.eval_v(1)
@@ -660,7 +661,8 @@ def verify_f_properties(params: ExtAlgParams) -> dict:
                              "reason": "diagonal coefficient missing"})
             checks += 1
         records.append({"l": l, "terms": len(coeffs),
-                        "diag_at_1": want_val if not failures else None})
+                        "diag_at_1": (want_val if len(failures) == failed_before
+                                      else None)})
     return {
         "M": M,
         "checks": checks,

@@ -206,10 +206,6 @@ class FieldElem:
 
     # -- constructors ------------------------------------------------
     @classmethod
-    def one(cls) -> "FieldElem":
-        return ONE
-
-    @classmethod
     def from_rational(cls, r) -> "FieldElem":
         return cls.monomial(r, 0)
 
@@ -446,16 +442,6 @@ class FieldElem:
 
 ZERO = FieldElem(({}, _one_poly()))
 ONE = FieldElem(({0: 1}, _one_poly()))
-
-
-def qint(k: int, t: FieldElem) -> FieldElem:
-    """The q-integer (k)_t = 1 + t + ... + t^(k-1)."""
-    if k < 0:
-        raise ValueError("qint needs k >= 0")
-    result = ZERO
-    for _ in range(k):
-        result = result * t + ONE
-    return result
 
 
 def sym_qint(m: int, vexp: int) -> FieldElem:

@@ -24,73 +24,57 @@ from .ncpoly import NCPoly, accumulate, insert_pivot, word_key
 # ---------------------------------------------------------------------------
 
 
-class FRTData:
-    """Index bookkeeping for the R-matrix: conjugate index, rho, theta."""
-
-    __slots__ = ("N", "rho2")
-
-    def __init__(self, N: int):
-        if N < 5:
-            raise ValueError("N >= 5 required")
-        self.N = N
-        self.rho2 = {}
-        for i in range(1, N + 1):
-            ip = N + 1 - i
-            if i < ip:
-                self.rho2[i] = N - 2 * i
-            elif i == ip:
-                self.rho2[i] = 0
-            else:
-                self.rho2[i] = -(N - 2 * ip)
-
-    def conj(self, i: int) -> int:
-        return self.N + 1 - i
-
-    @staticmethod
-    def theta(x: int) -> int:
-        """Strict Heaviside step: 1 for x > 0, else 0."""
-        return 1 if x > 0 else 0
+def rho2(N: int, i: int) -> int:
+    """Twice the rho-shift of index i in the R-matrix of so_N: N - 2i
+    when i is below its conjugate i' = N + 1 - i, 0 when i = i', and
+    -(N - 2i') when i is above it."""
+    ip = N + 1 - i
+    if i < ip:
+        return N - 2 * i
+    if i == ip:
+        return 0
+    return -(N - 2 * ip)
 
 
-def r_entry(data: FRTData, i: int, j: int, m: int, n: int) -> FieldElem:
-    """Entry R^{ij}_{mn} of the braiding of the vector representation."""
-    N = data.N
+def r_entry(N: int, i: int, j: int, m: int, n: int) -> FieldElem:
+    """Entry R^{ij}_{mn} of the braiding of the vector representation of
+    so_N, one index quadruple at a time: the independent formula that
+    _r_tables is checked against."""
     for x in (i, j, m, n):
         if not (1 <= x <= N):
             raise IndexOutOfRange(f"index {x} outside 1..{N}")
     out = ZERO
     if i == m and j == n:
-        e = (1 if i == j else 0) - (1 if j == data.conj(i) else 0)
+        e = (1 if i == j else 0) - (1 if j == N + 1 - i else 0)
         out = out + FieldElem.v_pow(2 * e)
-    if data.theta(i - m):
+    if i > m:
         qq = FieldElem.v_pow(2) - FieldElem.v_pow(-2)
         if j == m and i == n:
             out = out + qq
-        if j == data.conj(i) and m == data.conj(n):
-            out = out - qq * FieldElem.v_pow(-(data.rho2[j] + data.rho2[m]))
+        if j == N + 1 - i and m == N + 1 - n:
+            out = out - qq * FieldElem.v_pow(-(rho2(N, j) + rho2(N, m)))
     return out
 
 
-def _r_row(data: FRTData, i: int, j: int):
-    """Nonzero entries R^{ij}_{kl} as a dict (k, l) -> FieldElem."""
+def _r_row(N: int, i: int, j: int):
+    """Nonzero entries R^{ij}_{kl} of so_N as a dict (k, l) -> FieldElem."""
     qq = FieldElem.v_pow(2) - FieldElem.v_pow(-2)
-    e = (1 if i == j else 0) - (1 if j == data.conj(i) else 0)
+    e = (1 if i == j else 0) - (1 if j == N + 1 - i else 0)
     row = {(i, j): FieldElem.v_pow(2 * e)}
     if j < i:
         row[(j, i)] = qq
-    if j == data.conj(i):
+    if j == N + 1 - i:
         for k in range(1, i):
-            corr = qq * FieldElem.v_pow(-(data.rho2[j] + data.rho2[k]))
-            accumulate(row, (k, data.conj(k)), -corr)
+            corr = qq * FieldElem.v_pow(-(rho2(N, j) + rho2(N, k)))
+            accumulate(row, (k, N + 1 - k), -corr)
     return row
 
 
-def _r_tables(data: FRTData):
-    """R as rows {(i, j): {(k, l): R^{ij}_{kl}}} and as columns
+def _r_tables(N: int):
+    """R of so_N as rows {(i, j): {(k, l): R^{ij}_{kl}}} and as columns
     {(m, n): {(a, b): R^{ab}_{mn}}}; the columns transpose the rows."""
-    N = data.N
     pairs = [(a, b) for a in range(1, N + 1) for b in range(1, N + 1)]
-    rows = {ij: _r_row(data, *ij) for ij in pairs}
+    rows = {ij: _r_row(N, *ij) for ij in pairs}
     cols = {mn: {} for mn in pairs}
     for ij, row in rows.items():
         for kl, c in row.items():
@@ -98,13 +82,14 @@ def _r_tables(data: FRTData):
     return rows, cols
 
 
-def generate_relations(data: FRTData) -> list:
-    """The quadratic relations of N = data.N as a list of NCPoly, one
+def generate_relations(N: int) -> list:
+    """The quadratic relations of so_N, N >= 5, as a list of NCPoly, one
     per index quadruple (i, j, m, n) whose candidate
     sum_{kl} R^{ij}_{kl} u^k_m u^l_n - sum_{kl} u^j_k u^i_l R^{lk}_{mn}
     is nonzero; zero candidates are discarded."""
-    N = data.N
-    rows, cols = _r_tables(data)
+    if N < 5:
+        raise ValueError("N >= 5 required")
+    rows, cols = _r_tables(N)
     elems = []
     for (i, j), row in rows.items():
         for (m, n), col in cols.items():
@@ -190,7 +175,7 @@ def rewriter(N: int) -> Rewriter:
     process.  The returned object is shared by every caller and is
     read-only: reduce against it, never modify it (complete_rewriter
     extends a copy of its rules)."""
-    return build_rewriter(generate_relations(FRTData(N)))
+    return build_rewriter(generate_relations(N))
 
 
 def _nf_terms(terms: dict, rw: Rewriter) -> dict:
@@ -367,8 +352,9 @@ def lemma_rel_instances(N: int) -> tuple:
     first family); excluded instances are enumerated separately by
     verify_lemma_rels and are not asserted.
     """
-    data = FRTData(N)
-    conj = data.conj
+    def conj(i):
+        return N + 1 - i
+
     q = _qp(1)
     qq = q - _qp(-1)
 
@@ -472,18 +458,16 @@ def lemma_rel_instances(N: int) -> tuple:
 
 def excluded_boundary_instances(N: int):
     """Boundary index combinations the stated ranges leave out."""
-    data = FRTData(N)
-    conj = data.conj
     out = []
     for i in range(1, N + 1):
-        if i == conj(i):
+        if 2 * i == N + 1:
             continue
         for l in range(1, N + 1):
-            k = conj(l)
+            k = N + 1 - l
             if l < k and (l, k) != (1, N):
                 out.append(("same_row_qcomm", (i, l, k)))
     for i in range(1, N + 1):
-        j = conj(i)
+        j = N + 1 - i
         if i < j:
             out.append(("cross_commute", (i, j)))
             out.append(("cross_qcomm", (i, j)))

@@ -117,12 +117,6 @@ class Span:
         return {k: -c for k, c in comb.items()}
 
 
-def deglex_compare(w1: Word, w2: Word) -> int:
-    """-1, 0 or 1 as w1 <, =, > w2 in deglex."""
-    k1, k2 = word_key(w1), word_key(w2)
-    return (k1 > k2) - (k1 < k2)
-
-
 class NCPoly:
     """Finite FieldElem-linear combination of words."""
 
@@ -138,22 +132,10 @@ class NCPoly:
 
     # -- constructors ------------------------------------------------
     @classmethod
-    def zero(cls, N: int) -> "NCPoly":
-        return cls(N)
-
-    @classmethod
-    def unit(cls, N: int) -> "NCPoly":
-        return cls(N, {(): ONE})
-
-    @classmethod
     def gen(cls, N: int, i: int, j: int) -> "NCPoly":
         if not (1 <= i <= N and 1 <= j <= N):
             raise IndexOutOfRange(f"u^{i}_{j} outside 1..{N}")
         return cls(N, {((i, j),): ONE})
-
-    @classmethod
-    def monomial(cls, N: int, word: Word, coeff: FieldElem) -> "NCPoly":
-        return cls(N, {tuple(word): coeff})
 
     # -- helpers -----------------------------------------------------
     def _check(self, other: "NCPoly"):
@@ -169,15 +151,6 @@ class NCPoly:
     def degree(self) -> int:
         """Maximal word length (-1 for the zero polynomial)."""
         return max((len(w) for w in self.terms), default=-1)
-
-    def is_homogeneous(self) -> bool:
-        degs = {len(w) for w in self.terms}
-        return len(degs) <= 1
-
-    def leading_word(self) -> Word:
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading word")
-        return max(self.terms, key=word_key)
 
     # -- arithmetic --------------------------------------------------
     def __add__(self, other: "NCPoly") -> "NCPoly":

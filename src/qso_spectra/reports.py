@@ -1,16 +1,16 @@
 """Deterministic machine-readable report serialization.
 
-All rationals cross the boundary as exact "p/q" strings and symbolic
-coefficients as their canonical text form; no floats anywhere.  Reports
-carry no timing fields, so identical configurations produce
-byte-identical output.
+All rationals cross the boundary as exact "p/q" strings; no floats
+anywhere.  Reports carry no timing fields, so identical configurations
+produce byte-identical output.
 
-The JSON writer dispatches on exact type first: an object whose type
-is Fraction or int, the leaves of every report, is written at once.
-Anything else goes through the isinstance chain: a bool prints
-true/false, an int subclass such as an IntEnum member prints as
-json.dumps prints it, a FieldElem as its text form, and a float raises
-TypeError wherever it sits.
+A report is a dict with str keys whose values are dicts, lists, tuples
+and leaves.  A leaf is a str, an int, a Fraction (written as its "p/q"
+text), a bool or None; anything else, a float, a FieldElem or a set
+among them, raises TypeError wherever it sits, and so does a key that
+is not a str.  The JSON writer dispatches on exact type first: an
+object whose type is Fraction or int, the leaves of every report, is
+written at once, and the rest go through the isinstance chain.
 """
 
 from __future__ import annotations
@@ -20,36 +20,22 @@ import io
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _enc
 
-from .field import FieldElem
-
 
 def _leaf(obj):
-    """JSON-safe value of anything but a dict or a sequence."""
+    """JSON-safe value of a leaf: a Fraction as its "p/q" text, a str,
+    int, bool or None as itself; anything else raises TypeError."""
     if isinstance(obj, Fraction):
         return str(obj)
-    if isinstance(obj, FieldElem):
-        return obj.to_text()
-    if isinstance(obj, bool) or obj is None:
+    if obj is None or isinstance(obj, (str, int)):
         return obj
-    if isinstance(obj, (int, str)):
-        return obj
-    if isinstance(obj, float):
-        raise TypeError("floats are not allowed in reports")
-    if hasattr(obj, "to_text"):
-        return obj.to_text()
-    return str(obj)
-
-
-def _key(k):
-    if isinstance(k, (tuple, frozenset)):
-        return ",".join(str(x) for x in k)
-    return k if isinstance(k, str) else str(k)
+    raise TypeError(f"{type(obj).__name__} is not a report leaf")
 
 
 def to_json(report) -> str:
     """The report as JSON in the layout of json.dumps(..., indent=2),
-    with a final newline.  Keys become strings, sets are sorted by repr
-    and leaves convert as in _leaf."""
+    with a final newline.  Keys must be str; leaves (str, int, Fraction,
+    bool, None) convert as in _leaf, and any other key or leaf raises
+    TypeError."""
     return _dump(report, "\n") + "\n"
 
 
@@ -67,15 +53,13 @@ def _dump(obj, nl):
         if not obj:
             return "{}"
         inner = nl + "  "
-        items = {_key(k): v for k, v in obj.items()}
+        # _enc raises TypeError on a key that is not a str
         return ("{" + inner + ("," + inner).join(
-            [_enc(k) + ": " + _dump(v, inner) for k, v in items.items()])
+            [_enc(k) + ": " + _dump(v, inner) for k, v in obj.items()])
             + nl + "}")
-    if isinstance(obj, (list, tuple, set, frozenset)):
+    if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        if isinstance(obj, (set, frozenset)):
-            obj = sorted(obj, key=repr)
         inner = nl + "  "
         return ("[" + inner + ("," + inner).join([_dump(v, inner) for v in obj])
                 + nl + "]")

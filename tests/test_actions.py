@@ -233,7 +233,7 @@ def test_covariance():
 def _covariance_by_relation(N, eng):
     """Reference report: act with every letter on both sides of every
     generated relation and reduce each image."""
-    rels = frt.generate_relations(frt.FRTData(N))
+    rels = frt.generate_relations(N)
     rw = frt.rewriter(N)
     n = eng.cartan.n
     letters = [(X, i) for X in (E, F, K) for i in range(1, n + 1)]
@@ -341,15 +341,15 @@ def test_covariance_certificate_needs_no_rewriter(monkeypatch):
 @pytest.mark.parametrize("N", range(5, 9))
 def test_relation_count_matches_generated_relations(N):
     assert actions.relation_count(N) == \
-        len(frt.generate_relations(frt.FRTData(N)))
+        len(frt.generate_relations(N))
 
 
 def test_warm_covariance_generates_no_relations(monkeypatch):
     calls = []
 
-    def counted(data):
-        calls.append(data.N)
-        return frt.generate_relations(data)
+    def counted(n):
+        calls.append(n)
+        return frt.generate_relations(n)
 
     for N in (5, 6):
         verify_covariance(N)
@@ -481,6 +481,24 @@ def test_orbit_scan_terminal(N):
     assert term["mu_sign_at_11_10"] == -1
     assert "iv'" in out["families"]
     assert not out["failures"]
+
+
+def test_orbit_terminal_failure_is_listed(monkeypatch):
+    # relabelling the (iv') class (ii') fails only the terminal check,
+    # and the report lists the terminal word with the reason
+    classify = actions.classify_z_combination
+
+    def relabelled(N, coeffs):
+        out = classify(N, coeffs)
+        return {**out, "family": "ii'"} if out["family"] == "iv'" else out
+
+    monkeypatch.setattr(actions, "classify_z_combination", relabelled)
+    out = orbit_scan(5)
+    assert out["status"] == "failed"
+    assert out["terminal"]["family"] == "ii'"
+    assert out["failures"] == [
+        {"word": ["F2", "F2", "F1", "F1"],
+         "error": "terminal word has family ii', not (iv')"}]
 
 
 def test_orbit_terminal_mu_value_n5():

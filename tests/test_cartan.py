@@ -60,7 +60,9 @@ def test_fundamental_weight_duality():
         c = CartanData(N)
         for i in range(1, c.n + 1):
             for j, w in enumerate(c.fundamental_weights, start=1):
-                assert c.coroot_pair(i, w) == (1 if i == j else 0)
+                # (alpha_i^vee, w_j) = 2 (alpha_i, w_j) / (alpha_i, alpha_i)
+                a = c.simple_roots[i - 1]
+                assert 2 * c.pair(a, w) / c.pair(a, a) == (1 if i == j else 0)
 
 
 def test_weyl_dim_vector_rep():
@@ -72,7 +74,7 @@ def test_weyl_dim_vector_rep():
 
 def test_weyl_dim_known_values():
     c7 = CartanData(7)  # so_7 = B_3
-    assert c7.weyl_dim(c7.weight((0, 0, 0))) == 1
+    assert c7.weyl_dim((Fraction(0),) * 3) == 1
     assert c7.weyl_dim(c7.fundamental_weights[1]) == 21   # adjoint
     assert c7.weyl_dim(c7.fundamental_weights[2]) == 8    # spinor
     c8 = CartanData(8)  # so_8 = D_4
@@ -80,8 +82,9 @@ def test_weyl_dim_known_values():
     assert c8.weyl_dim(c8.fundamental_weights[2]) == 8    # half-spinor
     assert c8.weyl_dim(c8.fundamental_weights[3]) == 8
     c5 = CartanData(5)  # so_5 = B_2
-    assert c5.weyl_dim(c5.weight((2, 0))) == 14
-    assert c5.weyl_dim(c5.weight((0, 2))) == 10           # adjoint
+    w1, w2 = c5.fundamental_weights
+    assert c5.weyl_dim(tuple(2 * x for x in w1)) == 14
+    assert c5.weyl_dim(tuple(2 * x for x in w2)) == 10    # adjoint
 
 
 def test_nondominant_raises():

@@ -300,6 +300,23 @@ def test_f_properties(M):
     assert out["checks"] > 0
 
 
+def test_f_failure_blanks_only_its_own_degree(monkeypatch):
+    # a wrong classical oracle at l = 1 fails that degree alone: the
+    # records of l = 2 and l = 3 keep their diagonal values
+    oracle = fiber.classical_kappa_coeffs
+
+    def wrong_at_1(M, l):
+        out = oracle(M, l)
+        return {I: c + 1 for I, c in out.items()} if l == 1 else out
+
+    monkeypatch.setattr(fiber, "classical_kappa_coeffs", wrong_at_1)
+    out = verify_f_properties(ExtAlgParams(3))
+    assert out["status"] == "failed"
+    assert {f["l"] for f in out["failures"]} == {1}
+    assert [(r["l"], r["diag_at_1"]) for r in out["records"]] == \
+        [(0, 1), (1, None), (2, -2), (3, -6)]
+
+
 def test_g_mirror_at_q1_matches_f():
     p = ExtAlgParams(3)
     for l in range(4):

@@ -17,10 +17,10 @@ from qso_spectra.field import (
     lp_shift,
     plist_divmod,
     plist_gcd,
-    qint,
     sym_qbinom,
     sym_qint,
 )
+from qso_spectra.spectrum import SpectralParams, _QintTable
 
 rationals = st.fractions(
     min_value=Fraction(-5), max_value=Fraction(5), max_denominator=6)
@@ -188,20 +188,34 @@ def test_eval_pole_raises():
         x.eval_v(1)
 
 
+def _table_qints(q, mmax):
+    """The q-integers (m)_{q^2} and (m)_{q^-2}, m <= mmax + 1, that the
+    spectrum's _QintTable holds: with q^2 = a/b in lowest terms they are
+    s[m]/b^(m-1) and s[m]/a^(m-1)."""
+    t = _QintTable(SpectralParams(q=q), mmax)
+    up = [Fraction(0)] + [Fraction(t.s[m], t.bpow[m - 1]) for m in range(1, mmax + 2)]
+    down = [Fraction(0)] + [Fraction(t.s[m], t.apow[m - 1]) for m in range(1, mmax + 2)]
+    return up, down
+
+
 @settings(max_examples=30, deadline=None)
-@given(st.integers(0, 8), st.integers(0, 8))
-def test_qint_recurrence_and_sum(k, m):
-    t = FieldElem.v_pow(2)
-    # (k+1)_t = t*(k)_t + 1
-    assert qint(k + 1, t) == t * qint(k, t) + ONE
-    # (k+m)_t = (k)_t + t^k (m)_t
-    assert qint(k + m, t) == qint(k, t) + FieldElem.v_pow(2 * k) * qint(m, t)
+@given(st.integers(0, 8), st.integers(0, 8),
+       st.fractions(min_value=Fraction(1, 10), max_value=Fraction(5),
+                    max_denominator=12))
+def test_qint_recurrence_and_sum(k, m, q):
+    up, down = _table_qints(q, 16)
+    for qi, t in ((up, q * q), (down, 1 / (q * q))):
+        # (k)_t = 1 + t + ... + t^(k-1)
+        assert qi[k] == sum(t ** i for i in range(k))
+        # (k+1)_t = t*(k)_t + 1
+        assert qi[k + 1] == t * qi[k] + 1
+        # (k+m)_t = (k)_t + t^k (m)_t
+        assert qi[k + m] == qi[k] + t ** k * qi[m]
 
 
 def test_qint_classical_limit():
-    t = FieldElem.v_pow(2)
-    for k in range(6):
-        assert qint(k, t).eval_v(1) == k
+    up, down = _table_qints(1, 6)
+    assert up == down == list(range(8))
 
 
 @settings(max_examples=30, deadline=None)
@@ -384,9 +398,10 @@ def test_evaluation_matches_the_all_fraction_reference(pa, v0):
 
 
 def test_constructors_store_integral_coefficients_as_ints():
-    for x in (ONE, FieldElem.one(), FieldElem.v_pow(-3), FieldElem.from_rational(Fraction(6, 3)),
+    t = FieldElem.v_pow(2)
+    for x in (ONE, FieldElem.v_pow(-3), FieldElem.from_rational(Fraction(6, 3)),
               FieldElem.monomial(Fraction(-4, 2), 5), FieldElem.from_rational(7),
-              sym_qint(4, 1), sym_qbinom(5, 2, 1), qint(3, FieldElem.v_pow(2))):
+              sym_qint(4, 1), sym_qbinom(5, 2, 1), (t + ONE) * t + ONE):
         num, den = x.base
         assert all(type(c) is int for p in (num, den) for c in p.values()), x
     half = FieldElem.from_rational(Fraction(1, 2))

@@ -4,9 +4,8 @@ commutation-relation families."""
 import pytest
 
 from qso_spectra.errors import DegreeOverflow, IndexOutOfRange
-from qso_spectra.field import ZERO, FieldElem
+from qso_spectra.field import ONE, ZERO, FieldElem
 from qso_spectra.frt import (
-    FRTData,
     _r_tables,
     build_rewriter,
     excluded_boundary_instances,
@@ -15,6 +14,7 @@ from qso_spectra.frt import (
     normal_form,
     r_entry,
     rewriter,
+    rho2,
     saturate_and_check,
     verify_lemma_rels,
 )
@@ -22,61 +22,63 @@ from qso_spectra.ncpoly import NCPoly
 
 
 def test_rho_values():
-    d = FRTData(5)
-    assert [d.rho2[i] for i in range(1, 6)] == [3, 1, 0, -1, -3]
-    d = FRTData(6)
-    assert [d.rho2[i] for i in range(1, 7)] == [4, 2, 0, 0, -2, -4]
+    assert [rho2(5, i) for i in range(1, 6)] == [3, 1, 0, -1, -3]
+    assert [rho2(6, i) for i in range(1, 7)] == [4, 2, 0, 0, -2, -4]
+
+
+def test_relations_need_n_at_least_5():
+    with pytest.raises(ValueError, match="N >= 5 required"):
+        generate_relations(4)
+    with pytest.raises(ValueError, match="N >= 5 required"):
+        rewriter(4)
 
 
 def test_r_entry_diagonal_and_bounds():
-    d = FRTData(5)
     # R^{ii}_{ii} = q for non-self-conjugate i
-    assert r_entry(d, 1, 1, 1, 1) == FieldElem.v_pow(2)
+    assert r_entry(5, 1, 1, 1, 1) == FieldElem.v_pow(2)
     # R^{ij}_{ij} = 1 for generic distinct non-conjugate i, j
-    assert r_entry(d, 1, 2, 1, 2) == FieldElem.one()
+    assert r_entry(5, 1, 2, 1, 2) == ONE
     # R^{i i'}_{i i'} = q^{-1}
-    assert r_entry(d, 1, 5, 1, 5) == FieldElem.v_pow(-2)
+    assert r_entry(5, 1, 5, 1, 5) == FieldElem.v_pow(-2)
     with pytest.raises(IndexOutOfRange):
-        r_entry(d, 0, 1, 1, 1)
+        r_entry(5, 0, 1, 1, 1)
 
 
 def test_r_entry_offdiagonal():
-    d = FRTData(5)
     qq = FieldElem.v_pow(2) - FieldElem.v_pow(-2)
     # lower-triangular swap term
-    assert r_entry(d, 2, 1, 1, 2) == qq
-    assert r_entry(d, 1, 2, 2, 1) == ZERO
+    assert r_entry(5, 2, 1, 1, 2) == qq
+    assert r_entry(5, 1, 2, 2, 1) == ZERO
     # conjugate-pair correction R^{2 4}_{1 5}
-    assert r_entry(d, 2, 4, 1, 5) == -qq * FieldElem.v_pow(-(d.rho2[4] + d.rho2[1]))
+    assert r_entry(5, 2, 4, 1, 5) == -qq * FieldElem.v_pow(-(rho2(5, 4) + rho2(5, 1)))
 
 
 @pytest.mark.parametrize("N", [5, 6, 7, 8])
 def test_r_tables_match_r_entry(N):
     """The rows generate_relations reads, and the columns it transposes
     from them, agree with r_entry on every index quadruple."""
-    d = FRTData(N)
-    rows, cols = _r_tables(d)
+    rows, cols = _r_tables(N)
     idx = range(1, N + 1)
     for i in idx:
         for j in idx:
             for m in idx:
                 for n in idx:
-                    want = r_entry(d, i, j, m, n)
+                    want = r_entry(N, i, j, m, n)
                     assert rows[(i, j)].get((m, n), ZERO) == want, (i, j, m, n)
                     assert cols[(m, n)].get((i, j), ZERO) == want, (i, j, m, n)
     assert all(c for row in rows.values() for c in row.values())
 
 
 def test_relations_nonzero_and_homogeneous():
-    rels = generate_relations(FRTData(5))
+    rels = generate_relations(5)
     assert rels
     for r in rels:
         assert not r.is_zero()
-        assert r.degree() == 2 and r.is_homogeneous()
+        assert r.degree() == 2 and {len(w) for w in r.terms} == {2}
 
 
 def test_normal_form_idempotent_and_linear():
-    rels = generate_relations(FRTData(5))
+    rels = generate_relations(5)
     rw = build_rewriter(rels)
     p = NCPoly.gen(5, 3, 1) * NCPoly.gen(5, 1, 2) + \
         NCPoly.gen(5, 2, 5) * NCPoly.gen(5, 2, 1)
@@ -96,7 +98,7 @@ def test_normal_form_idempotent_and_linear():
     assert normal_form(nf, rw) == nf and nf.degree() == 4
     words = NCPoly(5)
     for w, c in p.terms.items():
-        words = words + normal_form(NCPoly.monomial(5, w, c), rw)
+        words = words + normal_form(NCPoly(5, {w: c}), rw)
     assert nf == words
 
 
@@ -106,19 +108,19 @@ def test_every_relation_reduces_to_zero(N):
     zero normal form is membership in the span, which the covariance
     fallback tests"""
     rw = rewriter(N)
-    for r in generate_relations(FRTData(N)):
+    for r in generate_relations(N):
         assert normal_form(r, rw).is_zero()
 
 
 def test_saturate_rejects_overdegree():
     word = tuple(((1, 1),) * 5)
-    target = NCPoly.monomial(5, word, FieldElem.one())
+    target = NCPoly(5, {word: ONE})
     with pytest.raises(DegreeOverflow):
         saturate_and_check(target, rewriter(5), max_degree=4)
 
 
 def test_saturate_detects_nonmember():
-    target = NCPoly.unit(5)  # the unit is never in the homogeneous ideal
+    target = NCPoly(5, {(): ONE})  # the unit is never in the homogeneous ideal
     rep = saturate_and_check(target, rewriter(5), max_degree=2)
     # in degrees <= 2 the ideal is the relation span: a nonzero normal
     # form proves non-membership
@@ -155,7 +157,7 @@ def test_every_family_has_instances(N):
 
 def test_lemma_instances_are_relation_members_degree2():
     N = 5
-    rels = generate_relations(FRTData(N))
+    rels = generate_relations(N)
     rw = build_rewriter(rels)
     for family, indices, target in lemma_rel_instances(N):
         if target.degree() > 2:

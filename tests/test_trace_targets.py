@@ -78,7 +78,7 @@ def test_every_hook_reads_its_target(monkeypatch):
     tracer.install()
     try:
         reports.to_json({"status": "verified"})
-        frt.build_rewriter(frt.generate_relations(frt.FRTData(5)))
+        frt.build_rewriter(frt.generate_relations(5))
         v = field.FieldElem.v_pow(1)
         (v + field.ONE).inverse() * (v - field.ONE)
         params = spectrum.SpectralParams()
