@@ -610,6 +610,9 @@ def orbit_scan(N: int) -> dict:
     seq = orbit_sequence(N)
     y = y_poly(N)
 
+    def word(prefix):  # the F-letters at the positions of prefix in seq
+        return [f"F{seq[p][1]}" for p in prefix]
+
     trace = []
     families_seen = set()
     terminal = None
@@ -631,13 +634,13 @@ def orbit_scan(N: int) -> dict:
         try:
             coeffs = solver.express(poly)
         except NotInZSpan as exc:
-            failures.append({"word": list(prefix), "error": str(exc)})
+            failures.append({"word": word(prefix), "error": str(exc)})
             continue
         if not coeffs:
             continue
         cls = classify_z_combination(N, coeffs)
         families_seen.add(cls["family"])
-        entry = {"word": [f"F{seq[p][1]}" for p in prefix], **cls}
+        entry = {"word": word(prefix), **cls}
         trace.append(entry)
         if cls["family"] == "unclassified":
             failures.append(entry)
@@ -649,7 +652,7 @@ def orbit_scan(N: int) -> dict:
     if terminal is None or terminal["family"] != "iv'":
         found = "no nonzero result" if terminal is None \
             else f"family {terminal['family']}"
-        failures.append({"word": [f"F{seq[p][1]}" for p in terminal_prefix],
+        failures.append({"word": word(terminal_prefix),
                          "error": f"terminal word has {found}, not (iv')"})
     status = "failed" if failures else "verified"
     return {

@@ -16,7 +16,11 @@ weight 2l*w_1 + k*lam_y with lam_y = 2*w_1 - alpha_1.
 
 Each formula has one evaluator: lam(k, l) is computed only by
 _QintTable, as an integer over the common denominator of its shell
-k + l, and the multiplicity only by CartanData.weyl_dim.
+k + l, and the multiplicity only by CartanData.weyl_dim.  The
+multiplicity and the printed weight depend on N, k and l alone, not on
+q or the constants, so _component computes them once per process per
+(CartanData, k, l), and spectrum_table and check_divergence read them
+from there.
 
 One turn per shell.  On the shell k + l = m write t = q^2 and x = t^k,
 so t^l = t^m / x.  Every q-integer in lam is affine in x or in 1/x:
@@ -38,10 +42,10 @@ check_divergence uses this to read each shell minimum from O(log m)
 exact integer evaluations.
 
 Integers end to end.  w_1 and lam_y are integer tuples (_int_weights;
-for so_N, w_1 = eps_1 and lam_y = eps_1 + eps_2), converted once per
-call, so the weights passed to weyl_dim are ints.  spectrum_table
-sorts on value * scale(kmax + lmax), an integer because every shell
-scale divides the largest one.  check_divergence tests lam <= p/r as
+for so_N, w_1 = eps_1 and lam_y = eps_1 + eps_2), so the weights passed
+to weyl_dim are ints.  spectrum_table sorts on
+value * scale(kmax + lmax), an integer because every shell scale
+divides the largest one.  check_divergence tests lam <= p/r as
 scaled * r <= p * scale(m), cross-multiplied.  A Fraction is made only
 for a value the report prints: the table's values and weights and the
 divergence report's shell minima.
@@ -51,6 +55,7 @@ from __future__ import annotations
 
 import warnings
 from fractions import Fraction
+from functools import cache
 from math import lcm
 
 from .cartan import CartanData
@@ -206,16 +211,18 @@ def _int_weights(cartan: CartanData) -> tuple:
 
 def _weight_of(k: int, l: int, w1, ly) -> tuple:
     """Highest weight 2l*w_1 + k*lam_y of the (k, l) eigenspace, for
-    w1, ly = _int_weights(cartan) computed once per call."""
+    w1, ly = _int_weights(cartan)."""
     return tuple(2 * l * w + k * y for w, y in zip(w1, ly))
 
 
-class _Fractions(dict):
-    """Fraction(x) for an int x, each built once per table."""
-
-    def __missing__(self, x):
-        f = self[x] = Fraction(x)
-        return f
+@cache
+def _component(cartan: CartanData, k: int, l: int) -> tuple:
+    """(multiplicity, printed weight) of the (k, l) eigenspace: the Weyl
+    dimension and the Fraction coordinates of 2l*w_1 + k*lam_y.  Neither
+    depends on q or the constants, so each is computed once per process
+    per (cartan, k, l); cartan_data(N) is one object per N."""
+    weight = _weight_of(k, l, *_int_weights(cartan))
+    return cartan.weyl_dim(weight), tuple(map(Fraction, weight))
 
 
 def spectrum_table(p: SpectralParams, cartan: CartanData,
@@ -223,22 +230,23 @@ def spectrum_table(p: SpectralParams, cartan: CartanData,
     """All records with k <= kmax, l <= lmax, sorted by (value, k+l, k).
 
     Every value times top = scale(kmax + lmax) is an integer, so the
-    sort compares integers; the record's weight is printed as Fractions."""
+    sort compares integers; the record's weight is printed as Fractions.
+    The multiplicity and the weight come from _component, computed once
+    per process per (cartan, k, l); only the value depends on p."""
     _warn_unvalidated(p)
     table = _QintTable(p, max(kmax, lmax))
     top = table.scale(kmax + lmax)
-    w1, ly = _int_weights(cartan)
-    fracs = _Fractions()
+    _int_weights(cartan)  # a non-integral weight raises before any lookup
     records = []
     for k in range(kmax + 1):
         for l in range(lmax + 1):
-            weight = _weight_of(k, l, w1, ly)
+            mult, weight = _component(cartan, k, l)
             records.append({
                 "k": k,
                 "l": l,
                 "value": table.value(k, l),
-                "multiplicity": cartan.weyl_dim(weight),
-                "weight": tuple(map(fracs.__getitem__, weight)),
+                "multiplicity": mult,
+                "weight": weight,
             })
     records.sort(key=lambda r: (
         top // r["value"].denominator * r["value"].numerator,
@@ -295,7 +303,8 @@ def check_divergence(p: SpectralParams, cartan: CartanData,
     the one-turn lemma (module docstring) the minimum is s(0), s(m) or
     the bisected turning point, from O(log m) evaluations instead of
     m + 1.  Only the shells below m0 are scanned point by point, to
-    count the eigenvalues below the bound.
+    count the eigenvalues below the bound; each multiplicity comes from
+    _component, computed once per process per (cartan, k, l).
     """
     _warn_unvalidated(p)
     bound = Fraction(bound)
@@ -320,14 +329,14 @@ def check_divergence(p: SpectralParams, cartan: CartanData,
         raise BoundNotCleared(
             f"shell minima never exceed {bound} within shell_max="
             f"{shell_max}; trajectory tail {shown[-5:]}")
-    w1, ly = _int_weights(cartan)
+    _int_weights(cartan)  # a non-integral weight raises before any lookup
     below_mult = 0
     below_count = 0
     for m in range(m0):
         cut = cuts[m]
         for l in range(m + 1):
             if table.scaled(m - l, l) * den <= cut:
-                below_mult += cartan.weyl_dim(_weight_of(m - l, l, w1, ly))
+                below_mult += _component(cartan, m - l, l)[0]
                 below_count += 1
     lane_cleared = None
     for m in range(shell_max, -1, -1):

@@ -501,6 +501,27 @@ def test_orbit_terminal_failure_is_listed(monkeypatch):
          "error": "terminal word has family ii', not (iv')"}]
 
 
+def test_orbit_z_span_failure_words_are_letters(monkeypatch):
+    # a NotInZSpan failure writes its word in F-letters, as the trace
+    # entries and the terminal check do, not as sequence positions
+    express = actions.ZSolver.express
+
+    def partial(self, p):
+        if len(p.terms) > 3:
+            raise NotInZSpan("injected")
+        return express(self, p)
+
+    monkeypatch.setattr(actions.ZSolver, "express", partial)
+    out = orbit_scan(5)
+    assert out["status"] == "failed"
+    injected = [f for f in out["failures"] if f.get("error") == "injected"]
+    assert injected
+    for f in out["failures"] + out["trace"]:
+        assert isinstance(f["word"], list) and all(
+            isinstance(x, str) and re.fullmatch(r"F\d+", x) for x in f["word"]), f
+    assert {tuple(f["word"]) for f in injected} == {("F2", "F2", "F1")}
+
+
 def test_orbit_terminal_mu_value_n5():
     out = orbit_scan(5)
     assert out["terminal"]["mu"] == "(-1)/(v^6)"

@@ -19,6 +19,7 @@ from qso_spectra.cli import main
 from qso_spectra.errors import BoundNotCleared, ParamsNotValidated
 from qso_spectra.spectrum import (
     SpectralParams,
+    _component,
     _int_weights,
     _QintTable,
     _shell_minimum,
@@ -521,3 +522,80 @@ def test_spectrum_requests_share_one_cartan_data(monkeypatch, tmp_path):
                  "--shell-max", "60", "--bound", "50"]) == 0
     assert len(seen) == 2 and seen[0] is seen[1] is shared
     assert {k: getattr(shared, k) for k in CartanData.__slots__} == before
+
+
+# -- one component per process ----------------------------------------------
+#
+# _component caches (multiplicity, weight) per (CartanData, k, l) for the
+# whole process.  A test that injects a wrong weyl_dim must therefore pass
+# a fresh CartanData: the cached components of cartan_data(N) would bypass
+# the injected method.
+
+def _harmonic_squares(N, multiplicity, dmax):
+    """The d <= dmax where the (k, l) multiplicities up to shell d do not
+    sum to h(d)^2, with h(d) = C(N+d-1, d) - C(N+d-3, d-2) the dimension
+    of V(d eps_1): the zero-forms of degree <= d are V(d eps_1) (x)
+    V(d eps_1), independently of the Weyl formula."""
+    bad, total = [], 0
+    for d in range(dmax + 1):
+        total += sum(multiplicity(d - l, l) for l in range(d + 1))
+        h = comb(N + d - 1, d) - (comb(N + d - 3, d - 2) if d >= 2 else 0)
+        if total != h * h:
+            bad.append(d)
+    return bad
+
+
+def test_cached_multiplicities_sum_to_harmonic_squares():
+    for N in range(5, 13):
+        c = cartan_data(N)
+        assert _harmonic_squares(N, lambda k, l: _component(c, k, l)[0], 30) == []
+
+
+def test_harmonic_squares_reject_a_wrong_weight():
+    # negative control: k*lam_y replaced by k*2w_1 fails at every d >= 1
+    for N in range(5, 13):
+        c = CartanData(N)
+        w1 = c.fundamental_weights[0]
+        wrong = tuple(2 * x for x in w1)
+        bad = _harmonic_squares(
+            N, lambda k, l: c.weyl_dim(_weight_of(k, l, w1, wrong)), 30)
+        assert bad == list(range(1, 31)), N
+
+
+def test_components_are_computed_once_per_process(monkeypatch):
+    c = CartanData(7)
+    weights = []
+    weyl_dim = CartanData.weyl_dim
+
+    def counting(self, lam):
+        if self is c:
+            weights.append(lam)
+        return weyl_dim(self, lam)
+
+    monkeypatch.setattr(CartanData, "weyl_dim", counting)
+    default = params()
+    boundary = params(theta=boundary_theta(default))
+    tables = [spectrum_table(default, c, 6, 6)]
+    assert len(weights) == 49
+    tables.append(spectrum_table(boundary, c, 6, 6))
+    assert len(weights) == 49
+
+    # the divergence scan looks up only the components below the bound
+    # that the tables did not reach, each once
+    del weights[:]
+    out = check_divergence(default, c, shell_max=60, bound=50)
+    table = _QintTable(default, 60)
+    below = {(m - l, l) for m in range(out["m0"]) for l in range(m + 1)
+             if table.value(m - l, l) <= 50}
+    assert len(below) == out["eigenvalues_below_bound"]
+    # 2l*w_1 + k*lam_y = (2l + k, k, 0)
+    looked_up = [(w[1], (w[0] - w[1]) // 2) for w in weights]
+    assert len(set(looked_up)) == len(looked_up)
+    assert set(looked_up) == {(k, l) for k, l in below if k > 6 or l > 6}
+    assert looked_up
+    del weights[:]
+    assert check_divergence(default, c, shell_max=60, bound=50) == out
+    assert weights == []
+
+    for p, got in zip((default, boundary), tables):
+        _same_records(got, _fraction_spectrum_table(p, c, 6, 6))
