@@ -11,8 +11,11 @@ with entries in Q(v) and -1 on the conjugate-pair entries.  A single
 kernel applies every letter on either side.  The defining relations
 are evaluated through that kernel on sum_s u^s_s, so the right rows
 check the right action itself; the E-F commutator rows guard the
-build.  sign_fixes in the covariance report is a constant record per
-parity of the entries that carry that -1 at even N.
+build.  The K-exponents pair the simple roots with
+cartan.vector_weights; a weight that disagreed with the E tables would
+fail that guard.  lam_y comes from cartan.y_weight and y from
+frt.minor.  sign_fixes in the covariance report is a constant record
+per parity of the entries that carry that -1 at even N.
 
 Covariance is certified by the FRT intertwiner identities.  Read a
 degree-2 word u^a_b u^c_d as (row pair (a, c)) (x) (column pair
@@ -37,11 +40,11 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 
-from .cartan import CartanData, cartan_data
+from .cartan import CartanData, cartan_data, vector_weights, y_weight
 from .errors import IndexOutOfRange, NotInZSpan, RepresentationInconsistent
 from .field import ONE, FieldElem, sym_qbinom, sym_qint
-from .frt import (Rewriter, _r_tables, generate_relations, normal_form,
-                  rewriter, rho2)
+from .frt import (Rewriter, _r_tables, generate_relations, minor,
+                  normal_form, rewriter, rho2)
 from .ncpoly import NCPoly, Span, accumulate, apply, reduce_lead
 
 E, F, K, KINV = "E", "F", "K", "Kinv"
@@ -95,29 +98,6 @@ def _ef_tables(N, side):
                  for X in (Es, Fs))
 
 
-def _propagate_weights(N, cartan, Es):
-    """Basis weights from wt(v_1) = -fw_1 along the E-action graph."""
-    fw1 = cartan.fundamental_weights[0]
-    wt = {1: tuple(-x for x in fw1)}
-    changed = True
-    while changed:
-        changed = False
-        for i, cols in Es.items():
-            alpha = cartan.simple_roots[i - 1]
-            for s, (t, coeff) in cols.items():
-                if s in wt and t not in wt:
-                    wt[t] = tuple(a + b for a, b in zip(wt[s], alpha))
-                    changed = True
-                elif t in wt and s not in wt:
-                    wt[s] = tuple(a - b for a, b in zip(wt[t], alpha))
-                    changed = True
-    if len(wt) != N:
-        raise ValueError("weight propagation did not reach every basis vector")
-    if wt[N] != fw1:
-        raise ValueError(f"weight cross-check failed: wt(v_N) = {wt[N]} != {fw1}")
-    return [None] + [wt[j] for j in range(1, N + 1)]
-
-
 @cache
 def vector_rep(N: int) -> ActionEngine:
     """The vector representation of N as its action engine, assembled
@@ -129,8 +109,8 @@ def vector_rep(N: int) -> ActionEngine:
     maps = {}
     for side in ("left", "right"):
         maps[E, side], maps[F, side] = _ef_tables(N, side)
-    weights = _propagate_weights(N, cartan, maps[E, "left"])
-    kexp = {i: [0] + [cartan.pair2(alpha, weights[j]) for j in range(1, N + 1)]
+    weights = vector_weights(cartan)
+    kexp = {i: [0] + [cartan.pair2(alpha, w) for w in weights]
             for i, alpha in enumerate(cartan.simple_roots, 1)}
     eng = ActionEngine(N, cartan, kexp, maps, () if N % 2 else _EVEN_SIGN_FIXES)
     for side in ("left", "right"):
@@ -418,13 +398,6 @@ def z_poly(N: int) -> NCPoly:
     return NCPoly.gen(N, 1, 1) * NCPoly.gen(N, 1, N)
 
 
-def y_poly(N: int) -> NCPoly:
-    """y = u^1_1 u^2_N - q u^2_1 u^1_N."""
-    q = FieldElem.v_pow(2)
-    return NCPoly.gen(N, 1, 1) * NCPoly.gen(N, 2, N) \
-        - (NCPoly.gen(N, 2, 1) * NCPoly.gen(N, 1, N)).scale(q)
-
-
 def hw_check(a: NCPoly, lam, eng: ActionEngine, rw) -> dict:
     """Highest-weight test for the S-twisted left action
     X > a := a <| S(X): every a <| S(E_i) vanishes modulo relations and
@@ -456,19 +429,17 @@ def verify_spherical(N: int) -> dict:
     2 fw_1 - alpha_1), plus the degree-4 commutation identities behind
     the z and y differential relations:
     u^1_N u^1_k' u^1_N u^1_1 = q^-2 u^1_N u^1_1 u^1_N u^1_k' and
-    w_l' w_N = q^-2 w_N w_l' with w_a = u^1_a u^2_N - q u^2_a u^1_N."""
+    w_l' w_N = q^-2 w_N w_l' with w_a = minor(N, a, N) and w_N = y."""
     rw, eng = rewriter(N), vector_rep(N)
     cartan = eng.cartan
     two_fw1 = tuple(2 * x for x in cartan.fundamental_weights[0])
-    lam_y = tuple(2 * x - a for x, a in
-                  zip(cartan.fundamental_weights[0], cartan.simple_roots[0]))
+    y = minor(N, 1, N)
     out = {"N": N, "checks": []}
     rz = hw_check(z_poly(N), two_fw1, eng, rw)
     out["checks"].append({"name": "z highest weight 2*fw1", **rz})
-    ry = hw_check(y_poly(N), lam_y, eng, rw)
+    ry = hw_check(y, y_weight(cartan), eng, rw)
     out["checks"].append({"name": "y K-exponent 2*fw1 - alpha1", **ry})
 
-    q = FieldElem.v_pow(2)
     qm2 = FieldElem.v_pow(-4)
 
     def u(i, j):
@@ -483,13 +454,10 @@ def verify_spherical(N: int) -> dict:
             "name": f"u1N u1{kp} u1N u11 q-commutation (k={k})",
             "status": "verified" if z else "failed"})
 
-    def w(a):
-        return u(1, a) * u(2, N) - (u(2, a) * u(1, N)).scale(q)
-
-    wN = u(1, 1) * u(2, N) - (u(2, 1) * u(1, N)).scale(q)
     for l in range(2, N):
         lp = N + 1 - l
-        diff = w(lp) * wN - (wN * w(lp)).scale(qm2)
+        w = minor(N, lp, N)
+        diff = w * y - (y * w).scale(qm2)
         z = normal_form(diff, rw).is_zero()
         out["checks"].append({
             "name": f"w{lp} wN q-commutation (l={l})",
@@ -608,7 +576,7 @@ def orbit_scan(N: int) -> dict:
     the terminal one included, lists the word it failed on."""
     rw, eng, solver = rewriter(N), vector_rep(N), z_solver(N)
     seq = orbit_sequence(N)
-    y = y_poly(N)
+    y = minor(N, 1, N)
 
     def word(prefix):  # the F-letters at the positions of prefix in seq
         return [f"F{seq[p][1]}" for p in prefix]

@@ -21,6 +21,9 @@ Cartan matrix and the coordinates of the simple roots are read off
 them, and the positive roots are kept as supports only, so the build
 is quadratic in the rank.
 
+vector_weights gives the basis weights of the vector representation,
+y_weight the highest weight lam_y of y; actions and spectrum read both.
+
 CartanData is fixed by N: cartan_data(N) builds it once per process
 and returns the shared, read-only object.
 """
@@ -142,6 +145,21 @@ def _pair_support(support, x) -> int:
     for i, c in support:
         total += c * x[i]
     return total
+
+
+def vector_weights(cartan: CartanData) -> list:
+    """The weights of v_1, ..., v_N: -eps_j for j <= n, eps_(N+1-j) for
+    N + 1 - j <= n, 0 at the middle index of odd N."""
+    N, n = cartan.N, cartan.n
+    return [_root(n, ((j - 1, -1),) if j <= n else
+                  ((N - j, 1),) if N - j < n else ())
+            for j in range(1, N + 1)]
+
+
+def y_weight(cartan: CartanData) -> tuple:
+    """lam_y = 2 w_1 - alpha_1 in epsilon coordinates."""
+    return tuple(2 * w - a for w, a in zip(cartan.fundamental_weights[0],
+                                           cartan.simple_roots[0]))
 
 
 @cache

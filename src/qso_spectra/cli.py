@@ -23,11 +23,28 @@ from .cartan import cartan_data
 from .errors import BoundNotCleared, QsoError
 
 
+# input keeps Python's default digit limit while main lifts it
+_MAX_DIGITS = sys.int_info.default_max_str_digits
+
+
+def _exact(text: str) -> Fraction:
+    """text as a Fraction; ValueError, before any big number is built,
+    beyond _MAX_DIGITS digits written out or in the exponent."""
+    exp = text.lower().partition("e")[2]
+    try:
+        if sum(map(str.isdigit, text)) <= _MAX_DIGITS \
+                and abs(int(exp or 0)) <= _MAX_DIGITS:
+            return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"not an exact rational: {text!r}") from None
+    raise ValueError(f"longer than {_MAX_DIGITS} digits")
+
+
 def _fraction(text: str) -> Fraction:
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise argparse.ArgumentTypeError(f"not an exact rational: {text!r}") from exc
+        return _exact(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
 def _positive_fraction(text: str) -> Fraction:
@@ -132,12 +149,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_json(where: str, path: str):
-    """The JSON value in the file at path.  A file that is not JSON in
-    UTF-8 raises QsoError prefixed with where, the flag that named it."""
+    """The JSON value in the file at path, integers read by _exact.  A
+    file that is not JSON in UTF-8 or that _exact refuses raises
+    QsoError prefixed with where, the flag that named it."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            return json.load(fh, parse_int=lambda s: int(_exact(s)))
+    except ValueError as exc:
         raise QsoError(f"{where}: {exc}") from exc
 
 
@@ -181,13 +199,11 @@ def _spectral_params(spec: str, q: Fraction) -> spectrum.SpectralParams:
         # only JSON integers and strings are exact: a number with a
         # fraction or exponent loads as a binary float, true/false as bool
         try:
-            value = Fraction(x) if type(x) in (int, str) else None
-        except (ValueError, ZeroDivisionError):
-            value = None
-        if value is None:
-            raise QsoError(f"--params {spec}: {k} is not an exact "
-                           f"rational: {x!r}")
-        kwargs[k] = value
+            if type(x) not in (int, str):
+                raise ValueError(f"not an exact rational: {x!r}")
+            kwargs[k] = _exact(str(x))
+        except ValueError as exc:
+            raise QsoError(f"--params {spec}: {k} is {exc}") from None
     return spectrum.SpectralParams(q=q, **kwargs)
 
 
@@ -358,6 +374,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code else 0
+    limit = sys.get_int_max_str_digits()
     try:
         _load_config(args)
         if args.format == "csv" and \
@@ -369,11 +386,15 @@ def main(argv=None) -> int:
             raise QsoError(f"--out {args.out}: no such directory")
         if args.command != "fiber" and args.n < 5:
             raise QsoError(f"need --n >= 5, got {args.n}")
+        # reports print exact values of any length
+        sys.set_int_max_str_digits(0)
         report = _COMMANDS[args.command](args)
         _emit(args, _render(args, report))
     except (QsoError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
+    finally:
+        sys.set_int_max_str_digits(limit)
     return reports.exit_code(report["status"])
 
 

@@ -340,6 +340,12 @@ def _qp(k):
     return FieldElem.v_pow(2 * k)
 
 
+def minor(N: int, a: int, b: int) -> NCPoly:
+    """u^1_a u^2_b - q u^2_a u^1_b: y = w_N = minor(N, 1, N),
+    h_a = minor(N, 1, a) and w_a = minor(N, a, N)."""
+    return _u(N, 1, a) * _u(N, 2, b) - (_u(N, 2, a) * _u(N, 1, b)).scale(_qp(1))
+
+
 @cache
 def lemma_rel_instances(N: int) -> tuple:
     """The (family, indices, target NCPoly) instances of the nine
@@ -434,16 +440,14 @@ def lemma_rel_instances(N: int) -> tuple:
                            _u(N, i, k) * _u(N, j, k) - (_u(N, j, k) * _u(N, i, k)).scale(q))
 
         # families 8 and 9: degree-4 commutations of the highest-weight
-        # quadratics h_a = u^1_1 u^2_a - q u^2_1 u^1_a and
-        # w_a = u^1_a u^2_N - q u^2_a u^1_N with w_N = h_N
+        # quadratics h_a and w_a with w_N = h_N (minor)
+        w_N = minor(N, 1, N)
         for a in range(2, N):
-            h_a = _u(N, 1, 1) * _u(N, 2, a) - (_u(N, 2, 1) * _u(N, 1, a)).scale(q)
-            w_N = _u(N, 1, 1) * _u(N, 2, N) - (_u(N, 2, 1) * _u(N, 1, N)).scale(q)
+            h_a = minor(N, 1, a)
             yield ("hw_holomorphic", (a,),
                    h_a * w_N - (w_N * h_a).scale(_qp(2)))
         for a in range(2, N):
-            w_a = _u(N, 1, a) * _u(N, 2, N) - (_u(N, 2, a) * _u(N, 1, N)).scale(q)
-            w_N = _u(N, 1, 1) * _u(N, 2, N) - (_u(N, 2, 1) * _u(N, 1, N)).scale(q)
+            w_a = minor(N, a, N)
             yield ("hw_antiholomorphic", (a,),
                    w_N * w_a - (w_a * w_N).scale(_qp(2)))
 
@@ -474,14 +478,14 @@ def excluded_boundary_instances(N: int):
     return out
 
 
-def verify_lemma_rels(N: int, max_degree: int = 4) -> list:
+def verify_lemma_rels(N: int) -> list:
     """Verify every admissible instance of the nine relation families,
     each by saturate_and_check against the shared degree-2 rewriter
     of N.  Returns a list of report dicts."""
     rw = rewriter(N)
     report = []
     for family, indices, target in lemma_rel_instances(N):
-        mem = saturate_and_check(target, rw, max_degree)
+        mem = saturate_and_check(target, rw)
         report.append({"family": family, "indices": list(indices),
                        "status": mem.status,
                        "certificate_size": mem.certificate_size})

@@ -12,7 +12,7 @@ with (m)_t = 1 + t + ... + t^{m-1}.  The six constants are inputs: the
 admissible region is mu_y > 0, mu_z > 0, theta1 > 0, theta3 > 0 and
 theta >= -(1 - q^-2) mu_y (boundary allowed), theta2 unconstrained.
 The eigenspace multiplicity is the Weyl dimension of the highest
-weight 2l*w_1 + k*lam_y with lam_y = 2*w_1 - alpha_1.
+weight 2l*w_1 + k*lam_y with lam_y = 2*w_1 - alpha_1 (cartan.y_weight).
 
 Each formula has one evaluator: lam(k, l) is computed only by
 _QintTable, as an integer over the common denominator of its shell
@@ -58,7 +58,7 @@ from fractions import Fraction
 from functools import cache
 from math import lcm
 
-from .cartan import CartanData
+from .cartan import CartanData, y_weight
 from .errors import BoundNotCleared, ParamsNotValidated
 
 
@@ -190,17 +190,9 @@ def eigenvalue(k: int, l: int, p: SpectralParams) -> Fraction:
     return _QintTable(p, max(k, l)).value(k, l)
 
 
-def y_weight(cartan: CartanData) -> tuple:
-    """lam_y = 2 w_1 - alpha_1 in epsilon coordinates."""
-    w1 = cartan.fundamental_weights[0]
-    a1 = cartan.simple_roots[0]
-    return tuple(2 * w - a for w, a in zip(w1, a1))
-
-
 def _int_weights(cartan: CartanData) -> tuple:
     """w_1 and lam_y as tuples of ints; raises ValueError on a
-    coordinate that is not an integer (for so_N, w_1 = eps_1 and
-    lam_y = eps_1 + eps_2)."""
+    coordinate that is not an integer."""
     out = []
     for w in (cartan.fundamental_weights[0], y_weight(cartan)):
         if any(x.denominator != 1 for x in w):

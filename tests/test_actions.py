@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 from qso_spectra import actions, field, frt
+from qso_spectra import cartan as cartan_mod
 from qso_spectra.actions import (
     E,
     F,
@@ -22,7 +23,6 @@ from qso_spectra.actions import (
     verify_covariance,
     verify_qea_relations,
     verify_spherical,
-    y_poly,
     z_coord_poly,
     z_poly,
     z_solver,
@@ -74,6 +74,28 @@ def test_sign_fixes_even_series():
     # the even series needs explicit sign adjustments; the odd does not
     assert vector_rep(6).sign_fixes
     assert not vector_rep(5).sign_fixes
+
+
+def _weights_follow_e(cartan, Es) -> bool:
+    """Whether every entry s -> t of every E_i moves the basis weight of
+    cartan.vector_weights by alpha_i, and wt(v_1) = -w_1, wt(v_N) = w_1."""
+    wt = [None] + cartan_mod.vector_weights(cartan)
+    fw1 = cartan.fundamental_weights[0]
+    if wt[1] != tuple(-x for x in fw1) or wt[cartan.N] != fw1:
+        return False
+    return all(wt[t] == tuple(a + b for a, b in zip(wt[s], cartan.simple_roots[i - 1]))
+               for i, cols in Es.items() for s, (t, _) in cols.items())
+
+
+@pytest.mark.parametrize("N", range(5, 13))
+def test_vector_weights_follow_the_e_tables(N):
+    cartan = cartan_mod.cartan_data(N)
+    Es, _ = actions._ef_tables(N, "left")
+    assert _weights_follow_e(cartan, Es)
+    # negative control: one E entry pointed at a wrong target
+    s, (t, c) = next(iter(Es[1].items()))
+    Es[1][s] = (t + 1, c)
+    assert not _weights_follow_e(cartan, Es)
 
 
 @pytest.mark.parametrize("N", range(5, 11))
@@ -535,8 +557,11 @@ def test_classify_unrecognized():
 
 
 def test_y_weight_polynomial_shape():
-    y = y_poly(5)
-    assert y.degree() == 2 and len(y.terms) == 2
+    # y = u^1_1 u^2_N - q u^2_1 u^1_N, with q = v^2
+    y = frt.minor(5, 1, 5)
+    assert y.degree() == 2
+    assert y.terms == {((1, 1), (2, 5)): ONE,
+                       ((2, 1), (1, 5)): -FieldElem.v_pow(2)}
 
 
 # -- int coefficients in the Q(v) hot path ---------------------------------

@@ -4,7 +4,10 @@ import csv
 import hashlib
 import io
 import json
+import os
 import shlex
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -16,6 +19,7 @@ from qso_spectra.cli import _build_parser, main
 from qso_spectra.errors import RepresentationInconsistent
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -191,6 +195,75 @@ def test_malformed_params_file_exits_two(tmp_path, capsys, content, reason):
         assert code == 2 and not out
         assert err.startswith("error: ") and reason in err
         assert "Traceback" not in err
+
+
+def _cli(*argv):
+    """The command line in a fresh interpreter under a timeout, so that
+    an input that hangs the program fails the test instead of stalling
+    the suite."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    return subprocess.run([sys.executable, "-m", "qso_spectra.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--q", "1e999999999"),
+    ("--q", "1e4301"),
+    ("--q", "1" * 4301),
+    ("--bound", "1e-999999999"),
+], ids=["q-exponent", "q-exponent-4301", "q-digits-4301", "bound-exponent"])
+def test_long_number_flag_exits_two(flag, value):
+    suite = "diverge" if flag == "--bound" else "table"
+    proc = _cli("spectrum", suite, "--n", "5", flag, value)
+    assert proc.returncode == 2 and not proc.stdout
+    assert f"argument {flag}: longer than 4300 digits" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("flag, content, reason", [
+    ("--params", '{"theta": "1e-999999999"}', "theta is longer than 4300 digits"),
+    ("--params", '{"mu_y": "%s"}' % ("7" * 5000), "mu_y is longer than 4300 digits"),
+    ("--params", '{"theta": %s}' % ("1" * 5000), "longer than 4300 digits"),
+    ("--config", '{"out": %s}' % ("1" * 5000), "longer than 4300 digits"),
+    # refused as the file loads, before a quadratic-time int conversion
+    ("--params", '{"theta": %s}' % ("1" * 5_000_000), "longer than 4300 digits"),
+], ids=["params-exponent", "params-string", "params-integer", "config-integer",
+        "params-integer-5M"])
+def test_long_number_in_a_file_exits_two(tmp_path, flag, content, reason):
+    path = tmp_path / "input.json"
+    path.write_text(content)
+    argv = ["spectrum", "table", "--n", "5"]
+    argv = argv + [flag, str(path)] if flag == "--params" else [flag, str(path)] + argv
+    proc = _cli(*argv)
+    assert proc.returncode == 2 and not proc.stdout
+    assert proc.stderr.startswith(f"error: {flag} {path}: ") and reason in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("argv, longest", [
+    (["spectrum", "diverge", "--n", "5", "--q", "10001/10000",
+      "--shell-max", "600", "--bound", "100"],
+     lambda r: max(map(len, r["shell_minima"]))),
+    (["spectrum", "table", "--n", "5", "--kmax", "0", "--lmax", "0",
+      "--q", "1e4300"], lambda r: len(r["params"]["q"])),
+], ids=["diverge-minima", "table-q"])
+def test_exact_values_print_at_any_length(capsys, argv, longest):
+    # main lifts the int-to-string limit for the report and restores it
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and not err
+    report = json.loads(out)
+    assert report["status"] == "verified" and longest(report) > 4300
+    assert sys.get_int_max_str_digits() == limit
+
+
+def test_long_params_integer_is_refused_while_the_limit_is_lifted(tmp_path, capsys):
+    pf = tmp_path / "params.json"
+    pf.write_text('{"theta": %s}' % ("1" * 5000))
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run(capsys, "spectrum", "table", "--n", "5", "--params", str(pf))
+    assert code == 2 and not out and "longer than 4300 digits" in err
+    assert sys.get_int_max_str_digits() == limit
 
 
 def test_divergence_failure_exit_two(capsys):
