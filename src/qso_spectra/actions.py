@@ -13,8 +13,9 @@ are evaluated through that kernel on sum_s u^s_s, so the right rows
 check the right action itself; the E-F commutator rows guard the
 build.  The K-exponents pair the simple roots with
 cartan.vector_weights; a weight that disagreed with the E tables would
-fail that guard.  lam_y comes from cartan.y_weight and y from
-frt.minor.  sign_fixes in the covariance report is a constant record
+fail that guard.  lam_y comes from cartan.y_weight, y from
+frt.minor and every q-commutation that verify_spherical checks from
+frt.qcomm.  sign_fixes in the covariance report is a constant record
 per parity of the entries that carry that -1 at even N.
 
 Covariance is certified by the FRT intertwiner identities.  Read a
@@ -44,7 +45,7 @@ from .cartan import CartanData, cartan_data, vector_weights, y_weight
 from .errors import IndexOutOfRange, NotInZSpan, RepresentationInconsistent
 from .field import ONE, FieldElem, sym_qbinom, sym_qint
 from .frt import (Rewriter, _r_tables, generate_relations, minor,
-                  normal_form, rewriter, rho2)
+                  normal_form, qcomm, rewriter, rho2)
 from .ncpoly import NCPoly, Span, accumulate, apply, reduce_lead
 
 E, F, K, KINV = "E", "F", "K", "Kinv"
@@ -447,18 +448,15 @@ def verify_spherical(N: int) -> dict:
 
     for k in range(2, N):
         kp = N + 1 - k
-        lhs = u(1, N) * u(1, kp) * u(1, N) * u(1, 1)
-        rhs = (u(1, N) * u(1, 1) * u(1, N) * u(1, kp)).scale(qm2)
-        z = normal_form(lhs - rhs, rw).is_zero()
+        diff = qcomm(u(1, N) * u(1, kp), u(1, N) * u(1, 1), qm2)
+        z = normal_form(diff, rw).is_zero()
         out["checks"].append({
             "name": f"u1N u1{kp} u1N u11 q-commutation (k={k})",
             "status": "verified" if z else "failed"})
 
     for l in range(2, N):
         lp = N + 1 - l
-        w = minor(N, lp, N)
-        diff = w * y - (y * w).scale(qm2)
-        z = normal_form(diff, rw).is_zero()
+        z = normal_form(qcomm(minor(N, lp, N), y, qm2), rw).is_zero()
         out["checks"].append({
             "name": f"w{lp} wN q-commutation (l={l})",
             "status": "verified" if z else "failed"})

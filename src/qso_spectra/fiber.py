@@ -44,9 +44,9 @@ rebuilt per rank check and kept nowhere, so a rank check at another
 point does not drop the Hodge check's decompositions.  No dense matrix
 is formed: every rank, kernel and solve eliminates the sparse images
 L^l(e_key) of basis keys, mod p in _rank_mod and exactly through
-ncpoly's elimination step and ncpoly.Span.  The kappa powers and
-lefschetz() read the table's symbolic map; the non-primitivity check's
-single top pair inserts only against the keys it touches.
+ncpoly's elimination step and ncpoly.Span.  The kappa powers read the
+table's symbolic map; the non-primitivity check's single top pair
+inserts only against the keys it touches.
 
 Forms are written in the basis f-_j = i e-_j of Lambda^-.  Its rules
 are homogeneous quadratic, so they hold unchanged for the f-_j; the
@@ -196,11 +196,6 @@ def kappa_power(params: ExtAlgParams, l: int) -> dict:
     if l < 0 or l > 2 * params.M:
         raise ValueError("need 0 <= l <= 2M")
     return _power(lefschetz_table(params.M).map, {((), ()): ONE}, l)
-
-
-def lefschetz(params: ExtAlgParams, form: dict) -> dict:
-    """kappa ^ form, raising bidegree by (1, 1)."""
-    return apply(lefschetz_table(params.M).map, form)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,9 @@ Internally a linear combination of words is a sparse row
 {word: FieldElem}, added into only through ncpoly.accumulate.  R is one
 table of rows, the relations read its columns from the transpose.
 The forward pass of the rewriter's echelon form is ncpoly.insert_pivot,
-the elimination step that actions and fiber share.
+the elimination step that actions and fiber share.  Every family target
+is built from qcomm, the q-commutator x y - c y x, over the index ranges
+of _ranges(N); actions builds its q-commutations from qcomm too.
 """
 
 from __future__ import annotations
@@ -346,110 +348,79 @@ def minor(N: int, a: int, b: int) -> NCPoly:
     return _u(N, 1, a) * _u(N, 2, b) - (_u(N, 2, a) * _u(N, 1, b)).scale(_qp(1))
 
 
+def qcomm(x: NCPoly, y: NCPoly, c: FieldElem = ONE) -> NCPoly:
+    """The q-commutator x y - c y x."""
+    return x * y - (y * x).scale(c)
+
+
+def _ranges(N: int) -> tuple:
+    """The index ranges of the relation families: rows, the i with
+    i != i', and pairs, the (i, j) with i < j and i != j' in ascending
+    order, which serve as row pairs and as column pairs."""
+    rows = [i for i in range(1, N + 1) if 2 * i != N + 1]
+    pairs = [(i, j) for i in range(1, N + 1) for j in range(i + 1, N + 1)
+             if i + j != N + 1]
+    return rows, pairs
+
+
 @cache
 def lemma_rel_instances(N: int) -> tuple:
     """The (family, indices, target NCPoly) instances of the nine
     relation families, built once per process; every family has
     instances for each N >= 5.  Like rewriter(N), the tuple and its
-    targets are shared by every caller and are read-only.
+    targets are shared by every caller and are read-only.  Each target
+    is a q-commutator (qcomm), minus one more product in the families
+    col1N_upper_first and cross_qcomm.
 
     The stated ranges of the degree-2 families exclude the boundary
     cases l = k' and i = j' (and the (1, N) column pair, covered by the
     first family); excluded instances are enumerated separately by
     verify_lemma_rels and are not asserted.
     """
-    def conj(i):
-        return N + 1 - i
-
+    rows, pairs = _ranges(N)
     q = _qp(1)
     qq = q - _qp(-1)
 
+    def u(i, j):
+        return _u(N, i, j)
+
     def emitted():
         # family 1: u^i_1 u^i_N = q^2 u^i_N u^i_1, i != i'
-        for i in range(1, N + 1):
-            if i == conj(i):
-                continue
-            yield ("col1N_same_row", (i,),
-                   _u(N, i, 1) * _u(N, i, N) - (_u(N, i, N) * _u(N, i, 1)).scale(_qp(2)))
-
+        for i in rows:
+            yield ("col1N_same_row", (i,), qcomm(u(i, 1), u(i, N), _qp(2)))
         # family 2: u^i_l u^i_k = q u^i_k u^i_l, l < k, i != i', l != k'
-        for i in range(1, N + 1):
-            if i == conj(i):
-                continue
-            for l in range(1, N + 1):
-                for k in range(l + 1, N + 1):
-                    if l == conj(k):
-                        continue
-                    yield ("same_row_qcomm", (i, l, k),
-                           _u(N, i, l) * _u(N, i, k) - (_u(N, i, k) * _u(N, i, l)).scale(q))
-
+        for i in rows:
+            for l, k in pairs:
+                yield ("same_row_qcomm", (i, l, k), qcomm(u(i, l), u(i, k), q))
         # family 3: u^j_l u^i_k = u^i_k u^j_l, l < k, i < j, l != k', i != j'
-        for i in range(1, N + 1):
-            for j in range(i + 1, N + 1):
-                if i == conj(j):
-                    continue
-                for l in range(1, N + 1):
-                    for k in range(l + 1, N + 1):
-                        if l == conj(k):
-                            continue
-                        yield ("cross_commute", (i, j, l, k),
-                               _u(N, j, l) * _u(N, i, k) - _u(N, i, k) * _u(N, j, l))
-
+        for i, j in pairs:
+            for l, k in pairs:
+                yield ("cross_commute", (i, j, l, k), qcomm(u(j, l), u(i, k)))
         # family 4: u^j_1 u^i_N = q u^i_N u^j_1, i < j, i != j'
-        for i in range(1, N + 1):
-            for j in range(i + 1, N + 1):
-                if i == conj(j):
-                    continue
-                yield ("col1N_lower_first", (i, j),
-                       _u(N, j, 1) * _u(N, i, N) - (_u(N, i, N) * _u(N, j, 1)).scale(q))
-
+        for i, j in pairs:
+            yield ("col1N_lower_first", (i, j), qcomm(u(j, 1), u(i, N), q))
         # family 5: u^i_1 u^j_N = q u^j_N u^i_1 + (q^2-1) u^i_N u^j_1
-        for i in range(1, N + 1):
-            for j in range(i + 1, N + 1):
-                if i == conj(j):
-                    continue
-                yield ("col1N_upper_first", (i, j),
-                       _u(N, i, 1) * _u(N, j, N)
-                       - (_u(N, j, N) * _u(N, i, 1)).scale(q)
-                       - (_u(N, i, N) * _u(N, j, 1)).scale(_qp(2) - ONE))
-
+        for i, j in pairs:
+            yield ("col1N_upper_first", (i, j),
+                   qcomm(u(i, 1), u(j, N), q)
+                   - (u(i, N) * u(j, 1)).scale(_qp(2) - ONE))
         # family 6: u^j_l u^i_k = u^i_k u^j_l - (q-q^-1) u^j_k u^i_l,
         # equivalently u^i_k u^j_l = u^j_l u^i_k + (q-q^-1) u^j_k u^i_l
-        for i in range(1, N + 1):
-            for j in range(i + 1, N + 1):
-                if i == conj(j):
-                    continue
-                for k in range(1, N + 1):
-                    for l in range(k + 1, N + 1):
-                        if k == conj(l):
-                            continue
-                        yield ("cross_qcomm", (i, j, k, l),
-                               _u(N, i, k) * _u(N, j, l)
-                               - _u(N, j, l) * _u(N, i, k)
-                               - (_u(N, j, k) * _u(N, i, l)).scale(qq))
-
+        for i, j in pairs:
+            for k, l in pairs:
+                yield ("cross_qcomm", (i, j, k, l),
+                       qcomm(u(i, k), u(j, l)) - (u(j, k) * u(i, l)).scale(qq))
         # family 7: u^i_k u^j_k = q u^j_k u^i_k, k != k', i < j, i != j'
-        for i in range(1, N + 1):
-            for j in range(i + 1, N + 1):
-                if i == conj(j):
-                    continue
-                for k in range(1, N + 1):
-                    if k == conj(k):
-                        continue
-                    yield ("same_col_qcomm", (i, j, k),
-                           _u(N, i, k) * _u(N, j, k) - (_u(N, j, k) * _u(N, i, k)).scale(q))
-
+        for i, j in pairs:
+            for k in rows:
+                yield ("same_col_qcomm", (i, j, k), qcomm(u(i, k), u(j, k), q))
         # families 8 and 9: degree-4 commutations of the highest-weight
         # quadratics h_a and w_a with w_N = h_N (minor)
         w_N = minor(N, 1, N)
         for a in range(2, N):
-            h_a = minor(N, 1, a)
-            yield ("hw_holomorphic", (a,),
-                   h_a * w_N - (w_N * h_a).scale(_qp(2)))
+            yield ("hw_holomorphic", (a,), qcomm(minor(N, 1, a), w_N, _qp(2)))
         for a in range(2, N):
-            w_a = minor(N, a, N)
-            yield ("hw_antiholomorphic", (a,),
-                   w_N * w_a - (w_a * w_N).scale(_qp(2)))
+            yield ("hw_antiholomorphic", (a,), qcomm(w_N, minor(N, a, N), _qp(2)))
 
     # equal coefficients share one FieldElem object: the targets hold
     # nine distinct values, so this keeps the cached tuple small
@@ -461,20 +432,14 @@ def lemma_rel_instances(N: int) -> tuple:
 
 
 def excluded_boundary_instances(N: int):
-    """Boundary index combinations the stated ranges leave out."""
-    out = []
-    for i in range(1, N + 1):
-        if 2 * i == N + 1:
-            continue
-        for l in range(1, N + 1):
-            k = N + 1 - l
-            if l < k and (l, k) != (1, N):
-                out.append(("same_row_qcomm", (i, l, k)))
-    for i in range(1, N + 1):
-        j = N + 1 - i
-        if i < j:
-            out.append(("cross_commute", (i, j)))
-            out.append(("cross_qcomm", (i, j)))
+    """Boundary index combinations the stated ranges leave out: the
+    conjugate pairs (i, i') with i < i', which pairs omits."""
+    rows, _ = _ranges(N)
+    conj = [(i, N + 1 - i) for i in range(1, N // 2 + 1)]
+    # the column pair (1, N) is the first family's
+    out = [("same_row_qcomm", (i, l, k)) for i in rows for l, k in conj[1:]]
+    for ij in conj:
+        out += [("cross_commute", ij), ("cross_qcomm", ij)]
     return out
 
 

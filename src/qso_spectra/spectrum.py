@@ -41,14 +41,14 @@ s at the first l with s(l+1) >= s(l), which bisection finds.
 check_divergence uses this to read each shell minimum from O(log m)
 exact integer evaluations.
 
-Integers end to end.  w_1 and lam_y are integer tuples (_int_weights;
-for so_N, w_1 = eps_1 and lam_y = eps_1 + eps_2), so the weights passed
-to weyl_dim are ints.  spectrum_table sorts on
+Integer comparisons.  spectrum_table sorts on
 value * scale(kmax + lmax), an integer because every shell scale
 divides the largest one.  check_divergence tests lam <= p/r as
-scaled * r <= p * scale(m), cross-multiplied.  A Fraction is made only
-for a value the report prints: the table's values and weights and the
-divergence report's shell minima.
+scaled * r <= p * scale(m), cross-multiplied.  An eigenvalue becomes a
+Fraction only where the report prints it: the table's values and the
+divergence report's shell minima.  The weights are Fractions,
+2l*w_1 + k*lam_y with w_1 and lam_y read from cartan (for so_N,
+w_1 = eps_1 and lam_y = eps_1 + eps_2).
 """
 
 from __future__ import annotations
@@ -190,31 +190,16 @@ def eigenvalue(k: int, l: int, p: SpectralParams) -> Fraction:
     return _QintTable(p, max(k, l)).value(k, l)
 
 
-def _int_weights(cartan: CartanData) -> tuple:
-    """w_1 and lam_y as tuples of ints; raises ValueError on a
-    coordinate that is not an integer."""
-    out = []
-    for w in (cartan.fundamental_weights[0], y_weight(cartan)):
-        if any(x.denominator != 1 for x in w):
-            raise ValueError(f"weight {w} has a non-integral coordinate")
-        out.append(tuple(x.numerator for x in w))
-    return tuple(out)
-
-
-def _weight_of(k: int, l: int, w1, ly) -> tuple:
-    """Highest weight 2l*w_1 + k*lam_y of the (k, l) eigenspace, for
-    w1, ly = _int_weights(cartan)."""
-    return tuple(2 * l * w + k * y for w, y in zip(w1, ly))
-
-
 @cache
 def _component(cartan: CartanData, k: int, l: int) -> tuple:
-    """(multiplicity, printed weight) of the (k, l) eigenspace: the Weyl
-    dimension and the Fraction coordinates of 2l*w_1 + k*lam_y.  Neither
-    depends on q or the constants, so each is computed once per process
-    per (cartan, k, l); cartan_data(N) is one object per N."""
-    weight = _weight_of(k, l, *_int_weights(cartan))
-    return cartan.weyl_dim(weight), tuple(map(Fraction, weight))
+    """(multiplicity, weight) of the (k, l) eigenspace: the Weyl
+    dimension and the Fraction coordinates of 2l*w_1 + k*lam_y, with
+    w_1 and lam_y from cartan.  Neither depends on q or the constants,
+    so each is computed once per process per (cartan, k, l);
+    cartan_data(N) is one object per N."""
+    weight = tuple(2 * l * w + k * y for w, y in
+                   zip(cartan.fundamental_weights[0], y_weight(cartan)))
+    return cartan.weyl_dim(weight), weight
 
 
 def spectrum_table(p: SpectralParams, cartan: CartanData,
@@ -228,7 +213,6 @@ def spectrum_table(p: SpectralParams, cartan: CartanData,
     _warn_unvalidated(p)
     table = _QintTable(p, max(kmax, lmax))
     top = table.scale(kmax + lmax)
-    _int_weights(cartan)  # a non-integral weight raises before any lookup
     records = []
     for k in range(kmax + 1):
         for l in range(lmax + 1):
@@ -276,6 +260,17 @@ def _shell_minimum(table: _QintTable, m: int, s0: int) -> int:
     return s(hi)
 
 
+def _cleared(values: list, cuts: list, den: int):
+    """The least m with values[m'] * den > cuts[m'] for every m' >= m,
+    None when the last value does not exceed its cut."""
+    out = None
+    for m in range(len(values) - 1, -1, -1):
+        if values[m] * den <= cuts[m]:
+            break
+        out = m
+    return out
+
+
 def check_divergence(p: SpectralParams, cartan: CartanData,
                      shell_max: int, bound) -> dict:
     """Certify shell divergence of the eigenvalue sequence.
@@ -311,17 +306,12 @@ def check_divergence(p: SpectralParams, cartan: CartanData,
         s0 = table.scaled(m, 0)
         minima.append(_shell_minimum(table, m, s0))
         lane_l0.append(s0)
-    m0 = None
-    for m in range(shell_max, -1, -1):
-        if minima[m] * den <= cuts[m]:
-            break
-        m0 = m
+    m0 = _cleared(minima, cuts, den)
     shown = [str(Fraction(s, table.scale(m))) for m, s in enumerate(minima)]
     if m0 is None:
         raise BoundNotCleared(
             f"shell minima never exceed {bound} within shell_max="
             f"{shell_max}; trajectory tail {shown[-5:]}")
-    _int_weights(cartan)  # a non-integral weight raises before any lookup
     below_mult = 0
     below_count = 0
     for m in range(m0):
@@ -343,7 +333,7 @@ def check_divergence(p: SpectralParams, cartan: CartanData,
         "shell_minima": shown,
         "eigenvalues_below_bound": below_count,
         "multiplicity_below_bound": below_mult,
-        "l0_lane_cleared_at": lane_cleared,
+        "l0_lane_cleared_at": _cleared(lane_l0, cuts, den),
         "l0_lane_limit_exists": p.theta == boundary_theta(p),
         "status": "verified",
     }

@@ -525,6 +525,19 @@ def test_malformed_config_file_exits_two(tmp_path, capsys, content, reason):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("flag, argv", [
+    ("--params", ("spectrum", "table", "--n", "5", "--params", "{}")),
+    ("--config", ("--config", "{}", "verify", "rels", "--n", "5")),
+], ids=["params", "config"])
+@pytest.mark.parametrize("name", ["missing.json", ""], ids=["missing", "directory"])
+def test_unreadable_file_exits_two_naming_the_flag(tmp_path, capsys, flag, argv, name):
+    path = str(tmp_path / name) if name else str(tmp_path)
+    code, out, err = run(capsys, *(a.format(path) for a in argv))
+    assert code == 2 and not out
+    assert err.startswith(f"error: {flag} {path}: ")
+    assert "Traceback" not in err
+
+
 def test_rep_sign_fault_raises_and_exits_two(monkeypatch, capsys):
     # negate the conjugate entry of the left F_1 table, on column 1' = N:
     # the left E-F commutator fails

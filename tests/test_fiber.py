@@ -18,7 +18,6 @@ from qso_spectra.fiber import (
     classical_kappa_coeffs,
     hodge,
     kappa_power,
-    lefschetz,
     make_evaluator,
     primitive_decompose,
     random_form,
@@ -28,10 +27,15 @@ from qso_spectra.fiber import (
     verify_nonprimitive,
 )
 from qso_spectra.field import ONE, ZERO, FieldElem
-from qso_spectra.ncpoly import accumulate
+from qso_spectra.ncpoly import accumulate, apply
 
 V = FieldElem.v_pow
 ONE_FORM = {((), ()): ONE}
+
+
+def _lefschetz(p, form):
+    """kappa ^ form, read from the shared Lefschetz table."""
+    return apply(fiber.lefschetz_table(p.M).map, form)
 
 
 def _kappa(M):
@@ -273,7 +277,7 @@ def test_kappa_powers_and_lefschetz_read_the_shared_table(monkeypatch):
     monkeypatch.setattr(fiber, "_straighten", counting)
     for l in range(2 * 4 + 1):
         kappa_power(p, l)
-    assert lefschetz(p, ONE_FORM) == _kappa(4)
+    assert _lefschetz(p, ONE_FORM) == _kappa(4)
     assert calls == []
     # the non-primitivity check's single top pair still straightens its
     # keys, and only words holding the inserted index
@@ -329,13 +333,13 @@ def test_g_mirror_at_q1_matches_f():
 
 def test_lefschetz_of_one_is_kappa():
     p = ExtAlgParams(3)
-    assert lefschetz(p, ONE_FORM) == _kappa(3)
+    assert _lefschetz(p, ONE_FORM) == _kappa(3)
     # L^M(1) is the top power, L^{M+1}(1) = 0
     f = ONE_FORM
     for _ in range(3):
-        f = lefschetz(p, f)
+        f = _lefschetz(p, f)
     assert f == kappa_power(p, 3)
-    assert not lefschetz(p, f)
+    assert not _lefschetz(p, f)
 
 
 @pytest.mark.parametrize("q0", [Fraction(1), Fraction(11, 10)])
@@ -451,7 +455,7 @@ def test_primitive_decomposition_reconstructs():
         for j, wj in parts:
             g = wj
             for _ in range(j):
-                g = lefschetz(p, g)
+                g = _lefschetz(p, g)
             acc = _plus(acc, g)
         assert acc == form
         # each w_j is primitive: L^{M - deg + 1} w_j = 0
@@ -459,7 +463,7 @@ def test_primitive_decomposition_reconstructs():
             d = _degree(wj)
             g = wj
             for _ in range(3 - d + 1):
-                g = lefschetz(p, g)
+                g = _lefschetz(p, g)
             assert not g
 
 

@@ -1,6 +1,8 @@
 """R-matrix data, the quadratic rewriting system, and the nine
 commutation-relation families."""
 
+import hashlib
+
 import pytest
 
 from qso_spectra.errors import DegreeOverflow, IndexOutOfRange
@@ -127,11 +129,13 @@ def test_saturate_detects_nonmember():
     assert rep.status == "failed"
 
 
-@pytest.mark.parametrize("N", [5, 6])
+@pytest.mark.parametrize("N", [5, 6, 8])
 def test_verify_lemma_rels_all_clear(N):
     report = verify_lemma_rels(N)
     statuses = {r["status"] for r in report}
     assert statuses <= {"verified", "excluded"}
+    verified = sum(r["status"] == "verified" for r in report)
+    assert verified == {5: 218, 6: 470, 8: 1604}[N]
     assert not any(r["status"] == "inconclusive" for r in report)
     families = {r["family"] for r in report}
     assert len(families) >= 9
@@ -150,9 +154,29 @@ def test_every_family_has_instances(N):
     for family, indices, target in lemma_rel_instances(N):
         assert indices and not target.is_zero(), (family, indices)
         counts[family] += 1
-    assert all(counts.values()), counts
+    # r rows i != i' and P pairs i < j with i != j', one conjugate pair
+    # per i <= N/2
+    r = N - N % 2
+    P = N * (N - 1) // 2 - N // 2
+    assert list(counts.values()) == [r, r * P, P * P, P, P, P * P, r * P,
+                                     N - 2, N - 2]
     if N == 5:
         assert list(counts.values()) == [4, 32, 64, 8, 8, 64, 32, 3, 3]
+
+
+# sha256 of the "family [indices] target" lines of lemma_rel_instances(N)
+INSTANCE_DIGESTS = {
+    5: "41360818571b675194394ccffaec1ca1f981093f849ca0f9e20c24cb3f5e578a",
+    6: "444f7af3858436d29dfa28847de9f62a29cac5e5ff379e57f63f7f7ade6235a5",
+}
+
+
+@pytest.mark.parametrize("N", sorted(INSTANCE_DIGESTS))
+def test_lemma_instances_are_pinned(N):
+    lines = [f"{family} {list(indices)} {target}"
+             for family, indices, target in lemma_rel_instances(N)]
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == INSTANCE_DIGESTS[N]
 
 
 def test_lemma_instances_are_relation_members_degree2():

@@ -7,7 +7,6 @@ import warnings
 from fractions import Fraction
 from math import comb
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -20,10 +19,8 @@ from qso_spectra.errors import BoundNotCleared, ParamsNotValidated
 from qso_spectra.spectrum import (
     SpectralParams,
     _component,
-    _int_weights,
     _QintTable,
     _shell_minimum,
-    _weight_of,
     boundary_theta,
     check_divergence,
     eigenvalue,
@@ -40,6 +37,12 @@ def params(**kw):
     p = SpectralParams(**kw)
     validate_params(p)
     return p
+
+
+def _weight_of(k, l, w1, ly):
+    """The highest weight 2l*w1 + k*ly, built here independently of
+    spectrum._component."""
+    return tuple(2 * l * w + k * y for w, y in zip(w1, ly))
 
 
 def multiplicity(k, l, cartan):
@@ -162,8 +165,8 @@ def test_spectrum_table_sorted_and_complete():
 
 
 def _fraction_spectrum_table(p, cartan, kmax, lmax):
-    """spectrum_table as it was before the integer weights: Fraction
-    weights over every coordinate, sorted on the Fraction value."""
+    """spectrum_table sorted on the Fraction value: the reference for
+    its integer sort key."""
     table = _QintTable(p, max(kmax, lmax))
     w1, ly = cartan.fundamental_weights[0], y_weight(cartan)
     records = []
@@ -232,23 +235,12 @@ def test_spectrum_table_matches_fraction_reference_at_admissible_constants(
 def test_integer_weights():
     for N in range(5, 21):
         c = cartan_data(N)
-        w1, ly = _int_weights(c)
-        assert all(type(x) is int for x in w1 + ly)
-        assert w1 == tuple(c.fundamental_weights[0])
-        assert ly == y_weight(c)
+        w1, ly = c.fundamental_weights[0], y_weight(c)
         # w_1 = eps_1 and lam_y = eps_1 + eps_2
         assert w1 == (1,) + (0,) * (c.n - 1)
         assert ly == (1, 1) + (0,) * (c.n - 2)
-    # a spin weight has half-integral coordinates: raise, never truncate
-    c = CartanData(7)
-    spin = SimpleNamespace(fundamental_weights=[c.fundamental_weights[-1]],
-                           simple_roots=c.simple_roots)
-    with pytest.raises(ValueError, match="non-integral"):
-        _int_weights(spin)
-    with pytest.raises(ValueError, match="non-integral"):
-        spectrum_table(params(), spin, 1, 1)
-    with pytest.raises(ValueError, match="non-integral"):
-        check_divergence(params(), spin, 30, 20)
+        assert _component(c, 1, 0)[1] == ly
+        assert _component(c, 0, 1)[1] == tuple(2 * x for x in w1)
 
 
 def test_check_divergence_reports():
