@@ -446,9 +446,10 @@ def verify_spherical(N: int) -> dict:
     def u(i, j):
         return NCPoly.gen(N, i, j)
 
+    u1N_u11 = u(1, N) * u(1, 1)
     for k in range(2, N):
         kp = N + 1 - k
-        diff = qcomm(u(1, N) * u(1, kp), u(1, N) * u(1, 1), qm2)
+        diff = qcomm(u(1, N) * u(1, kp), u1N_u11, qm2)
         z = normal_form(diff, rw).is_zero()
         out["checks"].append({
             "name": f"u1N u1{kp} u1N u11 q-commutation (k={k})",

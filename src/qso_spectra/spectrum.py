@@ -320,11 +320,6 @@ def check_divergence(p: SpectralParams, cartan: CartanData,
             if table.scaled(m - l, l) * den <= cut:
                 below_mult += _component(cartan, m - l, l)[0]
                 below_count += 1
-    lane_cleared = None
-    for m in range(shell_max, -1, -1):
-        if lane_l0[m] * den <= cuts[m]:
-            break
-        lane_cleared = m
     return {
         "params": p.as_dict(),
         "bound": str(bound),
