@@ -150,13 +150,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _load_json(where: str, path: str):
     """The JSON value in the file at path, integers read by _exact.  A
-    file that cannot be read, is not JSON in UTF-8 or that _exact
-    refuses raises QsoError prefixed with where, the flag that named
-    it."""
+    file that cannot be read, is not JSON in UTF-8, nests too deep for
+    the decoder or that _exact refuses raises QsoError prefixed with
+    where, the flag that named it."""
     try:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh, parse_int=lambda s: int(_exact(s)))
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise QsoError(f"{where}: {exc}") from exc
 
 

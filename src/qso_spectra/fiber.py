@@ -1,8 +1,15 @@
 """q-deformed exterior fiber algebras on M generators.
 
 Two one-sided exterior algebras Lambda^+ (generators e+_1..e+_M) and
-Lambda^- (generators e-_1..e-_M) with straightening relations indexed by
-the fiber conjugation i |-> M+1-i:
+Lambda^- (generators e-_1..e-_M), the quantum exterior algebras of the
+vector representation of U_q(so_M) (Heckenberger and Kolb, De Rham
+complex for quantized irreducible flag manifolds, J. Algebra 2006).
+Lambda^- is built from the braiding of so_M that frt tabulates: its
+relations span the (R^ + q^{-1})(e_a (x) e_b), R^ = P R, frt's row
+reduction of that span gives one rule per pair a >= b, its deglex
+leads, and a word straightens through frt's rewriting engine.  With
+the fiber conjugation i |-> M+1-i, the rules it yields are (the test
+suite pins them to this closed form for M <= 12):
 
   Lambda^-:  e-_i ^ e-_i = 0                     (i != conj(i)),
              e-_i ^ e-_j = -q^{-1} e-_j ^ e-_i   (i < j, j != conj(i)),
@@ -17,14 +24,9 @@ the fiber conjugation i |-> M+1-i:
 Since q - q^{-1} and q^{1/2} - q^{-1/2} change sign under v |-> 1/v,
 Lambda^+ is the bar of Lambda^- (FieldElem.bar): only the Lambda^- rules
 are built, and a Lambda^+ normal form, like a mirrored kappa power, is
-the bar of its Lambda^- counterpart.
-
-The swap direction (descending pair (x, y) |-> -q^{+1} (y, x) on the
-minus side) is the unique choice that makes the straightening rules
-locally confluent together with the fixed conjugate-pair corrections
-(checked exhaustively on length-3 words for M <= 6 by the test suite);
-the opposite direction fails confluence for M >= 5.  The algebras, and
-so every table below, depend on M alone.
+the bar of its Lambda^- counterpart.  The rules are locally confluent
+(checked exhaustively on length-3 words for M <= 6 by the test suite).
+The algebras, and so every table below, depend on M alone.
 
 Mixed e+/e- commutation relations are never used: all computations on
 two-block forms route through centrality of the Kaehler form.  One
@@ -74,87 +76,49 @@ from math import factorial, isqrt
 
 from .errors import DecompositionSingular, IndexOutOfRange
 from .field import ONE, FieldElem
+from .frt import Rewriter, _nf_terms, _r_tables, _rref_rewriter
 from .ncpoly import Span, accumulate, apply, insert_pivot
-
-_NU = FieldElem.v_pow(2) - FieldElem.v_pow(-2)      # q - q^{-1}
-_NU_HALF = FieldElem.v_pow(1) - FieldElem.v_pow(-1)  # q^{1/2} - q^{-1/2}
 
 
 class ExtAlgParams:
-    """Parameters of the two fiber exterior algebras on M generators.
+    """Parameters of the two fiber exterior algebras on M generators."""
 
-    The conjugation is conj(i) = M + 1 - i; a self-conjugate (middle)
-    index exists exactly when M is odd, matching the ambient parity
-    (M = N - 2 has the parity of N).
-    """
-
-    __slots__ = ("M", "odd", "middle")
+    __slots__ = ("M",)
 
     def __init__(self, M: int):
         if M < 1:
             raise ValueError("M >= 1 required")
         self.M = M
-        self.odd = bool(M % 2)
-        self.middle = (M + 1) // 2 if self.odd else None
-
-    def conj(self, i: int) -> int:
-        return self.M + 1 - i
 
 
 # ---------------------------------------------------------------------------
 # Straightening
 # ---------------------------------------------------------------------------
 
-def _reduce_pair(params: ExtAlgParams, x: int, y: int):
-    """Rewrite the adjacent factor e-_x ^ e-_y of Lambda^-, or None if
-    irreducible.
-
-    Returns a dict {(a, b): coeff} replacing the two letters.
-    """
-    if x == y:
-        if params.odd and x == params.middle:
-            m = params.middle
-            return {(j, params.conj(j)): _NU_HALF * FieldElem.v_pow(2 * (j - m + 1))
-                    for j in range(1, m)}
-        return {}
-    if x > y:
-        if y == params.conj(x):
-            out = {(y, x): -ONE}
-            for j in range(1, y):
-                out[(j, params.conj(j))] = _NU * FieldElem.v_pow(2 * (j - y + 1))
-            return out
-        return {(y, x): -FieldElem.v_pow(2)}
-    return None
+@functools.cache
+def _minus_rules(M: int) -> Rewriter:
+    """The Lambda^- rules on M generators, built once per process: the
+    RREF of the rows (R^ + q^{-1})(e_a (x) e_b)
+    = q^{-1} e_a e_b + sum_{k,l} R^{kl}_{ab} e_l e_k, with R of so_M.
+    Shared by every caller and read-only."""
+    rows = []
+    for (a, b), col in _r_tables(M)[1].items():
+        row = {(a, b): FieldElem.v_pow(-2)}
+        for (k, l), c in col.items():
+            accumulate(row, (l, k), c)
+        rows.append(row)
+    return _rref_rewriter(M, rows)
 
 
 def _straighten(params: ExtAlgParams, word, side: str):
     """Normal form of a wedge word as {strictly increasing tuple: coeff},
-    in Lambda^- (side "-") or Lambda^+ (side "+").
-
-    Every rule replaces a two-letter factor by lexicographically smaller
-    factors, so the worklist terminates; confluence makes the reduction
-    order immaterial.  The Lambda^+ rules are the bar of the Lambda^-
-    rules, so its normal form is the bar of the Lambda^- one.
-    """
+    in Lambda^- (side "-") or Lambda^+ (side "+"): the Lambda^+ rules are
+    the bar of the Lambda^- rules, so its normal form is the bar of the
+    Lambda^- one."""
     for a in word:
         if not 1 <= a <= params.M:
             raise IndexOutOfRange(f"generator index {a} outside 1..{params.M}")
-    work = {tuple(word): ONE}
-    done = {}
-    while work:
-        w, c = work.popitem()
-        hit = None
-        for p in range(len(w) - 1):
-            r = _reduce_pair(params, w[p], w[p + 1])
-            if r is not None:
-                hit = (p, r)
-                break
-        if hit is None:
-            accumulate(done, w, c)
-            continue
-        p, r = hit
-        for pair, cc in r.items():
-            accumulate(work, w[:p] + pair + w[p + 2:], c * cc)
+    done = _nf_terms({tuple(word): ONE}, _minus_rules(params.M))
     if side == "+":
         return {w: c.bar() for w, c in done.items()}
     return done

@@ -6,9 +6,11 @@ Internally a linear combination of words is a sparse row
 {word: FieldElem}, added into only through ncpoly.accumulate.  R is one
 table of rows, the relations read its columns from the transpose.
 The forward pass of the rewriter's echelon form is ncpoly.insert_pivot,
-the elimination step that actions and fiber share.  Every family target
-is built from qcomm, the q-commutator x y - c y x, over the index ranges
-of _ranges(N); actions builds its q-commutations from qcomm too.
+the elimination step that actions and fiber share; fiber's Lambda^-
+rules are one more rewriter (_rref_rewriter) and reduce through
+_nf_terms.  Every family target is built from qcomm, the q-commutator
+x y - c y x, over the index ranges of _ranges(N); actions builds its
+q-commutations from qcomm too.
 """
 
 from __future__ import annotations
@@ -129,14 +131,15 @@ class Rewriter:
         self.lengths = sorted(lengths)
 
 
-def _rows_to_rref(rows) -> dict:
-    """Reduced row echelon form of a sparse row collection.
+def _rref_rewriter(N: int, rows) -> Rewriter:
+    """The rules of the span of sparse rows over words in N letters: its
+    reduced row echelon form, each lead rewritten to its negated tail.
 
-    Returns {lead: tail row with leading coefficient normalized out};
-    every tail is fully reduced (contains no pivot word).  Strategy:
-    forward echelon elimination on leading words only (keeps fill-in
-    low while rows are sparse), then a single ascending interreduction
-    pass."""
+    Forward echelon elimination on leading words only (keeps fill-in low
+    while rows are sparse), then a single ascending interreduction pass.
+    Equal coefficients share one FieldElem object: the rules hold few
+    distinct values (120 among 2,914 at N = 7), so this keeps the
+    rewriter small."""
     pivots = {}
     for row in rows:
         insert_pivot(dict(row), pivots)
@@ -150,16 +153,6 @@ def _rows_to_rref(rows) -> dict:
             c = -tail.pop(w)
             for w2, c2 in pivots[w].items():
                 accumulate(tail, w2, c * c2)
-    return pivots
-
-
-def build_rewriter(rels: list) -> Rewriter:
-    """RREF the span of a nonempty list of degree-2 relations, as
-    generate_relations makes them; one rule per pivot, over the N of
-    the relations.  Equal coefficients share one FieldElem object: the
-    rules hold few distinct values (120 among 2,914 at N = 7), so this
-    keeps the rewriter small."""
-    pivots = _rows_to_rref(r.terms for r in rels)
     shared = {}
     rules = {}
     for lead, row in pivots.items():
@@ -168,7 +161,13 @@ def build_rewriter(rels: list) -> Rewriter:
             c = -c
             tail[w] = shared.setdefault(c, c)
         rules[lead] = tail
-    return Rewriter(rels[0].N, rules)
+    return Rewriter(N, rules)
+
+
+def build_rewriter(rels: list) -> Rewriter:
+    """The rules of the span of a nonempty list of degree-2 relations, as
+    generate_relations makes them, over the N of the relations."""
+    return _rref_rewriter(rels[0].N, (r.terms for r in rels))
 
 
 @cache

@@ -240,6 +240,24 @@ def test_long_number_in_a_file_exits_two(tmp_path, flag, content, reason):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("flag", ["--params", "--config"])
+@pytest.mark.parametrize("content", [
+    "[" * 100_000 + "]" * 100_000,
+    '{"theta": ' + "[" * 100_000 + "]" * 100_000 + "}",
+], ids=["top", "in-a-key"])
+def test_deeply_nested_file_exits_two(tmp_path, flag, content):
+    # the JSON decoder recurses once per level and gives up with
+    # RecursionError, which must not escape as a traceback
+    path = tmp_path / "input.json"
+    path.write_text(content)
+    argv = (["spectrum", "table", "--n", "5", flag, str(path)] if flag == "--params"
+            else [flag, str(path), "verify", "rels", "--n", "5"])
+    proc = _cli(*argv)
+    assert proc.returncode == 2 and not proc.stdout
+    assert proc.stderr.startswith(f"error: {flag} {path}: ")
+    assert "Traceback" not in proc.stderr
+
+
 @pytest.mark.parametrize("argv, longest", [
     (["spectrum", "diverge", "--n", "5", "--q", "10001/10000",
       "--shell-max", "600", "--bound", "100"],

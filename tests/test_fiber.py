@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qso_spectra import fiber
+from qso_spectra import fiber, frt
 from qso_spectra.errors import DecompositionSingular, IndexOutOfRange
 from qso_spectra.fiber import (
     ExtAlgParams,
@@ -124,27 +124,72 @@ def test_straighten_confluence_samples():
             assert fiber._straighten(p, J, "-") == {J: ONE}
 
 
-def _reduce_pair_plus(p, x, y):
-    """The Lambda^+ rules as the fiber module docstring states them: the
-    Lambda^- rules with q |-> q^{-1} in the swap and correction exponents
-    and a global minus on the correction sums."""
-    nu, nu_half = V(2) - V(-2), V(1) - V(-1)
+def _closed_form(M, x, y, sign):
+    """The rule for the factor e_x ^ e_y as the fiber module docstring
+    states it, in Lambda^- (sign -1) or Lambda^+ (sign +1): a dict
+    {(a, b): coeff} replacing the two letters, or None if the factor is
+    irreducible.  Lambda^+ takes q |-> q^{-1} in the swap and correction
+    exponents and a global minus on the correction sums."""
+    if x < y:
+        return None
+    t = -sign
+
+    def corrections(i, nu):
+        # sum_{j<i} nu q^{j-i+1} e_j ^ e_conj(j), mirrored on Lambda^+
+        return {(j, M + 1 - j): t * nu * V(2 * t * (j - i + 1))
+                for j in range(1, i)}
+
     if x == y:
-        if p.odd and x == p.middle:
-            m = p.middle
-            return {(j, p.conj(j)): -nu_half * V(-2 * (j - m + 1)) for j in range(1, m)}
-        return {}
-    if x > y:
-        if y == p.conj(x):
-            out = {(y, x): -ONE}
-            for j in range(1, y):
-                out[(j, p.conj(j))] = -nu * V(-2 * (j - y + 1))
-            return out
-        return {(y, x): -V(-2)}
-    return None
+        return corrections(x, V(1) - V(-1)) if 2 * x == M + 1 else {}
+    if x + y == M + 1:
+        return {(y, x): -ONE, **corrections(y, V(2) - V(-2))}
+    return {(y, x): -V(2 * t)}
 
 
-RULES = {"-": fiber._reduce_pair, "+": _reduce_pair_plus}
+RULES = {"-": lambda p, x, y: _closed_form(p.M, x, y, -1),
+         "+": lambda p, x, y: _closed_form(p.M, x, y, +1)}
+
+
+def _rref_rules(M, table, diag):
+    """frt's rules for the span of the rows diag e_a e_b +
+    sum_{k,l} c e_l e_k over a table {(a, b): {(k, l): c}} of R entries."""
+    rows = []
+    for (a, b), entries in table.items():
+        row = {(a, b): diag}
+        for (k, l), c in entries.items():
+            accumulate(row, (l, k), c)
+        rows.append(row)
+    return frt._rref_rewriter(M, rows).rules
+
+
+def _bar(rules):
+    return {lead: {w: c.bar() for w, c in tail.items()}
+            for lead, tail in rules.items()}
+
+
+def test_rules_are_the_closed_form():
+    # the cached Lambda^- rules, their bar and the closed forms agree
+    # rule by rule, the middle-index square at odd M included
+    for M in range(1, 13):
+        minus = fiber._minus_rules(M).rules
+        pairs = [(x, y) for x in range(1, M + 1) for y in range(1, x + 1)]
+        assert minus == {xy: _closed_form(M, *xy, -1) for xy in pairs}, M
+        assert _bar(minus) == {xy: _closed_form(M, *xy, +1) for xy in pairs}, M
+
+
+def test_plus_rules_come_from_the_rows_of_r():
+    # Lambda^- reduces the rows (R^ + q^{-1})(e_a (x) e_b) from R's
+    # columns; the same rows from R's rows, R^{ab}_{kl} at (l, k), reduce
+    # to the bar of its rules, so Lambda^+ is the bar by R itself
+    for M in range(1, 13):
+        rows, cols = frt._r_tables(M)
+        minus = fiber._minus_rules(M).rules
+        assert _rref_rules(M, cols, V(-2)) == minus, M
+        assert _rref_rules(M, rows, V(-2)) == _bar(minus), M
+        # negative control: q in place of q^{-1} on the diagonal gives
+        # other rules wherever there are two generators
+        if M > 1:
+            assert _rref_rules(M, cols, V(2)) != minus, M
 
 
 def _normal_form(p, side, word):
@@ -153,7 +198,7 @@ def _normal_form(p, side, word):
     if side == "-":
         return fiber._straighten(p, word, "-")
     for pos in range(len(word) - 1):
-        if _reduce_pair_plus(p, word[pos], word[pos + 1]) is not None:
+        if RULES["+"](p, word[pos], word[pos + 1]) is not None:
             return _straighten_after(p, side, word, pos)
     return {tuple(word): ONE}
 

@@ -90,3 +90,21 @@ def test_every_hook_reads_its_target(monkeypatch):
     assert tracer.bytes_out and tracer.builds and tracer.gcds
     assert tracer.eigen_evals and tracer.echelon_cells
     assert tracer.stat("fiber.echelon")[0] == 2
+
+
+def test_fiber_rules_are_no_rewriter_build(monkeypatch):
+    # the Lambda^- rules come from frt's row reduction, but not through
+    # build_rewriter, whose calls the benchmark counts as rewriter builds
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracing
+
+    fiber._minus_rules.cache_clear()
+    tracer = tracing.Tracer(qso_spectra.__name__)
+    tracer.install()
+    try:
+        fiber._straighten(fiber.ExtAlgParams(4), (4, 1, 3), "-")
+    finally:
+        tracer.uninstall()
+    assert fiber._minus_rules.cache_info().misses == 1
+    assert tracer.stat("fiber.straighten")[0] == 1
+    assert tracer.stat("frt.build_rewriter")[0] == 0 and tracer.builds == 0
