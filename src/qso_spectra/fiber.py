@@ -38,17 +38,20 @@ use and shared for the life of the process (lefschetz_table); the
 Lefschetz ranks, the primitive decomposition and the Hodge map read it.
 The build straightens each wedge word once and interns the table's few
 distinct coefficients, so an evaluation at a point, or mod p, costs one
-evaluation per distinct coefficient.  The table keeps the objects of
-its latest point q0 only: the evaluated map and, per degree, the
-primitive vectors and the span of their Lefschetz images that solves
-the Lefschetz decomposition.  The F_p image, cheap after interning, is
-rebuilt per rank check and kept nowhere, so a rank check at another
-point does not drop the Hodge check's decompositions.  No dense matrix
-is formed: every rank, kernel and solve eliminates the sparse images
-L^l(e_key) of basis keys, mod p in _rank_mod and exactly through
-ncpoly's elimination step and ncpoly.Span.  The kappa powers read the
-table's symbolic map; the non-primitivity check's single top pair
-inserts only against the keys it touches.
+evaluation per distinct coefficient.  The build also holds the map as
+step lists on integer basis indices, from which the symbolic and
+evaluated maps are filled.  The table keeps the objects of its latest
+point q0 only: the evaluated map and, per degree, the primitive vectors
+and the span of their Lefschetz images that solves the Lefschetz
+decomposition.  A rank check mod p fills no map: it evaluates the
+coefficients mod p and pushes basis indices through the step lists,
+keeping nothing, so a rank check at another point does not drop the
+Hodge check's decompositions.  No dense matrix is formed: every rank,
+kernel and solve eliminates the sparse images L^l(e_key) of basis keys,
+mod p by _rank_mod on index-keyed rows, and exactly through ncpoly's
+elimination step and ncpoly.Span.  The kappa powers read the table's
+symbolic map; the non-primitivity check's single top pair inserts only
+against the keys it touches.
 
 Forms are written in the basis f-_j = i e-_j of Lambda^-.  Its rules
 are homogeneous quadratic, so they hold unchanged for the f-_j; the
@@ -59,7 +62,8 @@ real in the basis e+_I ^ f-_J.  A form is a sparse row {(I, J): scalar}
 zero stored, each scalar an exact one of one kind: FieldElem (symbolic
 in v), or Fraction / QuadExt (evaluated at v = sqrt(q0)).  Forms add
 through ncpoly.accumulate and every linear map on them, L included, is
-applied through ncpoly.apply.  The imaginary unit is
+applied through ncpoly.apply, except L mod p, which the rank check
+pushes through the table's step lists.  The imaginary unit is
 never adjoined to the coefficient field: hodge() returns C^{-1} *, with
 C the Weil operator i^{p-q} on bidegree (p, q), which is real and has
 the bidegrees of * (the Weil formula of O Buachalla, Noncommutative
@@ -72,7 +76,7 @@ import functools
 import random
 from fractions import Fraction
 from itertools import combinations, permutations
-from math import factorial, isqrt
+from math import comb, factorial, isqrt
 
 from .errors import DecompositionSingular, IndexOutOfRange
 from .field import ONE, FieldElem
@@ -291,18 +295,21 @@ def _modular_point(q0):
 
 def _rank_mod(rows, p: int) -> int:
     """Rank over F_p of sparse rows of residues ({key: residue}), by
-    elimination on lead keys."""
+    elimination on lead keys.  A pivot with an empty tail needs no
+    inverse."""
     pivots = {}
     for row in rows:
         row = dict(row)
         while row:
             lead = max(row)
+            c = row.pop(lead)
             prow = pivots.get(lead)
             if prow is None:
-                inv = pow(row.pop(lead), -1, p)
-                pivots[lead] = {k: c * inv % p for k, c in row.items()}
+                if row:
+                    inv = pow(c, -1, p)
+                    row = {k: x * inv % p for k, x in row.items()}
+                pivots[lead] = row
                 break
-            c = row.pop(lead)
             for k, pc in prow.items():
                 x = (row.get(k, 0) - c * pc) % p
                 if x:
@@ -345,8 +352,12 @@ class _LefschetzTable:
 
     Few entries are distinct (11 of 57 at M = 3, 46 of 1,728 at M = 5),
     so the build interns them: coeffs lists each distinct coefficient
-    once and every map entry has a position in it.  An evaluation
-    evaluates coeffs and fills the map by position.
+    once and every map entry has a position in it.  The entries are
+    held as step lists on basis indices: _steps[d][i] lists, for the
+    i-th basis key of degree d, the pairs (index in degree d + 2,
+    position in coeffs).  An evaluation evaluates coeffs and fills the
+    map by position; a residue evaluation is pushed through the step
+    lists directly (images_mod).
     """
 
     def __init__(self, params: ExtAlgParams):
@@ -354,11 +365,15 @@ class _LefschetzTable:
         self.M = M
         straighten = functools.cache(
             lambda word, side: _straighten(params, word, side))
+        # degrees up to 2M + 2, so that degree d + 2 exists for every d
+        self._keys = [_basis(M, d) for d in range(2 * M + 3)]
+        index = [{key: i for i, key in enumerate(keys)} for keys in self._keys]
         position = {}
-        self._positions = {
-            key: {t: position.setdefault(c, len(position))
-                  for t, c in _insert(params, key, straighten=straighten).items()}
-            for k in range(0, 2 * M + 1) for key in _basis(M, k)}
+        self._steps = [
+            [[(index[d + 2][t], position.setdefault(c, len(position)))
+              for t, c in _insert(params, key, straighten=straighten).items()]
+             for key in self._keys[d]]
+            for d in range(2 * M + 1)]
         self.coeffs = list(position)
         self.map = self._fill(self.coeffs)
         # (q0, ev, evaluated map, {degree: _Decomposition}) of the latest q0
@@ -366,19 +381,30 @@ class _LefschetzTable:
 
     def _fill(self, values):
         """The map with each entry replaced by values[its position]."""
-        return {key: {t: values[i] for t, i in pos.items()}
-                for key, pos in self._positions.items()}
+        keys = self._keys
+        return {key: {keys[d + 2][t]: values[i] for t, i in step}
+                for d, steps in enumerate(self._steps)
+                for key, step in zip(keys[d], steps)}
 
     def numeric(self, ev):
         return self._fill([ev(c) for c in self.coeffs])
 
-    def modular(self, s: int, p: int):
-        """The table's image in F_p under v |-> s, or None when some
-        entry has no image there."""
-        values = [c.eval_mod(s, p) for c in self.coeffs]
-        if None in values:
-            return None
-        return self._fill(values)
+    def images_mod(self, values, d: int, power: int, p: int):
+        """The images L^power(e_key) mod p of degree d's basis keys, in
+        order, as rows {basis index in degree d + 2 power: residue}, for
+        power >= 1; values are the residues of coeffs."""
+        steps = self._steps[d:d + 2 * power:2]
+        rows = []
+        for first in steps[0]:
+            vec = {t: r for t, pos in first if (r := values[pos])}
+            for step in steps[1:]:
+                out = {}
+                for j, c in vec.items():
+                    for t, pos in step[j]:
+                        out[t] = out.get(t, 0) + c * values[pos]
+                vec = {t: r for t, x in out.items() if (r := x % p)}
+            rows.append(vec)
+        return rows
 
     def at(self, q0):
         """(ev, map): the evaluator at v = sqrt(q0) and the map evaluated
@@ -410,24 +436,21 @@ class _LefschetzTable:
 def lefschetz_table(M: int) -> _LefschetzTable:
     """The Lefschetz table of the fiber on M generators, built once per
     process.  The returned object is shared by every caller and is
-    read-only: evaluate it through at(), modular() and decomposition(),
-    never modify its map."""
+    read-only: evaluate it through at(), images_mod() and
+    decomposition(), never modify its map."""
     return _LefschetzTable(ExtAlgParams(M))
 
 
-def _power(num_map, vec, power: int, p=None):
-    """L^power(vec) on a {key: scalar} vector through num_map; residues
-    mod p when p is given."""
+def _power(num_map, vec, power: int):
+    """L^power(vec) on a {key: scalar} vector through num_map."""
     for _ in range(power):
         vec = apply(num_map, vec)
-        if p is not None:
-            vec = {k: r for k, c in vec.items() if (r := c % p)}
     return vec
 
 
-def _images(num_map, M: int, d: int, power: int, p=None):
+def _images(num_map, M: int, d: int, power: int):
     """The images L^power(e_key) of degree d's basis keys, in order."""
-    return [_power(num_map, {key: 1}, power, p) for key in _basis(M, d)]
+    return [_power(num_map, {key: 1}, power) for key in _basis(M, d)]
 
 
 def verify_lefschetz_iso(params: ExtAlgParams, q0) -> dict:
@@ -447,12 +470,13 @@ def verify_lefschetz_iso(params: ExtAlgParams, q0) -> dict:
     M = params.M
     table = lefschetz_table(M)
     p, s = _modular_point(q0) or (None, None)
-    mod = table.modular(s, p) if p is not None else None
+    values = None if p is None else [c.eval_mod(s, p) for c in table.coeffs]
+    usable = values is not None and None not in values
     results = []
     failures = []
     for k in range(M):
-        dim = len(_basis(M, k))
-        if mod is not None and _rank_mod(_images(mod, M, k, M - k, p), p) == dim:
+        dim = comb(2 * M, k)
+        if usable and _rank_mod(table.images_mod(values, k, M - k, p), p) == dim:
             rank = dim
         else:
             rank = _echelon(_images(table.at(q0)[1], M, k, M - k))

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import cache
 
 from .errors import DegreeOverflow, IndexOutOfRange
-from .field import ONE, ZERO, FieldElem
+from .field import ONE, FieldElem
 from .ncpoly import NCPoly, accumulate, insert_pivot, word_key
 
 
@@ -38,26 +38,6 @@ def rho2(N: int, i: int) -> int:
     if i == ip:
         return 0
     return -(N - 2 * ip)
-
-
-def r_entry(N: int, i: int, j: int, m: int, n: int) -> FieldElem:
-    """Entry R^{ij}_{mn} of the braiding of the vector representation of
-    so_N, one index quadruple at a time: the independent formula that
-    _r_tables is checked against."""
-    for x in (i, j, m, n):
-        if not (1 <= x <= N):
-            raise IndexOutOfRange(f"index {x} outside 1..{N}")
-    out = ZERO
-    if i == m and j == n:
-        e = (1 if i == j else 0) - (1 if j == N + 1 - i else 0)
-        out = out + FieldElem.v_pow(2 * e)
-    if i > m:
-        qq = FieldElem.v_pow(2) - FieldElem.v_pow(-2)
-        if j == m and i == n:
-            out = out + qq
-        if j == N + 1 - i and m == N + 1 - n:
-            out = out - qq * FieldElem.v_pow(-(rho2(N, j) + rho2(N, m)))
-    return out
 
 
 def _r_row(N: int, i: int, j: int):

@@ -19,9 +19,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "qso_spectra"
 
-# (module, name) of the package's test-only references: r_entry is the
-# independent R-matrix formula that frt._r_tables is compared against
-TEST_REFERENCES = (("frt", "r_entry"),)
+# (module, name) of the package's test-only references; the tests keep
+# their oracles to themselves, so there are none
+TEST_REFERENCES = ()
 
 
 def _trees(*subs):

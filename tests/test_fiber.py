@@ -402,14 +402,14 @@ CATALOGUE_Q = [Fraction(1), Fraction(121, 100), Fraction(9, 4),
                Fraction(11, 10), Fraction(101, 100), Fraction(5, 4)]
 
 
-def _rank_mod_p(table, M, k, p, s):
-    return fiber._rank_mod(fiber._images(table.modular(s, p), M, k, M - k, p), p)
+def _rank_mod_p(table, k, p, s):
+    values = [c.eval_mod(s, p) for c in table.coeffs]
+    return fiber._rank_mod(table.images_mod(values, k, table.M - k, p), p)
 
 
-@pytest.mark.parametrize("M", [3, 4])
+@pytest.mark.parametrize("M", [3, 4, 5])
 def test_modular_ranks_equal_exact_ranks(M):
-    params = ExtAlgParams(M)
-    table = fiber._LefschetzTable(params)
+    table = fiber.lefschetz_table(M)
     for q0 in CATALOGUE_Q:
         p, s = fiber._modular_point(q0)
         assert p % 4 == 3 and fiber._is_prime(p)
@@ -417,7 +417,22 @@ def test_modular_ranks_equal_exact_ranks(M):
         num = table.numeric(make_evaluator(q0))
         for k in range(M):
             exact = fiber._echelon(fiber._images(num, M, k, M - k))
-            assert _rank_mod_p(table, M, k, p, s) == exact, (M, q0, k)
+            assert _rank_mod_p(table, k, p, s) == exact, (M, q0, k)
+
+
+@pytest.mark.parametrize("M", [3, 4])
+def test_images_mod_are_the_map_images_mod_p(M):
+    # the step lists push a basis index exactly as the map pushes its key
+    table = fiber.lefschetz_table(M)
+    p, s = fiber._modular_point(Fraction(11, 10))
+    values = [c.eval_mod(s, p) for c in table.coeffs]
+    residues = table.numeric(lambda c: c.eval_mod(s, p))
+    for k in range(2 * M + 1):
+        for power in range(1, (2 * M - k) // 2 + 1):
+            target = fiber._basis(M, k + 2 * power)
+            want = [{target.index(t): r for t, x in img.items() if (r := x % p)}
+                    for img in fiber._images(residues, M, k, power)]
+            assert table.images_mod(values, k, power, p) == want, (M, k, power)
 
 
 def test_modular_point_choice():
@@ -435,11 +450,11 @@ def test_modular_point_choice():
 
 def test_deficient_rank_mod_p_falls_back_to_exact(monkeypatch):
     params = ExtAlgParams(3)
-    table = fiber._LefschetzTable(params)
+    table = fiber.lefschetz_table(3)
     want = verify_lefschetz_iso(params, Fraction(1))
     # at p = 3, s = 1: L^3(1) = kappa^3 has coefficient -3! = 0 mod 3
     deficient = [k for k in range(3)
-                 if _rank_mod_p(table, 3, k, 3, 1) < len(fiber._basis(3, k))]
+                 if _rank_mod_p(table, k, 3, 1) < len(fiber._basis(3, k))]
     assert deficient == [0]
     sizes = []
     echelon = fiber._echelon
@@ -748,8 +763,10 @@ def test_evaluation_is_per_distinct_coefficient(M, distinct, entries, monkeypatc
         return eval_mod(self, s, p)
 
     monkeypatch.setattr(FieldElem, "eval_mod", counting)
-    p, s = fiber._modular_point(Fraction(11, 10))
-    assert table.modular(s, p) is not None and len(calls) == distinct
+    params = ExtAlgParams(M)
+    for n, q0 in enumerate((Fraction(11, 10), Fraction(9, 4)), 1):
+        assert verify_lefschetz_iso(params, q0)["status"] == "verified"
+        assert len(calls) == n * distinct and len(set(map(id, calls))) == distinct
 
 
 @pytest.mark.parametrize("M", [3, 4])

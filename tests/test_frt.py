@@ -14,13 +14,32 @@ from qso_spectra.frt import (
     generate_relations,
     lemma_rel_instances,
     normal_form,
-    r_entry,
     rewriter,
     rho2,
     saturate_and_check,
     verify_lemma_rels,
 )
 from qso_spectra.ncpoly import NCPoly
+
+
+def r_entry(N: int, i: int, j: int, m: int, n: int) -> FieldElem:
+    """Entry R^{ij}_{mn} of the braiding of the vector representation of
+    so_N, one index quadruple at a time: the independent formula that
+    frt._r_tables is checked against."""
+    for x in (i, j, m, n):
+        if not (1 <= x <= N):
+            raise IndexOutOfRange(f"index {x} outside 1..{N}")
+    out = ZERO
+    if i == m and j == n:
+        e = (1 if i == j else 0) - (1 if j == N + 1 - i else 0)
+        out = out + FieldElem.v_pow(2 * e)
+    if i > m:
+        qq = FieldElem.v_pow(2) - FieldElem.v_pow(-2)
+        if j == m and i == n:
+            out = out + qq
+        if j == N + 1 - i and m == N + 1 - n:
+            out = out - qq * FieldElem.v_pow(-(rho2(N, j) + rho2(N, m)))
+    return out
 
 
 def test_rho_values():

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qso_spectra import fiber
@@ -203,3 +203,30 @@ def test_rank_mod_equals_exact_rank_on_low_rank_integer_rows():
         residues = [{k: x % p for k, x in row.items()} for row in rows]
         assert fiber._rank_mod(residues, p) == fiber._echelon(rows)
         assert rows == kept
+
+
+P61 = 2 ** 61 - 1
+# small integer rows: every minor is far below P61, so the rank mod P61
+# of their residues is their rank over Q
+int_rows = st.lists(st.dictionaries(st.integers(0, 5), st.integers(-3, 3).filter(bool),
+                                    min_size=1, max_size=4),
+                    min_size=1, max_size=6)
+mixes = st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5), st.integers(-2, 2)),
+                 max_size=3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(int_rows, mixes)
+@example([{3: 1}, {3: 2, 1: 1}, {3: 5}, {1: 4}], [])
+@example([{0: -1}, {0: 1}], [(0, 1, 1)])
+def test_rank_mod_on_int_keyed_rows_equals_exact_rank(rows, mix):
+    # a * rows[i] + rows[j] appended: dependent rows and rows that cancel
+    for i, j, a in mix:
+        i, j = i % len(rows), j % len(rows)
+        rows = rows + [_combine(rows, {i: a, j: 1} if i != j else {i: a + 1})]
+    residues = [{k: x % P61 for k, x in row.items()} for row in rows]
+    kept = [dict(row) for row in residues]
+    lifted = [{(k,): r if r < P61 // 2 else r - P61 for k, r in row.items()}
+              for row in residues]
+    assert fiber._rank_mod(residues, P61) == fiber._echelon(lifted)
+    assert residues == kept
