@@ -41,12 +41,14 @@ distinct coefficients, so an evaluation at a point, or mod p, costs one
 evaluation per distinct coefficient.  The build also holds the map as
 step lists on integer basis indices, from which the symbolic and
 evaluated maps are filled.  The table keeps the objects of its latest
-point q0 only: the evaluated map and, per degree, the primitive vectors
-and the span of their Lefschetz images that solves the Lefschetz
-decomposition.  A rank check mod p fills no map: it evaluates the
-coefficients mod p and pushes basis indices through the step lists,
-keeping nothing, so a rank check at another point does not drop the
-Hodge check's decompositions.  No dense matrix is formed: every rank,
+point q0 only: the evaluated map and, per degree, the primitive vectors,
+the span of their Lefschetz images that solves the Lefschetz
+decomposition, and the Hodge image of each basis key met so far, so the
+Hodge map at a point is one column per key, built once.  A rank check
+mod p fills no map: it evaluates the coefficients mod p and pushes
+basis indices through the step lists, keeping nothing, so a rank check
+at another point does not drop the Hodge check's decompositions.  No
+dense matrix is formed: every rank,
 kernel and solve eliminates the sparse images L^l(e_key) of basis keys,
 mod p by _rank_mod on index-keyed rows, and exactly through ncpoly's
 elimination step and ncpoly.Span.  The kappa powers read the table's
@@ -60,7 +62,9 @@ Lefschetz map, the kappa powers and the primitive decomposition are
 real in the basis e+_I ^ f-_J.  A form is a sparse row {(I, J): scalar}
 (ncpoly), one real coefficient per key of sorted index tuples and no
 zero stored, each scalar an exact one of one kind: FieldElem (symbolic
-in v), or Fraction / QuadExt (evaluated at v = sqrt(q0)).  Forms add
+in v), or Fraction / QuadExt (evaluated at v = sqrt(q0)); at a point,
+primitive_decompose and hodge also take rational scalars, which the
+evaluator passes through unchanged.  Forms add
 through ncpoly.accumulate and every linear map on them, L included, is
 applied through ncpoly.apply, except L mod p, which the rank check
 pushes through the table's step lists.  The imaginary unit is
@@ -218,12 +222,14 @@ def _sqrt_fraction(q0: Fraction):
 
 
 def make_evaluator(q0):
-    """Exact scalar evaluator FieldElem -> Fraction | QuadExt at v = sqrt(q0)."""
+    """Exact scalar evaluator at v = sqrt(q0): a FieldElem goes to a
+    Fraction or QuadExt, and a scalar that is already a number (an int
+    or a Fraction) passes through unchanged."""
     q0 = Fraction(q0)
     root = _sqrt_fraction(q0)
     if root is not None:
-        return lambda x: x.eval_v(root)
-    return lambda x: x.eval_sqrtq(q0)
+        return lambda x: x.eval_v(root) if isinstance(x, FieldElem) else x
+    return lambda x: x.eval_sqrtq(q0) if isinstance(x, FieldElem) else x
 
 
 # ---------------------------------------------------------------------------
@@ -269,6 +275,7 @@ def _walk_prime(i: int) -> int:
     return p
 
 
+@functools.lru_cache(maxsize=256)
 def _modular_point(q0):
     """(p, s) with p prime, p = 3 mod 4, q0 a unit mod p and s^2 = q0.
 
@@ -276,7 +283,9 @@ def _modular_point(q0):
     _PRIME_WALK of them; None when q0 <= 0 or the walk finds none.  At
     p = 3 mod 4 a square root is one pow, a^((p+1)/4).  For q0 = rho^2
     with rho rational, s is the image of the positive root rho, the
-    point the exact evaluator uses."""
+    point the exact evaluator uses.  The result depends on q0 alone, so
+    the latest points' results are kept: an int or Fraction q0 hashes
+    as Fraction(q0) does."""
     q0 = Fraction(q0)
     if q0 <= 0:
         return None
@@ -376,7 +385,8 @@ class _LefschetzTable:
             for d in range(2 * M + 1)]
         self.coeffs = list(position)
         self.map = self._fill(self.coeffs)
-        # (q0, ev, evaluated map, {degree: _Decomposition}) of the latest q0
+        # (q0, ev, evaluated map, {degree: _Decomposition},
+        #  {key: Hodge column}) of the latest q0
         self._last = None
 
     def _fill(self, values):
@@ -407,16 +417,18 @@ class _LefschetzTable:
         return rows
 
     def at(self, q0):
-        """(ev, map): the evaluator at v = sqrt(q0) and the map evaluated
-        by it; the identity and the symbolic map when q0 is None.  Only
-        the latest q0's objects are kept, so repeated calls at one q0
-        evaluate each distinct coefficient once and a long-lived table
-        holds at most one evaluated map."""
+        """(ev, map): the evaluator at v = sqrt(q0), which passes a
+        rational scalar through unchanged, and the map evaluated by it;
+        the identity and the symbolic map when q0 is None.  Only the
+        latest q0's objects are kept (the map, the decompositions and
+        the Hodge columns), so repeated calls at one q0 evaluate
+        each distinct coefficient once and a long-lived table holds at
+        most one evaluated map."""
         if q0 is None:
             return (lambda x: x), self.map
         if self._last is None or self._last[0] != q0:
             ev = make_evaluator(q0)
-            self._last = (q0, ev, self.numeric(ev), {})
+            self._last = (q0, ev, self.numeric(ev), {}, {})
         return self._last[1:3]
 
     def decomposition(self, q0, k: int) -> "_Decomposition":
@@ -430,6 +442,13 @@ class _LefschetzTable:
         if k not in held:
             held[k] = _Decomposition(num, self.M, k)
         return held[k]
+
+    def hodge_columns(self, q0) -> dict:
+        """The Hodge columns {key: C^{-1} *(e_key)} at v = sqrt(q0) that
+        hodge has built so far, kept with the latest q0's map; a fresh
+        dict on every call when q0 is None (symbolic)."""
+        self.at(q0)
+        return {} if q0 is None else self._last[4]
 
 
 @functools.cache
@@ -529,24 +548,30 @@ class _Decomposition:
         return None if self.span is None else self.span.express(rhs)
 
 
+def _degree(form: dict) -> int:
+    """The total degree of a nonempty form; ValueError when it is not
+    homogeneous."""
+    degrees = {len(I) + len(J) for I, J in form}
+    if len(degrees) > 1:
+        raise ValueError("form is not homogeneous")
+    return degrees.pop()
+
+
 def primitive_decompose(params: ExtAlgParams, form: dict, q0=None):
     """Lefschetz decomposition form = sum_j L^j(w_j), each w_j primitive.
 
     L is real in the basis e+_I ^ f-_J, so one solve per form gives the
     w_j.  Symbolic over the coefficient field when q0 is None (intended
     for M <= 4); exact rational/quadratic arithmetic at v = sqrt(q0)
-    otherwise, on a form with FieldElem coefficients.  Returns a list of
-    (j, w_j), each w_j a form.  Raises ValueError on a form that is not
-    homogeneous, and DecompositionSingular when the sample point
-    degenerates the system.
+    otherwise, on a form with FieldElem or rational coefficients.
+    Returns a list of (j, w_j), each w_j a form.  Raises ValueError on a
+    form that is not homogeneous, and DecompositionSingular when the
+    sample point degenerates the system.
     """
     M = params.M
     if not form:
         return []
-    degrees = {len(I) + len(J) for I, J in form}
-    if len(degrees) > 1:
-        raise ValueError("form is not homogeneous")
-    k = degrees.pop()
+    k = _degree(form)
     table = lefschetz_table(M)
     ev = table.at(q0)[0]
     rhs = {key: x for key, c in form.items() if (x := ev(c))}
@@ -566,6 +591,22 @@ def primitive_decompose(params: ExtAlgParams, form: dict, q0=None):
     return sorted(parts.items())
 
 
+def _hodge_column(params: ExtAlgParams, key, q0) -> dict:
+    """C^{-1} *(e_key) by the Weil formula of hodge, decomposing e_key
+    with the int 1 as its scalar, which needs no evaluation."""
+    M = params.M
+    d = len(key[0]) + len(key[1])
+    num = lefschetz_table(M).at(q0)[1]
+    out = {}
+    for j, wj in primitive_decompose(params, {key: 1}, q0):
+        k = d - 2 * j
+        s = Fraction((-1) ** (k * (k + 1) // 2) * factorial(j), factorial(M - j - k))
+        image = _power(num, {t: x * s for t, x in wj.items()}, M - j - k)
+        for t, c in image.items():
+            accumulate(out, t, c)
+    return out
+
+
 def hodge(params: ExtAlgParams, form: dict, q0=None) -> dict:
     """C^{-1} * of the Hodge map *, with C the Weil operator i^{p-q} on
     bidegree (p, q), via the Weil formula on the Lefschetz decomposition:
@@ -575,22 +616,26 @@ def hodge(params: ExtAlgParams, form: dict, q0=None) -> dict:
     for w primitive of total degree k.  * keeps p - q, so * = C hodge,
     with the bidegrees of *, and hodge is real on real forms and an
     involution.  Symbolic when q0 is None, else evaluated at
-    v = sqrt(q0).
+    v = sqrt(q0), on a form with FieldElem or rational coefficients.
+
+    The map is linear, so a form's image is sum_key c_key C^{-1} *(e_key)
+    over its keys.  Each column C^{-1} *(e_key) is built on first use
+    (_hodge_column) and kept with the table's latest q0, so at a point
+    every basis key is decomposed once; symbolic columns are built
+    afresh on every call, each with its own decomposition.  Raises
+    ValueError and DecompositionSingular as primitive_decompose does.
     """
-    M = params.M
-    out = {}
     if not form:
-        return out
-    I, J = next(iter(form))
-    d = len(I) + len(J)  # primitive_decompose checks that form is homogeneous
-    num = lefschetz_table(M).at(q0)[1]
-    for j, wj in primitive_decompose(params, form, q0):
-        k = d - 2 * j
-        s = Fraction((-1) ** (k * (k + 1) // 2) * factorial(j), factorial(M - j - k))
-        image = _power(num, {key: x * s for key, x in wj.items()}, M - j - k)
-        for key, c in image.items():
-            accumulate(out, key, c)
-    return out
+        return {}
+    _degree(form)
+    table = lefschetz_table(params.M)
+    ev = table.at(q0)[0]
+    rhs = {key: x for key, c in form.items() if (x := ev(c))}
+    columns = table.hodge_columns(q0)
+    for key in rhs:
+        if key not in columns:
+            columns[key] = _hodge_column(params, key, q0)
+    return apply(columns, rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -695,7 +740,8 @@ def verify_nonprimitive(params: ExtAlgParams, extra_samples=(Fraction(101, 100),
 def random_form(params: ExtAlgParams, a: int, b: int, rng: random.Random,
                 terms: int = 3):
     """Real and imaginary parts (two real forms) of a random bidegree-
-    (a, b) form with small rational coefficients."""
+    (a, b) form with small rational coefficients, stored as Fractions:
+    primitive_decompose and hodge take them at a point unevaluated."""
     M = params.M
     keys_a = list(combinations(range(1, M + 1), a))
     keys_b = list(combinations(range(1, M + 1), b))
@@ -703,8 +749,7 @@ def random_form(params: ExtAlgParams, a: int, b: int, rng: random.Random,
     for _ in range(terms):
         key = rng.choice(keys_a), rng.choice(keys_b)
         for part in (re, im):
-            accumulate(part, key, FieldElem.from_rational(
-                Fraction(rng.randint(-4, 4), rng.randint(1, 3))))
+            accumulate(part, key, Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
     return re, im
 
 

@@ -448,6 +448,26 @@ def test_modular_point_choice():
     assert fiber._modular_point(Fraction(0)) is None
 
 
+def test_modular_point_is_kept_per_point(monkeypatch):
+    walk = fiber._modular_point.__wrapped__
+    for q0 in CATALOGUE_Q + [Fraction(-3, 2), Fraction(0)]:
+        assert fiber._modular_point(q0) == walk(q0), q0
+    # an int q0 shares the entry of the equal Fraction
+    assert fiber._modular_point(1) == walk(Fraction(1))
+    pows = []
+
+    def counting(*args):
+        pows.append(args)
+        return pow(*args)
+
+    monkeypatch.setattr(fiber, "pow", counting, raising=False)
+    fiber._modular_point.cache_clear()
+    first = fiber._modular_point(Fraction(11, 10))
+    assert pows  # the walk's Legendre tests
+    pows.clear()
+    assert fiber._modular_point(Fraction(11, 10)) == first and not pows
+
+
 def test_deficient_rank_mod_p_falls_back_to_exact(monkeypatch):
     params = ExtAlgParams(3)
     table = fiber.lefschetz_table(3)
@@ -499,6 +519,10 @@ def test_make_evaluator_square_vs_quadratic():
     ev2 = make_evaluator(Fraction(11, 10))
     x = ev2(V(2))
     assert x == Fraction(11, 10) or getattr(x, "a", None) == Fraction(11, 10)
+    # a scalar that is already rational passes through unchanged
+    for ev in (ev1, ev2):
+        r = Fraction(-4, 3)
+        assert ev(r) is r and ev(1) == 1 and type(ev(1)) is int
 
 
 def test_primitive_decomposition_reconstructs():
@@ -580,6 +604,37 @@ def test_numeric_hodge_is_evaluated_symbolic_hodge(q0):
             assert numeric == _evaluated(hodge(p, form), ev), (q0, a, b)
             assert {(len(I), len(J)) for I, J in numeric} == {(3 - b, 3 - a)}
             assert not any(isinstance(x, (float, FieldElem)) for x in numeric.values())
+
+
+def _weil(p, form, q0):
+    """The Weil formula on the decomposition of the whole form, with no
+    per-key columns: the reference for hodge at a point."""
+    M, d = p.M, _degree(form)
+    num = fiber.lefschetz_table(M).at(q0)[1]
+    out = {}
+    for j, w in primitive_decompose(p, form, q0):
+        k = d - 2 * j
+        s = Fraction((-1) ** (k * (k + 1) // 2) * factorial(j), factorial(M - j - k))
+        for _ in range(M - j - k):
+            w = apply(num, w)
+        out = _plus(out, _scaled(w, s))
+    return out
+
+
+@pytest.mark.parametrize("q0", [Fraction(121, 100), Fraction(11, 10)])
+def test_hodge_at_a_point_is_the_sum_of_its_key_columns(q0):
+    p = ExtAlgParams(3)
+    rng = random.Random(13)
+    for a, b in [(0, 0), (1, 0), (1, 1), (2, 1), (1, 2), (2, 2), (3, 2)]:
+        for form in filter(None, random_form(p, a, b, rng)):
+            image = hodge(p, form, q0)
+            assert image == _weil(p, form, q0), (a, b)
+            symbolic = {key: FieldElem.from_rational(c) for key, c in form.items()}
+            assert hodge(p, symbolic, q0) == image, (a, b)
+            by_key = {}
+            for key, c in form.items():
+                by_key = _plus(by_key, _scaled(hodge(p, {key: ONE}, q0), c))
+            assert by_key == image, (a, b)
 
 
 @pytest.mark.parametrize("M", [1, 2, 3])
@@ -721,6 +776,7 @@ def _reachable(root):
 
 def test_table_keeps_one_evaluated_map(monkeypatch):
     table = fiber._LefschetzTable(ExtAlgParams(3))
+    monkeypatch.setattr(fiber, "lefschetz_table", lambda m: table)
     calls = []
     numeric = fiber._LefschetzTable.numeric
 
@@ -735,13 +791,19 @@ def test_table_keeps_one_evaluated_map(monkeypatch):
     decs_a = [table.decomposition(a, k) for k in range(7)]
     assert [table.decomposition(a, k) for k in range(7)] == decs_a
     assert len(calls) == 1
+    hodge(ExtAlgParams(3), {((1,), (2,)): ONE, ((1, 2), ()): V(1)}, a)
+    cols_a = table.hodge_columns(a)
+    assert len(cols_a) == 2 and table.hodge_columns(a) is cols_a and len(calls) == 1
     objs_a = [map_a] + decs_a + [x for d in decs_a for x in (d.prims, d.span)]
-    assert id(map_a) in _reachable(table)
+    objs_a += [cols_a] + list(cols_a.values())
+    assert id(map_a) in _reachable(table) and id(cols_a) in _reachable(table)
     table.at(b)
     held = _reachable(table)
     assert not any(id(x) in held for x in objs_a)
     assert table.at(None)[1] is table.map and len(calls) == 2
     assert table.decomposition(None, 2) is not table.decomposition(None, 2)
+    fresh = table.hodge_columns(None)
+    assert fresh == {} and table.hodge_columns(None) is not fresh
     assert table.at(a)[1] is not map_a and len(calls) == 3
     assert table.decomposition(a, 2) is not decs_a[2]
 
@@ -814,16 +876,47 @@ def test_singular_decomposition_raises(fault, monkeypatch):
         return basis
 
     monkeypatch.setattr(fiber, "_primitives", faulty)
-    with pytest.raises(DecompositionSingular):
-        primitive_decompose(p, _kappa(3), Fraction(121, 100))
-    with pytest.raises(DecompositionSingular):
-        primitive_decompose(p, _kappa(3))
+    for q0 in (Fraction(121, 100), None):
+        with pytest.raises(DecompositionSingular):
+            primitive_decompose(p, _kappa(3), q0)
+        with pytest.raises(DecompositionSingular):
+            hodge(p, _kappa(3), q0)
 
 
 def test_hodge_shape_at_m4():
     out = verify_hodge_shape(ExtAlgParams(4), Fraction(121, 100))
     assert out["status"] == "verified"
     assert out["checks"] == 101
+
+
+def test_hodge_columns_are_built_once_per_point(monkeypatch):
+    params = ExtAlgParams(3)
+    table = fiber._LefschetzTable(params)
+    monkeypatch.setattr(fiber, "lefschetz_table", lambda m: table)
+    calls, keys = [], []
+    primitives, column = fiber._primitives, fiber._hodge_column
+
+    def counting_primitives(num, M, d):
+        calls.append(("primitives", num is table.map))
+        return primitives(num, M, d)
+
+    def counting_column(params, key, q0):
+        calls.append(("column", q0 is None))
+        keys.append((key, q0))
+        return column(params, key, q0)
+
+    monkeypatch.setattr(fiber, "_primitives", counting_primitives)
+    monkeypatch.setattr(fiber, "_hodge_column", counting_column)
+    q0 = Fraction(121, 100)
+    first = verify_hodge_shape(params, q0)
+    assert first["status"] == "verified"
+    at_q0 = [key for key, at in keys if at is not None]
+    assert at_q0 and len(set(at_q0)) == len(at_q0)  # each touched key once
+    calls.clear()
+    assert verify_hodge_shape(params, Fraction(121, 100)) == first
+    # only the symbolic *(1) = kappa^M / M! is built again
+    assert calls and all(symbolic for _, symbolic in calls)
+    assert sum(c[0] == "column" for c in calls) == 1
 
 
 def test_hodge_shape_evaluates_each_table_entry_once(monkeypatch):
@@ -838,17 +931,19 @@ def test_hodge_shape_evaluates_each_table_entry_once(monkeypatch):
 
         monkeypatch.setattr(FieldElem, name, counting)
     params = ExtAlgParams(3)
+    table = fiber._LefschetzTable(params)
+    monkeypatch.setattr(fiber, "lefschetz_table", lambda m: table)
     out = verify_hodge_shape(params, Fraction(121, 100))
     assert out["status"] == "verified"
     per_element = {}
     for x in seen:
         per_element[id(x)] = per_element.get(id(x), 0) + 1
     assert max(per_element.values()) == 1
-    # the table's distinct coefficients once, plus the real and imaginary
-    # parts of each random form
-    distinct = len(fiber._LefschetzTable(params).coeffs)
+    # the table's distinct coefficients once and nothing else: the random
+    # forms are rational and the Hodge columns are built from the int 1
+    distinct = len(table.coeffs)
     assert distinct == 11
-    assert len(seen) <= distinct + 2 * 3 * (out["checks"] - 1)
+    assert len(seen) <= distinct
 
 
 def test_decomposition_rejects_a_mixed_degree_form():
