@@ -394,6 +394,11 @@ def main(argv=None) -> int:
     except (QsoError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
+    except MemoryError:
+        # exit 1 means inconclusive, so a request too large to hold in
+        # memory is refused like bad input
+        sys.stderr.write("error: out of memory\n")
+        return 2
     finally:
         sys.set_int_max_str_digits(limit)
     return reports.exit_code(report["status"])

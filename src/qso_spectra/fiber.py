@@ -55,16 +55,24 @@ elimination step and ncpoly.Span.  The kappa powers read the table's
 symbolic map; the non-primitivity check's single top pair inserts only
 against the keys it touches.
 
-Forms are written in the basis f-_j = i e-_j of Lambda^-.  Its rules
-are homogeneous quadratic, so they hold unchanged for the f-_j; the
-Kaehler form i * sum_i e+_i ^ e-_i is sum_i e+_i ^ f-_i, and the
-Lefschetz map, the kappa powers and the primitive decomposition are
-real in the basis e+_I ^ f-_J.  A form is a sparse row {(I, J): scalar}
+Forms are written in the basis e'_{I,J} = q^{-pi(I,J)/2} e+_I ^ f-_J,
+with f-_j = i e-_j and pi(I, J) = 1 exactly when M is odd and the
+middle index (M+1)/2 lies in I but not in J, else 0 (_parity).  The
+Lambda^- rules are homogeneous quadratic, so they hold unchanged for
+the f-_j; the Kaehler form i * sum_i e+_i ^ e-_i is sum_i e+_i ^ f-_i,
+and the Lefschetz map, the kappa powers and the primitive decomposition
+are real in the basis e+_I ^ f-_J.  The diagonal rescaling by pi moves
+every half-integer power of q out of the Lefschetz map: each of its
+entries lies in Z[q, q^{-1}] (the test suite pins this for M <= 6).  No
+key of a kappa power has pi = 1, so the kappa powers read the same in
+both bases, and the rescaling keeps every key, so the Hodge map keeps
+its bidegrees.  A form is a sparse row {(I, J): scalar}
 (ncpoly), one real coefficient per key of sorted index tuples and no
 zero stored, each scalar an exact one of one kind: FieldElem (symbolic
-in v), or Fraction / QuadExt (evaluated at v = sqrt(q0)); at a point,
-primitive_decompose and hodge also take rational scalars, which the
-evaluator passes through unchanged.  Forms add
+in v), or Fraction (evaluated at q = q0, which needs no square root); at
+a point, primitive_decompose and hodge also take rational scalars, which
+the evaluator passes through unchanged.  QuadExt, the field Q(sqrt(q0)),
+only decides the signs of verify_nonprimitive.  Forms add
 through ncpoly.accumulate and every linear map on them, L included, is
 applied through ncpoly.apply, except L mod p, which the rank check
 pushes through the table's step lists.  The imaginary unit is
@@ -80,7 +88,7 @@ import functools
 import random
 from fractions import Fraction
 from itertools import combinations, permutations
-from math import comb, factorial, isqrt
+from math import comb, factorial
 
 from .errors import DecompositionSingular, IndexOutOfRange
 from .field import ONE, FieldElem
@@ -209,97 +217,35 @@ def _sort_sign(word) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Scalar evaluation helpers (exact, at v = sqrt(q0))
+# Scalar evaluation helpers (exact, at q = q0)
 # ---------------------------------------------------------------------------
 
-def _sqrt_fraction(q0: Fraction):
-    """Exact sqrt of a positive rational, or None if irrational."""
-    pn, pd = q0.numerator, q0.denominator
-    rn, rd = isqrt(pn), isqrt(pd)
-    if rn * rn == pn and rd * rd == pd:
-        return Fraction(rn, rd)
-    return None
-
-
 def make_evaluator(q0):
-    """Exact scalar evaluator at v = sqrt(q0): a FieldElem goes to a
-    Fraction or QuadExt, and a scalar that is already a number (an int
-    or a Fraction) passes through unchanged."""
+    """Exact scalar evaluator at q = q0 > 0 over Q: a FieldElem of Q(q)
+    goes to a Fraction (FieldElem.eval_q), and a scalar that is already a
+    number (an int or a Fraction) passes through unchanged.  ValueError
+    when q0 <= 0."""
     q0 = Fraction(q0)
-    root = _sqrt_fraction(q0)
-    if root is not None:
-        return lambda x: x.eval_v(root) if isinstance(x, FieldElem) else x
-    return lambda x: x.eval_sqrtq(q0) if isinstance(x, FieldElem) else x
+    if q0 <= 0:
+        raise ValueError(f"need q0 > 0, got {q0}")
+    return lambda x: x.eval_q(q0) if isinstance(x, FieldElem) else x
 
 
 # ---------------------------------------------------------------------------
 # Reduction mod p (the rank certificate)
 # ---------------------------------------------------------------------------
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-_PRIME_WALK = 64
+_PRIME = 2 ** 61 - 1
 
 
-def _is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin on the first twelve prime bases; exact
-    for n < 3.18e23 (Sorenson and Webster 2015), far above 2^61."""
-    if n < 2:
-        return False
-    for b in _MR_BASES:
-        if n % b == 0:
-            return n == b
-    d, r = n - 1, 0
-    while not d % 2:
-        d //= 2
-        r += 1
-    for b in _MR_BASES:
-        x = pow(b, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-@functools.cache
-def _walk_prime(i: int) -> int:
-    """The i-th prime p = 3 mod 4 walking down from 2^61 - 1.  The walk
-    does not depend on q0, so each prime is found once per process."""
-    p = _walk_prime(i - 1) - 4 if i else 2 ** 61 - 1
-    while not _is_prime(p):
-        p -= 4
-    return p
-
-
-@functools.lru_cache(maxsize=256)
 def _modular_point(q0):
-    """(p, s) with p prime, p = 3 mod 4, q0 a unit mod p and s^2 = q0.
-
-    Walks down from 2^61 - 1 over such primes, trying at most
-    _PRIME_WALK of them; None when q0 <= 0 or the walk finds none.  At
-    p = 3 mod 4 a square root is one pow, a^((p+1)/4).  For q0 = rho^2
-    with rho rational, s is the image of the positive root rho, the
-    point the exact evaluator uses.  The result depends on q0 alone, so
-    the latest points' results are kept: an int or Fraction q0 hashes
-    as Fraction(q0) does."""
+    """(p, r) with p the prime 2^61 - 1 and r = q0 mod p, or None when
+    q0 <= 0 or q0 is not a unit mod p."""
     q0 = Fraction(q0)
-    if q0 <= 0:
+    n, d = q0.numerator % _PRIME, q0.denominator % _PRIME
+    if q0 <= 0 or not n or not d:
         return None
-    root = _sqrt_fraction(q0)
-    for i in range(_PRIME_WALK):
-        p = _walk_prime(i)
-        n, d = q0.numerator % p, q0.denominator % p
-        if n and d:
-            if root is not None:
-                return p, root.numerator * pow(root.denominator, -1, p) % p
-            a = n * pow(d, -1, p) % p
-            if pow(a, (p - 1) // 2, p) == 1:
-                return p, pow(a, (p + 1) // 4, p)
-    return None
+    return _PRIME, n * pow(d, -1, _PRIME) % _PRIME
 
 
 def _rank_mod(rows, p: int) -> int:
@@ -333,9 +279,9 @@ def _rank_mod(rows, p: int) -> int:
 # ---------------------------------------------------------------------------
 
 def _echelon(rows) -> int:
-    """Exact rank of sparse rows over their scalar field (Fraction,
-    QuadExt or FieldElem; ints mix in), by ncpoly's elimination step.
-    The rows are left as they are."""
+    """Exact rank of sparse rows over their scalar field (Fraction or
+    FieldElem; ints mix in), by ncpoly's elimination step.  The rows are
+    left as they are."""
     pivots = {}
     for row in rows:
         insert_pivot(dict(row), pivots)
@@ -356,10 +302,20 @@ def _basis(M: int, k: int):
     return out
 
 
-class _LefschetzTable:
-    """Symbolic Lefschetz map L = kappa ^ - on all basis keys e+_I ^ f-_J.
+def _parity(M: int, key) -> int:
+    """pi(I, J): 1 when M is odd and the middle index lies in I but not
+    in J, else 0; the basis key (I, J) stands for q^{-pi/2} e+_I ^ f-_J."""
+    m = (M + 1) // 2
+    return int(M % 2 == 1 and m in key[0] and m not in key[1])
 
-    Few entries are distinct (11 of 57 at M = 3, 46 of 1,728 at M = 5),
+
+class _LefschetzTable:
+    """Symbolic Lefschetz map L = kappa ^ - on all basis keys e'_{I,J}.
+
+    An _insert coefficient c of e+_I ^ f-_J -> e+_I' ^ f-_J' becomes
+    c v^{pi(I',J') - pi(I,J)} in the rescaled basis, an element of
+    Z[q, q^{-1}].  Few entries are distinct (9 of 57 at M = 3, 44 of
+    1,728 at M = 5),
     so the build interns them: coeffs lists each distinct coefficient
     once and every map entry has a position in it.  The entries are
     held as step lists on basis indices: _steps[d][i] lists, for the
@@ -379,7 +335,8 @@ class _LefschetzTable:
         index = [{key: i for i, key in enumerate(keys)} for keys in self._keys]
         position = {}
         self._steps = [
-            [[(index[d + 2][t], position.setdefault(c, len(position)))
+            [[(index[d + 2][t], position.setdefault(
+                c.shift(_parity(M, t) - _parity(M, key)), len(position)))
               for t, c in _insert(params, key, straighten=straighten).items()]
              for key in self._keys[d]]
             for d in range(2 * M + 1)]
@@ -417,7 +374,7 @@ class _LefschetzTable:
         return rows
 
     def at(self, q0):
-        """(ev, map): the evaluator at v = sqrt(q0), which passes a
+        """(ev, map): the evaluator at q = q0, which passes a
         rational scalar through unchanged, and the map evaluated by it;
         the identity and the symbolic map when q0 is None.  Only the
         latest q0's objects are kept (the map, the decompositions and
@@ -432,7 +389,7 @@ class _LefschetzTable:
         return self._last[1:3]
 
     def decomposition(self, q0, k: int) -> "_Decomposition":
-        """Degree k's Lefschetz decomposition at v = sqrt(q0), built once
+        """Degree k's Lefschetz decomposition at q = q0, built once
         per degree and kept with the latest q0's map; built afresh on
         every call when q0 is None (symbolic)."""
         num = self.at(q0)[1]
@@ -444,7 +401,7 @@ class _LefschetzTable:
         return held[k]
 
     def hodge_columns(self, q0) -> dict:
-        """The Hodge columns {key: C^{-1} *(e_key)} at v = sqrt(q0) that
+        """The Hodge columns {key: C^{-1} *(e_key)} at q = q0 that
         hodge has built so far, kept with the latest q0's map; a fresh
         dict on every call when q0 is None (symbolic)."""
         self.at(q0)
@@ -476,20 +433,21 @@ def verify_lefschetz_iso(params: ExtAlgParams, q0) -> dict:
     """Certify bijectivity of L^{M-k}: degree k -> degree 2M-k by rank mod
     p, with exact elimination as the fallback.
 
-    Fix a prime p and s with s^2 = q0 mod p (_modular_point).  v |-> s is
-    a ring map to F_p from the local ring of Q(sqrt(q0)) at (p, v - s),
-    which holds every table entry that has an image mod p.  So full rank
-    mod p proves full rank at v = sqrt(q0).  A degree whose rank mod p
-    is deficient takes the exact rank over Fraction or QuadExt, and so
-    does every degree when there is no usable point or some entry has no
-    image mod p.  Either way the reported rank is exact.  A matrix and
-    its transpose have one rank, so both paths eliminate the images of
-    the basis keys, the columns of L^{M-k}, as sparse rows.
+    Every table entry lies in Z[q, q^{-1}], so it is evaluated over Q.
+    Fix the prime p and r = q0 mod p (_modular_point).  q |-> r is a ring
+    map to F_p from the local ring of Q at p extended by q0 and 1/q0,
+    which holds every entry evaluated at q0.  So full rank mod p proves
+    full rank at q = q0.  A degree whose rank mod p is deficient takes
+    the exact rank over Fraction, and so does every degree when q0 is
+    not a unit mod p or some entry has no image mod p.  Either way the
+    reported rank is exact.  A matrix and its transpose have one rank,
+    so both paths eliminate the images of the basis keys, the columns of
+    L^{M-k}, as sparse rows.
     """
     M = params.M
     table = lefschetz_table(M)
-    p, s = _modular_point(q0) or (None, None)
-    values = None if p is None else [c.eval_mod(s, p) for c in table.coeffs]
+    p, r = _modular_point(q0) or (None, None)
+    values = None if p is None else [c.eval_mod(r, p) for c in table.coeffs]
     usable = values is not None and None not in values
     results = []
     failures = []
@@ -560,10 +518,11 @@ def _degree(form: dict) -> int:
 def primitive_decompose(params: ExtAlgParams, form: dict, q0=None):
     """Lefschetz decomposition form = sum_j L^j(w_j), each w_j primitive.
 
-    L is real in the basis e+_I ^ f-_J, so one solve per form gives the
-    w_j.  Symbolic over the coefficient field when q0 is None (intended
-    for M <= 4); exact rational/quadratic arithmetic at v = sqrt(q0)
-    otherwise, on a form with FieldElem or rational coefficients.
+    L is real in the rescaled basis e'_{I,J}, so one solve per form gives
+    the w_j.  Symbolic over the coefficient field when q0 is None
+    (intended for M <= 4); exact rational arithmetic at q = q0
+    otherwise, on a form with FieldElem (in Q(q)) or rational
+    coefficients.
     Returns a list of (j, w_j), each w_j a form.  Raises ValueError on a
     form that is not homogeneous, and DecompositionSingular when the
     sample point degenerates the system.
@@ -591,14 +550,14 @@ def primitive_decompose(params: ExtAlgParams, form: dict, q0=None):
     return sorted(parts.items())
 
 
-def _hodge_column(params: ExtAlgParams, key, q0) -> dict:
-    """C^{-1} *(e_key) by the Weil formula of hodge, decomposing e_key
-    with the int 1 as its scalar, which needs no evaluation."""
+def _weil_image(params: ExtAlgParams, form: dict, q0) -> dict:
+    """C^{-1} *(form) by the Weil formula of hodge on the Lefschetz
+    decomposition of the homogeneous form."""
     M = params.M
-    d = len(key[0]) + len(key[1])
+    d = _degree(form)
     num = lefschetz_table(M).at(q0)[1]
     out = {}
-    for j, wj in primitive_decompose(params, {key: 1}, q0):
+    for j, wj in primitive_decompose(params, form, q0):
         k = d - 2 * j
         s = Fraction((-1) ** (k * (k + 1) // 2) * factorial(j), factorial(M - j - k))
         image = _power(num, {t: x * s for t, x in wj.items()}, M - j - k)
@@ -615,26 +574,32 @@ def hodge(params: ExtAlgParams, form: dict, q0=None) -> dict:
 
     for w primitive of total degree k.  * keeps p - q, so * = C hodge,
     with the bidegrees of *, and hodge is real on real forms and an
-    involution.  Symbolic when q0 is None, else evaluated at
-    v = sqrt(q0), on a form with FieldElem or rational coefficients.
+    involution.  It is written in the rescaled basis e'_{I,J}, which
+    keeps every key and so every bidegree.  Symbolic when q0 is None,
+    else evaluated at q = q0, on a form with FieldElem (in Q(q)) or
+    rational coefficients.
 
-    The map is linear, so a form's image is sum_key c_key C^{-1} *(e_key)
-    over its keys.  Each column C^{-1} *(e_key) is built on first use
-    (_hodge_column) and kept with the table's latest q0, so at a point
-    every basis key is decomposed once; symbolic columns are built
-    afresh on every call, each with its own decomposition.  Raises
-    ValueError and DecompositionSingular as primitive_decompose does.
+    Symbolically the whole form is decomposed at once, so a call builds
+    its degree's decomposition once.  At a point the map, which is
+    linear, is applied as sum_key c_key C^{-1} *(e_key) over the form's
+    keys: each column C^{-1} *(e_key) is built on first use from e_key
+    with the int 1 as its scalar, which needs no evaluation, and is kept
+    with the table's latest q0, so every basis key is decomposed once
+    per point.  Raises ValueError and DecompositionSingular as
+    primitive_decompose does.
     """
     if not form:
         return {}
     _degree(form)
+    if q0 is None:
+        return _weil_image(params, form, None)
     table = lefschetz_table(params.M)
     ev = table.at(q0)[0]
     rhs = {key: x for key, c in form.items() if (x := ev(c))}
     columns = table.hodge_columns(q0)
     for key in rhs:
         if key not in columns:
-            columns[key] = _hodge_column(params, key, q0)
+            columns[key] = _weil_image(params, {key: 1}, q0)
     return apply(columns, rhs)
 
 
@@ -767,7 +732,7 @@ def verify_hodge_shape(params: ExtAlgParams, q0=Fraction(11, 10),
     failures = []
     checks = 0
 
-    star_one = hodge(params, {((), ()): ONE})
+    star_one = hodge(params, {((), ()): 1})
     scale = Fraction(1, factorial(M))
     want = {key: c * scale for key, c in kappa_power(params, M).items()}
     checks += 1

@@ -16,7 +16,10 @@ in canonical form: the denominator is a polynomial dict with nonzero
 constant term normalized to 1, and gcd(numerator, denominator) = 1
 after factoring a v-power out of the numerator.  Zero is ({}, {0: 1}).
 Every rational function has exactly one such pair, so ``==`` and
-``hash`` read the pair and do no arithmetic.
+``hash`` read the pair and do no arithmetic.  An element whose v-powers
+are all even lies in Q(q): eval_q and eval_mod evaluate it at a point q0
+or a residue of q, and raise ValueError on an odd v-power rather than
+take a square root.
 """
 
 from __future__ import annotations
@@ -345,23 +348,41 @@ class FieldElem:
         return hash((tuple(sorted(num.items())), tuple(sorted(den.items()))))
 
     # -- evaluation --------------------------------------------------
-    def eval_v(self, v0) -> Fraction:
-        """Exact value at v = v0."""
-        v0 = Fraction(v0)
-        if not v0:
-            raise DenominatorVanishes("v = 0 is outside the domain")
-        num, den = (sum(c * v0 ** e for e, c in p.items()) for p in self.base)
+    @staticmethod
+    def _value(pair, x0, var: str) -> Fraction:
+        """Exact value of the (numerator, denominator) pair at var = x0."""
+        x0 = Fraction(x0)
+        if not x0:
+            raise DenominatorVanishes(f"{var} = 0 is outside the domain")
+        num, den = (sum(c * x0 ** e for e, c in p.items()) for p in pair)
         if not den:
-            raise DenominatorVanishes(f"denominator vanishes at v = {v0}")
+            raise DenominatorVanishes(f"denominator vanishes at {var} = {x0}")
         return num / den
 
-    def eval_mod(self, s: int, p: int) -> int | None:
-        """Image in F_p under v |-> s, for a prime p and a unit s mod p.
+    def eval_v(self, v0) -> Fraction:
+        """Exact value at v = v0."""
+        return self._value(self.base, v0, "v")
+
+    def _in_q(self):
+        """The pair as Laurent dicts in q = v^2; ValueError on an odd
+        v-power, which puts self outside Q(q)."""
+        if any(e % 2 for poly in self.base for e in poly):
+            raise ValueError(f"{self.to_text()} has an odd power of v")
+        return [{e // 2: c for e, c in poly.items()} for poly in self.base]
+
+    def eval_q(self, q0) -> Fraction:
+        """Exact value at q = v^2 = q0 of an element of Q(q)."""
+        return self._value(self._in_q(), q0, "q")
+
+    def eval_mod(self, r: int, p: int) -> int | None:
+        """Image in F_p under q |-> r of an element of Q(q), for a prime p
+        and a unit r mod p.
 
         None when a coefficient denominator or the value's denominator
         vanishes mod p: the element then has no image, and the caller
-        must use an exact evaluation instead."""
-        num, den = self.base
+        must use an exact evaluation instead.  ValueError on an odd
+        v-power, as eval_q."""
+        num, den = self._in_q()
 
         def ev(poly):
             acc = 0
@@ -369,7 +390,7 @@ class FieldElem:
                 d = c.denominator % p
                 if not d:
                     return None
-                acc += c.numerator * pow(d, -1, p) * pow(s, e, p)
+                acc += c.numerator * pow(d, -1, p) * pow(r, e, p)
             return acc % p
 
         n, d = ev(num), ev(den)

@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import resource
 import shlex
 import subprocess
 import sys
@@ -151,6 +152,21 @@ def test_negative_size_exits_two(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2 and not out
     assert "nonnegative integer" in err and "Traceback" not in err
+
+
+def test_out_of_memory_exits_two(capsys):
+    # M = 10^12 - 2 asks for a tuple of 8 TB, which fails at once; exit 1
+    # would read as an inconclusive verdict.  A 1 TB address-space limit
+    # makes the allocation fail whatever the host's overcommit policy.
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    cap = 2 ** 40 if hard == resource.RLIM_INFINITY else min(hard, 2 ** 40)
+    resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+    try:
+        code, out, err = run(capsys, "fiber", "nonprimitive", "--n", "1000000000000")
+    finally:
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+    assert code == 2 and not out
+    assert err == "error: out of memory\n"
 
 
 def test_bad_fiber_size(capsys):

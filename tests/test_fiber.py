@@ -5,7 +5,7 @@ import functools
 import random
 from fractions import Fraction
 from itertools import product
-from math import factorial, isqrt
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
@@ -28,6 +28,7 @@ from qso_spectra.fiber import (
 )
 from qso_spectra.field import ONE, ZERO, FieldElem
 from qso_spectra.ncpoly import accumulate, apply
+from qso_spectra.quadext import QuadExt
 
 V = FieldElem.v_pow
 ONE_FORM = {((), ()): ONE}
@@ -402,8 +403,8 @@ CATALOGUE_Q = [Fraction(1), Fraction(121, 100), Fraction(9, 4),
                Fraction(11, 10), Fraction(101, 100), Fraction(5, 4)]
 
 
-def _rank_mod_p(table, k, p, s):
-    values = [c.eval_mod(s, p) for c in table.coeffs]
+def _rank_mod_p(table, k, p, r):
+    values = [c.eval_mod(r, p) for c in table.coeffs]
     return fiber._rank_mod(table.images_mod(values, k, table.M - k, p), p)
 
 
@@ -411,22 +412,20 @@ def _rank_mod_p(table, k, p, s):
 def test_modular_ranks_equal_exact_ranks(M):
     table = fiber.lefschetz_table(M)
     for q0 in CATALOGUE_Q:
-        p, s = fiber._modular_point(q0)
-        assert p % 4 == 3 and fiber._is_prime(p)
-        assert (s * s - q0.numerator * pow(q0.denominator, -1, p)) % p == 0
+        p, r = fiber._modular_point(q0)
         num = table.numeric(make_evaluator(q0))
         for k in range(M):
             exact = fiber._echelon(fiber._images(num, M, k, M - k))
-            assert _rank_mod_p(table, k, p, s) == exact, (M, q0, k)
+            assert _rank_mod_p(table, k, p, r) == exact, (M, q0, k)
 
 
 @pytest.mark.parametrize("M", [3, 4])
 def test_images_mod_are_the_map_images_mod_p(M):
     # the step lists push a basis index exactly as the map pushes its key
     table = fiber.lefschetz_table(M)
-    p, s = fiber._modular_point(Fraction(11, 10))
-    values = [c.eval_mod(s, p) for c in table.coeffs]
-    residues = table.numeric(lambda c: c.eval_mod(s, p))
+    p, r = fiber._modular_point(Fraction(11, 10))
+    values = [c.eval_mod(r, p) for c in table.coeffs]
+    residues = table.numeric(lambda c: c.eval_mod(r, p))
     for k in range(2 * M + 1):
         for power in range(1, (2 * M - k) // 2 + 1):
             target = fiber._basis(M, k + 2 * power)
@@ -435,37 +434,26 @@ def test_images_mod_are_the_map_images_mod_p(M):
             assert table.images_mod(values, k, power, p) == want, (M, k, power)
 
 
-def test_modular_point_choice():
-    # a rational square maps to the image of its positive root
-    p, s = fiber._modular_point(Fraction(9, 4))
-    assert s == 3 * pow(2, -1, p) % p
-    # 11/10 is a non-residue mod the first seven primes p = 3 mod 4 below
-    # 2^61, so the walk goes on to the eighth
-    p, _ = fiber._modular_point(Fraction(11, 10))
-    below = [n for n in range(p + 4, 2 ** 61, 4) if fiber._is_prime(n)]
-    assert len(below) == 7
-    assert fiber._modular_point(Fraction(-1)) is None
-    assert fiber._modular_point(Fraction(0)) is None
+def test_modular_point_choice(monkeypatch):
+    # one prime for every point, and q |-> q0 mod p: no square root
+    p = 2 ** 61 - 1
+    for q0 in CATALOGUE_Q:
+        assert fiber._modular_point(q0) == \
+            (p, q0.numerator * pow(q0.denominator, -1, p) % p), q0
+    assert fiber._modular_point(1) == (p, 1)
+    for q0 in (Fraction(-1), Fraction(0), Fraction(-3, 2), Fraction(p, 7)):
+        assert fiber._modular_point(q0) is None, q0
+    # q0 = p/7 is no unit mod p: M = 3 is verified by the exact path alone
+    sizes = []
+    echelon = fiber._echelon
 
+    def counting(rows):
+        sizes.append(len(rows))
+        return echelon(rows)
 
-def test_modular_point_is_kept_per_point(monkeypatch):
-    walk = fiber._modular_point.__wrapped__
-    for q0 in CATALOGUE_Q + [Fraction(-3, 2), Fraction(0)]:
-        assert fiber._modular_point(q0) == walk(q0), q0
-    # an int q0 shares the entry of the equal Fraction
-    assert fiber._modular_point(1) == walk(Fraction(1))
-    pows = []
-
-    def counting(*args):
-        pows.append(args)
-        return pow(*args)
-
-    monkeypatch.setattr(fiber, "pow", counting, raising=False)
-    fiber._modular_point.cache_clear()
-    first = fiber._modular_point(Fraction(11, 10))
-    assert pows  # the walk's Legendre tests
-    pows.clear()
-    assert fiber._modular_point(Fraction(11, 10)) == first and not pows
+    monkeypatch.setattr(fiber, "_echelon", counting)
+    out = verify_lefschetz_iso(ExtAlgParams(3), Fraction(p, 7))
+    assert out["status"] == "verified" and sizes == [1, 6, 15]
 
 
 def test_deficient_rank_mod_p_falls_back_to_exact(monkeypatch):
@@ -499,30 +487,121 @@ def test_nonpositive_q_keeps_the_exact_path_error():
         verify_lefschetz_iso(ExtAlgParams(3), Fraction(-1))
 
 
-def test_is_prime_matches_sieve():
-    n = 10 ** 4
-    sieve = [True] * n
-    sieve[0] = sieve[1] = False
-    for i in range(2, isqrt(n) + 1):
-        if sieve[i]:
-            sieve[i * i::i] = [False] * len(range(i * i, n, i))
-    assert [m for m in range(n) if fiber._is_prime(m)] == \
-        [m for m in range(n) if sieve[m]]
-    assert fiber._is_prime(2 ** 61 - 1)
-    assert not fiber._is_prime(3215031751)  # strong pseudoprime to 2, 3, 5, 7
-    assert not fiber._is_prime((2 ** 31 - 1) * (2 ** 61 - 1))
-
-
 def test_make_evaluator_square_vs_quadratic():
+    # a rational square and a quadratic irrational point alike evaluate
+    # an element of Q(q) over Q, and refuse an odd v-power
     ev1 = make_evaluator(Fraction(1))
     assert ev1(V(2) + ONE) == 2
     ev2 = make_evaluator(Fraction(11, 10))
-    x = ev2(V(2))
-    assert x == Fraction(11, 10) or getattr(x, "a", None) == Fraction(11, 10)
-    # a scalar that is already rational passes through unchanged
+    x = ev2(V(2) + V(-2))
+    assert x == Fraction(11, 10) + Fraction(10, 11) and type(x) is Fraction
     for ev in (ev1, ev2):
+        with pytest.raises(ValueError, match="odd power of v"):
+            ev(V(1))
+        # a scalar that is already rational passes through unchanged
         r = Fraction(-4, 3)
         assert ev(r) is r and ev(1) == 1 and type(ev(1)) is int
+    for q0 in (Fraction(0), Fraction(-9, 4)):
+        with pytest.raises(ValueError):
+            make_evaluator(q0)
+
+
+def _pi(M, key):
+    """The rescaling exponent of the basis: q^{-pi/2} e+_I ^ f-_J with
+    pi = 1 when M is odd and the middle index is in I but not in J."""
+    I, J = key
+    m = (M + 1) // 2
+    return 1 if M % 2 and m in I and m not in J else 0
+
+
+def _even(c):
+    return not any(e % 2 for poly in c.base for e in poly)
+
+
+@pytest.mark.parametrize("M", range(1, 7))
+def test_table_is_the_insertion_in_the_rescaled_basis(M):
+    # every entry is _insert's coefficient times v^{pi(t) - pi(key)}, and
+    # lies in Z[q, q^-1]: only even v-powers, over the integers
+    p = ExtAlgParams(M)
+    table = fiber.lefschetz_table(M)
+    straighten = functools.cache(lambda word, side: fiber._straighten(p, word, side))
+    moved = 0
+    for key, image in table.map.items():
+        want = {t: c.shift(_pi(M, t) - _pi(M, key))
+                for t, c in fiber._insert(p, key, straighten=straighten).items()}
+        assert image == want, key
+        moved += any(_pi(M, t) != _pi(M, key) for t in image)
+    assert all(_even(c) and c.base[1] == {0: 1} for c in table.coeffs)
+    assert all(type(x) is int for c in table.coeffs for x in c.base[0].values())
+    assert (moved > 0) == (M % 2 == 1 and M > 1)
+
+
+def test_kappa_powers_have_no_rescaled_key():
+    # the rescaling moves no kappa power: none has a key with pi = 1
+    for M in range(1, 8):
+        p = ExtAlgParams(M)
+        for l in range(2 * M + 1):
+            assert not any(_pi(M, key) for key in kappa_power(p, l)), (M, l)
+
+
+@pytest.mark.parametrize("M", [3, 4])
+def test_ranks_equal_the_ranks_in_the_old_basis_over_q_sqrt_q(M):
+    # the unscaled map e+_I ^ f-_J, evaluated in Q(sqrt(q0)), has the
+    # ranks verify_lefschetz_iso reports: a diagonal change of basis
+    # keeps every rank
+    table = fiber.lefschetz_table(M)
+    for q0 in (Fraction(11, 10), Fraction(101, 100), Fraction(5, 4)):
+        old = {key: {t: c.shift(_pi(M, key) - _pi(M, t)).eval_sqrtq(q0)
+                     for t, c in image.items()}
+               for key, image in table.map.items()}
+        irrational = sum(bool(x.b) for image in old.values() for x in image.values())
+        assert (irrational > 0) == (M % 2 == 1)
+        ranks = [d["rank"] for d in verify_lefschetz_iso(ExtAlgParams(M), q0)["degrees"]]
+        assert ranks == [fiber._echelon(fiber._images(old, M, k, M - k))
+                         for k in range(M)], q0
+
+
+def test_no_square_root_at_a_quadratic_irrational_point(monkeypatch):
+    made = []
+    init = QuadExt.__init__
+
+    def counting(self, *args):
+        made.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(QuadExt, "__init__", counting)
+    q0 = Fraction(11, 10)
+    for M in (3, 4):
+        params = ExtAlgParams(M)
+        table = fiber._LefschetzTable(params)
+        monkeypatch.setattr(fiber, "lefschetz_table", lambda m: table)
+        assert verify_lefschetz_iso(params, q0)["status"] == "verified"
+        assert verify_hodge_shape(params, q0, trials=1)["status"] == "verified"
+        with monkeypatch.context() as m:
+            m.setattr(fiber, "_modular_point", lambda q0: None)
+            assert verify_lefschetz_iso(params, q0)["status"] == "verified"
+    assert made == []
+
+
+def test_symbolic_hodge_builds_one_decomposition_per_call(monkeypatch):
+    p = ExtAlgParams(3)
+    built = []
+    decomposition = fiber._Decomposition
+
+    def counting(num, M, k):
+        built.append(k)
+        return decomposition(num, M, k)
+
+    monkeypatch.setattr(fiber, "_Decomposition", counting)
+    form = {key: ONE for key in fiber._basis(3, 3)}
+    assert len(form) == 20
+    image = hodge(p, form)
+    assert built == [3]
+    # the same image as the sum of its key columns, one call each
+    by_key = {}
+    for key in form:
+        by_key = _plus(by_key, hodge(p, {key: ONE}))
+    assert by_key == image and len(built) == 21
 
 
 def test_primitive_decomposition_reconstructs():
@@ -791,7 +870,7 @@ def test_table_keeps_one_evaluated_map(monkeypatch):
     decs_a = [table.decomposition(a, k) for k in range(7)]
     assert [table.decomposition(a, k) for k in range(7)] == decs_a
     assert len(calls) == 1
-    hodge(ExtAlgParams(3), {((1,), (2,)): ONE, ((1, 2), ()): V(1)}, a)
+    hodge(ExtAlgParams(3), {((1,), (2,)): ONE, ((1, 2), ()): V(2)}, a)
     cols_a = table.hodge_columns(a)
     assert len(cols_a) == 2 and table.hodge_columns(a) is cols_a and len(calls) == 1
     objs_a = [map_a] + decs_a + [x for d in decs_a for x in (d.prims, d.span)]
@@ -808,7 +887,7 @@ def test_table_keeps_one_evaluated_map(monkeypatch):
     assert table.decomposition(a, 2) is not decs_a[2]
 
 
-@pytest.mark.parametrize("M, distinct, entries", [(3, 11, 57), (4, 16, 288), (5, 46, 1728)])
+@pytest.mark.parametrize("M, distinct, entries", [(3, 9, 57), (4, 16, 288), (5, 44, 1728)])
 def test_evaluation_is_per_distinct_coefficient(M, distinct, entries, monkeypatch):
     table = fiber.lefschetz_table(M)
     assert sum(len(img) for img in table.map.values()) == entries
@@ -894,19 +973,19 @@ def test_hodge_columns_are_built_once_per_point(monkeypatch):
     table = fiber._LefschetzTable(params)
     monkeypatch.setattr(fiber, "lefschetz_table", lambda m: table)
     calls, keys = [], []
-    primitives, column = fiber._primitives, fiber._hodge_column
+    primitives, weil = fiber._primitives, fiber._weil_image
 
     def counting_primitives(num, M, d):
         calls.append(("primitives", num is table.map))
         return primitives(num, M, d)
 
-    def counting_column(params, key, q0):
+    def counting_column(params, form, q0):
         calls.append(("column", q0 is None))
-        keys.append((key, q0))
-        return column(params, key, q0)
+        keys.append((tuple(form), q0))
+        return weil(params, form, q0)
 
     monkeypatch.setattr(fiber, "_primitives", counting_primitives)
-    monkeypatch.setattr(fiber, "_hodge_column", counting_column)
+    monkeypatch.setattr(fiber, "_weil_image", counting_column)
     q0 = Fraction(121, 100)
     first = verify_hodge_shape(params, q0)
     assert first["status"] == "verified"
@@ -922,7 +1001,7 @@ def test_hodge_columns_are_built_once_per_point(monkeypatch):
 def test_hodge_shape_evaluates_each_table_entry_once(monkeypatch):
     # every evaluated element is kept alive, so ids stay distinct
     seen = []
-    for name in ("eval_v", "eval_sqrtq"):
+    for name in ("eval_v", "eval_q", "eval_sqrtq"):
         orig = getattr(FieldElem, name)
 
         def counting(self, *args, _orig=orig):
@@ -942,7 +1021,7 @@ def test_hodge_shape_evaluates_each_table_entry_once(monkeypatch):
     # the table's distinct coefficients once and nothing else: the random
     # forms are rational and the Hodge columns are built from the int 1
     distinct = len(table.coeffs)
-    assert distinct == 11
+    assert distinct == 9
     assert len(seen) <= distinct
 
 

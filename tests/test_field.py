@@ -39,6 +39,13 @@ def field_elems(draw):
     return x
 
 
+def _in_q(a):
+    """a with v replaced by v^2 = q: an element of Q(q), only even
+    v-powers, whose value at q = x is a's value at v = x.  The pair stays
+    canonical: a Bezout identity for the old pair gives one for the new."""
+    return FieldElem(tuple({2 * e: c for e, c in p.items()} for p in a.base))
+
+
 @settings(max_examples=60, deadline=None)
 @given(field_elems(), field_elems(), field_elems())
 def test_ring_axioms(a, b, c):
@@ -103,10 +110,11 @@ def test_eval_is_ring_homomorphism(a, b, v0):
 @settings(max_examples=40, deadline=None)
 @given(field_elems(), st.sampled_from([Fraction(1), Fraction(3, 2), Fraction(-7, 5)]))
 def test_eval_mod_agrees_with_exact_value(a, v0):
-    # v |-> v0 mod p is the reduction of the exact value at v = v0
+    # q |-> v0 mod p is the reduction of the exact value at q = v0, which
+    # is a's value at v = v0
     p = 1_000_003
-    s = v0.numerator * pow(v0.denominator, -1, p) % p
-    got = a.eval_mod(s, p)
+    r = v0.numerator * pow(v0.denominator, -1, p) % p
+    got = _in_q(a).eval_mod(r, p)
     try:
         exact = a.eval_v(v0)
     except DenominatorVanishes:
@@ -175,11 +183,40 @@ def test_sym_qint_is_bar_invariant(m, e):
 
 
 def test_eval_mod_without_image():
-    x = FieldElem.monomial(Fraction(1, 7), 1)
+    x = FieldElem.monomial(Fraction(1, 7), 2)  # q/7
     assert x.eval_mod(2, 7) is None          # coefficient denominator 7
     assert x.eval_mod(2, 11) == 2 * pow(7, -1, 11) % 11
     y = ONE / (FieldElem.v_pow(2) - 4)
-    assert y.eval_mod(2, 11) is None         # pole at v = 2
+    assert y.eval_mod(4, 11) is None         # pole at q = 4
+
+
+@settings(max_examples=60, deadline=None)
+@given(field_elems(), st.fractions(min_value=Fraction(-3), max_value=Fraction(3),
+                                   max_denominator=5))
+def test_elements_of_q_of_q_evaluate_at_q(a, v0):
+    # an element with only even v-powers takes at q = v0^2 its value at
+    # v = v0, over Q and mod p, with no square root taken
+    b = _in_q(a)
+    p = 1_000_003
+    r = (v0 * v0).numerator * pow((v0 * v0).denominator, -1, p) % p
+    try:
+        want = b.eval_v(v0)
+    except DenominatorVanishes:
+        with pytest.raises(DenominatorVanishes):
+            b.eval_q(v0 * v0)
+        return
+    assert b.eval_q(v0 * v0) == want and type(b.eval_q(v0 * v0)) is Fraction
+    assert b.eval_mod(r, p) == want.numerator * pow(want.denominator, -1, p) % p
+
+
+def test_an_odd_v_power_has_no_value_at_q():
+    v = FieldElem.v_pow(1)
+    for x in (v, v + ONE, ONE / (v + 2), FieldElem.v_pow(-3)):
+        with pytest.raises(ValueError, match="odd power of v"):
+            x.eval_q(Fraction(11, 10))
+        with pytest.raises(ValueError, match="odd power of v"):
+            x.eval_mod(3, 1_000_003)
+    assert (v * v).eval_q(Fraction(11, 10)) == Fraction(11, 10)
 
 
 def test_eval_pole_raises():
@@ -380,7 +417,7 @@ def test_arithmetic_matches_the_all_fraction_reference(pa, pb, k):
 def test_evaluation_matches_the_all_fraction_reference(pa, v0):
     a, (an, ad) = pa
     p = 1_000_003
-    s = v0.numerator * pow(v0.denominator, -1, p) % p
+    r = v0.numerator * pow(v0.denominator, -1, p) % p
     rd = _ref_value(ad, v0)
     try:
         got = a.eval_v(v0)
@@ -392,7 +429,9 @@ def test_evaluation_matches_the_all_fraction_reference(pa, v0):
         return  # a removable pole of the reference pair
     want = _ref_value(an, v0) / rd
     assert got == want
-    image = a.eval_mod(s, p)
+    # a(v) at v = v0 is a(q) at q = v0, so its residue is the image of
+    # _in_q(a) under q |-> v0 mod p
+    image = _in_q(a).eval_mod(r, p)
     assert type(image) is int
     assert image == want.numerator * pow(want.denominator, -1, p) % p
 
