@@ -44,8 +44,8 @@ from functools import cache
 from .cartan import CartanData, cartan_data, vector_weights, y_weight
 from .errors import IndexOutOfRange, NotInZSpan, RepresentationInconsistent
 from .field import ONE, FieldElem, sym_qbinom, sym_qint
-from .frt import (Rewriter, _r_tables, generate_relations, minor,
-                  normal_form, qcomm, rewriter, rho2)
+from .frt import (RelationStream, Rewriter, _r_tables, generate_relations,
+                  minor, normal_form, qcomm, rewriter, rho2)
 from .ncpoly import NCPoly, Span, accumulate, apply, reduce_lead
 
 E, F, K, KINV = "E", "F", "K", "Kinv"
@@ -348,8 +348,8 @@ def _intertwines(N: int, eng: ActionEngine, letters) -> bool:
 @cache
 def relation_count(N: int) -> int:
     """The number of relations frt.generate_relations makes at N,
-    counted once per process."""
-    return len(generate_relations(N))
+    counted once per process over a stream that holds none of them."""
+    return sum(1 for _ in RelationStream(N))
 
 
 def verify_covariance(N: int) -> dict:
@@ -487,7 +487,7 @@ class ZSolver:
     def __init__(self, rw: Rewriter):
         N = rw.N
         self.rw = rw
-        self.span = Span()
+        self.span = Span(shared={})
         for a in range(1, N + 1):
             for b in range(1, N + 1):
                 self.span.add(normal_form(z_coord_poly(N, a, b), rw).terms, (a, b))

@@ -50,8 +50,8 @@ basis indices through the step lists, keeping nothing, so a rank check
 at another point does not drop the Hodge check's decompositions.  No
 dense matrix is formed: every rank,
 kernel and solve eliminates the sparse images L^l(e_key) of basis keys,
-mod p by _rank_mod on index-keyed rows, and exactly through ncpoly's
-elimination step and ncpoly.Span.  The kappa powers read the table's
+mod p by ncpoly.independent_mod on index-keyed rows, and exactly
+through ncpoly's elimination step and ncpoly.Span.  The kappa powers read the table's
 symbolic map; the non-primitivity check's single top pair inserts only
 against the keys it touches.
 
@@ -93,7 +93,8 @@ from math import comb, factorial
 from .errors import DecompositionSingular, IndexOutOfRange
 from .field import ONE, FieldElem
 from .frt import Rewriter, _nf_terms, _r_tables, _rref_rewriter
-from .ncpoly import Span, accumulate, apply, insert_pivot
+from .ncpoly import (PRIME, Span, accumulate, apply, independent_mod,
+                     insert_pivot)
 
 
 class ExtAlgParams:
@@ -235,43 +236,14 @@ def make_evaluator(q0):
 # Reduction mod p (the rank certificate)
 # ---------------------------------------------------------------------------
 
-_PRIME = 2 ** 61 - 1
-
-
 def _modular_point(q0):
-    """(p, r) with p the prime 2^61 - 1 and r = q0 mod p, or None when
-    q0 <= 0 or q0 is not a unit mod p."""
+    """(p, r) with p the prime 2^61 - 1 (ncpoly.PRIME) and r = q0 mod p,
+    or None when q0 <= 0 or q0 is not a unit mod p."""
     q0 = Fraction(q0)
-    n, d = q0.numerator % _PRIME, q0.denominator % _PRIME
+    n, d = q0.numerator % PRIME, q0.denominator % PRIME
     if q0 <= 0 or not n or not d:
         return None
-    return _PRIME, n * pow(d, -1, _PRIME) % _PRIME
-
-
-def _rank_mod(rows, p: int) -> int:
-    """Rank over F_p of sparse rows of residues ({key: residue}), by
-    elimination on lead keys.  A pivot with an empty tail needs no
-    inverse."""
-    pivots = {}
-    for row in rows:
-        row = dict(row)
-        while row:
-            lead = max(row)
-            c = row.pop(lead)
-            prow = pivots.get(lead)
-            if prow is None:
-                if row:
-                    inv = pow(c, -1, p)
-                    row = {k: x * inv % p for k, x in row.items()}
-                pivots[lead] = row
-                break
-            for k, pc in prow.items():
-                x = (row.get(k, 0) - c * pc) % p
-                if x:
-                    row[k] = x
-                else:
-                    row.pop(k, None)
-    return len(pivots)
+    return PRIME, n * pow(d, -1, PRIME) % PRIME
 
 
 # ---------------------------------------------------------------------------
@@ -453,7 +425,8 @@ def verify_lefschetz_iso(params: ExtAlgParams, q0) -> dict:
     failures = []
     for k in range(M):
         dim = comb(2 * M, k)
-        if usable and _rank_mod(table.images_mod(values, k, M - k, p), p) == dim:
+        if usable and len(independent_mod(
+                table.images_mod(values, k, M - k, p), p)) == dim:
             rank = dim
         else:
             rank = _echelon(_images(table.at(q0)[1], M, k, M - k))

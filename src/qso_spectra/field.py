@@ -15,11 +15,13 @@ An element of Q(v) is a pair of Laurent dicts (numerator, denominator)
 in canonical form: the denominator is a polynomial dict with nonzero
 constant term normalized to 1, and gcd(numerator, denominator) = 1
 after factoring a v-power out of the numerator.  Zero is ({}, {0: 1}).
+Every Laurent polynomial shares one denominator dict {0: 1}, and no
+operation mutates a numerator or a denominator in place.
 Every rational function has exactly one such pair, so ``==`` and
 ``hash`` read the pair and do no arithmetic.  An element whose v-powers
 are all even lies in Q(q): eval_q and eval_mod evaluate it at a point q0
 or a residue of q, and raise ValueError on an odd v-power rather than
-take a square root.
+take a square root; eval_mod also maps any element at a residue of v.
 """
 
 from __future__ import annotations
@@ -152,8 +154,9 @@ def plist_gcd(a, b):
 # -- canonical pairs --------------------------------------------------------
 
 
-def _one_poly():
-    return {0: 1}
+# The denominator of every Laurent polynomial: one dict for all of them,
+# which no operation mutates
+_UNIT = {0: 1}
 
 
 def _lp_to_list(p):
@@ -172,7 +175,7 @@ def _list_to_lp(lst):
 def _rf_norm(num, den):
     """Canonicalize a numerator/denominator pair of Laurent dicts."""
     if not num:
-        return {}, _one_poly()
+        return {}, _UNIT
     dmin = min(den)
     if dmin:
         den = lp_shift(den, -dmin)
@@ -193,7 +196,7 @@ def _rf_norm(num, den):
         inv = Fraction(1) / c
         num = lp_scale(num, inv)
         den = lp_scale(den, inv)
-    return num, den
+    return num, den if len(den) > 1 else _UNIT
 
 
 # -- the field --------------------------------------------------------------
@@ -217,7 +220,7 @@ class FieldElem:
         coeff = Fraction(coeff)
         if not coeff:
             return ZERO
-        return cls((lp_ints({vexp: coeff}), _one_poly()))
+        return cls((lp_ints({vexp: coeff}), _UNIT))
 
     @classmethod
     def v_pow(cls, k: int) -> "FieldElem":
@@ -253,7 +256,7 @@ class FieldElem:
         n2, d2 = o.base
         if d1 == d2:
             if len(d1) == 1:
-                return FieldElem((lp_add(n1, n2), _one_poly()))
+                return FieldElem((lp_add(n1, n2), _UNIT))
             return FieldElem(_rf_norm(lp_add(n1, n2), d1))
         return FieldElem(_rf_norm(lp_add(lp_mul(n1, d2), lp_mul(n2, d1)),
                                   lp_mul(d1, d2)))
@@ -287,7 +290,7 @@ class FieldElem:
         n1, d1 = self.base
         n2, d2 = o.base
         if len(d1) == 1 and len(d2) == 1:
-            return FieldElem((lp_mul(n1, n2), _one_poly()))
+            return FieldElem((lp_mul(n1, n2), _UNIT))
         return FieldElem(_rf_norm(lp_mul(n1, n2), lp_mul(d1, d2)))
 
     __rmul__ = __mul__
@@ -305,7 +308,7 @@ class FieldElem:
         if c != 1:
             inv = Fraction(1) / c
             num, den = lp_scale(num, inv), lp_scale(den, inv)
-        return FieldElem((num, den))
+        return FieldElem((num, den if len(den) > 1 else _UNIT))
 
     def shift(self, k: int) -> "FieldElem":
         """self * v^k: the numerator's exponents move by k and the
@@ -363,38 +366,56 @@ class FieldElem:
         """Exact value at v = v0."""
         return self._value(self.base, v0, "v")
 
-    def _in_q(self):
-        """The pair as Laurent dicts in q = v^2; ValueError on an odd
-        v-power, which puts self outside Q(q)."""
+    def _require_q(self):
+        """ValueError on an odd v-power, which puts self outside Q(q)."""
         if any(e % 2 for poly in self.base for e in poly):
             raise ValueError(f"{self.to_text()} has an odd power of v")
+
+    def _in_q(self):
+        """The pair as Laurent dicts in q = v^2 (_require_q)."""
+        self._require_q()
         return [{e // 2: c for e, c in poly.items()} for poly in self.base]
 
     def eval_q(self, q0) -> Fraction:
         """Exact value at q = v^2 = q0 of an element of Q(q)."""
         return self._value(self._in_q(), q0, "q")
 
-    def eval_mod(self, r: int, p: int) -> int | None:
-        """Image in F_p under q |-> r of an element of Q(q), for a prime p
-        and a unit r mod p.
+    def eval_mod(self, r: int, p: int, var: str = "q") -> int | None:
+        """Image in F_p under var |-> r, for a prime p and a unit r mod p:
+        var "q" maps an element of Q(q), as eval_q does, and var "v" any
+        element of Q(v).
 
-        None when a coefficient denominator or the value's denominator
-        vanishes mod p: the element then has no image, and the caller
-        must use an exact evaluation instead.  ValueError on an odd
-        v-power, as eval_q."""
-        num, den = self._in_q()
+        A call inverts r once and then takes powers of r and 1/r; an
+        integral coefficient needs no further inverse, a Fraction one
+        needs its denominator's, and the value's denominator is inverted
+        only when it is not 1.  None when a coefficient denominator or
+        the value's denominator vanishes mod p: the element then has no
+        image, and the caller must use an exact evaluation instead.
+        ValueError on an odd v-power at var "q", as eval_q."""
+        step = 1
+        if var == "q":
+            self._require_q()
+            step = 2  # q^(e/2) for v^e
+        num, den = self.base
+        rinv = pow(r, -1, p)
 
         def ev(poly):
             acc = 0
             for e, c in poly.items():
-                d = c.denominator % p
-                if not d:
-                    return None
-                acc += c.numerator * pow(d, -1, p) * pow(r, e, p)
+                if c.__class__ is not int:
+                    d = c.denominator % p
+                    if not d:
+                        return None
+                    c = c.numerator * pow(d, -1, p)
+                e //= step
+                acc += c * (pow(r, e, p) if e >= 0 else pow(rinv, -e, p))
             return acc % p
 
-        n, d = ev(num), ev(den)
-        if n is None or not d:
+        n = ev(num)
+        if n is None or len(den) == 1:  # the denominator 1
+            return n
+        d = ev(den)
+        if not d:
             return None
         return n * pow(d, -1, p) % p
 
@@ -461,8 +482,8 @@ class FieldElem:
         return f"FieldElem({self.to_text()})"
 
 
-ZERO = FieldElem(({}, _one_poly()))
-ONE = FieldElem(({0: 1}, _one_poly()))
+ZERO = FieldElem(({}, _UNIT))
+ONE = FieldElem(({0: 1}, _UNIT))
 
 
 def sym_qint(m: int, vexp: int) -> FieldElem:
@@ -473,7 +494,7 @@ def sym_qint(m: int, vexp: int) -> FieldElem:
     num = {}
     for j in range(m):
         num[vexp * (m - 1 - 2 * j)] = 1
-    return FieldElem((num, _one_poly())) if num else ZERO
+    return FieldElem((num, _UNIT)) if num else ZERO
 
 
 def sym_qbinom(m: int, k: int, vexp: int) -> FieldElem:

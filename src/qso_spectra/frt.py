@@ -5,12 +5,21 @@ machine verification of the nine commutation-relation families.
 Internally a linear combination of words is a sparse row
 {word: FieldElem}, added into only through ncpoly.accumulate.  R is one
 table of rows, the relations read its columns from the transpose.
-The forward pass of the rewriter's echelon form is ncpoly.insert_pivot,
-the elimination step that actions and fiber share; fiber's Lambda^-
-rules are one more rewriter (_rref_rewriter) and reduce through
-_nf_terms.  Every family target is built from qcomm, the q-commutator
-x y - c y x, over the index ranges of _ranges(N); actions builds its
-q-commutations from qcomm too.
+The relations are streamed (RelationStream): generated afresh on each
+pass and never held as a list.  The rewriter is built in three passes
+over them (_rref_rewriter).  The mod-p pass maps each row to F_p at
+v = _V0, p = 2^61 - 1, and keeps the rows independent there, through
+ncpoly.independent_mod, the elimination step mod p that fiber's ranks
+share.  The exact pass row-reduces only those rows, through
+ncpoly.insert_pivot, the exact step that actions and fiber share.  The
+check pass reduces every other row against the result, and any
+remainder sends the build back to every row exactly.  fiber's
+Lambda^- rules are one more rewriter and reduce through _nf_terms.
+Words and labels are one object each per relation pass, the labels
+ncpoly.letter's, and equal rule coefficients one FieldElem.  Every
+family target is built from qcomm, the q-commutator x y - c y x, over
+the index ranges of _ranges(N); actions builds its q-commutations from
+qcomm too.
 """
 
 from __future__ import annotations
@@ -20,7 +29,8 @@ from functools import cache
 
 from .errors import DegreeOverflow, IndexOutOfRange
 from .field import ONE, FieldElem
-from .ncpoly import NCPoly, accumulate, insert_pivot, word_key
+from .ncpoly import (PRIME, NCPoly, accumulate, independent_mod, insert_pivot,
+                     letter, word_key)
 
 
 # ---------------------------------------------------------------------------
@@ -66,23 +76,43 @@ def _r_tables(N: int):
     return rows, cols
 
 
+class RelationStream:
+    """The relations of generate_relations(N), N >= 5, in its order, as
+    sparse rows {word: coeff}: generated afresh on every iteration and
+    never held as a list.  Each label is the one object of
+    ncpoly.letter, and each word one object per iteration."""
+
+    __slots__ = ("N",)
+
+    def __init__(self, N: int):
+        if N < 5:
+            raise ValueError("N >= 5 required")
+        self.N = N
+
+    def __iter__(self):
+        rows, cols = _r_tables(self.N)
+        label = {(a, b): letter(a, b)[0] for a, b in rows}
+        cols = {mn: {lk: -c for lk, c in col.items()} for mn, col in cols.items()}
+        words = {}
+        for (i, j), row in rows.items():
+            for (m, n), col in cols.items():
+                terms = {}
+                for (k, l), c in row.items():
+                    w = (label[k, m], label[l, n])
+                    terms[words.setdefault(w, w)] = c
+                for (l, k), c in col.items():
+                    w = (label[j, k], label[i, l])
+                    accumulate(terms, words.setdefault(w, w), c)
+                if terms:
+                    yield terms
+
+
 def generate_relations(N: int) -> list:
     """The quadratic relations of so_N, N >= 5, as a list of NCPoly, one
     per index quadruple (i, j, m, n) whose candidate
     sum_{kl} R^{ij}_{kl} u^k_m u^l_n - sum_{kl} u^j_k u^i_l R^{lk}_{mn}
     is nonzero; zero candidates are discarded."""
-    if N < 5:
-        raise ValueError("N >= 5 required")
-    rows, cols = _r_tables(N)
-    elems = []
-    for (i, j), row in rows.items():
-        for (m, n), col in cols.items():
-            terms = {((k, m), (l, n)): c for (k, l), c in row.items()}
-            for (l, k), c in col.items():
-                accumulate(terms, ((j, k), (i, l)), -c)
-            if terms:
-                elems.append(NCPoly(N, terms))
-    return elems
+    return [NCPoly(N, terms) for terms in RelationStream(N)]
 
 
 # ---------------------------------------------------------------------------
@@ -95,34 +125,61 @@ class Rewriter:
 
     rules maps a leading word to its tail {word: coeff}, meaning
     lead = sum(coeff * word) modulo the ideal, with every tail word
-    strictly deglex-smaller than the lead.
+    strictly deglex-smaller than the lead; lengths lists the lengths of
+    the leads in ascending order.
     """
 
-    __slots__ = ("N", "rules", "by_first", "lengths")
+    __slots__ = ("N", "rules", "lengths")
 
     def __init__(self, N: int, rules: dict):
         self.N = N
         self.rules = rules
-        self.by_first = {}
-        lengths = set()
-        for lead, tail in rules.items():
-            self.by_first.setdefault(lead[0], {})[lead] = tail
-            lengths.add(len(lead))
-        self.lengths = sorted(lengths)
+        self.lengths = sorted({len(lead) for lead in rules})
 
 
-def _rref_rewriter(N: int, rows) -> Rewriter:
-    """The rules of the span of sparse rows over words in N letters: its
-    reduced row echelon form, each lead rewritten to its negated tail.
+# v = _V0 in F_p, p = ncpoly.PRIME, for choosing the rewriter's rows
+_V0 = 1_234_567
+
+
+def _independent_rows(rows):
+    """The positions of the rows independent mod p at v = _V0, as a set,
+    or None when some coefficient has no image mod p.  Each distinct
+    coefficient is mapped once, by FieldElem.eval_mod; the residues and
+    the mod-p pivots are freed on return."""
+    images = {}
+    missing = []
+
+    def residues():
+        for row in rows:
+            img = {}
+            for w, c in row.items():
+                x = images.get(c)
+                if x is None:
+                    x = images[c] = c.eval_mod(_V0, PRIME, "v")
+                    if x is None:
+                        missing.append(c)
+                        return
+                if x:
+                    img[w] = x
+            yield img
+
+    kept = set(independent_mod(residues(), PRIME))
+    return None if missing else kept
+
+
+def _rref(N: int, rows) -> Rewriter:
+    """The RREF of the span of sparse rows as a Rewriter, each lead
+    rewritten to its negated tail.
 
     Forward echelon elimination on leading words only (keeps fill-in low
     while rows are sparse), then a single ascending interreduction pass.
-    Equal coefficients share one FieldElem object: the rules hold few
-    distinct values (120 among 2,914 at N = 7), so this keeps the
-    rewriter small."""
+    Equal coefficients share one FieldElem object, through one intern
+    table from the first pivot on: the rules hold few distinct values
+    (120 among 2,914 at N = 7), so this keeps the rewriter small."""
+    shared = {}
     pivots = {}
     for row in rows:
-        insert_pivot(dict(row), pivots)
+        insert_pivot(dict(row), pivots, shared=shared)
     # interreduce tails, ascending in the lead order: every tail word is
     # below its lead, so each pivot row substituted is already fully
     # reduced and one substitution per pivot word in the tail suffices
@@ -133,30 +190,55 @@ def _rref_rewriter(N: int, rows) -> Rewriter:
             c = -tail.pop(w)
             for w2, c2 in pivots[w].items():
                 accumulate(tail, w2, c * c2)
-    shared = {}
-    rules = {}
-    for lead, row in pivots.items():
-        tail = {}
-        for w, c in row.items():
+    for tail in pivots.values():
+        for w, c in tail.items():
             c = -c
             tail[w] = shared.setdefault(c, c)
-        rules[lead] = tail
-    return Rewriter(N, rules)
+    return Rewriter(N, pivots)
 
 
-def build_rewriter(rels: list) -> Rewriter:
-    """The rules of the span of a nonempty list of degree-2 relations, as
-    generate_relations makes them, over the N of the relations."""
-    return _rref_rewriter(rels[0].N, (r.terms for r in rels))
+def _rref_rewriter(N: int, rows) -> Rewriter:
+    """The rules of the span of sparse rows over words in N letters: its
+    reduced row echelon form, each lead rewritten to its negated tail.
+    rows is a collection that yields them afresh on each iteration, such
+    as a list or a RelationStream; the rows are left as they are.
+
+    Three passes over the rows.  The mod-p pass keeps the positions of
+    the rows independent at v = _V0 mod p (_independent_rows): rows
+    independent mod p are independent over Q(v), since a nonzero minor
+    mod p lifts.  The exact pass row-reduces only those rows (_rref).
+    The check pass reduces every other row against the rules: the tails
+    hold no lead, so a row lies in the span exactly when its normal form
+    is 0.  When every row does, the kept rows span the relations and,
+    the RREF for a fixed lead order being unique, their rules are the
+    span's.  A remainder, or a coefficient with no image mod p, falls
+    back to the exact RREF of every row: no row is skipped on the
+    strength of a residue alone."""
+    kept = _independent_rows(rows)
+    if kept is not None:
+        rw = _rref(N, (row for pos, row in enumerate(rows) if pos in kept))
+        if not any(_nf_terms(row, rw) for pos, row in enumerate(rows)
+                   if pos not in kept):
+            return rw
+    return _rref(N, rows)
+
+
+def build_rewriter(rels) -> Rewriter:
+    """The rules of the span of degree-2 relations over one N: a
+    nonempty list of NCPoly, as generate_relations makes them, or a
+    RelationStream, which yields their rows without holding them."""
+    if isinstance(rels, RelationStream):
+        return _rref_rewriter(rels.N, rels)
+    return _rref_rewriter(rels[0].N, [r.terms for r in rels])
 
 
 @cache
 def rewriter(N: int) -> Rewriter:
     """The degree-2 rewriter of the FRT relations for N, built once per
-    process.  The returned object is shared by every caller and is
-    read-only: reduce against it, never modify it (complete_rewriter
-    extends a copy of its rules)."""
-    return build_rewriter(generate_relations(N))
+    process from a RelationStream.  The returned object is shared by
+    every caller and is read-only: reduce against it, never modify it
+    (complete_rewriter extends a copy of its rules)."""
+    return build_rewriter(RelationStream(N))
 
 
 def _nf_terms(terms: dict, rw: Rewriter) -> dict:
@@ -166,7 +248,7 @@ def _nf_terms(terms: dict, rw: Rewriter) -> dict:
     time.  Every rewrite step yields smaller words, so each word is
     reduced once, with all its contributions summed; each word's own
     reduction is fixed, so the result does not depend on this order."""
-    by_first = rw.by_first
+    rules = rw.rules
     lengths = rw.lengths
     out = {}
     levels = {}
@@ -180,21 +262,19 @@ def _nf_terms(terms: dict, rw: Rewriter) -> dict:
             continue
         w = max(agenda)
         c = agenda.pop(w)
-        hit = None
+        tail = None
         for pos in range(L):
-            d = by_first.get(w[pos])
-            if not d:
-                continue
             for ln in lengths:
-                if pos + ln <= L and w[pos:pos + ln] in d:
-                    hit = (pos, ln, d[w[pos:pos + ln]])
+                if pos + ln > L:
                     break
-            if hit:
+                tail = rules.get(w[pos:pos + ln])
+                if tail is not None:
+                    break
+            if tail is not None:
                 break
-        if hit is None:
+        if tail is None:
             out[w] = c
         else:
-            pos, ln, tail = hit
             pre, suf = w[:pos], w[pos + ln:]
             for tw, tc in tail.items():
                 nw = pre + tw + suf
@@ -251,7 +331,6 @@ def complete_rewriter(rw: Rewriter, max_degree: int) -> Rewriter:
         ilc = lc.inverse()
         tail = {w: -c * ilc for w, c in diff.items()}
         work.rules[lead] = tail
-        work.by_first.setdefault(lead[0], {})[lead] = tail
         if len(lead) not in work.lengths:
             work.lengths = sorted(set(work.lengths) | {len(lead)})
         for other in list(work.rules):
@@ -401,11 +480,15 @@ def lemma_rel_instances(N: int) -> tuple:
         for a in range(2, N):
             yield ("hw_antiholomorphic", (a,), qcomm(w_N, minor(N, a, N), _qp(2)))
 
-    # equal coefficients share one FieldElem object: the targets hold
-    # nine distinct values, so this keeps the cached tuple small
+    # equal coefficients share one FieldElem object, and equal words one
+    # tuple, the rewriter's own where it has the word: the targets hold
+    # nine distinct values and repeat their words, so this keeps the
+    # cached tuple small
     shared = {}
+    words = {w: w for lead, tail in rewriter(N).rules.items()
+             for w in (lead, *tail)}
     return tuple((family, indices,
-                  NCPoly(N, {w: shared.setdefault(c, c)
+                  NCPoly(N, {words.setdefault(w, w): shared.setdefault(c, c)
                              for w, c in target.terms.items()}))
                  for family, indices, target in emitted())
 
@@ -430,10 +513,10 @@ def verify_lemma_rels(N: int) -> list:
     report = []
     for family, indices, target in lemma_rel_instances(N):
         mem = saturate_and_check(target, rw)
-        report.append({"family": family, "indices": list(indices),
+        report.append({"family": family, "indices": indices,
                        "status": mem.status,
                        "certificate_size": mem.certificate_size})
     for family, indices in excluded_boundary_instances(N):
-        report.append({"family": family, "indices": list(indices),
+        report.append({"family": family, "indices": indices,
                        "status": "excluded", "certificate_size": 0})
     return report

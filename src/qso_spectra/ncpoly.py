@@ -9,19 +9,29 @@ A sparse row is a dict {key: scalar} with no zero values; ncpoly, frt,
 actions and fiber add into one only through accumulate, and apply a
 linear map {key: image row} to one only through apply.  The one exact
 elimination step on sparse rows lives here too: reduce_lead and
-insert_pivot, shared by the rewriter's forward pass (frt) and, through
+insert_pivot, shared by the rewriter's exact pass (frt) and, through
 Span, by the z-coordinate solver (actions) and every fiber rank, kernel
-and solve (fiber).
+and solve (fiber).  So does the one elimination step mod a prime,
+independent_mod, which chooses the rewriter's rows (frt) and gives the
+fiber's ranks mod p.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 
 from .errors import AlphabetMismatch, IndexOutOfRange
 from .field import ONE, FieldElem
 
 Word = tuple
+
+
+@cache
+def letter(i: int, j: int) -> Word:
+    """The one-letter word u^i_j, one object per (i, j) in a process, and
+    with it one object per label (i, j)."""
+    return ((i, j),)
 
 
 def word_key(w: Word):
@@ -73,37 +83,86 @@ def reduce_lead(row: dict, pivots: dict, comb=None, combs=None):
     return None
 
 
-def insert_pivot(row: dict, pivots: dict, comb=None, combs=None):
+def insert_pivot(row: dict, pivots: dict, comb=None, combs=None, shared=None):
     """Reduce row in place (reduce_lead) and store what is left as the
     pivot of its lead, the lead coefficient divided out through
     Fraction(1) / c so integer rows stay exact; given comb, store it the
-    same way as combs[lead].  Returns the lead, or None when row reduces
-    to 0 (comb is then a vanishing combination)."""
+    same way as combs[lead].  Given shared, an intern table {c: c}, every
+    stored coefficient goes through it, so equal ones are one object.
+    Returns the lead, or None when row reduces to 0 (comb is then a
+    vanishing combination)."""
     lead = reduce_lead(row, pivots, comb, combs)
     if lead is not None:
         inv = Fraction(1) / row.pop(lead)
-        pivots[lead] = {w: c * inv for w, c in row.items()}
+        pivots[lead] = _scaled(row, inv, shared)
         if comb is not None:
-            combs[lead] = {k: c * inv for k, c in comb.items()}
+            combs[lead] = _scaled(comb, inv, shared)
     return lead
+
+
+def _scaled(row: dict, inv, shared) -> dict:
+    if shared is None:
+        return {w: c * inv for w, c in row.items()}
+    out = {}
+    for w, c in row.items():
+        c = c * inv
+        out[w] = shared.setdefault(c, c)
+    return out
+
+
+# The prime of every elimination mod p
+PRIME = 2 ** 61 - 1
+
+
+def independent_mod(rows, p: int) -> list:
+    """The positions, in input order, of the sparse rows of residues mod
+    the prime p ({key: residue in 1..p-1}, keys mutually comparable)
+    that are independent over F_p of the rows before them; there are as
+    many as the rank mod p.  Elimination on the largest key; a pivot
+    with an empty tail needs no inverse.  The rows are left as they are,
+    and rows may be any iterable: only the pivots are held."""
+    pivots = {}
+    kept = []
+    for pos, row in enumerate(rows):
+        row = dict(row)
+        while row:
+            lead = max(row)
+            c = row.pop(lead)
+            prow = pivots.get(lead)
+            if prow is None:
+                if row:
+                    inv = pow(c, -1, p)
+                    row = {k: x * inv % p for k, x in row.items()}
+                pivots[lead] = row
+                kept.append(pos)
+                break
+            for k, pc in prow.items():
+                x = (row.get(k, 0) - c * pc) % p
+                if x:
+                    row[k] = x
+                else:
+                    row.pop(k, None)
+    return kept
 
 
 class Span:
     """The span of sparse rows added under labels, as pivots in
     reduce_lead's layout; combs[lead] is the combination of labelled
-    rows that a pivot stands for."""
+    rows that a pivot stands for.  Given shared, an intern table, the
+    stored coefficients go through it (insert_pivot)."""
 
-    __slots__ = ("pivots", "combs")
+    __slots__ = ("pivots", "combs", "shared")
 
-    def __init__(self):
-        self.pivots, self.combs = {}, {}
+    def __init__(self, shared=None):
+        self.pivots, self.combs, self.shared = {}, {}, shared
 
     def add(self, row: dict, label):
         """Add row under label.  Returns None when it is independent of
         the rows added before, else the dependency {label: coeff}, row's
         own label at 1, whose combination of added rows is 0."""
         comb = {label: 1}
-        if insert_pivot(dict(row), self.pivots, comb, self.combs) is None:
+        if insert_pivot(dict(row), self.pivots, comb, self.combs,
+                        self.shared) is None:
             return comb
         return None
 
@@ -135,7 +194,7 @@ class NCPoly:
     def gen(cls, N: int, i: int, j: int) -> "NCPoly":
         if not (1 <= i <= N and 1 <= j <= N):
             raise IndexOutOfRange(f"u^{i}_{j} outside 1..{N}")
-        return cls(N, {((i, j),): ONE})
+        return cls(N, {letter(i, j): ONE})
 
     # -- helpers -----------------------------------------------------
     def _check(self, other: "NCPoly"):

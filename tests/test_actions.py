@@ -391,11 +391,16 @@ def test_covariance_report_does_not_alias_the_shared_rep():
     assert verify_covariance(6)["sign_fixes"] == expected
 
 
+def test_z_solver_coefficients_are_shared():
+    span = actions.z_solver(6).span
+    coeffs = [c for table in (span.pivots, span.combs)
+              for row in table.values() for c in row.values()]
+    assert len({id(c) for c in coeffs}) == len(set(coeffs)) < len(coeffs)
+
+
 def _snapshot(rw):
     """Copies of the rewriter's tables down to the coefficient objects."""
     return ({lead: dict(tail) for lead, tail in rw.rules.items()},
-            {a: {lead: dict(tail) for lead, tail in d.items()}
-             for a, d in rw.by_first.items()},
             list(rw.lengths))
 
 

@@ -27,7 +27,7 @@ from qso_spectra.fiber import (
     verify_nonprimitive,
 )
 from qso_spectra.field import ONE, ZERO, FieldElem
-from qso_spectra.ncpoly import accumulate, apply
+from qso_spectra.ncpoly import accumulate, apply, independent_mod
 from qso_spectra.quadext import QuadExt
 
 V = FieldElem.v_pow
@@ -405,7 +405,7 @@ CATALOGUE_Q = [Fraction(1), Fraction(121, 100), Fraction(9, 4),
 
 def _rank_mod_p(table, k, p, r):
     values = [c.eval_mod(r, p) for c in table.coeffs]
-    return fiber._rank_mod(table.images_mod(values, k, table.M - k, p), p)
+    return len(independent_mod(table.images_mod(values, k, table.M - k, p), p))
 
 
 @pytest.mark.parametrize("M", [3, 4, 5])
@@ -417,6 +417,17 @@ def test_modular_ranks_equal_exact_ranks(M):
         for k in range(M):
             exact = fiber._echelon(fiber._images(num, M, k, M - k))
             assert _rank_mod_p(table, k, p, r) == exact, (M, q0, k)
+
+
+@pytest.mark.parametrize("M", [3, 4, 5])
+def test_eval_mod_is_eval_q_mod_p_on_the_table(M):
+    table = fiber.lefschetz_table(M)
+    for q0 in CATALOGUE_Q + [Fraction(7, 3), Fraction(1, 12)]:
+        p, r = fiber._modular_point(q0)
+        for c in table.coeffs:
+            x = c.eval_q(q0)
+            assert c.eval_mod(r, p) == \
+                x.numerator * pow(x.denominator, -1, p) % p, (M, q0, c)
 
 
 @pytest.mark.parametrize("M", [3, 4])

@@ -466,3 +466,79 @@ def test_plist_division_makes_no_float():
     q, r = plist_divmod([1, 0, 1], [2, 3])
     assert all(type(c) is Fraction for c in q + r)
     assert plist_gcd([-1, 0, 1], [1, 1]) == [1, 1]
+
+
+@settings(max_examples=40, deadline=None)
+@given(field_elems(), st.sampled_from([Fraction(1), Fraction(3, 2), Fraction(-7, 5)]))
+def test_eval_mod_at_v_agrees_with_exact_value(a, v0):
+    p = 1_000_003
+    s = v0.numerator * pow(v0.denominator, -1, p) % p
+    got = a.eval_mod(s, p, "v")
+    try:
+        exact = a.eval_v(v0)
+    except DenominatorVanishes:
+        assert got is None
+        return
+    assert got == exact.numerator * pow(exact.denominator, -1, p) % p
+
+
+def test_eval_mod_inverts_only_r_on_integral_laurent_polynomials(monkeypatch):
+    # powers of r and 1/r: one inverse per call, none per term; a Fraction
+    # coefficient adds its denominator's and a proper denominator its own
+    inverses = []
+
+    def counting(base, e, mod=None):
+        if e < 0:
+            inverses.append(base)
+        return pow(base, e, mod)
+
+    monkeypatch.setattr(field, "pow", counting, raising=False)
+    p, r = 1_000_003, 17
+    x = FieldElem((dict.fromkeys(range(-12, 13, 2), 3), field._UNIT))
+    assert x.eval_mod(r, p) == 3 * sum(pow(r, e, p) for e in range(-6, 7)) % p
+    assert x.eval_mod(r, p, "v") == \
+        3 * sum(pow(r, e, p) for e in range(-12, 13, 2)) % p
+    assert inverses == [r, r]
+    inverses.clear()
+    (x + FieldElem.monomial(Fraction(1, 5), 2)).eval_mod(r, p)
+    assert inverses == [r, 5]
+    inverses.clear()
+    (ONE / (FieldElem.v_pow(2) + 1)).eval_mod(r, p)
+    assert inverses == [r, r + 1]
+
+
+def _samples():
+    v = FieldElem.v_pow(1)
+    return [ZERO, ONE, v, -v.shift(-3), v * v - 2, FieldElem.monomial(Fraction(3, 4), -2),
+            ONE / (v + 2), (v * v + 1) / (v - 3), FieldElem.monomial(Fraction(1, 6), 4)
+            / (FieldElem.v_pow(2) + Fraction(1, 2))]
+
+
+def _state(x):
+    return tuple(sorted(poly.items()) for poly in x.base)
+
+
+def test_no_operation_mutates_an_operand():
+    # every Laurent element shares one denominator dict, so an operation
+    # that mutated a numerator or a denominator in place would change
+    # other elements; each result is checked too
+    xs = _samples()
+    before = [_state(x) for x in xs]
+    results = []
+    for a in xs:
+        results += [-a, a.shift(3), a.shift(-2), a.bar(), a + 1, 2 - a]
+        if a:
+            results += [a.inverse(), 1 / a]
+        results += [a.eval_v(Fraction(5, 3)), a.eval_mod(7, 1_000_003, "v"),
+                    a.eval_sqrtq(Fraction(9, 4)), a.to_text(), hash(a)]
+        if all(e % 2 == 0 for poly in a.base for e in poly):
+            results += [a.eval_q(Fraction(5, 3)), a.eval_mod(7, 1_000_003)]
+        for b in xs:
+            results += [a + b, a - b, a * b, a == b]
+            if b:
+                results.append(a / b)
+    assert [_state(x) for x in xs] == before
+    assert field._UNIT == {0: 1}
+    for x in xs + [r for r in results if isinstance(r, FieldElem)]:
+        num, den = x.base
+        assert len(den) > 1 or den is field._UNIT, x

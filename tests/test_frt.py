@@ -2,12 +2,15 @@
 commutation-relation families."""
 
 import hashlib
+from fractions import Fraction
 
 import pytest
 
+from qso_spectra import fiber, frt
 from qso_spectra.errors import DegreeOverflow, IndexOutOfRange
 from qso_spectra.field import ONE, ZERO, FieldElem
 from qso_spectra.frt import (
+    RelationStream,
     _r_tables,
     build_rewriter,
     excluded_boundary_instances,
@@ -19,7 +22,7 @@ from qso_spectra.frt import (
     saturate_and_check,
     verify_lemma_rels,
 )
-from qso_spectra.ncpoly import NCPoly
+from qso_spectra.ncpoly import PRIME, NCPoly, letter, word_key
 
 
 def r_entry(N: int, i: int, j: int, m: int, n: int) -> FieldElem:
@@ -206,3 +209,166 @@ def test_lemma_instances_are_relation_members_degree2():
         if target.degree() > 2:
             continue
         assert normal_form(target, rw).is_zero(), (family, indices)
+
+
+# ---------------------------------------------------------------------------
+# The rewriter build: rows chosen mod p, checked exactly
+# ---------------------------------------------------------------------------
+
+
+def rules_digest(rules) -> str:
+    """sha256 over the rules sorted by lead: each lead with its sorted
+    tail words and their coefficients as to_text."""
+    h = hashlib.sha256()
+    for lead in sorted(rules, key=word_key):
+        tail = sorted((w, c.to_text()) for w, c in rules[lead].items())
+        h.update(repr((lead, tail)).encode())
+    return h.hexdigest()
+
+
+# rules_digest of rewriter(N).rules as the full exact RREF of every
+# relation row gave them, before rows were chosen mod p
+RULE_DIGESTS = {
+    5: "22443e21b1c15de13271e54056024c7fd976168cea87ca42592e8bac60d818c0",
+    6: "6c692e992c6d50147dc556379b4bb42b6ac68d6d85b1968e8009bbde6f7feec9",
+    7: "1c040bca561b07da506ff4fdb145768998ffc1069b725536761c7f05d7d5fe91",
+    8: "7d9dac773a26d420d471842a2aec1781d8a5b670283e5007b54b960f05de86cb",
+}
+
+# the same digest of fiber._minus_rules(M).rules, M = 1..8
+MINUS_DIGESTS = [
+    "13669c0d52891cb5cfb8c60970699c07257c7c359687c2873183b445e99d8838",
+    "a9509796a3a36dc5dfe63d4ec4ffd0a91cdf839d2399f2e97835614d2295f472",
+    "944a2887a36b144ce1109b05beaa3679af887b3b3557eb955b53d79ddcd5c6a2",
+    "c30e1dccbb668f3789a60bf11237c74671fa76a1068e29f5efd88af3d8e06e11",
+    "ed3d415602d31bb03cedd45f9f9800316202b28385ac97db7270b388039a05e5",
+    "553d444811f24ea64f934cd1214cac126f6b7ab09055adbb1fc0f6fca30cb236",
+    "0a1ffd51b07230ad458d7dbea7bfe88266a47bfcf69b0b06c2fbd17d5665820b",
+    "c9c11d357bf128be99d4f099027992df25a117c8824aa92e2cc87e773edf8d02",
+]
+
+
+def span_dimension(N: int) -> int:
+    """The dimension of the degree-2 relation span: N^4 minus that of
+    the coordinate algebra's degree-2 part, the sum of the squared
+    dimensions of the summands of V (x) V (the traceless symmetric
+    square, the exterior square and the trivial line)."""
+    return N ** 4 - (N * (N + 1) // 2 - 1) ** 2 - (N * (N - 1) // 2) ** 2 - 1
+
+
+@pytest.mark.parametrize("N", sorted(RULE_DIGESTS))
+def test_rules_equal_the_full_exact_build(N):
+    assert rules_digest(rewriter(N).rules) == RULE_DIGESTS[N]
+
+
+@pytest.mark.parametrize("N, kept", [(5, 328), (6, 670), (7, 1230), (8, 2086)])
+def test_kept_rows_are_the_span_dimension(N, kept):
+    positions = frt._independent_rows(RelationStream(N))
+    assert len(positions) == kept == span_dimension(N) == len(rewriter(N).rules)
+
+
+def _counting_rref(monkeypatch):
+    """Record the number of rows each exact RREF receives."""
+    sizes = []
+    rref = frt._rref
+
+    def counting(N, rows):
+        rows = list(rows)
+        sizes.append(len(rows))
+        return rref(N, rows)
+
+    monkeypatch.setattr(frt, "_rref", counting)
+    return sizes
+
+
+def test_the_build_row_reduces_only_the_kept_rows(monkeypatch):
+    sizes = _counting_rref(monkeypatch)
+    rw = build_rewriter(RelationStream(5))
+    assert sizes == [328] and rules_digest(rw.rules) == RULE_DIGESTS[5]
+
+
+def test_a_zeroed_residue_row_falls_back_to_the_full_build(monkeypatch):
+    # every row that holds one word maps to 0 mod p, so no kept row holds
+    # that word: the check pass meets a remainder and the full exact
+    # build of all 609 rows gives the rules
+    stream = RelationStream(5)
+    word = next(iter(stream)).popitem()[0]
+    independent_mod = frt.independent_mod
+    monkeypatch.setattr(frt, "independent_mod", lambda rows, p: independent_mod(
+        ({} if word in row else row for row in rows), p))
+    sizes = _counting_rref(monkeypatch)
+    rw = build_rewriter(stream)
+    assert len(sizes) == 2 and sizes[0] < 328
+    assert sizes[1] == len(generate_relations(5)) == 609
+    assert rules_digest(rw.rules) == RULE_DIGESTS[5]
+
+
+def test_a_coefficient_without_image_falls_back_to_the_full_build(monkeypatch):
+    eval_mod = FieldElem.eval_mod
+
+    def no_image_at_v2(self, r, p, var="q"):
+        return None if self == FieldElem.v_pow(2) else eval_mod(self, r, p, var)
+
+    monkeypatch.setattr(FieldElem, "eval_mod", no_image_at_v2)
+    assert frt._independent_rows(RelationStream(5)) is None
+    sizes = _counting_rref(monkeypatch)
+    rw = build_rewriter(generate_relations(5))
+    assert sizes == [609] and rules_digest(rw.rules) == RULE_DIGESTS[5]
+
+
+def test_a_list_and_a_stream_give_the_same_rules():
+    rels = generate_relations(6)
+    kept = [dict(r.terms) for r in rels]
+    assert rules_digest(build_rewriter(rels).rules) == RULE_DIGESTS[6]
+    assert [r.terms for r in rels] == kept
+    assert [r.terms for r in rels] == list(RelationStream(6))
+
+
+def test_minus_rules_equal_the_full_exact_build():
+    assert [rules_digest(fiber._minus_rules(M).rules) for M in range(1, 9)] \
+        == MINUS_DIGESTS
+
+
+def test_relation_words_and_labels_are_shared():
+    # one object per word within a stream pass, and the labels are the
+    # one objects of ncpoly.letter, shared with NCPoly.gen
+    words = {}
+    for row in RelationStream(5):
+        for w in row:
+            assert words.setdefault(w, w) is w
+            assert all(x is letter(*x)[0] for x in w)
+    assert 0 < len(words) <= 5 ** 4
+    assert next(iter(NCPoly.gen(5, 2, 3).terms)) is letter(2, 3)
+    # the lemma targets hold the word objects of the rewriter they were
+    # built beside (another test may have dropped the cached one)
+    lemma_rel_instances.cache_clear()
+    rw_words = {id(w) for lead, tail in rewriter(5).rules.items()
+                for w in (lead, *tail)}
+    for _, _, target in lemma_rel_instances(5):
+        assert all(id(w) in rw_words for w in target.terms if len(w) == 2)
+
+
+def test_rule_coefficients_are_shared():
+    rw = rewriter(6)
+    coeffs = [c for tail in rw.rules.values() for c in tail.values()]
+    assert len({id(c) for c in coeffs}) == len(set(coeffs))
+
+
+def test_verify_rels_results_share_the_instance_indices():
+    instances = lemma_rel_instances(5)
+    results = verify_lemma_rels(5)
+    assert all(r["indices"] is indices
+               for r, (_, indices, _) in zip(results, instances))
+
+
+def test_eval_mod_at_v_is_eval_v_mod_p():
+    # the R table has odd v-powers at odd N, which only the v-evaluation
+    # maps; its residues are those of the exact values at v = v0
+    v0 = 1_234_567
+    for N in (5, 6):
+        rows, _ = _r_tables(N)
+        for row in rows.values():
+            for c in row.values():
+                x = c.eval_v(Fraction(v0))
+                want = x.numerator * pow(x.denominator, -1, PRIME) % PRIME
+                assert c.eval_mod(v0, PRIME, "v") == want

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from qso_spectra import fiber
 from qso_spectra.errors import AlphabetMismatch, IndexOutOfRange
 from qso_spectra.field import ONE, FieldElem
-from qso_spectra.ncpoly import NCPoly, Span, accumulate, apply, reduce_lead, word_key
+from qso_spectra.ncpoly import (NCPoly, Span, accumulate, apply, independent_mod,
+                                reduce_lead, word_key)
 
 N = 3
 
@@ -168,8 +169,8 @@ def test_span_add_returns_dependencies_that_sum_to_zero():
         # triangular in the labels, so independent; with the rank from the
         # separate mod-p loop their count is the kernel's dimension
         p = 2 ** 61 - 1
-        assert rank == fiber._rank_mod([{k: x % p for k, x in row.items()}
-                                        for row in rows], p)
+        assert rank == len(independent_mod([{k: x % p for k, x in row.items()}
+                                            for row in rows], p))
 
 
 def test_span_express_round_trips_and_rejects_rows_outside():
@@ -201,7 +202,7 @@ def test_rank_mod_equals_exact_rank_on_low_rank_integer_rows():
                               rank=rng.randint(0, 4))
         kept = [dict(row) for row in rows]
         residues = [{k: x % p for k, x in row.items()} for row in rows]
-        assert fiber._rank_mod(residues, p) == fiber._echelon(rows)
+        assert len(independent_mod(residues, p)) == fiber._echelon(rows)
         assert rows == kept
 
 
@@ -228,5 +229,23 @@ def test_rank_mod_on_int_keyed_rows_equals_exact_rank(rows, mix):
     kept = [dict(row) for row in residues]
     lifted = [{(k,): r if r < P61 // 2 else r - P61 for k, r in row.items()}
               for row in residues]
-    assert fiber._rank_mod(residues, P61) == fiber._echelon(lifted)
+    assert len(independent_mod(residues, P61)) == fiber._echelon(lifted)
     assert residues == kept
+
+
+def test_independent_mod_keeps_the_positions_of_new_rows():
+    p = 101
+    rows = [{3: 1}, {3: 2, 1: 1}, {3: 5}, {1: 4}, {}, {2: 1, 0: 3}]
+    # row 2 is 5 * row 0, row 3 lies in the span of rows 0 and 1, row 4
+    # is 0; a generator is consumed once, in order
+    assert independent_mod((dict(r) for r in rows), p) == [0, 1, 5]
+    assert independent_mod([{0: 1}, {0: p - 1}, {1: 1}], p) == [0, 2]
+
+
+def test_gen_shares_one_word_per_letter():
+    a, b = NCPoly.gen(5, 2, 3), NCPoly.gen(7, 2, 3)
+    (wa,), (wb,) = a.terms, b.terms
+    assert wa is wb and wa[0] is wb[0]
+    # a product's labels are the letters' own
+    (w,) = (a * NCPoly.gen(5, 1, 1)).terms
+    assert w[0] is wa[0] and w[1] is next(iter(NCPoly.gen(6, 1, 1).terms))[0]
