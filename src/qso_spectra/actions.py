@@ -22,18 +22,24 @@ Covariance is certified by the FRT intertwiner identities.  Read a
 degree-2 word u^a_b u^c_d as (row pair (a, c)) (x) (column pair
 (b, d)); the relations of frt.generate_relations then span the image
 of Phi = R (x) 1 - P (x) R', where R e_ij = sum R^{ij}_{kl} e_kl,
-R' e_mn = sum R^{lk}_{mn} e_kl (both from frt._r_tables) and P flips
-a pair.  A letter acts as 1 (x) D on the left and as D_r (x) 1 on the
-right, with D and D_r read from the kernel itself.  If R'D = DR', then
-(1 (x) D) Phi = Phi (1 (x) D); if D_r R = R (P D_r P), then
-(D_r (x) 1) Phi = Phi (P D_r P (x) 1).  So when both hold for every
-E_i, F_i and K_i the span is stable, without a single normal form.
+R' e_mn = sum R^{lk}_{mn} e_kl (both tables from frt._r_tables, once
+per N) and P flips a pair.  A letter acts as 1 (x) D on the left and
+as D_r (x) 1 on the right, with D and D_r read from the kernel itself.
+If R'D = DR', then (1 (x) D) Phi = Phi (1 (x) D); if
+D_r R = R (P D_r P), then (D_r (x) 1) Phi = Phi (P D_r P (x) 1).  So
+when both hold for every E_i, F_i and K_i the span is stable, without
+a single normal form.
 When one fails, nothing follows from it: the exact per-relation loop
 runs against the shared rewriter and reports the failing (relation,
 letter, side) triples; only then are the relations generated.  The
 report's relations come from relation_count(N), once per N, and its
 checks count the relation x letter x side triples the verdict covers,
-whichever path decided.
+whichever path decided.  Both read the one relation stream,
+frt.generate_relations.
+
+The orbit scan reduces each state it reaches once: the walk keeps its
+normal form beside it, and the z-coordinates are read from that normal
+form in z_span(N), the z_ab normal forms as one ncpoly.Span.
 """
 
 from __future__ import annotations
@@ -42,10 +48,10 @@ from fractions import Fraction
 from functools import cache
 
 from .cartan import CartanData, cartan_data, vector_weights, y_weight
-from .errors import IndexOutOfRange, NotInZSpan, RepresentationInconsistent
+from .errors import IndexOutOfRange, RepresentationInconsistent
 from .field import ONE, FieldElem, sym_qbinom, sym_qint
-from .frt import (RelationStream, Rewriter, _r_tables, generate_relations,
-                  minor, normal_form, qcomm, rewriter, rho2)
+from .frt import (Rewriter, _r_tables, generate_relations, minor, normal_form,
+                  qcomm, rewriter, rho2)
 from .ncpoly import NCPoly, Span, accumulate, apply, reduce_lead
 
 E, F, K, KINV = "E", "F", "K", "Kinv"
@@ -282,10 +288,11 @@ def verify_qea_relations(N: int) -> list:
 # ---------------------------------------------------------------------------
 
 
-def _unstable(polys, letters, eng: ActionEngine, rw: Rewriter):
-    """Yield (index, letter, side) for every poly whose image under a
-    letter acting on that side has a nonzero normal form."""
-    for idx, p in enumerate(polys):
+def _unstable(rels, letters, eng: ActionEngine, rw: Rewriter):
+    """Yield (index, letter, side) for every relation row whose image
+    under a letter acting on that side has a nonzero normal form."""
+    for idx, terms in enumerate(rels):
+        p = NCPoly(eng.N, terms)
         for letter in letters:
             for side in ("left", "right"):
                 acted = eng.act_left([letter], p) if side == "left" \
@@ -330,17 +337,15 @@ def _intertwines(N: int, eng: ActionEngine, letters) -> bool:
     """Whether every letter satisfies R'D = DR' on the left and
     D_r R = R (P D_r P) on the right, so that it maps the image of
     Phi = R (x) 1 - P (x) R' into itself (module docstring)."""
-    rows, cols = _r_tables(N)
-    rprime = {mn: {(k, l): c for (l, k), c in col.items()}
-              for mn, col in cols.items()}
+    r, rprime = _r_tables(N)
     for letter in letters:
         d = _pair_action(eng, letter, "left")
-        if not _commutes(rprime, d, d, rprime, rows):
+        if not _commutes(rprime, d, d, rprime, r):
             return False
         dr = _pair_action(eng, letter, "right")
         pdrp = {(b, a): {(y, x): c for (x, y), c in img.items()}
                 for (a, b), img in dr.items()}
-        if not _commutes(dr, rows, rows, pdrp, rows):
+        if not _commutes(dr, r, r, pdrp, r):
             return False
     return True
 
@@ -348,8 +353,8 @@ def _intertwines(N: int, eng: ActionEngine, letters) -> bool:
 @cache
 def relation_count(N: int) -> int:
     """The number of relations frt.generate_relations makes at N,
-    counted once per process over a stream that holds none of them."""
-    return sum(1 for _ in RelationStream(N))
+    counted once per process over its stream, which holds none of them."""
+    return sum(1 for _ in generate_relations(N))
 
 
 def verify_covariance(N: int) -> dict:
@@ -477,36 +482,19 @@ def z_coord_poly(N: int, a: int, b: int) -> NCPoly:
     return (NCPoly.gen(N, a, N) * NCPoly.gen(N, N + 1 - b, 1)).scale(coeff)
 
 
-class ZSolver:
-    """Express degree-2 normal forms in the z_ab coordinate basis of the
-    rewriter's N: span holds the z_ab normal forms against rw, each
-    labelled (a, b).  Build it through z_solver(N)."""
-
-    __slots__ = ("rw", "span")
-
-    def __init__(self, rw: Rewriter):
-        N = rw.N
-        self.rw = rw
-        self.span = Span(shared={})
-        for a in range(1, N + 1):
-            for b in range(1, N + 1):
-                self.span.add(normal_form(z_coord_poly(N, a, b), rw).terms, (a, b))
-
-    def express(self, p: NCPoly) -> dict:
-        """Coefficients x_ab with sum x_ab z_ab = p modulo relations."""
-        vec = normal_form(p, self.rw).terms
-        coeffs = self.span.express(vec)
-        if coeffs is None:
-            lead = reduce_lead(dict(vec), self.span.pivots)
-            raise NotInZSpan(f"residual word {lead}")
-        return coeffs
-
-
 @cache
-def z_solver(N: int) -> ZSolver:
-    """The z-coordinate solver on the shared frt.rewriter(N), built once
-    per process; like the rewriter it is shared and read-only."""
-    return ZSolver(rewriter(N))
+def z_span(N: int) -> Span:
+    """The normal forms of the z_ab against the shared frt.rewriter(N),
+    each labelled (a, b), as one Span, built once per process; like the
+    rewriter it is shared and read-only.  Its express gives the
+    coefficients x_ab with sum x_ab z_ab = p modulo relations from the
+    normal form of p."""
+    rw = rewriter(N)
+    span = Span(shared={})
+    for a in range(1, N + 1):
+        for b in range(1, N + 1):
+            span.add(normal_form(z_coord_poly(N, a, b), rw).terms, (a, b))
+    return span
 
 
 # ---------------------------------------------------------------------------
@@ -573,7 +561,7 @@ def orbit_scan(N: int) -> dict:
     twice) lands in family (iv') with mu < 0 at q = 11/10.  The report
     fails exactly when failures is nonempty: every check that fails,
     the terminal one included, lists the word it failed on."""
-    rw, eng, solver = rewriter(N), vector_rep(N), z_solver(N)
+    rw, eng, span = rewriter(N), vector_rep(N), z_span(N)
     seq = orbit_sequence(N)
     y = minor(N, 1, N)
 
@@ -584,26 +572,26 @@ def orbit_scan(N: int) -> dict:
     families_seen = set()
     terminal = None
     failures = []
-    # walk the subsequence tree: states keyed by results reached so far
-    # (deduplicate identical polynomials up to nothing; the tree has
-    # 2^len(seq) leaves but shares subresults by position)
-    states = {(): y}
+    # walk the subsequence tree: each state is keyed by its prefix, the
+    # positions in seq of the letters applied to y, and holds the acted
+    # polynomial beside its normal form; a letter that takes a state to
+    # 0 modulo relations ends that branch
+    states = {(): (y, normal_form(y, rw).terms)}
     for pos, letter in enumerate(seq):
         new_states = {}
-        for prefix, poly in states.items():
+        for prefix, (poly, _) in states.items():
             acted = eng.act_right(poly, [letter])
-            if not normal_form(acted, rw).is_zero():
-                new_states[prefix + (pos,)] = acted
+            nf = normal_form(acted, rw).terms
+            if nf:
+                new_states[prefix + (pos,)] = (acted, nf)
         states.update(new_states)
     block_len = (len(seq) - 2) // 2
     terminal_prefix = tuple(range(block_len)) + (len(seq) - 2, len(seq) - 1)
-    for prefix, poly in sorted(states.items(), key=lambda kv: (len(kv[0]), kv[0])):
-        try:
-            coeffs = solver.express(poly)
-        except NotInZSpan as exc:
-            failures.append({"word": word(prefix), "error": str(exc)})
-            continue
-        if not coeffs:
+    for prefix, (_, nf) in sorted(states.items(), key=lambda kv: (len(kv[0]), kv[0])):
+        coeffs = span.express(nf)
+        if coeffs is None:
+            lead = reduce_lead(dict(nf), span.pivots)
+            failures.append({"word": word(prefix), "error": f"residual word {lead}"})
             continue
         cls = classify_z_combination(N, coeffs)
         families_seen.add(cls["family"])

@@ -21,10 +21,6 @@ class DegreeOverflow(QsoError):
     """Target degree exceeds the requested saturation bound."""
 
 
-class NotInZSpan(QsoError):
-    """Element does not lie in the span of the quadric generators z_ij."""
-
-
 class DecompositionSingular(QsoError):
     """Lefschetz decomposition linear system is singular at the sample."""
 

@@ -116,13 +116,14 @@ class ExtAlgParams:
 def _minus_rules(M: int) -> Rewriter:
     """The Lambda^- rules on M generators, built once per process: the
     RREF of the rows (R^ + q^{-1})(e_a (x) e_b)
-    = q^{-1} e_a e_b + sum_{k,l} R^{kl}_{ab} e_l e_k, with R of so_M.
-    Shared by every caller and read-only."""
+    = q^{-1} e_a e_b + sum_{k,l} R^{kl}_{ab} e_l e_k, with R of so_M,
+    whose entry at (l, k) R' (frt._r_tables) holds.  Shared by every
+    caller and read-only."""
     rows = []
     for (a, b), col in _r_tables(M)[1].items():
         row = {(a, b): FieldElem.v_pow(-2)}
-        for (k, l), c in col.items():
-            accumulate(row, (l, k), c)
+        for kl, c in col.items():
+            accumulate(row, kl, c)
         rows.append(row)
     return _rref_rewriter(M, rows)
 

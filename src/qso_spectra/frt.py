@@ -3,23 +3,25 @@ rewriting to normal form, degree-bounded ideal membership and the
 machine verification of the nine commutation-relation families.
 
 Internally a linear combination of words is a sparse row
-{word: FieldElem}, added into only through ncpoly.accumulate.  R is one
-table of rows, the relations read its columns from the transpose.
-The relations are streamed (RelationStream): generated afresh on each
-pass and never held as a list.  The rewriter is built in three passes
-over them (_rref_rewriter).  The mod-p pass maps each row to F_p at
-v = _V0, p = 2^61 - 1, and keeps the rows independent there, through
-ncpoly.independent_mod, the elimination step mod p that fiber's ranks
-share.  The exact pass row-reduces only those rows, through
-ncpoly.insert_pivot, the exact step that actions and fiber share.  The
-check pass reduces every other row against the result, and any
-remainder sends the build back to every row exactly.  fiber's
-Lambda^- rules are one more rewriter and reduce through _nf_terms.
-Words and labels are one object each per relation pass, the labels
-ncpoly.letter's, and equal rule coefficients one FieldElem.  Every
-family target is built from qcomm, the q-commutator x y - c y x, over
-the index ranges of _ranges(N); actions builds its q-commutations from
-qcomm too.
+{word: FieldElem}, added into only through ncpoly.accumulate.  R and
+R', its transpose with each index pair flipped, are tabulated once per
+N (_r_tables) and read by the relations, by actions' intertwiner
+identities and by fiber's Lambda^- rows.  The relations exist only as
+a stream: generate_relations returns a RelationStream, which generates
+them afresh on each pass and never holds them as a list.  The rewriter
+is built in three passes over them (_rref_rewriter).  The mod-p pass
+maps each row to F_p at v = _V0, p = 2^61 - 1, and keeps the rows
+independent there, through ncpoly.independent_mod, the elimination
+step mod p that fiber's ranks share.  The exact pass row-reduces only
+those rows, through ncpoly.insert_pivot, the exact step that actions
+and fiber share.  The check pass reduces every other row against the
+result, and any remainder sends the build back to every row exactly.
+fiber's Lambda^- rules are one more rewriter and reduce through
+_nf_terms.  Words and labels are one object each per relation pass,
+the labels ncpoly.letter's, and equal rule coefficients one FieldElem.
+Every family target is built from qcomm, the q-commutator x y - c y x,
+over the index ranges of _ranges(N); actions builds its q-commutations
+from qcomm too.
 """
 
 from __future__ import annotations
@@ -64,23 +66,29 @@ def _r_row(N: int, i: int, j: int):
     return row
 
 
+@cache
 def _r_tables(N: int):
-    """R of so_N as rows {(i, j): {(k, l): R^{ij}_{kl}}} and as columns
-    {(m, n): {(a, b): R^{ab}_{mn}}}; the columns transpose the rows."""
+    """(R, R') of so_N, built once per process: R as rows
+    {(i, j): {(k, l): R^{ij}_{kl}}} and R' = {(m, n): {(k, l): R^{lk}_{mn}}},
+    R's transpose with each pair flipped.  Like rewriter(N), both are
+    shared by every caller and read-only."""
     pairs = [(a, b) for a in range(1, N + 1) for b in range(1, N + 1)]
-    rows = {ij: _r_row(N, *ij) for ij in pairs}
-    cols = {mn: {} for mn in pairs}
-    for ij, row in rows.items():
-        for kl, c in row.items():
-            cols[kl][ij] = c
-    return rows, cols
+    r = {ij: _r_row(N, *ij) for ij in pairs}
+    rprime = {mn: {} for mn in pairs}
+    for (i, j), row in r.items():
+        for mn, c in row.items():
+            rprime[mn][j, i] = c
+    return r, rprime
 
 
 class RelationStream:
-    """The relations of generate_relations(N), N >= 5, in its order, as
-    sparse rows {word: coeff}: generated afresh on every iteration and
-    never held as a list.  Each label is the one object of
-    ncpoly.letter, and each word one object per iteration."""
+    """The quadratic relations of so_N, N >= 5, as sparse rows
+    {word: coeff}, one per index quadruple (i, j, m, n) whose candidate
+    sum_{kl} R^{ij}_{kl} u^k_m u^l_n - sum_{kl} u^j_k u^i_l R^{lk}_{mn}
+    is nonzero; zero candidates are discarded.  The rows are generated
+    afresh on every iteration and never held as a list.  Each label is
+    the one object of ncpoly.letter, and each word one object per
+    iteration."""
 
     __slots__ = ("N",)
 
@@ -90,29 +98,28 @@ class RelationStream:
         self.N = N
 
     def __iter__(self):
-        rows, cols = _r_tables(self.N)
-        label = {(a, b): letter(a, b)[0] for a, b in rows}
-        cols = {mn: {lk: -c for lk, c in col.items()} for mn, col in cols.items()}
+        r, rprime = _r_tables(self.N)
+        label = {(a, b): letter(a, b)[0] for a, b in r}
+        cols = {mn: {kl: -c for kl, c in col.items()} for mn, col in rprime.items()}
         words = {}
-        for (i, j), row in rows.items():
+        for (i, j), row in r.items():
             for (m, n), col in cols.items():
                 terms = {}
                 for (k, l), c in row.items():
                     w = (label[k, m], label[l, n])
                     terms[words.setdefault(w, w)] = c
-                for (l, k), c in col.items():
+                for (k, l), c in col.items():
                     w = (label[j, k], label[i, l])
                     accumulate(terms, words.setdefault(w, w), c)
                 if terms:
                     yield terms
 
 
-def generate_relations(N: int) -> list:
-    """The quadratic relations of so_N, N >= 5, as a list of NCPoly, one
-    per index quadruple (i, j, m, n) whose candidate
-    sum_{kl} R^{ij}_{kl} u^k_m u^l_n - sum_{kl} u^j_k u^i_l R^{lk}_{mn}
-    is nonzero; zero candidates are discarded."""
-    return [NCPoly(N, terms) for terms in RelationStream(N)]
+def generate_relations(N: int) -> RelationStream:
+    """The quadratic relations of so_N, N >= 5, as the one stream every
+    reader shares: the rewriter build, relation counts and the
+    covariance fallback."""
+    return RelationStream(N)
 
 
 # ---------------------------------------------------------------------------
@@ -200,8 +207,9 @@ def _rref(N: int, rows) -> Rewriter:
 def _rref_rewriter(N: int, rows) -> Rewriter:
     """The rules of the span of sparse rows over words in N letters: its
     reduced row echelon form, each lead rewritten to its negated tail.
-    rows is a collection that yields them afresh on each iteration, such
-    as a list or a RelationStream; the rows are left as they are.
+    rows is a collection that yields them afresh on each iteration: a
+    RelationStream, or the list of fiber's Lambda^- rows; the rows are
+    left as they are.
 
     Three passes over the rows.  The mod-p pass keeps the positions of
     the rows independent at v = _V0 mod p (_independent_rows): rows
@@ -223,22 +231,19 @@ def _rref_rewriter(N: int, rows) -> Rewriter:
     return _rref(N, rows)
 
 
-def build_rewriter(rels) -> Rewriter:
-    """The rules of the span of degree-2 relations over one N: a
-    nonempty list of NCPoly, as generate_relations makes them, or a
-    RelationStream, which yields their rows without holding them."""
-    if isinstance(rels, RelationStream):
-        return _rref_rewriter(rels.N, rels)
-    return _rref_rewriter(rels[0].N, [r.terms for r in rels])
+def build_rewriter(rels: RelationStream) -> Rewriter:
+    """The rules of the span of the relations of one N, read from their
+    stream (generate_relations)."""
+    return _rref_rewriter(rels.N, rels)
 
 
 @cache
 def rewriter(N: int) -> Rewriter:
     """The degree-2 rewriter of the FRT relations for N, built once per
-    process from a RelationStream.  The returned object is shared by
+    process from generate_relations(N).  The returned object is shared by
     every caller and is read-only: reduce against it, never modify it
     (complete_rewriter extends a copy of its rules)."""
-    return build_rewriter(RelationStream(N))
+    return build_rewriter(generate_relations(N))
 
 
 def _nf_terms(terms: dict, rw: Rewriter) -> dict:
@@ -283,7 +288,9 @@ def _nf_terms(terms: dict, rw: Rewriter) -> dict:
 
 
 def normal_form(p: NCPoly, rw: Rewriter) -> NCPoly:
-    """Leftmost-outermost reduction of every word until irreducible."""
+    """The normal form of p under rw (_nf_terms): words are reduced
+    largest first in deglex and, within a word, by the shortest rule
+    that matches at the leftmost position, until none is reducible."""
     if p.N != rw.N:
         raise IndexOutOfRange("polynomial and rewriter disagree on N")
     return NCPoly(p.N, _nf_terms(p.terms, rw))

@@ -25,13 +25,13 @@ from qso_spectra.actions import (
     verify_spherical,
     z_coord_poly,
     z_poly,
-    z_solver,
+    z_span,
 )
-from qso_spectra.errors import NotInZSpan, RepresentationInconsistent
+from qso_spectra.errors import RepresentationInconsistent
 from qso_spectra.field import ONE, FieldElem
 from qso_spectra.ncpoly import accumulate
 from qso_spectra.frt import normal_form, saturate_and_check
-from qso_spectra.ncpoly import NCPoly
+from qso_spectra.ncpoly import NCPoly, Span
 
 
 @pytest.mark.parametrize("N", [5, 6, 7, 8, 9])
@@ -255,7 +255,7 @@ def test_covariance():
 def _covariance_by_relation(N, eng):
     """Reference report: act with every letter on both sides of every
     generated relation and reduce each image."""
-    rels = frt.generate_relations(N)
+    rels = [NCPoly(N, terms) for terms in frt.generate_relations(N)]
     rw = frt.rewriter(N)
     n = eng.cartan.n
     letters = [(X, i) for X in (E, F, K) for i in range(1, n + 1)]
@@ -363,7 +363,16 @@ def test_covariance_certificate_needs_no_rewriter(monkeypatch):
 @pytest.mark.parametrize("N", range(5, 9))
 def test_relation_count_matches_generated_relations(N):
     assert actions.relation_count(N) == \
-        len(frt.generate_relations(N))
+        len(list(frt.generate_relations(N)))
+
+
+def test_relation_count_is_pinned():
+    # the counts of the stream, one per nonzero candidate; they equal
+    # N^4 - (N - N mod 2)^2 here, a closed form the program does not use
+    counts = {N: actions.relation_count(N) for N in range(5, 12)}
+    assert counts == {5: 609, 6: 1260, 7: 2365, 8: 4032, 9: 6497,
+                      10: 9900, 11: 14541}
+    assert all(c == N ** 4 - (N - N % 2) ** 2 for N, c in counts.items())
 
 
 def test_warm_covariance_generates_no_relations(monkeypatch):
@@ -392,7 +401,7 @@ def test_covariance_report_does_not_alias_the_shared_rep():
 
 
 def test_z_solver_coefficients_are_shared():
-    span = actions.z_solver(6).span
+    span = z_span(6)
     coeffs = [c for table in (span.pivots, span.combs)
               for row in table.values() for c in row.values()]
     assert len({id(c) for c in coeffs}) == len(set(coeffs)) < len(coeffs)
@@ -410,8 +419,15 @@ def _targets(N):
             for family, indices, target in frt.lemma_rel_instances(N)]
 
 
+def _r_snapshot(N):
+    """Copies of the cached R and R' tables down to the coefficients."""
+    return [{key: dict(row) for key, row in table.items()}
+            for table in frt._r_tables(N)]
+
+
 def test_requests_leave_the_shared_context_unchanged():
     before = {N: _snapshot(frt.rewriter(N)) for N in (5, 6)}
+    r_tables = {N: _r_snapshot(N) for N in (5, 6)}
     targets = {N: _targets(N) for N in (5, 6)}
     for N in (5, 6):
         frt.verify_lemma_rels(N)
@@ -426,6 +442,7 @@ def test_requests_leave_the_shared_context_unchanged():
     assert saturate_and_check(target, frt.rewriter(5), 3).status == "inconclusive"
     assert {N: _snapshot(frt.rewriter(N)) for N in (5, 6)} == before
     assert {N: _targets(N) for N in (5, 6)} == targets
+    assert {N: _r_snapshot(N) for N in (5, 6)} == r_tables
     assert frt.rewriter(5) is frt.rewriter(5)
     assert frt.lemma_rel_instances(5) is frt.lemma_rel_instances(5)
 
@@ -474,9 +491,9 @@ def test_spherical_highest_weight():
 
 def test_zsolver_roundtrip():
     N = 5
-    rw, solver = frt.rewriter(N), z_solver(N)
+    rw = frt.rewriter(N)
     # z is a single coordinate up to the quadratic relations
-    coeffs = solver.express(z_poly(N))
+    coeffs = z_span(N).express(normal_form(z_poly(N), rw).terms)
     assert set(coeffs) == {(1, N)}
     # reconstruct: sum coeffs * z_ab has the same normal form
     acc = None
@@ -486,11 +503,16 @@ def test_zsolver_roundtrip():
     assert normal_form(acc - z_poly(N), rw).is_zero()
 
 
-def test_zsolver_names_the_residual_word_outside_the_z_span():
+def test_zsolver_names_the_residual_word_outside_the_z_span(monkeypatch):
+    # an orbit state outside the z-span fails with the leading word that
+    # is left when its normal form is reduced against the z_ab
     N = 5
     u11 = NCPoly.gen(N, 1, 1)
-    with pytest.raises(NotInZSpan, match=re.escape("residual word ((1, 1), (1, 1))")):
-        z_solver(N).express(u11 * u11)
+    assert z_span(N).express(normal_form(u11 * u11, frt.rewriter(N)).terms) is None
+    monkeypatch.setattr(actions, "minor", lambda N, a, b: u11 * u11)
+    out = orbit_scan(N)
+    assert out["status"] == "failed"
+    assert {"word": [], "error": "residual word ((1, 1), (1, 1))"} in out["failures"]
 
 
 def test_orbit_sequence_shape():
@@ -528,25 +550,48 @@ def test_orbit_terminal_failure_is_listed(monkeypatch):
          "error": "terminal word has family ii', not (iv')"}]
 
 
+def _z_span_without(N, label):
+    """The z-span of N without the coordinate z_label."""
+    rw = frt.rewriter(N)
+    span = Span(shared={})
+    for a in range(1, N + 1):
+        for b in range(1, N + 1):
+            if (a, b) != label:
+                span.add(normal_form(z_coord_poly(N, a, b), rw).terms, (a, b))
+    return span
+
+
 def test_orbit_z_span_failure_words_are_letters(monkeypatch):
-    # a NotInZSpan failure writes its word in F-letters, as the trace
-    # entries and the terminal check do, not as sequence positions
-    express = actions.ZSolver.express
-
-    def partial(self, p):
-        if len(p.terms) > 3:
-            raise NotInZSpan("injected")
-        return express(self, p)
-
-    monkeypatch.setattr(actions.ZSolver, "express", partial)
+    # a z-span failure writes its word in F-letters, as the trace entries
+    # and the terminal check do, not as sequence positions; without
+    # z_11 only the (ii') states, all reached by F2 F2 F1, fall outside
+    span = _z_span_without(5, (1, 1))
+    monkeypatch.setattr(actions, "z_span", lambda N: span)
     out = orbit_scan(5)
     assert out["status"] == "failed"
-    injected = [f for f in out["failures"] if f.get("error") == "injected"]
-    assert injected
+    outside = [f for f in out["failures"] if "error" in f]
+    assert len(outside) == 12 and outside == out["failures"]
     for f in out["failures"] + out["trace"]:
         assert isinstance(f["word"], list) and all(
             isinstance(x, str) and re.fullmatch(r"F\d+", x) for x in f["word"]), f
-    assert {tuple(f["word"]) for f in injected} == {("F2", "F2", "F1")}
+    assert {(tuple(f["word"]), f["error"]) for f in outside} == {
+        (("F2", "F2", "F1"), "residual word ((1, 1), (5, 5))")}
+
+
+@pytest.mark.parametrize("N, calls", [(5, 47), (6, 40), (7, 156)])
+def test_orbit_scan_reduces_each_state_once(monkeypatch, N, calls):
+    # one normal form for y and one per acted polynomial: the
+    # z-coordinates are read from the walk's normal forms
+    z_span(N)  # the span's own normal forms are built beforehand
+    reduced = []
+
+    def counting(p, rw):
+        reduced.append(p)
+        return normal_form(p, rw)
+
+    monkeypatch.setattr(actions, "normal_form", counting)
+    assert orbit_scan(N)["status"] == "verified"
+    assert len(reduced) == calls
 
 
 def test_orbit_terminal_mu_value_n5():

@@ -153,12 +153,12 @@ RULES = {"-": lambda p, x, y: _closed_form(p.M, x, y, -1),
 
 def _rref_rules(M, table, diag):
     """frt's rules for the span of the rows diag e_a e_b +
-    sum_{k,l} c e_l e_k over a table {(a, b): {(k, l): c}} of R entries."""
+    sum_{k,l} c e_k e_l over a table {(a, b): {(k, l): c}} of R entries."""
     rows = []
     for (a, b), entries in table.items():
         row = {(a, b): diag}
-        for (k, l), c in entries.items():
-            accumulate(row, (l, k), c)
+        for kl, c in entries.items():
+            accumulate(row, kl, c)
         rows.append(row)
     return frt._rref_rewriter(M, rows).rules
 
@@ -179,18 +179,21 @@ def test_rules_are_the_closed_form():
 
 
 def test_plus_rules_come_from_the_rows_of_r():
-    # Lambda^- reduces the rows (R^ + q^{-1})(e_a (x) e_b) from R's
-    # columns; the same rows from R's rows, R^{ab}_{kl} at (l, k), reduce
-    # to the bar of its rules, so Lambda^+ is the bar by R itself
+    # Lambda^- reduces the rows (R^ + q^{-1})(e_a (x) e_b) from R',
+    # R'^{kl}_{ab} = R^{lk}_{ab} at (k, l); the same rows from R's rows,
+    # R^{ab}_{kl} at (l, k), reduce to the bar of its rules, so Lambda^+
+    # is the bar by R itself
     for M in range(1, 13):
-        rows, cols = frt._r_tables(M)
+        r, rprime = frt._r_tables(M)
         minus = fiber._minus_rules(M).rules
-        assert _rref_rules(M, cols, V(-2)) == minus, M
-        assert _rref_rules(M, rows, V(-2)) == _bar(minus), M
+        assert _rref_rules(M, rprime, V(-2)) == minus, M
+        flipped = {ab: {(l, k): c for (k, l), c in row.items()}
+                   for ab, row in r.items()}
+        assert _rref_rules(M, flipped, V(-2)) == _bar(minus), M
         # negative control: q in place of q^{-1} on the diagonal gives
         # other rules wherever there are two generators
         if M > 1:
-            assert _rref_rules(M, cols, V(2)) != minus, M
+            assert _rref_rules(M, rprime, V(2)) != minus, M
 
 
 def _normal_form(p, side, word):

@@ -3,10 +3,11 @@ commutation-relation families."""
 
 import hashlib
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
-from qso_spectra import fiber, frt
+from qso_spectra import actions, fiber, frt
 from qso_spectra.errors import DegreeOverflow, IndexOutOfRange
 from qso_spectra.field import ONE, ZERO, FieldElem
 from qso_spectra.frt import (
@@ -79,26 +80,49 @@ def test_r_entry_offdiagonal():
 
 @pytest.mark.parametrize("N", [5, 6, 7, 8])
 def test_r_tables_match_r_entry(N):
-    """The rows generate_relations reads, and the columns it transposes
-    from them, agree with r_entry on every index quadruple."""
-    rows, cols = _r_tables(N)
+    """R and R', R'^{kl}_{mn} = R^{lk}_{mn}, agree with r_entry on every
+    index quadruple, and are one cached pair per N."""
+    r, rprime = _r_tables(N)
     idx = range(1, N + 1)
     for i in idx:
         for j in idx:
             for m in idx:
                 for n in idx:
                     want = r_entry(N, i, j, m, n)
-                    assert rows[(i, j)].get((m, n), ZERO) == want, (i, j, m, n)
-                    assert cols[(m, n)].get((i, j), ZERO) == want, (i, j, m, n)
-    assert all(c for row in rows.values() for c in row.values())
+                    assert r[(i, j)].get((m, n), ZERO) == want, (i, j, m, n)
+                    assert rprime[(m, n)].get((j, i), ZERO) == want, (i, j, m, n)
+    assert all(c for row in r.values() for c in row.values())
+    assert sum(map(len, rprime.values())) == sum(map(len, r.values()))
+    assert _r_tables(N) is _r_tables(N)
+
+
+def test_r_is_built_once_per_n(monkeypatch):
+    # the three passes of a rewriter build, every covariance request and
+    # the Lambda^- rows read one R table per N
+    built = []
+    r_row = frt._r_row
+
+    def counting(N, i, j):
+        built.append(N)
+        return r_row(N, i, j)
+
+    monkeypatch.setattr(frt, "_r_row", counting)
+    for cached in (_r_tables, rewriter, actions.relation_count,
+                   fiber._minus_rules):
+        cached.cache_clear()
+    rewriter(7)
+    for _ in range(2):
+        assert actions.verify_covariance(5)["status"] == "verified"
+    fiber._minus_rules(5)
+    assert built == [7] * 49 + [5] * 25
 
 
 def test_relations_nonzero_and_homogeneous():
-    rels = generate_relations(5)
+    rels = list(generate_relations(5))
     assert rels
-    for r in rels:
-        assert not r.is_zero()
-        assert r.degree() == 2 and {len(w) for w in r.terms} == {2}
+    for terms in rels:
+        assert terms and all(terms.values())
+        assert {len(w) for w in terms} == {2}
 
 
 def test_normal_form_idempotent_and_linear():
@@ -111,8 +135,8 @@ def test_normal_form_idempotent_and_linear():
     q = NCPoly.gen(5, 1, 1) * NCPoly.gen(5, 2, 2)
     assert normal_form(p + q, rw) == normal_form(p, rw) + normal_form(q, rw)
     # every relation itself reduces to zero
-    for r in rels[:20]:
-        assert normal_form(r, rw).is_zero()
+    for terms in islice(rels, 20):
+        assert normal_form(NCPoly(5, terms), rw).is_zero()
     # mixed degrees up to 4: the normal form is the sum of the normal
     # forms of the words, whatever order the words are reduced in
     u = lambda i, j: NCPoly.gen(5, i, j)
@@ -132,8 +156,8 @@ def test_every_relation_reduces_to_zero(N):
     zero normal form is membership in the span, which the covariance
     fallback tests"""
     rw = rewriter(N)
-    for r in generate_relations(N):
-        assert normal_form(r, rw).is_zero()
+    for terms in generate_relations(N):
+        assert normal_form(NCPoly(N, terms), rw).is_zero()
 
 
 def test_saturate_rejects_overdegree():
@@ -299,7 +323,7 @@ def test_a_zeroed_residue_row_falls_back_to_the_full_build(monkeypatch):
     sizes = _counting_rref(monkeypatch)
     rw = build_rewriter(stream)
     assert len(sizes) == 2 and sizes[0] < 328
-    assert sizes[1] == len(generate_relations(5)) == 609
+    assert sizes[1] == sum(1 for _ in stream) == 609
     assert rules_digest(rw.rules) == RULE_DIGESTS[5]
 
 
@@ -316,12 +340,13 @@ def test_a_coefficient_without_image_falls_back_to_the_full_build(monkeypatch):
     assert sizes == [609] and rules_digest(rw.rules) == RULE_DIGESTS[5]
 
 
-def test_a_list_and_a_stream_give_the_same_rules():
+def test_every_stream_pass_yields_the_same_rows():
+    # the build reads the stream three times; each pass yields the same
+    # rows in the same order, and the build leaves them as they are
     rels = generate_relations(6)
-    kept = [dict(r.terms) for r in rels]
+    first = [dict(row) for row in rels]
     assert rules_digest(build_rewriter(rels).rules) == RULE_DIGESTS[6]
-    assert [r.terms for r in rels] == kept
-    assert [r.terms for r in rels] == list(RelationStream(6))
+    assert list(rels) == first == list(RelationStream(6))
 
 
 def test_minus_rules_equal_the_full_exact_build():
